@@ -14,10 +14,12 @@ optimize-esr  Alternating covariance/phase ascent -> trace CSV + result JSON
 optimize-sop  Outage-probability phase descent -> trace CSV + result JSON
 sweep         SOP curves for a list of transmit powers -> sop_sweep.csv
 
-Two optional configuration keys extend the scenario schema for this tool:
-``power.an`` (bool) forces artificial-noise mode on or off (default: on
-exactly when ``power.split_v > 0``), and ``sweep.P_dbm`` (list of numbers)
-sets the sweep powers (default ``[30.0, 50.0]``).
+The artificial-noise mode (``power.an``) and the sweep powers
+(``sweep.P_dbm``) are read with the rest of the scenario by
+``scenario.load_config`` and reach every subcommand as ``ScenarioConfig.an``
+and ``ScenarioConfig.sweep_P_dbm``. Exit codes: 0 on success, 2 for a
+malformed configuration or argument (``config error: <field>: ...``), 1 when
+the numerics fail on a valid configuration.
 """
 
 from __future__ import annotations
@@ -38,24 +40,13 @@ from .errors import (
     InvalidCovarianceError,
     ModelError,
 )
-from .scenario import Scenario, ScenarioConfig, build_scenario, parse_config
-from .fixedpoint import an_descriptors, mean_mi, precoder_map, wiretap_descriptors
+from .scenario import Scenario, build_scenario, load_config
+from .fixedpoint import mean_mi
 from .cltcov import joint_cov
-from .secrecy import (
-    LN2,
-    build_multi_eve_model,
-    esr_an,
-    esr_wiretap,
-    sop_an,
-    sop_multi_eve,
-    sop_wiretap,
-    _selector_an,
-    _selector_wiretap,
-)
+from .secrecy import LN2, build_multi_eve_model, esr_an, secrecy_terms, sop_multi_eve
 from .mcoracle import run_mc
 from .optimize import algorithm2_ao, optimize_sop
 
-DEFAULT_SWEEP_P_DBM = (30.0, 50.0)
 DEFAULT_MC_TRIALS = 20000
 DEFAULT_MVN_SAMPLES = 10 ** 6
 
@@ -84,42 +75,6 @@ def _eigenvalues(P: np.ndarray) -> list:
     return [float(v) for v in vals[::-1]]
 
 
-def _load_raw(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return raw
-
-
-def _an_mode(raw: dict, config: ScenarioConfig) -> bool:
-    """Artificial-noise mode: explicit power.an wins, else split_v > 0."""
-    override = raw.get("power", {}).get("an")
-    if override is None:
-        return config.split_v > 0.0
-    if not isinstance(override, bool):
-        raise ConfigError("power.an: expected true or false")
-    return override
-
-
-def _sweep_powers(raw: dict) -> list:
-    entry = raw.get("sweep", {})
-    if not isinstance(entry, dict):
-        raise ConfigError("sweep: expected an object")
-    powers = entry.get("P_dbm", list(DEFAULT_SWEEP_P_DBM))
-    if not isinstance(powers, (list, tuple)) or not powers:
-        raise ConfigError("sweep.P_dbm: expected a non-empty list of numbers")
-    try:
-        return [float(p) for p in powers]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep.P_dbm: expected numbers ({exc})") from exc
-
-
 def _threshold_grid(args) -> np.ndarray:
     if args.r_steps < 1:
         raise ConfigError("--r-steps: must be >= 1")
@@ -128,8 +83,11 @@ def _threshold_grid(args) -> np.ndarray:
     return np.linspace(args.r_min, args.r_max, args.r_steps)
 
 
-def _eve_tags(stats) -> list:
-    return [f"E{i + 1}" for i in range(stats.K_eves)]
+def _precoders(scenario: Scenario) -> tuple:
+    """Initial (P_W, P_V) of the configured mode; P_V is None for the plain
+    wiretap design."""
+    P_W, P_V = scenario.initial_precoders()
+    return P_W, (P_V if scenario.config.an else None)
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +95,13 @@ def _eve_tags(stats) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_esr(args, raw: dict, scenario: Scenario) -> int:
+def _cmd_esr(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    an = _an_mode(raw, scenario.config)
-    P_W, P_V = scenario.initial_precoders()
+    P_W, P_V = _precoders(scenario)
     eves = {}
     worst = None
-    for tag in _eve_tags(stats):
-        if an:
-            rep = esr_an(stats, P_W, P_V, eve=tag)
-        else:
-            rep = esr_wiretap(stats, P_W, eve=tag)
+    for tag in stats.users()[1:]:
+        rep = esr_an(stats, P_W, P_V, eve=tag)
         eves[tag] = {
             "esr_nats": float(rep.esr_nats),
             "esr_bits": float(rep.esr_bits),
@@ -156,7 +110,7 @@ def _cmd_esr(args, raw: dict, scenario: Scenario) -> int:
         }
         worst = rep if worst is None or rep.esr_nats < worst.esr_nats else worst
     out = {
-        "an": an,
+        "an": scenario.config.an,
         "model_kind": stats.model_kind,
         "p_budget_watts": float(scenario.p_budget),
         "esr_nats": float(worst.esr_nats),
@@ -167,24 +121,22 @@ def _cmd_esr(args, raw: dict, scenario: Scenario) -> int:
     return 0
 
 
-def _sop_curve(stats, P_W, P_V, an: bool, grid_bits: np.ndarray, trials: int, seed: int):
+def _sop_curve(stats, P_W, P_V, grid_bits: np.ndarray, trials: int, seed: int):
     """Analytic SOP on a bit grid; (values, stderr_or_None, mvn_flag)."""
     if stats.K_eves > 1:
-        model = build_multi_eve_model(stats, P_W, P_V if an else None)
+        model = build_multi_eve_model(stats, P_W, P_V)
         n = trials if trials > 0 else DEFAULT_MVN_SAMPLES
         probs, se = sop_multi_eve(model, grid_bits, n_samples=n, seed=seed)
         return probs, se, True
-    rep = esr_an(stats, P_W, P_V) if an else esr_wiretap(stats, P_W)
-    return rep.sop(grid_bits), None, False
+    return esr_an(stats, P_W, P_V).sop(grid_bits), None, False
 
 
-def _cmd_sop(args, raw: dict, scenario: Scenario) -> int:
+def _cmd_sop(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    an = _an_mode(raw, scenario.config)
-    P_W, P_V = scenario.initial_precoders()
+    P_W, P_V = _precoders(scenario)
     grid_bits = _threshold_grid(args)
     analytic, mvn_se, is_mvn = _sop_curve(
-        stats, P_W, P_V, an, grid_bits, args.trials, args.seed
+        stats, P_W, P_V, grid_bits, args.trials, args.seed
     )
 
     if is_mvn:
@@ -194,15 +146,9 @@ def _cmd_sop(args, raw: dict, scenario: Scenario) -> int:
             for r, p, s in zip(grid_bits, analytic, mvn_se)
         ]
     elif args.trials > 0:
-        if an:
-            descs = an_descriptors(stats, eves=["E1"])
-            u = _selector_an(descs, "E1")
-            precs = precoder_map(P_W, P_V)
-        else:
-            descs = wiretap_descriptors(stats, eves=["E1"])
-            u = _selector_wiretap(descs, "E1")
-            precs = precoder_map(P_W)
-        run = run_mc(stats, descs, precs, n_trials=args.trials, seed=args.seed, combiner=u)
+        descs, precs, selectors = secrecy_terms(stats, P_W, P_V, eves=["E1"])
+        run = run_mc(stats, descs, precs, n_trials=args.trials, seed=args.seed,
+                     combiner=selectors[0])
         empirical = run.secrecy_cdf(grid_bits * LN2)
         se = np.sqrt(empirical * (1.0 - empirical) / run.n_trials)
         header = ["R_bits", "sop_analytic", "sop_empirical", "stderr"]
@@ -218,16 +164,9 @@ def _cmd_sop(args, raw: dict, scenario: Scenario) -> int:
     return 0
 
 
-def _cmd_mc_validate(args, raw: dict, scenario: Scenario) -> int:
+def _cmd_mc_validate(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    an = _an_mode(raw, scenario.config)
-    P_W, P_V = scenario.initial_precoders()
-    if an:
-        descs = an_descriptors(stats)
-        precs = precoder_map(P_W, P_V)
-    else:
-        descs = wiretap_descriptors(stats)
-        precs = precoder_map(P_W)
+    descs, precs, _ = secrecy_terms(stats, *_precoders(scenario))
     trials = args.trials if args.trials > 0 else DEFAULT_MC_TRIALS
     run = run_mc(stats, descs, precs, n_trials=trials, seed=args.seed)
 
@@ -297,21 +236,17 @@ _TRACE_HEADER = [
 ]
 
 
-def _cmd_optimize_esr(args, raw: dict, scenario: Scenario) -> int:
+def _cmd_optimize_esr(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    an = _an_mode(raw, scenario.config)
-    P_W, P_V = scenario.initial_precoders()
-    if an:
-        state = algorithm2_ao(stats, scenario.p_budget, P_W=P_W, P_V=P_V, an=True)
-    else:
-        state = algorithm2_ao(stats, scenario.p_budget, P_W=P_W, an=False)
+    P_W, P_V = _precoders(scenario)
+    state = algorithm2_ao(stats, scenario.p_budget, P_W=P_W, P_V=P_V, an=scenario.config.an)
     _write_csv(
         os.path.join(args.out, "optimize_esr_trace.csv"),
         _TRACE_HEADER,
         _trace_rows(state.trace),
     )
     result = {
-        "an": an,
+        "an": scenario.config.an,
         "model_kind": stats.model_kind,
         "iterations": len(state.trace),
         "esr_nats": float(state.esr_nats),
@@ -324,9 +259,9 @@ def _cmd_optimize_esr(args, raw: dict, scenario: Scenario) -> int:
     return 0
 
 
-def _cmd_optimize_sop(args, raw: dict, scenario: Scenario) -> int:
+def _cmd_optimize_sop(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    if _an_mode(raw, scenario.config):
+    if scenario.config.an:
         raise ModelError(
             "optimize-sop handles the wiretap model only; set power.split_v to 0 "
             "and leave power.an unset or false"
@@ -352,20 +287,18 @@ def _cmd_optimize_sop(args, raw: dict, scenario: Scenario) -> int:
     return 0
 
 
-def _cmd_sweep(args, raw: dict, scenario: Scenario) -> int:
-    config = scenario.config
-    powers = _sweep_powers(raw)
+def _cmd_sweep(args, scenario: Scenario) -> int:
     grid_bits = _threshold_grid(args)
-    an = _an_mode(raw, config)
     mvn_any = scenario.stats.K_eves > 1
     header = ["P_dbm", "R_bits", "sop_analytic"] + (["stderr"] if mvn_any else [])
     rows = []
-    for p_dbm in powers:
-        cfg = dataclasses.replace(config, P_dbm=p_dbm)
-        sc = build_scenario(cfg, seed=args.seed)
-        P_W, P_V = sc.initial_precoders()
+    for p_dbm in scenario.config.sweep_P_dbm:
+        # the channel statistics do not depend on the power: only the
+        # precoders change from one sweep point to the next
+        sc = dataclasses.replace(
+            scenario, config=dataclasses.replace(scenario.config, P_dbm=p_dbm))
         analytic, mvn_se, is_mvn = _sop_curve(
-            sc.stats, P_W, P_V, an, grid_bits, args.trials, args.seed
+            sc.stats, *_precoders(sc), grid_bits, args.trials, args.seed
         )
         for i, r in enumerate(grid_bits):
             row = [_fmt(p_dbm), _fmt(r), _fmt(analytic[i])]
@@ -433,11 +366,9 @@ def main(argv: Optional[list] = None) -> int:
         print("error: --trials must be nonnegative", file=sys.stderr)
         return 2
     try:
-        raw = _load_raw(args.config)
-        config = parse_config(raw)
-        scenario = build_scenario(config, seed=args.seed)
+        scenario = build_scenario(load_config(args.config), seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.subcommand](args, raw, scenario)
+        return _COMMANDS[args.subcommand](args, scenario)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,7 @@ Two systems are solved by damped fixed-point iteration:
 Each solver diagonalizes its input matrices once, so one iteration costs
 O(N + L + M); the resolvent-style matrices are materialized after
 convergence. Residuals are absolute direct-substitution gaps (the largest
-change when the right-hand sides are re-evaluated at the solution); the
-same measure is exposed by ``residual_lbi`` / ``residual_ds`` so converged
-points can be re-checked independently of the solver loop.
+change when the right-hand sides are re-evaluated at the solution).
 """
 
 from __future__ import annotations
@@ -214,19 +212,6 @@ def solve_lbi(
     )
 
 
-def residual_lbi_scalars(lam_r, lam_t, z, m, a, ab) -> float:
-    a_new = float(np.sum(lam_r / (z + ab * lam_r)) / m)
-    ab_new = float(np.sum(lam_t / (1.0 + a * lam_t)) / m)
-    return max(abs(a_new - a), abs(ab_new - ab))
-
-
-def residual_lbi(sol: LbiSolution) -> float:
-    """Absolute direct-substitution residual of the converged point."""
-    lam_r, _ = _herm_eig(sol.R, "R")
-    lam_t, _ = _herm_eig(sol.T_eff, "T_eff")
-    return residual_lbi_scalars(lam_r, lam_t, sol.z, float(sol.m_dim), sol.alpha, sol.alpha_bar)
-
-
 def solve_ds(
     R: np.ndarray,
     S: np.ndarray,
@@ -281,25 +266,6 @@ def solve_ds(
         z=float(z), R=np.asarray(R, dtype=complex), S=np.asarray(S, dtype=complex),
         T_eff=np.asarray(T_eff, dtype=complex), m_dim=m_dim, l_dim=l_dim, n_iter=it,
         residual=residual,
-    )
-
-
-def residual_ds_scalars(lam_r, lam_s, lam_t, z, m, ell, d, o, ob) -> float:
-    kappa = m * o * ob / (ell * d)
-    d_new = float(np.sum(lam_r / (z + kappa * lam_r)) / ell)
-    o_new = float(np.sum(lam_s / (1.0 / d + ob * lam_s)) / m)
-    ob_new = float(np.sum(lam_t / (1.0 + o * lam_t)) / m)
-    return max(abs(d_new - d), abs(o_new - o), abs(ob_new - ob))
-
-
-def residual_ds(sol: DsSolution) -> float:
-    """Absolute direct-substitution residual of the converged double-hop point."""
-    lam_r, _ = _herm_eig(sol.R, "R")
-    lam_s, _ = _herm_eig(sol.S, "S")
-    lam_t, _ = _herm_eig(sol.T_eff, "T_eff")
-    return residual_ds_scalars(
-        lam_r, lam_s, lam_t, sol.z, float(sol.m_dim), float(sol.l_dim),
-        sol.delta, sol.omega, sol.omega_bar,
     )
 
 
@@ -359,16 +325,25 @@ def effective_transmit_corr(stats: ChannelStatistics, user: str, P: np.ndarray) 
     return 0.5 * (out + out.conj().T)
 
 
+def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray,
+               noise: Optional[float] = None, **solver_kwargs):
+    """Solve the model-appropriate fixed point of one receiver under the
+    transmit covariance P; ``noise`` defaults to the receiver's own."""
+    if noise is None:
+        noise = stats.user_sigma2(user)
+    T_eff = effective_transmit_corr(stats, user, P)
+    R = stats.user_r(user)
+    if stats.model_kind == "lbi":
+        return solve_lbi(R, T_eff, noise, stats.M, **solver_kwargs)
+    return solve_ds(R, stats.ds_gram(user), T_eff, noise, stats.M, stats.L,
+                    **solver_kwargs)
+
+
 def solve_descriptor(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,
                      **solver_kwargs):
     """Solve the model-appropriate fixed point for one descriptor."""
-    P = precoders[desc.precoder]
-    T_eff = effective_transmit_corr(stats, desc.user, P)
-    R = stats.user_r(desc.user)
-    if stats.model_kind == "lbi":
-        return solve_lbi(R, T_eff, desc.noise, stats.M, **solver_kwargs)
-    return solve_ds(R, stats.ds_gram(desc.user), T_eff, desc.noise, stats.M, stats.L,
-                    **solver_kwargs)
+    return solve_user(stats, desc.user, precoders[desc.precoder], desc.noise,
+                      **solver_kwargs)
 
 
 def mean_mi(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,

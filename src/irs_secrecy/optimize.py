@@ -34,8 +34,7 @@ from scipy.special import ndtr
 
 from .errors import (ConvergenceError, DegenerateRegimeError,
                      InvalidCovarianceError, ModelError)
-from .fixedpoint import (det_equiv_ds, det_equiv_lbi, effective_transmit_corr,
-                         solve_ds, solve_lbi)
+from .fixedpoint import det_equiv_ds, det_equiv_lbi, solve_user
 from .scenario import ChannelStatistics
 
 LN2 = math.log(2.0)
@@ -127,18 +126,6 @@ def _require_double(stats: ChannelStatistics, what: str) -> None:
         raise ModelError(f"{what} is defined on the double-hop model")
 
 
-def _eve_tag(stats: ChannelStatistics, eve: Optional[str]) -> str:
-    if eve is None:
-        eve = "E1"
-    return f"E{stats._eve_index(eve) + 1}"
-
-
-def _lbi_term(stats: ChannelStatistics, user: str, P: np.ndarray):
-    """Converged fixed point of one (user, precoder) pair."""
-    return solve_lbi(stats.user_r(user), effective_transmit_corr(stats, user, P),
-                     stats.user_sigma2(user), stats.M)
-
-
 def sca_gradients(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray,
                   eve: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Gradients of the linearized (concave, to-be-upper-bounded) part of the
@@ -148,15 +135,15 @@ def sca_gradients(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray,
     Returns (d/dP_W, d/dP_V); both are Hermitian M x M matrices.
     """
     _require_lbi(stats, "sca_gradients")
-    eve = _eve_tag(stats, eve)
+    eve = stats.eve_tag(eve)
     c = stats.M / stats.L
     P_U = P_W + P_V
 
-    sol_eu = _lbi_term(stats, eve, P_U)
+    sol_eu = solve_user(stats, eve, P_U)
     A_e = stats.lbi_aperture(eve)
     g_eu = sol_eu.alpha * c * _herm(A_e.conj().T @ sol_eu.L_T @ A_e)
 
-    sol_bv = _lbi_term(stats, "B", P_V)
+    sol_bv = solve_user(stats, "B", P_V)
     A_b = stats.lbi_aperture("B")
     g_bv = sol_bv.alpha * c * _herm(A_b.conj().T @ sol_bv.L_T @ A_b)
 
@@ -195,7 +182,7 @@ def solve_inner_p6(
     and only P_W moves inside its remaining budget.
     """
     _require_lbi(stats, "solve_inner_p6")
-    eve = _eve_tag(stats, eve)
+    eve = stats.eve_tag(eve)
     c = stats.M / stats.L
     A_b = stats.lbi_aperture("B")
     A_e = stats.lbi_aperture(eve)
@@ -266,11 +253,11 @@ def algorithm1(
     until the surrogate objective stabilizes. Monotone by the
     minorize-maximize property; returns (P_W, P_V, objective trace)."""
     _require_lbi(stats, "algorithm1")
-    eve = _eve_tag(stats, eve)
+    eve = stats.eve_tag(eve)
 
     def full_objective(w, v):
-        sol_b = _lbi_term(stats, "B", w + v)
-        sol_e = _lbi_term(stats, eve, v)
+        sol_b = solve_user(stats, "B", w + v)
+        sol_e = solve_user(stats, eve, v)
         f = (det_equiv_lbi(sol_b) + det_equiv_lbi(sol_e)
              - _inner(grad_w_n, w) - _inner(grad_v_n, v))
         return f, sol_b, sol_e
@@ -303,12 +290,12 @@ def signed_an_mean(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray,
     """Signed deterministic secrecy mean (nats) of the four-term combination;
     the noise floors cancel pairwise per user."""
     _require_lbi(stats, "signed_an_mean")
-    eve = _eve_tag(stats, eve)
+    eve = stats.eve_tag(eve)
     P_U = P_W + P_V
-    d_bu = det_equiv_lbi(_lbi_term(stats, "B", P_U))
-    d_bv = det_equiv_lbi(_lbi_term(stats, "B", P_V))
-    d_eu = det_equiv_lbi(_lbi_term(stats, eve, P_U))
-    d_ev = det_equiv_lbi(_lbi_term(stats, eve, P_V))
+    d_bu = det_equiv_lbi(solve_user(stats, "B", P_U))
+    d_bv = det_equiv_lbi(solve_user(stats, "B", P_V))
+    d_eu = det_equiv_lbi(solve_user(stats, eve, P_U))
+    d_ev = det_equiv_lbi(solve_user(stats, eve, P_V))
     return (d_bu - d_bv) - (d_eu - d_ev)
 
 
@@ -322,7 +309,7 @@ def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
     contributions vanish.
     """
     _require_lbi(stats, "esr_phase_gradient")
-    eve = _eve_tag(stats, eve)
+    eve = stats.eve_tag(eve)
     c = stats.M / stats.L
     phases = np.exp(1j * stats.theta)
     P_U = P_W + P_V
@@ -338,7 +325,7 @@ def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
     grad = np.zeros(stats.L)
     for user, P, tag, sign in (("B", P_U, "U", 1.0), ("B", P_V, "V", -1.0),
                                (eve, P_U, "U", -1.0), (eve, P_V, "V", 1.0)):
-        sol = _lbi_term(stats, user, P)
+        sol = solve_user(stats, user, P)
         ts_sqrt = stats.user_ts_sqrt(user)
         z_mat = ts_sqrt @ sol.L_T @ ts_sqrt
         e_mat = conjugated(P, tag)
@@ -390,7 +377,7 @@ def algorithm2_ao(
     plain wiretap design results.
     """
     _require_lbi(stats, "algorithm2_ao")
-    eve = _eve_tag(stats, eve)
+    eve = stats.eve_tag(eve)
     m = stats.M
     if P_W is None and P_V is None:
         if an:
@@ -465,16 +452,13 @@ class _UserDerivatives:
     """Per-user pieces of the outage gradient chain on the double-hop model."""
 
     def __init__(self, stats: ChannelStatistics, user: str, P_W: np.ndarray):
-        sol = solve_ds(stats.user_r(user), stats.ds_gram(user),
-                       effective_transmit_corr(stats, user, P_W),
-                       stats.user_sigma2(user), stats.M, stats.L)
+        sol = solve_user(stats, user, P_W)
         self.sol = sol
         m, ell = float(stats.M), float(stats.L)
         self.m, self.ell = m, ell
 
         phases = np.exp(1j * stats.theta)
-        t_s = stats.T_S_B if user == "B" else stats.T_S_E_list[stats._eve_index(user)]
-        conj_ts = (phases.conj()[:, None] * t_s) * phases[None, :]
+        conj_ts = (phases.conj()[:, None] * stats.user_ts(user)) * phases[None, :]
         self.U = stats.R_S_sqrt
         self.V = stats.R_S_sqrt @ conj_ts
 
@@ -581,7 +565,7 @@ class _UserDerivatives:
 @dataclass(frozen=True)
 class SopGradient:
     """Phase gradient of the Gaussian outage surrogate with its chain
-    intermediates (per-user implicit scalar derivatives, variance pieces)."""
+    intermediates (mean and variance pieces)."""
 
     grad: np.ndarray
     prob: float
@@ -590,8 +574,6 @@ class SopGradient:
     variance: float
     mean_grad: np.ndarray
     var_grad: np.ndarray
-    gamma_grad: Dict[str, np.ndarray]
-    scalar_grad: Dict[str, np.ndarray]
     solve_residual: float
 
 
@@ -601,7 +583,7 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
     the double-hop model, with the per-user scalar derivatives obtained from
     the 3 x 3 implicit systems."""
     _require_double(stats, "sop_phase_gradient")
-    eve = _eve_tag(stats, eve)
+    eve = stats.eve_tag(eve)
     m = float(stats.M)
 
     ub = _UserDerivatives(stats, "B", P_W)
@@ -662,9 +644,6 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
     return SopGradient(
         grad=grad, prob=float(ndtr(t_std)), t_std=t_std, mean_nats=mean_nats,
         variance=variance, mean_grad=mean_grad, var_grad=var_grad,
-        gamma_grad={"B": ub.d_Gamma, eve: ue.d_Gamma},
-        scalar_grad={"B": np.stack([ub.d_delta, ub.d_omega, ub.d_omega_bar]),
-                     eve: np.stack([ue.d_delta, ue.d_omega, ue.d_omega_bar])},
         solve_residual=max(ub.solve_residual, ue.solve_residual),
     )
 
@@ -693,7 +672,7 @@ def optimize_sop(
     backtracking gradient descent (sufficient decrease c g ||grad||^2); the
     trace's objective column carries the outage probability."""
     _require_double(stats, "optimize_sop")
-    eve = _eve_tag(stats, eve)
+    eve = stats.eve_tag(eve)
     if theta_init is not None:
         stats = stats.with_theta(np.asarray(theta_init, dtype=float))
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -232,11 +233,18 @@ class ChannelStatistics:
                 return idx
         raise ModelError(f"unknown user tag {user!r}; expected 'B' or 'E1'..'E{self.K_eves}'")
 
+    def eve_tag(self, eve: Optional[str] = None) -> str:
+        """Canonical eavesdropper tag 'E<i>' of 'E', 'E<i>' or None (the first)."""
+        return f"E{self._eve_index('E1' if eve is None else eve) + 1}"
+
     def user_r(self, user: str) -> np.ndarray:
         return self.R_B if user == "B" else self.R_E_list[self._eve_index(user)]
 
     def user_r_sqrt(self, user: str) -> np.ndarray:
         return self.R_B_sqrt if user == "B" else self.R_E_sqrt_list[self._eve_index(user)]
+
+    def user_ts(self, user: str) -> np.ndarray:
+        return self.T_S_B if user == "B" else self.T_S_E_list[self._eve_index(user)]
 
     def user_ts_sqrt(self, user: str) -> np.ndarray:
         return self.T_S_B_sqrt if user == "B" else self.T_S_E_sqrt_list[self._eve_index(user)]
@@ -248,9 +256,6 @@ class ChannelStatistics:
         return self.user_r(user).shape[0]
 
     # -- theta-dependent assemblies ------------------------------------------
-
-    def theta_matrix(self) -> np.ndarray:
-        return phase_matrix(self.theta)
 
     def with_theta(self, theta: np.ndarray) -> "ChannelStatistics":
         theta = np.asarray(theta, dtype=float)
@@ -423,12 +428,17 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+DEFAULT_SWEEP_P_DBM = (30.0, 50.0)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parsed and validated scenario configuration (see README for the full
     key reference). Dimensions, model kind, correlation specs, path loss,
     noise and power are exactly the file contents; derived linear quantities
-    are exposed as properties."""
+    are exposed as properties. ``an`` is the artificial-noise mode
+    (``power.an``, default: on exactly when ``split_v > 0``) and
+    ``sweep_P_dbm`` the transmit powers of a sweep (``sweep.P_dbm``)."""
 
     M: int
     L: int
@@ -448,7 +458,9 @@ class ScenarioConfig:
     P_dbm: float
     split_w: float
     split_v: float
+    an: bool
     theta_init: str
+    sweep_P_dbm: tuple
     theta_file: Optional[str] = None
 
     @property
@@ -460,10 +472,49 @@ class ScenarioConfig:
         return dbm_to_watts(self.P_dbm)
 
 
+# Field readers: each returns the typed value or raises a ConfigError that
+# names the field, so no malformed input reaches the numerics.
+
 def _require(section: dict, key: str, path: str):
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required key")
     return section[key]
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field}: expected an object")
+    return value
+
+
+def _list(value, field: str, length: Optional[int] = None) -> list:
+    if not isinstance(value, list) or not value or (length is not None and len(value) != length):
+        raise ConfigError(f"{field}: expected a non-empty list"
+                          + ("" if length is None else " of length K_eves"))
+    return value
+
+
+def _real(value, field: str) -> float:
+    """A finite JSON number; booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value, field: str) -> float:
+    x = _real(value, field)
+    if x <= 0:
+        raise ConfigError(f"{field}: expected a positive number, got {value!r}")
+    return x
+
+
+def _count(value, field: str) -> int:
+    """A positive integer; integral floats such as 4.0 are accepted."""
+    x = _real(value, field)
+    if x < 1 or not x.is_integer():
+        raise ConfigError(f"{field}: expected a positive integer, got {value!r}")
+    return int(x)
 
 
 def _corr_entry(entry, n: int, path: str):
@@ -477,46 +528,48 @@ def _corr_entry(entry, n: int, path: str):
         return ("identity", None)
     if kind != "gaussian":
         raise ConfigError(f"{path}.kind: expected 'gaussian' or 'identity', got {kind!r}")
-    try:
-        spec = CorrelationSpec(
-            d_r=float(_require(entry, "d_r", path)),
-            eta=float(_require(entry, "eta", path)),
-            delta=float(_require(entry, "delta", path)),
-            n=n,
-        )
-    except ModelError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    spec = CorrelationSpec(
+        d_r=_positive(_require(entry, "d_r", path), f"{path}.d_r"),
+        eta=_real(_require(entry, "eta", path), f"{path}.eta"),
+        delta=_positive(_require(entry, "delta", path), f"{path}.delta"),
+        n=n,
+    )
     return ("gaussian", spec)
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Read and validate a JSON scenario configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read and validate a JSON scenario configuration file. Every failure,
+    an unreadable file included, is a ConfigError naming the path or field."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be an object")
     return parse_config(raw)
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
-    dims = _require(raw, "dimensions", "config")
-    model = _require(raw, "model", "config")
-    corr = _require(raw, "correlations", "config")
-    ploss = _require(raw, "pathloss", "config")
-    noise = _require(raw, "noise", "config")
-    power = _require(raw, "power", "config")
-    theta = raw.get("theta", {"init": "zeros"})
+    dims = _object(_require(raw, "dimensions", "config"), "dimensions")
+    model = _object(_require(raw, "model", "config"), "model")
+    corr = _object(_require(raw, "correlations", "config"), "correlations")
+    ploss = _object(_require(raw, "pathloss", "config"), "pathloss")
+    noise = _object(_require(raw, "noise", "config"), "noise")
+    power = _object(_require(raw, "power", "config"), "power")
+    theta = _object(raw.get("theta", {}), "theta")
+    sweep = _object(raw.get("sweep", {}), "sweep")
 
-    M = int(_require(dims, "M", "dimensions"))
-    L = int(_require(dims, "L", "dimensions"))
-    N_B = int(_require(dims, "N_B", "dimensions"))
+    M = _count(_require(dims, "M", "dimensions"), "dimensions.M")
+    L = _count(_require(dims, "L", "dimensions"), "dimensions.L")
+    N_B = _count(_require(dims, "N_B", "dimensions"), "dimensions.N_B")
     N_E = _require(dims, "N_E", "dimensions")
-    K = int(dims.get("K_eves", len(N_E) if isinstance(N_E, list) else 1))
-    if not isinstance(N_E, list) or len(N_E) != K:
-        raise ConfigError("dimensions.N_E: expected a list of length K_eves")
-    if min(M, L, N_B, *N_E) < 1:
-        raise ConfigError("dimensions: all dimensions must be >= 1")
+    K = _count(dims.get("K_eves", len(N_E) if isinstance(N_E, list) else 1),
+               "dimensions.K_eves")
+    N_E = tuple(_count(n, f"dimensions.N_E[{i}]")
+                for i, n in enumerate(_list(N_E, "dimensions.N_E", K)))
 
     kind = _require(model, "kind", "model")
     if kind not in ("lbi", "double"):
@@ -527,12 +580,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         "T_S_B": _corr_entry(corr.get("T_S_B"), L, "correlations.T_S_B"),
         "T": _corr_entry(corr.get("T"), M, "correlations.T"),
     }
-    r_e_raw = corr.get("R_E")
-    ts_e_raw = corr.get("T_S_E")
-    if not isinstance(r_e_raw, list) or len(r_e_raw) != K:
-        raise ConfigError("correlations.R_E: expected a list of length K_eves")
-    if not isinstance(ts_e_raw, list) or len(ts_e_raw) != K:
-        raise ConfigError("correlations.T_S_E: expected a list of length K_eves")
+    r_e_raw = _list(corr.get("R_E"), "correlations.R_E", K)
+    ts_e_raw = _list(corr.get("T_S_E"), "correlations.T_S_E", K)
     parsed_corr["R_E"] = tuple(
         _corr_entry(e, n, f"correlations.R_E[{i}]") for i, (e, n) in enumerate(zip(r_e_raw, N_E))
     )
@@ -542,48 +591,48 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if kind == "double":
         parsed_corr["R_S"] = _corr_entry(corr.get("R_S"), L, "correlations.R_S")
 
-    d_irs_e = _require(ploss, "d_irs_e", "pathloss")
-    if not isinstance(d_irs_e, list) or len(d_irs_e) != K:
-        raise ConfigError("pathloss.d_irs_e: expected a list of length K_eves")
-    for key in ("C1", "C2", "alpha1", "alpha2", "d_bs_irs", "d_irs_b"):
-        _require(ploss, key, "pathloss")
-    if float(ploss["d_bs_irs"]) <= 0 or float(ploss["d_irs_b"]) <= 0 or any(
-        float(d) <= 0 for d in d_irs_e
-    ):
-        raise ConfigError("pathloss: all distances must be positive")
+    d_irs_e = _list(_require(ploss, "d_irs_e", "pathloss"), "pathloss.d_irs_e", K)
 
-    split_w = float(power.get("split_w", 1.0))
-    split_v = float(power.get("split_v", 0.0))
+    split_w = _real(power.get("split_w", 1.0), "power.split_w")
+    split_v = _real(power.get("split_v", 0.0), "power.split_v")
     if split_w < 0 or split_v < 0 or split_w + split_v > 1.0 + 1e-12:
         raise ConfigError("power: split_w and split_v must be nonnegative with sum <= 1")
+    an = power.get("an")
+    if an is None:
+        an = split_v > 0.0
+    elif not isinstance(an, bool):
+        raise ConfigError("power.an: expected true or false")
 
     init = theta.get("init", "zeros")
     if init not in ("zeros", "uniform", "file"):
         raise ConfigError(f"theta.init: expected 'zeros', 'uniform' or 'file', got {init!r}")
     theta_file = theta.get("file")
-    if init == "file" and not theta_file:
-        raise ConfigError("theta.file: required when theta.init is 'file'")
+    if init == "file" and not (isinstance(theta_file, str) and theta_file):
+        raise ConfigError("theta.file: a file path is required when theta.init is 'file'")
 
     return ScenarioConfig(
         M=M,
         L=L,
         N_B=N_B,
-        N_E=tuple(int(n) for n in N_E),
+        N_E=N_E,
         K_eves=K,
         model_kind=kind,
         correlations=parsed_corr,
-        C1=float(ploss["C1"]),
-        C2=float(ploss["C2"]),
-        alpha1=float(ploss["alpha1"]),
-        alpha2=float(ploss["alpha2"]),
-        d_bs_irs=float(ploss["d_bs_irs"]),
-        d_irs_b=float(ploss["d_irs_b"]),
-        d_irs_e=tuple(float(d) for d in d_irs_e),
-        sigma2_dbm=float(_require(noise, "sigma2_dbm", "noise")),
-        P_dbm=float(_require(power, "P_dbm", "power")),
+        C1=_positive(_require(ploss, "C1", "pathloss"), "pathloss.C1"),
+        C2=_positive(_require(ploss, "C2", "pathloss"), "pathloss.C2"),
+        alpha1=_real(_require(ploss, "alpha1", "pathloss"), "pathloss.alpha1"),
+        alpha2=_real(_require(ploss, "alpha2", "pathloss"), "pathloss.alpha2"),
+        d_bs_irs=_positive(_require(ploss, "d_bs_irs", "pathloss"), "pathloss.d_bs_irs"),
+        d_irs_b=_positive(_require(ploss, "d_irs_b", "pathloss"), "pathloss.d_irs_b"),
+        d_irs_e=tuple(_positive(d, f"pathloss.d_irs_e[{i}]") for i, d in enumerate(d_irs_e)),
+        sigma2_dbm=_real(_require(noise, "sigma2_dbm", "noise"), "noise.sigma2_dbm"),
+        P_dbm=_real(_require(power, "P_dbm", "power"), "power.P_dbm"),
         split_w=split_w,
         split_v=split_v,
+        an=an,
         theta_init=init,
+        sweep_P_dbm=tuple(_real(p, f"sweep.P_dbm[{i}]") for i, p in enumerate(
+            _list(sweep.get("P_dbm", list(DEFAULT_SWEEP_P_DBM)), "sweep.P_dbm"))),
         theta_file=theta_file,
     )
 
@@ -643,10 +692,15 @@ def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenar
         rng = np.random.default_rng(seed)
         theta = rng.uniform(0.0, 2.0 * math.pi, config.L)
     else:
-        with open(config.theta_file, "r", encoding="utf-8") as fh:
-            theta = np.asarray(json.load(fh), dtype=float)
-        if theta.shape != (config.L,):
-            raise ConfigError(f"theta.file: expected {config.L} phases, got shape {theta.shape}")
+        try:
+            with open(config.theta_file, "r", encoding="utf-8") as fh:
+                theta = np.asarray(json.load(fh), dtype=float)
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"theta.file: cannot read phases from "
+                              f"{config.theta_file} ({exc})") from exc
+        if theta.shape != (config.L,) or not np.all(np.isfinite(theta)):
+            raise ConfigError(f"theta.file: expected {config.L} finite phases, "
+                              f"got shape {theta.shape}")
 
     stats = build_channel_statistics(
         model_kind=config.model_kind,

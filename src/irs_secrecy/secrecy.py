@@ -66,68 +66,71 @@ class SecrecyReport:
         return float(out) if out.ndim == 0 else out
 
 
-def _eve_tag(stats: ChannelStatistics, eve: Optional[str]) -> str:
-    """Normalize an eavesdropper tag ('E', 'E1', ..., or None for the first)."""
-    if eve is None:
-        eve = "E1"
-    return f"E{stats._eve_index(eve) + 1}"
+def secrecy_terms(stats: ChannelStatistics, P_W: np.ndarray,
+                  P_V: Optional[np.ndarray] = None,
+                  eves: Optional[Sequence[str]] = None
+                  ) -> Tuple[list, Dict[str, np.ndarray], np.ndarray]:
+    """Mutual-information terms of the secrecy rate against each eavesdropper.
 
-
-def _selector_wiretap(descriptors: Sequence[MiDescriptor], eve: str) -> np.ndarray:
-    u = np.zeros(len(descriptors))
+    Returns (descriptors, precoders, selectors): selector row k contracts the
+    per-term rates into the signed secrecy rate against ``eves[k]`` (default:
+    every eavesdropper). With ``P_V`` None the plain wiretap difference
+    I_B(P_W) - I_E(P_W) is used, otherwise the artificial-noise combination
+    [I_B(P_U) - I_B(P_V)] - [I_E(P_U) - I_E(P_V)].
+    """
+    eves = list(stats.users()[1:] if eves is None else eves)
+    if P_V is None:
+        descriptors = wiretap_descriptors(stats, eves=eves)
+        sign = {"W": 1.0}
+    else:
+        descriptors = an_descriptors(stats, eves=eves)
+        sign = {"U": 1.0, "V": -1.0}
+    selectors = np.zeros((len(eves), len(descriptors)))
     for i, d in enumerate(descriptors):
         if d.user == "B":
-            u[i] = 1.0
-        elif d.user == eve:
-            u[i] = -1.0
-    return u
+            selectors[:, i] = sign[d.precoder]
+        else:
+            selectors[eves.index(d.user), i] = -sign[d.precoder]
+    return descriptors, precoder_map(P_W, P_V), selectors
 
 
-def _selector_an(descriptors: Sequence[MiDescriptor], eve: str) -> np.ndarray:
-    u = np.zeros(len(descriptors))
-    for i, d in enumerate(descriptors):
-        sign = {"U": 1.0, "V": -1.0}[d.precoder]
-        if d.user == "B":
-            u[i] = sign
-        elif d.user == eve:
-            u[i] = -sign
-    return u
-
-
-def _report(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
-            precoders: Dict[str, np.ndarray], u: np.ndarray,
-            an_enabled: bool) -> SecrecyReport:
+def _rates_and_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
+                   precoders: Dict[str, np.ndarray]):
+    """Per-term mean rates and their joint fluctuation covariance."""
     sols = solve_all(stats, descriptors, precoders)
     # Noise floors cancel inside each same-user U/V pair but not across users,
     # so combine full per-term rates (floor subtracted) throughout.
     rates = np.array([mean_rate(stats, d, precoders, solution=sol)
                       for d, sol in zip(descriptors, sols)])
+    return rates, joint_cov(stats, descriptors, precoders, solutions=sols)
+
+
+def _report(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
+            eve: Optional[str]) -> SecrecyReport:
+    descriptors, precoders, selectors = secrecy_terms(
+        stats, P_W, P_V, eves=[stats.eve_tag(eve)])
+    u = selectors[0]
+    rates, cov = _rates_and_cov(stats, descriptors, precoders)
     mean_nats = float(u @ rates)
-    cov = joint_cov(stats, descriptors, precoders, solutions=sols)
     variance = cov.quad_form(u)
     esr_nats = max(0.0, mean_nats)
     return SecrecyReport(
         esr_nats=esr_nats, esr_bits=esr_nats / LN2, mean_nats=mean_nats,
-        variance=variance, model_kind=stats.model_kind, an_enabled=an_enabled,
+        variance=variance, model_kind=stats.model_kind, an_enabled=P_V is not None,
     )
 
 
 def esr_wiretap(stats: ChannelStatistics, P_W: np.ndarray,
                 eve: Optional[str] = None) -> SecrecyReport:
     """Ergodic secrecy rate of the plain wiretap system (one eavesdropper)."""
-    eve = _eve_tag(stats, eve)
-    descriptors = wiretap_descriptors(stats, eves=[eve])
-    u = _selector_wiretap(descriptors, eve)
-    return _report(stats, descriptors, precoder_map(P_W), u, an_enabled=False)
+    return _report(stats, P_W, None, eve)
 
 
-def esr_an(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray,
+def esr_an(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
            eve: Optional[str] = None) -> SecrecyReport:
-    """Ergodic secrecy rate with artificial noise of covariance P_V."""
-    eve = _eve_tag(stats, eve)
-    descriptors = an_descriptors(stats, eves=[eve])
-    u = _selector_an(descriptors, eve)
-    return _report(stats, descriptors, precoder_map(P_W, P_V), u, an_enabled=True)
+    """Ergodic secrecy rate with artificial noise of covariance P_V; with
+    P_V None this is ``esr_wiretap``."""
+    return _report(stats, P_W, P_V, eve)
 
 
 def sop_wiretap(stats: ChannelStatistics, P_W: np.ndarray, r_bits: ArrayLike,
@@ -170,24 +173,12 @@ def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
     With P_V given the artificial-noise combination is used per Eve;
     otherwise the plain wiretap difference.
     """
-    eves = [u for u in stats.users() if u != "B"]
-    if P_V is None:
-        descriptors = wiretap_descriptors(stats)
-        precoders = precoder_map(P_W)
-        selectors = np.stack([_selector_wiretap(descriptors, e) for e in eves])
-    else:
-        descriptors = an_descriptors(stats)
-        precoders = precoder_map(P_W, P_V)
-        selectors = np.stack([_selector_an(descriptors, e) for e in eves])
-
-    sols = solve_all(stats, descriptors, precoders)
-    rates = np.array([mean_rate(stats, d, precoders, solution=sol)
-                      for d, sol in zip(descriptors, sols)])
-    cov = joint_cov(stats, descriptors, precoders, solutions=sols)
+    descriptors, precoders, selectors = secrecy_terms(stats, P_W, P_V)
+    rates, cov = _rates_and_cov(stats, descriptors, precoders)
     mu = selectors @ rates
     Q = selectors @ cov.matrix @ selectors.T
     Q = 0.5 * (Q + Q.T)
-    return MultiEveModel(mu=mu, Q=Q, labels=tuple(eves), selectors=selectors)
+    return MultiEveModel(mu=mu, Q=Q, labels=tuple(stats.users()[1:]), selectors=selectors)
 
 
 _MVN_JITTER = 1e-10

@@ -23,7 +23,6 @@ from irs_secrecy.fixedpoint import (
     precoder_map,
     solve_ds,
     solve_lbi,
-    wiretap_descriptors,
 )
 from irs_secrecy.mcoracle import run_mc
 from irs_secrecy.optimize import (
@@ -37,11 +36,10 @@ from irs_secrecy.optimize import (
 from irs_secrecy.scenario import build_channel_statistics, build_los_channel
 from irs_secrecy.secrecy import (
     LN2,
-    _selector_an,
-    _selector_wiretap,
     build_multi_eve_model,
     esr_an,
     esr_wiretap,
+    secrecy_terms,
     sop_an,
     sop_multi_eve,
     sop_wiretap,
@@ -179,17 +177,13 @@ class TestOutageCurveAccuracy:
     def _max_cdf_deviation(self, stats, an: bool) -> float:
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         if an:
-            descs = an_descriptors(stats, eves=["E1"])
-            u = _selector_an(descs, "E1")
-            precs = precoder_map(P_W, P_V)
+            descs, precs, selectors = secrecy_terms(stats, P_W, P_V, eves=["E1"])
             rep = esr_an(stats, P_W, P_V)
         else:
             P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
-            descs = wiretap_descriptors(stats, eves=["E1"])
-            u = _selector_wiretap(descs, "E1")
-            precs = precoder_map(P_W)
+            descs, precs, selectors = secrecy_terms(stats, P_W, eves=["E1"])
             rep = esr_wiretap(stats, P_W)
-        run = run_mc(stats, descs, precs, n_trials=100_000, seed=0, combiner=u)
+        run = run_mc(stats, descs, precs, n_trials=100_000, seed=0, combiner=selectors[0])
         sd = math.sqrt(rep.variance)
         grid_bits = np.linspace(rep.mean_nats - 5 * sd,
                                 rep.mean_nats + 5 * sd, 40) / LN2

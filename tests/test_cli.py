@@ -1,11 +1,16 @@
 """Command-line front end: outputs, determinism, and failure modes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irs_secrecy.cli import main
 
@@ -239,6 +244,22 @@ class TestSweepCommand:
         assert np.all(hi <= lo + 1e-12)
 
 
+# (key path, replacement value, expected start of the message)
+_MALFORMED = [
+    (("dimensions", "M"), "four", "dimensions.M"),
+    (("power", "P_dbm"), "x", "power.P_dbm"),
+    (("correlations", "R_B", "delta"), "wide", "correlations.R_B.delta"),
+    (("power", "split_w"), None, "power.split_w"),
+    (("dimensions", "N_E"), [2.5], "dimensions.N_E[0]"),
+    (("theta",), {"init": "file", "file": "no-such-dir/theta.json"}, "theta.file"),
+    (("dimensions", "L"), 1.7, "dimensions.L"),
+    (("noise", "sigma2_dbm"), math.inf, "noise.sigma2_dbm"),
+    (("noise", "sigma2_dbm"), math.nan, "noise.sigma2_dbm"),
+    (("pathloss", "C1"), -0.004, "pathloss.C1"),
+    (("dimensions",), [1], "dimensions: expected an object"),
+]
+
+
 class TestFailureModes:
     def test_invalid_json_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -270,3 +291,52 @@ class TestFailureModes:
         assert main(["sop", "--config", path, "--out", str(tmp_path / "o"),
                      "--trials", "-5"]) == 2
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", _MALFORMED,
+                             ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in _MALFORMED])
+    def test_malformed_field_is_a_config_error_naming_it(
+            self, write_config, tmp_path, capsys, path, value, field):
+        cfg = config_dict()
+        _set(cfg, path, value)
+        code = main(["esr", "--config", write_config(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"config error: {field}"), err
+        assert not (tmp_path / "o").exists()
+
+
+def _set(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _paths(node, prefix=()):
+    """Every section, field and list element of a config, as key paths."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# Small dimensions keep every example cheap; no value exceeds 64, so no
+# example can allocate a large matrix.
+_MUTANTS = ["x", True, None, -1, 0, 1.5, math.nan, math.inf, -math.inf, [], {}]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(list(_paths(config_dict(M=4, L=8)))),
+       value=st.sampled_from(_MUTANTS))
+def test_mutated_configs_never_print_a_traceback(path, value):
+    cfg = config_dict(M=4, L=8)
+    _set(cfg, path, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config_path = os.path.join(tmp, "scenario.json")
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        code = main(["esr", "--config", config_path, "--out", os.path.join(tmp, "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

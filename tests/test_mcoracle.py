@@ -25,7 +25,7 @@ from irs_secrecy.scenario import (
     sample_channel,
     trial_rng,
 )
-from irs_secrecy.secrecy import _selector_an
+from irs_secrecy.secrecy import secrecy_terms
 
 from conftest import corr, make_stats, rand_psd, uniform_precoders
 
@@ -213,7 +213,7 @@ class TestSecrecyAggregation:
         stats = make_stats("double")
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         descs = an_descriptors(stats, eves=["E1"])
-        u = _selector_an(descs, "E1")
+        u = secrecy_terms(stats, P_W, P_V, eves=["E1"])[2][0]
         run = run_mc(stats, descs, precoder_map(P_W, P_V), 128, seed=2,
                      combiner=u, keep_samples=True)
         floors = np.array([stats.user_n(d.user) * math.log(d.noise) for d in descs])
@@ -224,7 +224,7 @@ class TestSecrecyAggregation:
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         descs = an_descriptors(stats, eves=["E1"])
         precs = precoder_map(P_W, P_V)
-        u = _selector_an(descs, "E1")
+        u = secrecy_terms(stats, P_W, P_V, eves=["E1"])[2][0]
         run = run_mc(stats, descs, precs, 20_000, seed=3, combiner=u)
         analytic = joint_cov(stats, descs, precs).quad_form(u)
         empirical = float(np.var(run.secrecy, ddof=1))
@@ -235,7 +235,7 @@ class TestSecrecyAggregation:
         assert run.secrecy is None
         with pytest.raises(ModelError):
             run.secrecy_cdf(np.array([0.0]))
-        u = _selector_an(descs, "E1")
+        u = secrecy_terms(stats, precs["W"], precs["V"], eves=["E1"])[2][0]
         run = run_mc(stats, descs, precs, 256, seed=9, combiner=u)
         grid = np.linspace(run.secrecy.min() - 1.0, run.secrecy.max() + 1.0, 33)
         cdf = run.secrecy_cdf(grid)
@@ -254,7 +254,7 @@ class TestTrialDump:
         stats = make_stats("lbi")
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         descs = an_descriptors(stats, eves=["E1"])
-        u = _selector_an(descs, "E1")
+        u = secrecy_terms(stats, P_W, P_V, eves=["E1"])[2][0]
         path = tmp_path / "trials.csv"
         run = run_mc(stats, descs, precoder_map(P_W, P_V), 25, seed=6,
                      combiner=u, keep_samples=True, dump_csv=str(path))
