@@ -5,6 +5,13 @@ joint analyses (one middle matrix Y per trial for the double model, one
 user-side factor X per shared-X group), computes exact per-trial mutual
 informations, and aggregates streaming moments plus per-trial secrecy rates.
 
+Trials run in chunks. Within a chunk the per-trial loop only draws the
+Gaussian factors into stacks; the deterministic factors (R^{1/2} and the lbi
+aperture or S^{+/2}) are built once per user and run. Each shared-X group's
+channel stack is then assembled once with batched products, grouped left to
+right as in ``scenario.assemble_channel``, so every sample equals
+``mi_exact`` on that per-trial channel bit for bit.
+
 Determinism contract: results are bit-for-bit reproducible for a fixed
 (seed, scenario, descriptor list), independent of chunk size and thread
 count. Every trial draws from its own counter-based stream keyed on
@@ -24,21 +31,29 @@ import numpy as np
 
 from .errors import ModelError
 from .fixedpoint import MiDescriptor
-from .scenario import ChannelStatistics, assemble_channel, draw_x, draw_y, trial_rng
+from .scenario import ChannelStatistics, draw_x, draw_y, trial_rng
 
 DEFAULT_CHUNK = 512
 
 
 def thread_budget() -> int:
-    """Worker count for trial chunks, capped by IRS_SECRECY_THREADS."""
+    """Worker threads for trial chunks: 1 unless IRS_SECRECY_THREADS is set.
+
+    ``IRS_SECRECY_THREADS=n`` opts into a pool of ``max(1, n)`` threads.
+    One worker is the default: the batched kernel spends most of its time in
+    BLAS/LAPACK calls, which may run threads of their own, and on a 2-core
+    host a 2-thread pool gave no more Monte-Carlo throughput than one worker
+    while raising peak memory by about a fifth. Samples do not depend on the
+    worker count.
+    """
     env = os.environ.get("IRS_SECRECY_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ModelError(f"IRS_SECRECY_THREADS must be an integer, got {env!r}") from exc
-        return max(1, cap)
-    return min(4, os.cpu_count() or 1)
+    if env is None:
+        return 1
+    try:
+        cap = int(env)
+    except ValueError as exc:
+        raise ModelError(f"IRS_SECRECY_THREADS must be an integer, got {env!r}") from exc
+    return max(1, cap)
 
 
 def mi_exact(z: float, H: np.ndarray, P: np.ndarray) -> float:
@@ -95,8 +110,13 @@ class McRun:
         return np.searchsorted(sorted_vals, np.asarray(grid_nats), side="left") / len(sorted_vals)
 
 
-def _validate_groups(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]) -> dict:
-    """Group ids map to exactly one user each (an X draw has one shape)."""
+def _group_factors(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]) -> dict:
+    """Deterministic factors of each shared-X group, in sorted group order.
+
+    Maps group -> (R^{1/2}, right factor) of the group's user, where the right
+    factor is the lbi aperture or the double model's S^{+/2}. A group id must
+    map to exactly one user (an X draw has one shape).
+    """
     group_user = {}
     for d in descriptors:
         seen = group_user.get(d.shared_x_group)
@@ -107,33 +127,50 @@ def _validate_groups(stats: ChannelStatistics, descriptors: Sequence[MiDescripto
                 f"shared_x_group {d.shared_x_group} mixes users {seen!r} and {d.user!r}"
             )
         stats.user_r(d.user)  # raises on unknown tags
-    return group_user
+    right = stats.ds_plus_half if stats.model_kind == "double" else stats.lbi_aperture
+    per_user = {u: (stats.user_r_sqrt(u), right(u)) for u in set(group_user.values())}
+    return {g: per_user[group_user[g]] for g in sorted(group_user)}
 
 
 def _chunk_mis(
     stats: ChannelStatistics,
     descriptors: Sequence[MiDescriptor],
     precoders: dict,
+    group_factors: dict,
     seed: int,
     start: int,
     count: int,
-    group_user: dict,
 ) -> np.ndarray:
-    """Per-trial MI matrix (count, K) for trials [start, start+count)."""
-    groups = sorted(group_user)
-    h_stacks = {
-        i: np.empty((count, stats.user_n(d.user), stats.M), dtype=complex)
-        for i, d in enumerate(descriptors)
+    """Per-trial MI matrix (count, K) for trials [start, start+count).
+
+    The per-trial loop only draws, into one stack per factor. Each group's
+    channel stack is then assembled once, grouping the products left to
+    right as ``assemble_channel`` does, and every descriptor of the group
+    reads it.
+    """
+    double = stats.model_kind == "double"
+    L, M = stats.L, stats.M
+    y_stack = np.empty((count, L, M), dtype=complex) if double else None
+    x_stacks = {
+        g: np.empty((count, r_sqrt.shape[0], L), dtype=complex)
+        for g, (r_sqrt, _) in group_factors.items()
     }
     for t in range(count):
+        # documented draw order: Y, then one X per group in sorted group
+        # order, which is the order of group_factors
         rng = trial_rng(seed, start + t)
-        Y = draw_y(rng, stats.L, stats.M) if stats.model_kind == "double" else None
-        xs = {g: draw_x(rng, stats.user_n(group_user[g]), stats.L) for g in groups}
-        for i, d in enumerate(descriptors):
-            h_stacks[i][t] = assemble_channel(stats, d.user, xs[d.shared_x_group], Y)
+        if double:
+            y_stack[t] = draw_y(rng, L, M)
+        for x_stack in x_stacks.values():
+            x_stack[t] = draw_x(rng, x_stack.shape[1], L)
+
+    h_stacks = {}
+    for g, (r_sqrt, right) in group_factors.items():
+        h = (r_sqrt @ x_stacks[g]) @ right
+        h_stacks[g] = ((h @ y_stack) @ stats.T_sqrt) if double else h
     out = np.empty((count, len(descriptors)))
     for i, d in enumerate(descriptors):
-        out[:, i] = _mi_batch(d.noise, h_stacks[i], precoders[d.precoder])
+        out[:, i] = _mi_batch(d.noise, h_stacks[d.shared_x_group], precoders[d.precoder])
     return out
 
 
@@ -157,7 +194,7 @@ def run_mc(
     if n_trials < 1:
         raise ModelError("n_trials must be >= 1")
     descriptors = list(descriptors)
-    group_user = _validate_groups(stats, descriptors)
+    group_factors = _group_factors(stats, descriptors)
     k = len(descriptors)
     labels = tuple(d.label for d in descriptors)
     floors = np.array([stats.user_n(d.user) * math.log(d.noise) for d in descriptors])
@@ -167,7 +204,7 @@ def run_mc(
     parts: list = [None] * len(starts)
 
     def work(i: int) -> None:
-        parts[i] = _chunk_mis(stats, descriptors, precoders, seed, starts[i], sizes[i], group_user)
+        parts[i] = _chunk_mis(stats, descriptors, precoders, group_factors, seed, starts[i], sizes[i])
 
     workers = min(thread_budget(), len(starts))
     if workers > 1:

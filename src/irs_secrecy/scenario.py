@@ -509,6 +509,17 @@ def _positive(value, field: str) -> float:
     return x
 
 
+def _dbm(value, field: str) -> float:
+    """A power in dBm whose watt value is a positive finite float."""
+    x = _real(value, field)
+    try:
+        if dbm_to_watts(x) > 0.0:
+            return x
+    except OverflowError:
+        pass
+    raise ConfigError(f"{field}: {x!r} dBm has no positive finite value in watts")
+
+
 def _count(value, field: str) -> int:
     """A positive integer; integral floats such as 4.0 are accepted."""
     x = _real(value, field)
@@ -625,13 +636,13 @@ def parse_config(raw: dict) -> ScenarioConfig:
         d_bs_irs=_positive(_require(ploss, "d_bs_irs", "pathloss"), "pathloss.d_bs_irs"),
         d_irs_b=_positive(_require(ploss, "d_irs_b", "pathloss"), "pathloss.d_irs_b"),
         d_irs_e=tuple(_positive(d, f"pathloss.d_irs_e[{i}]") for i, d in enumerate(d_irs_e)),
-        sigma2_dbm=_real(_require(noise, "sigma2_dbm", "noise"), "noise.sigma2_dbm"),
-        P_dbm=_real(_require(power, "P_dbm", "power"), "power.P_dbm"),
+        sigma2_dbm=_dbm(_require(noise, "sigma2_dbm", "noise"), "noise.sigma2_dbm"),
+        P_dbm=_dbm(_require(power, "P_dbm", "power"), "power.P_dbm"),
         split_w=split_w,
         split_v=split_v,
         an=an,
         theta_init=init,
-        sweep_P_dbm=tuple(_real(p, f"sweep.P_dbm[{i}]") for i, p in enumerate(
+        sweep_P_dbm=tuple(_dbm(p, f"sweep.P_dbm[{i}]") for i, p in enumerate(
             _list(sweep.get("P_dbm", list(DEFAULT_SWEEP_P_DBM)), "sweep.P_dbm"))),
         theta_file=theta_file,
     )

@@ -256,6 +256,9 @@ _MALFORMED = [
     (("noise", "sigma2_dbm"), math.inf, "noise.sigma2_dbm"),
     (("noise", "sigma2_dbm"), math.nan, "noise.sigma2_dbm"),
     (("pathloss", "C1"), -0.004, "pathloss.C1"),
+    (("power", "P_dbm"), 4000.0, "power.P_dbm"),
+    (("noise", "sigma2_dbm"), -4000.0, "noise.sigma2_dbm"),
+    (("sweep",), {"P_dbm": [30.0, 4000.0]}, "sweep.P_dbm[1]"),
     (("dimensions",), [1], "dimensions: expected an object"),
 ]
 
