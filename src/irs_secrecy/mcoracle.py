@@ -6,11 +6,10 @@ user-side factor X per shared-X group), computes exact per-trial mutual
 informations, and aggregates streaming moments plus per-trial secrecy rates.
 
 Trials run in chunks. Within a chunk the per-trial loop only draws the
-Gaussian factors into stacks; the deterministic factors (R^{1/2} and the lbi
-aperture or S^{+/2}) are built once per user and run. Each shared-X group's
-channel stack is then assembled once with batched products, grouped left to
-right as in ``scenario.assemble_channel``, so every sample equals
-``mi_exact`` on that per-trial channel bit for bit.
+Gaussian factors into stacks. Each shared-X group's channel stack is then
+assembled once per chunk by ``scenario.assemble_channel``, whose matrix
+products broadcast over the stacks in the same left-to-right order, so every
+sample equals ``mi_exact`` on that per-trial channel bit for bit.
 
 Determinism contract: results are bit-for-bit reproducible for a fixed
 (seed, scenario, descriptor list), independent of chunk size and thread
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import ModelError
 from .fixedpoint import MiDescriptor
-from .scenario import ChannelStatistics, draw_x, draw_y, trial_rng
+from .scenario import ChannelStatistics, assemble_channel, draw_x, draw_y, trial_rng
 
 DEFAULT_CHUNK = 512
 
@@ -110,12 +109,10 @@ class McRun:
         return np.searchsorted(sorted_vals, np.asarray(grid_nats), side="left") / len(sorted_vals)
 
 
-def _group_factors(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]) -> dict:
-    """Deterministic factors of each shared-X group, in sorted group order.
+def _validate_groups(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]) -> dict:
+    """Map each shared-X group to its user, in sorted group order.
 
-    Maps group -> (R^{1/2}, right factor) of the group's user, where the right
-    factor is the lbi aperture or the double model's S^{+/2}. A group id must
-    map to exactly one user (an X draw has one shape).
+    Group ids map to exactly one user each (an X draw has one shape).
     """
     group_user = {}
     for d in descriptors:
@@ -127,47 +124,43 @@ def _group_factors(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]
                 f"shared_x_group {d.shared_x_group} mixes users {seen!r} and {d.user!r}"
             )
         stats.user_r(d.user)  # raises on unknown tags
-    right = stats.ds_plus_half if stats.model_kind == "double" else stats.lbi_aperture
-    per_user = {u: (stats.user_r_sqrt(u), right(u)) for u in set(group_user.values())}
-    return {g: per_user[group_user[g]] for g in sorted(group_user)}
+    return {g: group_user[g] for g in sorted(group_user)}
 
 
 def _chunk_mis(
     stats: ChannelStatistics,
     descriptors: Sequence[MiDescriptor],
     precoders: dict,
-    group_factors: dict,
     seed: int,
     start: int,
     count: int,
+    group_user: dict,
 ) -> np.ndarray:
     """Per-trial MI matrix (count, K) for trials [start, start+count).
 
     The per-trial loop only draws, into one stack per factor. Each group's
-    channel stack is then assembled once, grouping the products left to
-    right as ``assemble_channel`` does, and every descriptor of the group
+    channel stack is then assembled once by ``assemble_channel``, whose
+    products broadcast over the stacks, and every descriptor of the group
     reads it.
     """
     double = stats.model_kind == "double"
     L, M = stats.L, stats.M
     y_stack = np.empty((count, L, M), dtype=complex) if double else None
     x_stacks = {
-        g: np.empty((count, r_sqrt.shape[0], L), dtype=complex)
-        for g, (r_sqrt, _) in group_factors.items()
+        g: np.empty((count, stats.user_n(u), L), dtype=complex)
+        for g, u in group_user.items()
     }
     for t in range(count):
         # documented draw order: Y, then one X per group in sorted group
-        # order, which is the order of group_factors
+        # order, which is the order of group_user
         rng = trial_rng(seed, start + t)
         if double:
             y_stack[t] = draw_y(rng, L, M)
         for x_stack in x_stacks.values():
             x_stack[t] = draw_x(rng, x_stack.shape[1], L)
 
-    h_stacks = {}
-    for g, (r_sqrt, right) in group_factors.items():
-        h = (r_sqrt @ x_stacks[g]) @ right
-        h_stacks[g] = ((h @ y_stack) @ stats.T_sqrt) if double else h
+    h_stacks = {g: assemble_channel(stats, u, x_stacks[g], y_stack)
+                for g, u in group_user.items()}
     out = np.empty((count, len(descriptors)))
     for i, d in enumerate(descriptors):
         out[:, i] = _mi_batch(d.noise, h_stacks[d.shared_x_group], precoders[d.precoder])
@@ -194,7 +187,7 @@ def run_mc(
     if n_trials < 1:
         raise ModelError("n_trials must be >= 1")
     descriptors = list(descriptors)
-    group_factors = _group_factors(stats, descriptors)
+    group_user = _validate_groups(stats, descriptors)
     k = len(descriptors)
     labels = tuple(d.label for d in descriptors)
     floors = np.array([stats.user_n(d.user) * math.log(d.noise) for d in descriptors])
@@ -204,7 +197,7 @@ def run_mc(
     parts: list = [None] * len(starts)
 
     def work(i: int) -> None:
-        parts[i] = _chunk_mis(stats, descriptors, precoders, group_factors, seed, starts[i], sizes[i])
+        parts[i] = _chunk_mis(stats, descriptors, precoders, seed, starts[i], sizes[i], group_user)
 
     workers = min(thread_budget(), len(starts))
     if workers > 1:

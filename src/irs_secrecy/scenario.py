@@ -395,7 +395,11 @@ def draw_y(rng: np.random.Generator, L: int, M: int) -> np.ndarray:
 def assemble_channel(
     stats: ChannelStatistics, user: str, X: np.ndarray, Y: Optional[np.ndarray]
 ) -> np.ndarray:
-    """End-to-end channel from the Gaussian factors, per the model kind."""
+    """End-to-end channel from the Gaussian factors, per the model kind.
+
+    X and Y may also be stacks (n, N, L) and (n, L, M): the products
+    broadcast, in the same left-to-right order, to an (n, N, M) stack.
+    """
     if stats.model_kind == "lbi":
         return stats.user_r_sqrt(user) @ X @ stats.lbi_aperture(user)
     if Y is None:
@@ -429,6 +433,7 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 DEFAULT_SWEEP_P_DBM = (30.0, 50.0)
+DBM_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
@@ -510,14 +515,16 @@ def _positive(value, field: str) -> float:
 
 
 def _dbm(value, field: str) -> float:
-    """A power in dBm whose watt value is a positive finite float."""
+    """A power in dBm between -DBM_LIMIT and DBM_LIMIT (1e-33 W to 1e27 W).
+
+    The range holds every physical transmit and noise power with room to
+    spare; far beyond it the solver's products overflow.
+    """
     x = _real(value, field)
-    try:
-        if dbm_to_watts(x) > 0.0:
-            return x
-    except OverflowError:
-        pass
-    raise ConfigError(f"{field}: {x!r} dBm has no positive finite value in watts")
+    if not abs(x) <= DBM_LIMIT:
+        raise ConfigError(f"{field}: expected a power between {-DBM_LIMIT:g} and "
+                          f"{DBM_LIMIT:g} dBm, got {value!r}")
+    return x
 
 
 def _count(value, field: str) -> int:

@@ -257,6 +257,7 @@ _MALFORMED = [
     (("noise", "sigma2_dbm"), math.nan, "noise.sigma2_dbm"),
     (("pathloss", "C1"), -0.004, "pathloss.C1"),
     (("power", "P_dbm"), 4000.0, "power.P_dbm"),
+    (("power", "P_dbm"), 300.5, "power.P_dbm"),
     (("noise", "sigma2_dbm"), -4000.0, "noise.sigma2_dbm"),
     (("sweep",), {"P_dbm": [30.0, 4000.0]}, "sweep.P_dbm[1]"),
     (("dimensions",), [1], "dimensions: expected an object"),
@@ -306,6 +307,19 @@ class TestFailureModes:
         assert code == 2, err
         assert err.startswith(f"config error: {field}"), err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    @pytest.mark.parametrize("p_dbm, sigma2_dbm",
+                             [(300.0, -300.0), (-300.0, 300.0), (300.0, 300.0), (-300.0, -300.0)])
+    def test_accepted_dbm_extremes_end_without_a_traceback(
+            self, write_config, tmp_path, capsys, kind, p_dbm, sigma2_dbm):
+        cfg = config_dict(kind=kind)
+        cfg["power"]["P_dbm"] = p_dbm
+        cfg["noise"]["sigma2_dbm"] = sigma2_dbm
+        code = main(["esr", "--config", write_config(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        assert "Traceback" not in err
 
 
 def _set(cfg, path, value):
