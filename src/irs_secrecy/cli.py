@@ -42,7 +42,7 @@ from .errors import (
 )
 from .scenario import Scenario, build_scenario, load_config
 from .fixedpoint import mean_mi
-from .cltcov import joint_cov
+from .cltcov import joint_cov, solve_all
 from .secrecy import LN2, build_multi_eve_model, esr_an, secrecy_terms, sop_multi_eve
 from .mcoracle import run_mc
 from .optimize import algorithm2_ao, optimize_sop
@@ -170,8 +170,10 @@ def _cmd_mc_validate(args, scenario: Scenario) -> int:
     trials = args.trials if args.trials > 0 else DEFAULT_MC_TRIALS
     run = run_mc(stats, descs, precs, n_trials=trials, seed=args.seed)
 
-    analytic_mean = np.array([mean_mi(stats, d, precs) for d in descs])
-    analytic_cov = joint_cov(stats, descs, precs).matrix
+    sols = solve_all(stats, descs, precs)
+    analytic_mean = np.array([mean_mi(stats, d, precs, solution=sol)
+                              for d, sol in zip(descs, sols)])
+    analytic_cov = joint_cov(stats, descs, precs, solutions=sols).matrix
     mean_se = run.mean_stderr()
     n = run.n_trials
     # Gaussian large-sample error of a sample covariance entry:

@@ -24,27 +24,33 @@ Two systems are solved by damped fixed-point iteration:
           + logdet(I + delta omega_bar S) + logdet(I + omega T)
           - 2 M omega omega_bar.
 
+Both systems run through one damped loop with fixed constants: from all
+scalars at 1, each iteration moves the scalars a fraction ``DAMPING`` (0.5)
+of the way to the right-hand sides, and the loop stops at the first point
+whose direct-substitution residual (the largest absolute change when the
+right-hand sides are re-evaluated there) is below ``TOL`` (1e-10). After
+``MAX_ITER`` (10,000) iterations it raises ``ConvergenceError``.
+
 Each solver diagonalizes its input matrices once, so one iteration costs
 O(N + L + M); the resolvent-style matrices are materialized after
-convergence. Residuals are absolute direct-substitution gaps (the largest
-change when the right-hand sides are re-evaluated at the solution).
+convergence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, ModelError
-from .scenario import ChannelStatistics
+from .scenario import ChannelStatistics, psd_eig
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
-DEFAULT_DAMPING = 0.5
-_TINY = 1e-300
+TOL = 1e-10
+MAX_ITER = 10_000
+DAMPING = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +117,6 @@ def precoder_map(P_W: np.ndarray, P_V: Optional[np.ndarray] = None) -> dict:
 # solutions
 # ---------------------------------------------------------------------------
 
-def _herm_eig(mat: np.ndarray, name: str) -> tuple:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ModelError(f"{name} must be square, got {mat.shape}")
-    lam, u = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    scale = max(abs(lam[-1]), 1.0) if lam.size else 1.0
-    if lam.size and lam[0] < -1e-10 * scale:
-        raise ModelError(f"{name} is not PSD (min eigenvalue {lam[0]:.3e})")
-    return np.clip(lam, 0.0, None), u
-
-
 @dataclass(frozen=True)
 class LbiSolution:
     """Converged single-hop system: scalars, resolvent-style matrices and the
@@ -148,7 +143,6 @@ class DsSolution:
     omega_bar: float
     G_R: np.ndarray  # (z I + (M omega omega_bar/(L delta)) R)^{-1}
     G_S: np.ndarray  # ((1/delta) I + omega_bar S)^{-1}
-    F_S: np.ndarray  # (I + delta omega_bar S)^{-1} = G_S / delta
     G_T: np.ndarray  # (I + omega T)^{-1}
     z: float
     R: np.ndarray
@@ -169,102 +163,80 @@ class DsSolution:
 # solvers
 # ---------------------------------------------------------------------------
 
-def solve_lbi(
-    R: np.ndarray,
-    T_eff: np.ndarray,
-    z: float,
-    m_dim: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
-    init: tuple = (1.0, 1.0),
-) -> LbiSolution:
-    """Solve the single-hop system to a direct-substitution residual < tol."""
+def _damped_fixed_point(step, x: list, system: str) -> tuple:
+    """Iterate x <- (1 - DAMPING) x + DAMPING step(x) until the current point
+    passes the direct-substitution test max|step(x) - x| < TOL.
+
+    Returns (x, iterations, residual), the iteration count including the
+    final test. The constants are read on every call.
+    """
+    tol, damping = TOL, DAMPING
+    keep = 1.0 - damping
+    residual = math.inf
+    for it in range(1, MAX_ITER + 1):
+        new = step(*x)
+        residual = max(map(abs, map(sub, new, x)))
+        if residual < tol:
+            return x, it, residual
+        x = [keep * o + damping * n for o, n in zip(x, new)]
+    raise ConvergenceError(f"{system} fixed point did not converge", residual)
+
+
+def _resolvent(u: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """u diag(1 / denom) u^H."""
+    return (u / denom) @ u.conj().T
+
+
+def solve_lbi(R: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int) -> LbiSolution:
+    """Solve the single-hop system to a direct-substitution residual < TOL."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
-    lam_r, u_r = _herm_eig(R, "R")
-    lam_t, u_t = _herm_eig(T_eff, "T_eff")
+    R, T_eff = np.asarray(R, dtype=complex), np.asarray(T_eff, dtype=complex)
+    lam_r, u_r = psd_eig(R, "R")
+    lam_t, u_t = psd_eig(T_eff, "T_eff")
     m = float(m_dim)
 
     def step(a: float, ab: float) -> tuple:
-        a_new = float(np.sum(lam_r / (z + ab * lam_r)) / m)
-        ab_new = float(np.sum(lam_t / (1.0 + a * lam_t)) / m)
+        a_new = float((lam_r / (z + ab * lam_r)).sum() / m)
+        ab_new = float((lam_t / (1.0 + a * lam_t)).sum() / m)
         return a_new, ab_new
 
-    a, ab = float(init[0]), float(init[1])
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        a_new, ab_new = step(a, ab)
-        residual = max(abs(a_new - a), abs(ab_new - ab))
-        if residual < tol:
-            break  # the current point already satisfies the substitution test
-        a = (1.0 - damping) * a + damping * a_new
-        ab = (1.0 - damping) * ab + damping * ab_new
-    else:
-        raise ConvergenceError("single-hop fixed point did not converge", residual)
-
-    L_R = (u_r / (z + ab * lam_r)) @ u_r.conj().T
-    L_T = (u_t / (1.0 + a * lam_t)) @ u_t.conj().T
+    (a, ab), it, residual = _damped_fixed_point(step, [1.0, 1.0], "single-hop")
     return LbiSolution(
-        alpha=a, alpha_bar=ab, L_R=L_R, L_T=L_T, z=float(z),
-        R=np.asarray(R, dtype=complex), T_eff=np.asarray(T_eff, dtype=complex),
+        alpha=a, alpha_bar=ab, L_R=_resolvent(u_r, z + ab * lam_r),
+        L_T=_resolvent(u_t, 1.0 + a * lam_t), z=float(z), R=R, T_eff=T_eff,
         m_dim=m_dim, n_iter=it, residual=residual,
     )
 
 
-def solve_ds(
-    R: np.ndarray,
-    S: np.ndarray,
-    T_eff: np.ndarray,
-    z: float,
-    m_dim: int,
-    l_dim: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
-    init: tuple = (1.0, 1.0, 1.0),
-) -> DsSolution:
-    """Solve the double-hop system to a direct-substitution residual < tol."""
+def solve_ds(R: np.ndarray, S: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int,
+             l_dim: int) -> DsSolution:
+    """Solve the double-hop system to a direct-substitution residual < TOL."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
-    lam_r, u_r = _herm_eig(R, "R")
-    lam_s, u_s = _herm_eig(S, "S")
-    lam_t, u_t = _herm_eig(T_eff, "T_eff")
+    R, S, T_eff = (np.asarray(x, dtype=complex) for x in (R, S, T_eff))
+    lam_r, u_r = psd_eig(R, "R")
+    lam_s, u_s = psd_eig(S, "S")
+    lam_t, u_t = psd_eig(T_eff, "T_eff")
     m, ell = float(m_dim), float(l_dim)
     if np.sum(lam_r) <= 0:
         raise ModelError("degenerate receive correlation: the double-hop system needs Tr R > 0")
 
     def step(d: float, o: float, ob: float) -> tuple:
-        kappa = m * o * ob / (ell * d)
-        d_new = float(np.sum(lam_r / (z + kappa * lam_r)) / ell)
-        o_new = float(np.sum(lam_s / (1.0 / d + ob * lam_s)) / m)
-        ob_new = float(np.sum(lam_t / (1.0 + o * lam_t)) / m)
-        return d_new, o_new, ob_new
-
-    d, o, ob = (float(x) for x in init)
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        d_new, o_new, ob_new = step(d, o, ob)
-        residual = max(abs(d_new - d), abs(o_new - o), abs(ob_new - ob))
-        if residual < tol:
-            break
-        d = (1.0 - damping) * d + damping * d_new
-        o = (1.0 - damping) * o + damping * o_new
-        ob = (1.0 - damping) * ob + damping * ob_new
         if d <= 0:
             raise ModelError("double-hop system hit delta <= 0 (degenerate regime)")
-    else:
-        raise ConvergenceError("double-hop fixed point did not converge", residual)
+        kappa = m * o * ob / (ell * d)
+        d_new = float((lam_r / (z + kappa * lam_r)).sum() / ell)
+        o_new = float((lam_s / (1.0 / d + ob * lam_s)).sum() / m)
+        ob_new = float((lam_t / (1.0 + o * lam_t)).sum() / m)
+        return d_new, o_new, ob_new
 
+    (d, o, ob), it, residual = _damped_fixed_point(step, [1.0, 1.0, 1.0], "double-hop")
     kappa = m * o * ob / (ell * d)
-    G_R = (u_r / (z + kappa * lam_r)) @ u_r.conj().T
-    G_S = (u_s / (1.0 / d + ob * lam_s)) @ u_s.conj().T
-    F_S = (u_s / (1.0 + d * ob * lam_s)) @ u_s.conj().T
-    G_T = (u_t / (1.0 + o * lam_t)) @ u_t.conj().T
     return DsSolution(
-        delta=d, omega=o, omega_bar=ob, G_R=G_R, G_S=G_S, F_S=F_S, G_T=G_T,
-        z=float(z), R=np.asarray(R, dtype=complex), S=np.asarray(S, dtype=complex),
-        T_eff=np.asarray(T_eff, dtype=complex), m_dim=m_dim, l_dim=l_dim, n_iter=it,
+        delta=d, omega=o, omega_bar=ob, G_R=_resolvent(u_r, z + kappa * lam_r),
+        G_S=_resolvent(u_s, 1.0 / d + ob * lam_s), G_T=_resolvent(u_t, 1.0 + o * lam_t),
+        z=float(z), R=R, S=S, T_eff=T_eff, m_dim=m_dim, l_dim=l_dim, n_iter=it,
         residual=residual,
     )
 
@@ -326,7 +298,7 @@ def effective_transmit_corr(stats: ChannelStatistics, user: str, P: np.ndarray) 
 
 
 def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray,
-               noise: Optional[float] = None, **solver_kwargs):
+               noise: Optional[float] = None):
     """Solve the model-appropriate fixed point of one receiver under the
     transmit covariance P; ``noise`` defaults to the receiver's own."""
     if noise is None:
@@ -334,16 +306,13 @@ def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray,
     T_eff = effective_transmit_corr(stats, user, P)
     R = stats.user_r(user)
     if stats.model_kind == "lbi":
-        return solve_lbi(R, T_eff, noise, stats.M, **solver_kwargs)
-    return solve_ds(R, stats.ds_gram(user), T_eff, noise, stats.M, stats.L,
-                    **solver_kwargs)
+        return solve_lbi(R, T_eff, noise, stats.M)
+    return solve_ds(R, stats.ds_gram(user), T_eff, noise, stats.M, stats.L)
 
 
-def solve_descriptor(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,
-                     **solver_kwargs):
+def solve_descriptor(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict):
     """Solve the model-appropriate fixed point for one descriptor."""
-    return solve_user(stats, desc.user, precoders[desc.precoder], desc.noise,
-                      **solver_kwargs)
+    return solve_user(stats, desc.user, precoders[desc.precoder], desc.noise)
 
 
 def mean_mi(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,

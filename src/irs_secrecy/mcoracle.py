@@ -123,7 +123,6 @@ def _validate_groups(stats: ChannelStatistics, descriptors: Sequence[MiDescripto
             raise ModelError(
                 f"shared_x_group {d.shared_x_group} mixes users {seen!r} and {d.user!r}"
             )
-        stats.user_r(d.user)  # raises on unknown tags
     return {g: group_user[g] for g in sorted(group_user)}
 
 

@@ -97,19 +97,6 @@ def build_correlation_matrix(spec: CorrelationSpec, step_deg: float = 0.01) -> n
     return 0.5 * (mat + mat.conj().T)
 
 
-def check_correlation(mat: np.ndarray, name: str = "correlation") -> None:
-    """Validate the structural invariants of a correlation matrix: Hermitian
-    to 1e-12 and eigenvalues >= -1e-10 (relative to the spectral norm)."""
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ModelError(f"{name} must be square, got shape {mat.shape}")
-    if np.max(np.abs(mat - mat.conj().T)) >= HERMITIAN_TOL:
-        raise ModelError(f"{name} is not Hermitian to {HERMITIAN_TOL:g}")
-    eig = np.linalg.eigvalsh(mat)
-    scale = max(eig[-1], 1.0)
-    if eig[0] < -PSD_CLIP_TOL * scale:
-        raise ModelError(f"{name} has eigenvalue {eig[0]:.3e} below the PSD clip tolerance")
-
-
 # ---------------------------------------------------------------------------
 # deterministic link, path loss, phases
 # ---------------------------------------------------------------------------
@@ -155,19 +142,25 @@ def phase_matrix(theta: np.ndarray) -> np.ndarray:
     return np.diag(np.exp(1j * theta))
 
 
-def psd_sqrt(mat: np.ndarray, clip_tol: float = PSD_CLIP_TOL) -> np.ndarray:
-    """Hermitian square root via eigendecomposition.
+def psd_eig(mat: np.ndarray, name: str = "matrix") -> tuple:
+    """Eigenvalues (clipped at zero) and eigenvectors of the Hermitian part
+    of a square PSD matrix.
 
-    Eigenvalues below zero are clipped at zero; an eigenvalue below
-    ``-clip_tol * max(1, spectral norm)`` means the input is not a
-    correlation matrix and raises instead of being silently repaired.
+    An eigenvalue below ``-PSD_CLIP_TOL * max(1, spectral norm)`` means the
+    input is not PSD and raises instead of being silently repaired.
     """
     mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ModelError(f"{name} must be square, got shape {mat.shape}")
     lam, u = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    scale = max(abs(lam[-1]), 1.0)
-    if lam[0] < -clip_tol * scale:
-        raise ModelError(f"matrix eigenvalue {lam[0]:.3e} below -{clip_tol:g} * scale; not PSD")
-    lam = np.clip(lam, 0.0, None)
+    if lam.size and lam[0] < -PSD_CLIP_TOL * max(abs(lam[-1]), 1.0):
+        raise ModelError(f"{name} is not PSD (min eigenvalue {lam[0]:.3e})")
+    return np.clip(lam, 0.0, None), u
+
+
+def psd_sqrt(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Hermitian square root of a PSD matrix (see ``psd_eig``)."""
+    lam, u = psd_eig(mat, name)
     return (u * np.sqrt(lam)) @ u.conj().T
 
 
@@ -298,7 +291,11 @@ def build_channel_statistics(
     sigma2_E_list: Sequence[float],
     R_S: Optional[np.ndarray] = None,
 ) -> ChannelStatistics:
-    """Validate inputs, precompute square roots and freeze the statistics."""
+    """Validate inputs, precompute square roots and freeze the statistics.
+
+    Every correlation matrix must be square, PSD (see ``psd_eig``) and
+    Hermitian to ``HERMITIAN_TOL``.
+    """
     if model_kind not in ("lbi", "double"):
         raise ConfigError(f"model.kind must be 'lbi' or 'double', got {model_kind!r}")
     if model_kind == "double" and R_S is None:
@@ -321,8 +318,12 @@ def build_channel_statistics(
         named[f"T_S_E{i + 1}"] = tse
     if R_S is not None:
         named["R_S"] = R_S
+    roots = {}
     for name, mat in named.items():
-        check_correlation(np.asarray(mat), name)
+        mat = np.asarray(mat)
+        roots[name] = psd_sqrt(mat, name)  # rejects non-square input first
+        if np.max(np.abs(mat - mat.conj().T)) >= HERMITIAN_TOL:
+            raise ModelError(f"{name} is not Hermitian to {HERMITIAN_TOL:g}")
     if T_S_B.shape != (L, L):
         raise ModelError(f"T_S_B must be {L}x{L}, got {T_S_B.shape}")
     for i, tse in enumerate(T_S_E_list):
@@ -347,12 +348,12 @@ def build_channel_statistics(
         sigma2_B=float(sigma2_B),
         sigma2_E_list=tuple(float(s) for s in sigma2_E_list),
         R_S=None if R_S is None else np.asarray(R_S, dtype=complex),
-        R_B_sqrt=psd_sqrt(R_B),
-        R_E_sqrt_list=tuple(psd_sqrt(m) for m in R_E_list),
-        T_S_B_sqrt=psd_sqrt(T_S_B),
-        T_S_E_sqrt_list=tuple(psd_sqrt(m) for m in T_S_E_list),
-        T_sqrt=psd_sqrt(T),
-        R_S_sqrt=None if R_S is None else psd_sqrt(R_S),
+        R_B_sqrt=roots["R_B"],
+        R_E_sqrt_list=tuple(roots[f"R_E{i + 1}"] for i in range(len(R_E_list))),
+        T_S_B_sqrt=roots["T_S_B"],
+        T_S_E_sqrt_list=tuple(roots[f"T_S_E{i + 1}"] for i in range(len(T_S_E_list))),
+        T_sqrt=roots["T"],
+        R_S_sqrt=roots.get("R_S"),
     )
 
 

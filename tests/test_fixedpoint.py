@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from irs_secrecy import fixedpoint
 from irs_secrecy.errors import ConvergenceError, ModelError
 from irs_secrecy.fixedpoint import (
     MiDescriptor,
@@ -30,6 +31,10 @@ class TestLowRankFixedPoint:
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         assert sol.alpha == pytest.approx(golden, abs=1e-9)
         assert sol.alpha_bar == pytest.approx(golden, abs=1e-9)
+        # iteration count and final residual of the damped loop, which the
+        # benchmark's solver counters read
+        assert sol.n_iter == 21
+        assert sol.residual == pytest.approx(3.985178853582738e-11, rel=1e-6)
 
     def test_zero_receive_correlation(self):
         T_eff = np.diag([0.5, 1.5, 2.0])
@@ -52,10 +57,11 @@ class TestLowRankFixedPoint:
             assert abs(sol.alpha - a) < 1e-10
             assert abs(sol.alpha_bar - ab) < 1e-10
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "MAX_ITER", 2)
         rng = np.random.default_rng(1)
         with pytest.raises(ConvergenceError):
-            solve_lbi(rand_psd(4, rng), rand_psd(4, rng), z=1.0, m_dim=4, max_iter=2)
+            solve_lbi(rand_psd(4, rng), rand_psd(4, rng), z=1.0, m_dim=4)
 
 
 class TestDoubleScatteringFixedPoint:
@@ -101,6 +107,8 @@ class TestDoubleScatteringFixedPoint:
         assert sol.delta == pytest.approx(delta, abs=1e-8)
         assert sol.omega == pytest.approx(om, abs=1e-8)
         assert sol.omega_bar == pytest.approx(ob, abs=1e-8)
+        assert sol.n_iter == 37
+        assert sol.residual == pytest.approx(7.803169221887174e-11, rel=1e-6)
 
     def test_direct_substitution_residual(self):
         rng = np.random.default_rng(3)
@@ -120,6 +128,19 @@ class TestDoubleScatteringFixedPoint:
             assert abs(sol.delta - d) < 1e-10
             assert abs(sol.omega - om) < 1e-10
             assert abs(sol.omega_bar - ob) < 1e-10
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "MAX_ITER", 2)
+        rng = np.random.default_rng(6)
+        with pytest.raises(ConvergenceError):
+            solve_ds(rand_psd(3, rng), rand_psd(4, rng), rand_psd(5, rng),
+                     z=1.0, m_dim=5, l_dim=4)
+
+    def test_zero_receive_correlation_raises(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ModelError, match="Tr R > 0"):
+            solve_ds(np.zeros((3, 3)), rand_psd(4, rng), rand_psd(5, rng),
+                     z=1.0, m_dim=5, l_dim=4)
 
     def test_kappa_property(self):
         rng = np.random.default_rng(4)

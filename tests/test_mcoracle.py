@@ -160,6 +160,17 @@ class TestSharedFactorSemantics:
         with pytest.raises(ModelError):
             run_mc(stats, descs, precoder_map(P_W), 8, seed=0)
 
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    def test_unknown_user_tag_is_rejected(self, kind):
+        stats = make_stats(kind)
+        P_W, _ = uniform_precoders(stats.M, 2.0)
+        descs = [
+            MiDescriptor(user="B", precoder="W", noise=0.8, shared_x_group=0),
+            MiDescriptor(user="E2", precoder="W", noise=1.1, shared_x_group=1),
+        ]
+        with pytest.raises(ModelError, match="unknown user tag 'E2'"):
+            run_mc(stats, descs, precoder_map(P_W), 8, seed=0)
+
     def test_double_model_shares_the_middle_factor(self):
         stats = make_stats("double")
         sb = sample_channel(stats, "B", seed=5)
