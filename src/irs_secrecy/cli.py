@@ -361,13 +361,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
-    if args.trials < 0:
-        print("error: --trials must be nonnegative", file=sys.stderr)
-        return 2
     try:
+        for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+            if value < 0:
+                raise ConfigError(f"{flag}: must be nonnegative, got {value}")
+        for flag, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+            if not np.isfinite(value):
+                raise ConfigError(f"{flag}: must be a finite number, got {value}")
         scenario = build_scenario(load_config(args.config), seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.subcommand](args, scenario)

@@ -18,8 +18,12 @@ Three layers:
   by implicit differentiation of the three fixed-point scalars per user
   (``sop_phase_gradient``).
 
-All line searches use Armijo constant 0.3, initial step 1.0, shrink factor
-0.5 and a floor of 1e-12 at which the iterate is returned unchanged.
+The three line searches (inner precoder step, phase ascent, outage descent)
+share one Armijo backtracking loop, ``_backtrack``: steps 1.0, 0.5, ... down
+to 1e-12, each with its own sufficient-change test (constant 0.3) and its
+own handling when no step is accepted. Tolerances and round caps are module
+constants read on every call; every design is made against the first
+eavesdropper, ``EVE`` ("E1").
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -43,6 +47,15 @@ ARMIJO_C = 0.3
 ARMIJO_STEP0 = 1.0
 ARMIJO_SHRINK = 0.5
 ARMIJO_FLOOR = 1e-12
+
+INNER_REL_TOL = 1e-8
+INNER_MAX_ITER = 500
+PRECODER_REL_TOL = 1e-6
+PRECODER_MAX_ROUNDS = 200
+AO_REL_TOL = 1e-6
+SOP_GRAD_TOL = 1e-6
+
+EVE = "E1"
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,6 +79,19 @@ def _herm(mat: np.ndarray) -> np.ndarray:
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real inner product Re Tr(a^H b) on matrices."""
     return float(np.vdot(a, b).real)
+
+
+def _backtrack(trial: Callable[[float], object]) -> Optional[Tuple[float, object]]:
+    """``(step, candidate)`` for the first step, from ``ARMIJO_STEP0`` down by
+    ``ARMIJO_SHRINK`` to ``ARMIJO_FLOOR``, whose ``trial(step)`` returns a
+    candidate rather than None; None if every step is rejected."""
+    step = ARMIJO_STEP0
+    while step >= ARMIJO_FLOOR:
+        candidate = trial(step)
+        if candidate is not None:
+            return step, candidate
+        step *= ARMIJO_SHRINK
+    return None
 
 
 def feasibility_violation(P_W: np.ndarray, P_V: np.ndarray, p_budget: float) -> float:
@@ -126,8 +152,8 @@ def _require_double(stats: ChannelStatistics, what: str) -> None:
         raise ModelError(f"{what} is defined on the double-hop model")
 
 
-def sca_gradients(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray,
-                  eve: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
+def sca_gradients(stats: ChannelStatistics, P_W: np.ndarray,
+                  P_V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gradients of the linearized (concave, to-be-upper-bounded) part of the
     signed secrecy mean: the eavesdropper term at P_U = P_W + P_V and the
     legitimate-user term at P_V.
@@ -135,12 +161,11 @@ def sca_gradients(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray,
     Returns (d/dP_W, d/dP_V); both are Hermitian M x M matrices.
     """
     _require_lbi(stats, "sca_gradients")
-    eve = stats.eve_tag(eve)
     c = stats.M / stats.L
     P_U = P_W + P_V
 
-    sol_eu = solve_user(stats, eve, P_U)
-    A_e = stats.lbi_aperture(eve)
+    sol_eu = solve_user(stats, EVE, P_U)
+    A_e = stats.lbi_aperture(EVE)
     g_eu = sol_eu.alpha * c * _herm(A_e.conj().T @ sol_eu.L_T @ A_e)
 
     sol_bv = solve_user(stats, "B", P_V)
@@ -168,9 +193,6 @@ def solve_inner_p6(
     P_V: np.ndarray,
     p_budget: float,
     freeze_v: bool = False,
-    eve: Optional[str] = None,
-    rel_tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Maximize the concave surrogate
 
@@ -182,10 +204,9 @@ def solve_inner_p6(
     and only P_W moves inside its remaining budget.
     """
     _require_lbi(stats, "solve_inner_p6")
-    eve = stats.eve_tag(eve)
     c = stats.M / stats.L
     A_b = stats.lbi_aperture("B")
-    A_e = stats.lbi_aperture(eve)
+    A_e = stats.lbi_aperture(EVE)
     eye = np.eye(stats.L)
 
     def objective(w: np.ndarray, v: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
@@ -199,7 +220,7 @@ def solve_inner_p6(
     f_cur, m1, m2 = objective(w, v)
     v_budget = float(np.trace(v).real)
 
-    for _ in range(max_iter):
+    for _ in range(INNER_MAX_ITER):
         l1 = np.linalg.inv(m1)
         g_common = alpha1 * c * _herm(A_b.conj().T @ l1 @ A_b)
         g_w = g_common - grad_w_n
@@ -209,9 +230,7 @@ def solve_inner_p6(
             l2 = np.linalg.inv(m2)
             g_v = g_common + alpha2 * c * _herm(A_e.conj().T @ l2 @ A_e) - grad_v_n
 
-        gamma = ARMIJO_STEP0
-        accepted = False
-        while gamma >= ARMIJO_FLOOR:
+        def trial(gamma):
             if freeze_v:
                 w_new, _ = psd_trace_project(w + gamma * g_w, np.zeros_like(w),
                                              max(p_budget - v_budget, 1e-15))
@@ -221,18 +240,18 @@ def solve_inner_p6(
                                                  p_budget)
             gain = _inner(g_w, w_new - w) + _inner(g_v, v_new - v)
             f_new, m1_new, m2_new = objective(w_new, v_new)
-            if f_new >= f_cur + ARMIJO_C * gain:
-                accepted = True
-                break
-            gamma *= ARMIJO_SHRINK
-        if not accepted:
+            accept = f_new >= f_cur + ARMIJO_C * gain
+            return (w_new, v_new, f_new, m1_new, m2_new) if accept else None
+
+        found = _backtrack(trial)
+        if found is None:
             warnings.warn("inner surrogate line search stalled; returning the "
                           "best feasible iterate", RuntimeWarning, stacklevel=2)
             break
+        _, (w, v, f_new, m1, m2) = found
         moved = abs(f_new - f_cur)
-        w, v, m1, m2 = w_new, v_new, m1_new, m2_new
         f_prev, f_cur = f_cur, f_new
-        if moved <= rel_tol * max(1.0, abs(f_prev)):
+        if moved <= INNER_REL_TOL * max(1.0, abs(f_prev)):
             break
     return w, v
 
@@ -245,39 +264,34 @@ def algorithm1(
     grad_v_n: np.ndarray,
     p_budget: float,
     freeze_v: bool = False,
-    eve: Optional[str] = None,
-    rel_tol: float = 1e-6,
-    max_outer: int = 200,
 ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
     """Alternate fixed-scalar refreshes with inner surrogate maximizations
     until the surrogate objective stabilizes. Monotone by the
     minorize-maximize property; returns (P_W, P_V, objective trace)."""
     _require_lbi(stats, "algorithm1")
-    eve = stats.eve_tag(eve)
 
     def full_objective(w, v):
         sol_b = solve_user(stats, "B", w + v)
-        sol_e = solve_user(stats, eve, v)
+        sol_e = solve_user(stats, EVE, v)
         f = (det_equiv_lbi(sol_b) + det_equiv_lbi(sol_e)
              - _inner(grad_w_n, w) - _inner(grad_v_n, v))
         return f, sol_b, sol_e
 
     obj, sol_b, sol_e = full_objective(P_W, P_V)
     trace = [obj]
-    for _ in range(max_outer):
+    for _ in range(PRECODER_MAX_ROUNDS):
         P_W, P_V = solve_inner_p6(stats, sol_b.alpha, sol_e.alpha, grad_w_n,
-                                  grad_v_n, P_W, P_V, p_budget,
-                                  freeze_v=freeze_v, eve=eve)
+                                  grad_v_n, P_W, P_V, p_budget, freeze_v=freeze_v)
         new_obj, sol_b, sol_e = full_objective(P_W, P_V)
         trace.append(new_obj)
         if new_obj < obj - 1e-8 * max(1.0, abs(obj)):
             warnings.warn(f"surrogate objective decreased by {obj - new_obj:.3e}",
                           RuntimeWarning, stacklevel=2)
-        if abs(new_obj - obj) <= rel_tol * max(1.0, abs(obj)):
+        if abs(new_obj - obj) <= PRECODER_REL_TOL * max(1.0, abs(obj)):
             return P_W, P_V, trace
         obj = new_obj
     raise ConvergenceError(
-        f"precoder alternation did not stabilize in {max_outer} rounds",
+        f"precoder alternation did not stabilize in {PRECODER_MAX_ROUNDS} rounds",
         abs(trace[-1] - trace[-2]) if len(trace) > 1 else float("inf"))
 
 
@@ -285,22 +299,20 @@ def algorithm1(
 # phase gradient and joint alternating optimization (single-hop model)
 # ---------------------------------------------------------------------------
 
-def signed_an_mean(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray,
-                   eve: Optional[str] = None) -> float:
+def signed_an_mean(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray) -> float:
     """Signed deterministic secrecy mean (nats) of the four-term combination;
     the noise floors cancel pairwise per user."""
     _require_lbi(stats, "signed_an_mean")
-    eve = stats.eve_tag(eve)
     P_U = P_W + P_V
     d_bu = det_equiv_lbi(solve_user(stats, "B", P_U))
     d_bv = det_equiv_lbi(solve_user(stats, "B", P_V))
-    d_eu = det_equiv_lbi(solve_user(stats, eve, P_U))
-    d_ev = det_equiv_lbi(solve_user(stats, eve, P_V))
+    d_eu = det_equiv_lbi(solve_user(stats, EVE, P_U))
+    d_ev = det_equiv_lbi(solve_user(stats, EVE, P_V))
     return (d_bu - d_bv) - (d_eu - d_ev)
 
 
 def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
-                       P_V: np.ndarray, eve: Optional[str] = None) -> np.ndarray:
+                       P_V: np.ndarray) -> np.ndarray:
     """Gradient of the signed secrecy mean with respect to the surface phases.
 
     Each of the four terms contributes 2 a c Im diag(Z E) with
@@ -309,7 +321,6 @@ def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
     contributions vanish.
     """
     _require_lbi(stats, "esr_phase_gradient")
-    eve = stats.eve_tag(eve)
     c = stats.M / stats.L
     phases = np.exp(1j * stats.theta)
     P_U = P_W + P_V
@@ -324,7 +335,7 @@ def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
 
     grad = np.zeros(stats.L)
     for user, P, tag, sign in (("B", P_U, "U", 1.0), ("B", P_V, "V", -1.0),
-                               (eve, P_U, "U", -1.0), (eve, P_V, "V", 1.0)):
+                               (EVE, P_U, "U", -1.0), (EVE, P_V, "V", 1.0)):
         sol = solve_user(stats, user, P)
         ts_sqrt = stats.user_ts_sqrt(user)
         z_mat = ts_sqrt @ sol.L_T @ ts_sqrt
@@ -342,8 +353,6 @@ class AoState:
     theta: np.ndarray
     t: int
     objective: Tuple[float, ...]
-    grad_w_n: Optional[np.ndarray]
-    grad_v_n: Optional[np.ndarray]
     trace: Tuple[TraceRow, ...]
     stats: ChannelStatistics
 
@@ -364,8 +373,6 @@ def algorithm2_ao(
     budget: int = 100,
     an: bool = True,
     optimize_theta: bool = True,
-    eve: Optional[str] = None,
-    rel_tol: float = 1e-6,
 ) -> AoState:
     """Alternating maximization of the ergodic secrecy rate over the transmit
     covariances and (optionally) the surface phases.
@@ -377,7 +384,6 @@ def algorithm2_ao(
     plain wiretap design results.
     """
     _require_lbi(stats, "algorithm2_ao")
-    eve = stats.eve_tag(eve)
     m = stats.M
     if P_W is None and P_V is None:
         if an:
@@ -395,44 +401,43 @@ def algorithm2_ao(
     if viol > 1e-9:
         raise ModelError(f"initial precoders violate the constraints by {viol:.3e}")
 
-    k_mean = signed_an_mean(stats, P_W, P_V, eve)
+    k_mean = signed_an_mean(stats, P_W, P_V)
     esr = max(0.0, k_mean)
     objective = [esr]
     trace = [TraceRow(0, esr, 0.0, 0.0, viol)]
-    grad_w_n = grad_v_n = None
 
     for t in range(1, budget + 1):
-        grad_w_n, grad_v_n = sca_gradients(stats, P_W, P_V, eve)
+        grad_w_n, grad_v_n = sca_gradients(stats, P_W, P_V)
         P_W, P_V, _ = algorithm1(stats, P_W, P_V, grad_w_n, grad_v_n, p_budget,
-                                 freeze_v=not an, eve=eve)
+                                 freeze_v=not an)
         step_used = 0.0
         grad_norm = 0.0
         if optimize_theta:
-            g = esr_phase_gradient(stats, P_W, P_V, eve)
+            g = esr_phase_gradient(stats, P_W, P_V)
             grad_norm = float(np.linalg.norm(g))
             if grad_norm > 0.0:
-                k_cur = signed_an_mean(stats, P_W, P_V, eve)
-                gamma = ARMIJO_STEP0
-                while gamma >= ARMIJO_FLOOR:
-                    theta_new = stats.theta + gamma * g
-                    k_new = signed_an_mean(stats.with_theta(theta_new), P_W, P_V, eve)
-                    if k_new >= k_cur + ARMIJO_C * gamma * grad_norm:
-                        stats = stats.with_theta(np.mod(theta_new, TWO_PI))
-                        step_used = gamma
-                        break
-                    gamma *= ARMIJO_SHRINK
+                k_cur = signed_an_mean(stats, P_W, P_V)
 
-        k_mean = signed_an_mean(stats, P_W, P_V, eve)
+                def trial(gamma):
+                    theta_new = stats.theta + gamma * g
+                    k_new = signed_an_mean(stats.with_theta(theta_new), P_W, P_V)
+                    accept = k_new >= k_cur + ARMIJO_C * gamma * grad_norm
+                    return stats.with_theta(np.mod(theta_new, TWO_PI)) if accept else None
+
+                found = _backtrack(trial)
+                if found is not None:
+                    step_used, stats = found
+
+        k_mean = signed_an_mean(stats, P_W, P_V)
         esr = max(0.0, k_mean)
         objective.append(esr)
         trace.append(TraceRow(t, esr, step_used,
                               grad_norm, feasibility_violation(P_W, P_V, p_budget)))
-        if abs(objective[-1] - objective[-2]) <= rel_tol * max(1.0, abs(objective[-2])):
+        if abs(objective[-1] - objective[-2]) <= AO_REL_TOL * max(1.0, abs(objective[-2])):
             break
 
     return AoState(P_W=P_W, P_V=P_V, theta=stats.theta.copy(), t=trace[-1].iteration,
-                   objective=tuple(objective), grad_w_n=grad_w_n, grad_v_n=grad_v_n,
-                   trace=tuple(trace), stats=stats)
+                   objective=tuple(objective), trace=tuple(trace), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -569,25 +574,21 @@ class SopGradient:
 
     grad: np.ndarray
     prob: float
-    t_std: float
     mean_nats: float
     variance: float
-    mean_grad: np.ndarray
-    var_grad: np.ndarray
     solve_residual: float
 
 
-def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
-                       eve: Optional[str] = None) -> SopGradient:
+def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
+                       r_bits: float) -> SopGradient:
     """All L partials of the outage probability of the plain wiretap pair on
     the double-hop model, with the per-user scalar derivatives obtained from
     the 3 x 3 implicit systems."""
     _require_double(stats, "sop_phase_gradient")
-    eve = stats.eve_tag(eve)
     m = float(stats.M)
 
     ub = _UserDerivatives(stats, "B", P_W)
-    ue = _UserDerivatives(stats, eve, P_W)
+    ue = _UserDerivatives(stats, EVE, P_W)
 
     # cross-user quantities (shared BS-side factor)
     S_b, G_b = ub.sol.S, ub.sol.G_S
@@ -629,7 +630,7 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
         raise InvalidCovarianceError(f"variance {variance:.3e} is not positive")
     var_grad = ub.d_var + ue.d_var - 2.0 * d_w_cross
 
-    n_b, n_e = stats.user_n("B"), stats.user_n(eve)
+    n_b, n_e = stats.user_n("B"), stats.user_n(EVE)
     mean_nats = (det_equiv_ds(ub.sol) - n_b * math.log(ub.sol.z)) \
         - (det_equiv_ds(ue.sol) - n_e * math.log(ue.sol.z))
     mean_grad = ub.d_mean - ue.d_mean
@@ -642,8 +643,7 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
     grad = pdf * t_grad
 
     return SopGradient(
-        grad=grad, prob=float(ndtr(t_std)), t_std=t_std, mean_nats=mean_nats,
-        variance=variance, mean_grad=mean_grad, var_grad=var_grad,
+        grad=grad, prob=float(ndtr(t_std)), mean_nats=mean_nats, variance=variance,
         solve_residual=max(ub.solve_residual, ue.solve_residual),
     )
 
@@ -663,42 +663,35 @@ def optimize_sop(
     stats: ChannelStatistics,
     P_W: np.ndarray,
     r_bits: float,
-    theta_init: Optional[np.ndarray] = None,
     budget: int = 100,
-    grad_tol: float = 1e-6,
-    eve: Optional[str] = None,
 ) -> SopResult:
     """Minimize the closed-form outage probability over the surface phases by
-    backtracking gradient descent (sufficient decrease c g ||grad||^2); the
-    trace's objective column carries the outage probability."""
+    backtracking gradient descent from ``stats.theta`` (sufficient decrease
+    c g ||grad||^2); the trace's objective column carries the outage
+    probability."""
     _require_double(stats, "optimize_sop")
-    eve = stats.eve_tag(eve)
-    if theta_init is not None:
-        stats = stats.with_theta(np.asarray(theta_init, dtype=float))
 
-    sg = sop_phase_gradient(stats, P_W, r_bits, eve)
-    prob = sg.prob
-    trace = [TraceRow(0, prob, 0.0, float(np.linalg.norm(sg.grad)), 0.0)]
+    sg = sop_phase_gradient(stats, P_W, r_bits)
+    trace = [TraceRow(0, sg.prob, 0.0, float(np.linalg.norm(sg.grad)), 0.0)]
     converged = False
     for t in range(1, budget + 1):
         g = sg.grad
         g_norm = float(np.linalg.norm(g))
-        if g_norm < grad_tol:
+        if g_norm < SOP_GRAD_TOL:
             converged = True
             break
-        gamma = ARMIJO_STEP0
-        moved = False
-        while gamma >= ARMIJO_FLOOR:
+
+        def trial(gamma):
             cand = stats.with_theta(np.mod(stats.theta - gamma * g, TWO_PI))
-            sg_new = sop_phase_gradient(cand, P_W, r_bits, eve)
-            if sg_new.prob <= prob - ARMIJO_C * gamma * g_norm ** 2:
-                stats, sg, prob = cand, sg_new, sg_new.prob
-                moved = True
-                break
-            gamma *= ARMIJO_SHRINK
-        if not moved:
-            trace.append(TraceRow(t, prob, 0.0, g_norm, 0.0))
+            sg_new = sop_phase_gradient(cand, P_W, r_bits)
+            accept = sg_new.prob <= sg.prob - ARMIJO_C * gamma * g_norm ** 2
+            return (cand, sg_new) if accept else None
+
+        found = _backtrack(trial)
+        if found is None:
+            trace.append(TraceRow(t, sg.prob, 0.0, g_norm, 0.0))
             break
-        trace.append(TraceRow(t, prob, gamma, g_norm, 0.0))
-    return SopResult(theta=stats.theta.copy(), prob=prob, trace=tuple(trace),
+        gamma, (stats, sg) = found
+        trace.append(TraceRow(t, sg.prob, gamma, g_norm, 0.0))
+    return SopResult(theta=stats.theta.copy(), prob=sg.prob, trace=tuple(trace),
                      stats=stats, converged=converged)

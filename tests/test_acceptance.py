@@ -342,8 +342,7 @@ class TestOptimizerBehavior:
         improved = 0
         for _ in range(20):
             theta0 = rng.uniform(0.0, 2.0 * math.pi, stats.L)
-            res = optimize_sop(stats, P_W, r_bits=1.2, theta_init=theta0,
-                               budget=30)
+            res = optimize_sop(stats.with_theta(theta0), P_W, r_bits=1.2, budget=30)
             if res.prob < res.trace[0].objective - 1e-12:
                 improved += 1
         assert improved >= 18

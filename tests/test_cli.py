@@ -291,10 +291,26 @@ class TestFailureModes:
         path = write_config(config_dict())
         assert main(["esr", "--config", path, "--out", str(tmp_path / "o"),
                      "--seed", "-1"]) == 2
-        assert "--seed" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: --seed: ")
         assert main(["sop", "--config", path, "--out", str(tmp_path / "o"),
                      "--trials", "-5"]) == 2
-        assert "--trials" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: --trials: ")
+
+    @pytest.mark.parametrize("subcommand, flag, value, kind", [
+        ("sop", "--r-max", "nan", "lbi"),
+        ("sop", "--r-min", "nan", "lbi"),
+        ("sop", "--r-max", "inf", "lbi"),
+        ("optimize-sop", "--r-min", "nan", "double"),
+    ])
+    def test_non_finite_threshold_is_a_config_error(
+            self, write_config, tmp_path, capsys, subcommand, flag, value, kind):
+        path = write_config(config_dict(kind=kind))
+        code = main([subcommand, "--config", path, "--out", str(tmp_path / "o"),
+                     flag, value])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"config error: {flag}: "), err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("path, value, field", _MALFORMED,
                              ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in _MALFORMED])

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from irs_secrecy import optimize
 from irs_secrecy.errors import ConvergenceError, ModelError
 from irs_secrecy.fixedpoint import det_equiv_lbi, effective_transmit_corr, solve_lbi
 from irs_secrecy.optimize import (
@@ -248,12 +249,13 @@ class TestPrecoderAlternation:
         assert len(trace2) <= 3
         assert trace2[-1] == pytest.approx(trace[-1], rel=1e-6)
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
         stats = make_stats("lbi")
         P_W, P_V = uniform_precoders(stats.M, 1.0)
         g_w, g_v = sca_gradients(stats, P_W, P_V)
+        monkeypatch.setattr(optimize, "PRECODER_MAX_ROUNDS", 0)
         with pytest.raises(ConvergenceError):
-            algorithm1(stats, P_W, P_V, g_w, g_v, 2.0, max_outer=0)
+            algorithm1(stats, P_W, P_V, g_w, g_v, 2.0)
 
 
 class TestEsrPhaseGradient:
@@ -390,7 +392,7 @@ class TestSopDescent:
         stats = make_stats("double")
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         theta0 = np.linspace(0.1, 1.9, stats.L)
-        res = optimize_sop(stats, P_W, r_bits=1.2, theta_init=theta0, budget=3)
+        res = optimize_sop(stats.with_theta(theta0), P_W, r_bits=1.2, budget=3)
         expected = sop_wiretap(stats.with_theta(theta0), P_W, 1.2)
         assert res.trace[0].objective == pytest.approx(expected, rel=1e-10)
 
@@ -407,3 +409,43 @@ class TestSopDescent:
         P_W, _ = uniform_precoders(stats.M, 2.0)
         with pytest.raises(ModelError):
             optimize_sop(stats, P_W, r_bits=1.0)
+
+
+class TestLineSearchStall:
+    """With the step floor above the first step every step is rejected; each
+    line search takes its own way out."""
+
+    @pytest.fixture(autouse=True)
+    def _no_step_accepted(self, monkeypatch):
+        monkeypatch.setattr(optimize, "ARMIJO_FLOOR", 2.0 * optimize.ARMIJO_STEP0)
+
+    def test_inner_ascent_warns_and_returns_its_input(self):
+        stats = make_stats("lbi")
+        budget = 2.0
+        P_W, P_V = uniform_precoders(stats.M, budget * 0.4)
+        g_w, g_v = sca_gradients(stats, P_W, P_V)
+        with pytest.warns(RuntimeWarning, match="line search stalled"):
+            w, v = solve_inner_p6(stats, 1.0, 1.0, g_w, g_v, P_W, P_V, budget)
+        np.testing.assert_array_equal(w, P_W)
+        np.testing.assert_array_equal(v, P_V)
+
+    def test_phase_ascent_keeps_theta_with_step_zero(self):
+        stats = make_stats("lbi")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            state = algorithm2_ao(stats, p_budget=2.0, budget=2)
+        np.testing.assert_array_equal(state.theta, stats.theta)
+        assert len(state.trace) > 1
+        for row in state.trace[1:]:
+            assert row.grad_norm > 0.0
+            assert row.step_size == 0.0
+
+    def test_outage_descent_stops_unconverged_with_theta_unchanged(self):
+        stats = make_stats("double")
+        P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
+        res = optimize_sop(stats, P_W, r_bits=1.2, budget=10)
+        assert not res.converged
+        np.testing.assert_array_equal(res.theta, stats.theta)
+        assert len(res.trace) == 2
+        assert res.trace[-1].step_size == 0.0
+        assert res.prob == res.trace[0].objective
