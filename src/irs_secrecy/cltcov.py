@@ -9,8 +9,9 @@ and for the single-hop (lbi) model
     [F]_{ij} = -1{X_i = X_j} log(Xi_{ij}),
 
 where the indicator is 1 when both terms share the same realization of the
-user-side Gaussian factor (same shared-X group). The scalar functionals are
-cross-resolvent traces of the two converged fixed points:
+user-side Gaussian factor, which is exactly when they belong to the same
+user. The scalar functionals are cross-resolvent traces of the two converged
+fixed points:
 
     nu_R  = (1/L) Tr[R_i G_R,i R_j G_R,j]        (same user only)
     nu_S  = (1/M) Tr[S_i G_S,i S_j G_S,j]
@@ -138,26 +139,22 @@ def lbi_pair_quantities(sol_i: LbiSolution, sol_j: LbiSolution) -> LbiPairQuanti
     return LbiPairQuantities(gamma_R=gamma_R, gamma_T=gamma_T, Xi=Xi, valid=valid)
 
 
-def cov_entry_ds(pair: PairQuantities, share_x: bool) -> float:
-    """Double-hop covariance entry -log Delta_S (- log Delta if the terms
-    share their user-side factor)."""
+def cov_entry_ds(pair: PairQuantities) -> float:
+    """Double-hop covariance entry -log Delta_S, minus log Delta for a
+    same-user pair (the only pairs that carry Delta)."""
     if pair.Delta_S <= 0.0:
         raise InvalidCovarianceError(f"Delta_S = {pair.Delta_S:.3e} is not in (0, 1]")
     entry = -math.log(pair.Delta_S)
-    if share_x:
-        if pair.Delta is None:
-            raise InvalidCovarianceError("shared-factor entry requested without same-user data")
+    if pair.Delta is not None:
         if pair.Delta <= 0.0:
             raise InvalidCovarianceError(f"Delta = {pair.Delta:.3e} is not in (0, 1]")
         entry -= math.log(pair.Delta)
     return entry
 
 
-def cov_entry_lbi(pair: LbiPairQuantities, share_x: bool) -> float:
-    """Single-hop covariance entry: -log Xi when the terms share their
-    user-side factor, exactly zero otherwise."""
-    if not share_x:
-        return 0.0
+def cov_entry_lbi(pair: LbiPairQuantities) -> float:
+    """Single-hop covariance entry -log Xi of a same-user pair; cross-user
+    entries are exactly zero and never evaluated."""
     if pair.Xi <= 0.0:
         raise InvalidCovarianceError(f"Xi = {pair.Xi:.3e} is not in (0, 1]")
     return -math.log(pair.Xi)
@@ -165,11 +162,10 @@ def cov_entry_lbi(pair: LbiPairQuantities, share_x: bool) -> float:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Asymptotic covariance of a joint mutual-information vector, with the
-    descriptor list fixing the row/column order."""
+    """Asymptotic covariance of a joint mutual-information vector, in the
+    row/column order of its descriptor list."""
 
     matrix: np.ndarray
-    descriptors: tuple
 
     def quad_form(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
@@ -178,15 +174,12 @@ class CovMatrix:
 
 def solve_all(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
               precoders: dict) -> list:
-    """Fixed points for every descriptor, cached per (user, precoder, noise)."""
+    """Fixed points for every descriptor, solved once per distinct descriptor."""
     cache: dict = {}
-    sols = []
     for d in descriptors:
-        key = (d.user, d.precoder, d.noise)
-        if key not in cache:
-            cache[key] = solve_descriptor(stats, d, precoders)
-        sols.append(cache[key])
-    return sols
+        if d not in cache:
+            cache[d] = solve_descriptor(stats, d, precoders)
+    return [cache[d] for d in descriptors]
 
 
 def joint_cov(
@@ -196,8 +189,8 @@ def joint_cov(
     solutions: Optional[Sequence] = None,
 ) -> CovMatrix:
     """Assemble the full K x K covariance of the descriptors' joint
-    mutual-information vector. Pairs sharing a shared-X group id get the
-    dependent-factor term; the matrix is exactly symmetric by construction."""
+    mutual-information vector. Same-user pairs get the shared-factor term;
+    the matrix is exactly symmetric by construction."""
     descriptors = list(descriptors)
     k = len(descriptors)
     sols = list(solutions) if solutions is not None else solve_all(stats, descriptors, precoders)
@@ -207,15 +200,10 @@ def joint_cov(
     mat = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
-            share_x = descriptors[i].shared_x_group == descriptors[j].shared_x_group
             if stats.model_kind == "double":
                 pair = pair_quantities(stats, descriptors[i], descriptors[j], sols[i], sols[j])
-                mat[i, j] = cov_entry_ds(pair, share_x)
-            else:
-                if share_x:
-                    pair = lbi_pair_quantities(sols[i], sols[j])
-                    mat[i, j] = cov_entry_lbi(pair, share_x)
-                else:
-                    mat[i, j] = 0.0
+                mat[i, j] = cov_entry_ds(pair)
+            elif descriptors[i].user == descriptors[j].user:
+                mat[i, j] = cov_entry_lbi(lbi_pair_quantities(sols[i], sols[j]))
             mat[j, i] = mat[i, j]
-    return CovMatrix(matrix=mat, descriptors=tuple(descriptors))
+    return CovMatrix(matrix=mat)

@@ -59,26 +59,22 @@ DAMPING = 0.5
 
 @dataclass(frozen=True)
 class MiDescriptor:
-    """One mutual-information term of a joint analysis.
+    """One mutual-information term of a joint analysis: the log-determinant
+    of one receiver at its own noise power.
 
-    user: receiver tag, 'B' or 'E<i>'.
+    user: receiver tag, 'B' or 'E<i>'. Terms with the same user share that
+        user's Gaussian factor X, and ``stats.user_sigma2(user)`` is the noise
+        power z of the term.
     precoder: which transmit covariance the term sees, 'W' (information),
         'V' (noise injection) or 'U' (their sum).
-    noise: receiver noise power z in linear watts.
-    shared_x_group: terms with equal group ids are evaluated on the same
-        realization of the user-side Gaussian factor X.
     """
 
     user: str
     precoder: str
-    noise: float
-    shared_x_group: int
 
     def __post_init__(self):
         if self.precoder not in ("W", "V", "U"):
             raise ModelError(f"precoder tag must be 'W', 'V' or 'U', got {self.precoder!r}")
-        if self.noise <= 0:
-            raise ModelError(f"noise power must be positive, got {self.noise}")
 
     @property
     def label(self) -> str:
@@ -86,24 +82,16 @@ class MiDescriptor:
 
 
 def wiretap_descriptors(stats: ChannelStatistics, eves: Optional[list] = None) -> list:
-    """Descriptors (B,W), (E1,W), ... with independent X groups."""
+    """Descriptors (B,W), (E1,W), ...: one term per user."""
     users = ["B"] + (eves if eves is not None else [f"E{i+1}" for i in range(stats.K_eves)])
-    return [
-        MiDescriptor(user=u, precoder="W", noise=stats.user_sigma2(u), shared_x_group=g)
-        for g, u in enumerate(users)
-    ]
+    return [MiDescriptor(user=u, precoder="W") for u in users]
 
 
 def an_descriptors(stats: ChannelStatistics, eves: Optional[list] = None) -> list:
-    """Descriptors (B,U), (B,V), (E1,U), (E1,V), ... where both terms of one
-    user share that user's X realization."""
+    """Descriptors (B,U), (B,V), (E1,U), (E1,V), ...: both terms of one user
+    share that user's X realization."""
     users = ["B"] + (eves if eves is not None else [f"E{i+1}" for i in range(stats.K_eves)])
-    descs = []
-    for g, u in enumerate(users):
-        z = stats.user_sigma2(u)
-        descs.append(MiDescriptor(user=u, precoder="U", noise=z, shared_x_group=g))
-        descs.append(MiDescriptor(user=u, precoder="V", noise=z, shared_x_group=g))
-    return descs
+    return [MiDescriptor(user=u, precoder=p) for u in users for p in ("U", "V")]
 
 
 def precoder_map(P_W: np.ndarray, P_V: Optional[np.ndarray] = None) -> dict:
@@ -297,22 +285,20 @@ def effective_transmit_corr(stats: ChannelStatistics, user: str, P: np.ndarray) 
     return 0.5 * (out + out.conj().T)
 
 
-def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray,
-               noise: Optional[float] = None):
-    """Solve the model-appropriate fixed point of one receiver under the
-    transmit covariance P; ``noise`` defaults to the receiver's own."""
-    if noise is None:
-        noise = stats.user_sigma2(user)
+def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray):
+    """Solve the model-appropriate fixed point of one receiver, at its own
+    noise power, under the transmit covariance P."""
     T_eff = effective_transmit_corr(stats, user, P)
     R = stats.user_r(user)
+    z = stats.user_sigma2(user)
     if stats.model_kind == "lbi":
-        return solve_lbi(R, T_eff, noise, stats.M)
-    return solve_ds(R, stats.ds_gram(user), T_eff, noise, stats.M, stats.L)
+        return solve_lbi(R, T_eff, z, stats.M)
+    return solve_ds(R, stats.ds_gram(user), T_eff, z, stats.M, stats.L)
 
 
 def solve_descriptor(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict):
     """Solve the model-appropriate fixed point for one descriptor."""
-    return solve_user(stats, desc.user, precoders[desc.precoder], desc.noise)
+    return solve_user(stats, desc.user, precoders[desc.precoder])
 
 
 def mean_mi(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,
@@ -325,5 +311,5 @@ def mean_mi(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,
 def mean_rate(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,
               solution=None) -> float:
     """Deterministic mean rate: mean logdet minus the N log z noise floor."""
-    n = stats.user_n(desc.user)
-    return mean_mi(stats, desc, precoders, solution=solution) - n * math.log(desc.noise)
+    floor = stats.user_n(desc.user) * math.log(stats.user_sigma2(desc.user))
+    return mean_mi(stats, desc, precoders, solution=solution) - floor

@@ -2,24 +2,26 @@
 
 Samples channel realizations with the exact shared-factor semantics of the
 joint analyses (one middle matrix Y per trial for the double model, one
-user-side factor X per shared-X group), computes exact per-trial mutual
-informations, and aggregates streaming moments plus per-trial secrecy rates.
+user-side factor X per user), computes exact per-trial mutual informations,
+and aggregates streaming moments plus per-trial secrecy rates.
 
-Trials run in chunks. Within a chunk the per-trial loop only draws the
-Gaussian factors into stacks. Each shared-X group's channel stack is then
+Trials run in chunks of ``CHUNK``. Within a chunk the per-trial loop only
+draws the Gaussian factors into stacks. Each user's channel stack is then
 assembled once per chunk by ``scenario.assemble_channel``, whose matrix
 products broadcast over the stacks in the same left-to-right order, so every
 sample equals ``mi_exact`` on that per-trial channel bit for bit.
 
 Determinism contract: results are bit-for-bit reproducible for a fixed
-(seed, scenario, descriptor list), independent of chunk size and thread
-count. Every trial draws from its own counter-based stream keyed on
-(master seed, trial index), and chunk partials are reduced in chunk order.
+(seed, scenario, descriptor list), independent of the thread count. Every
+trial draws from its own counter-based stream keyed on (master seed, trial
+index), so the per-trial samples do not depend on the chunk size either.
+Chunk moments are merged in chunk order, so ``mi_mean`` and ``mi_cov`` are
+bit-for-bit stable at a fixed ``CHUNK`` and agree across chunk sizes only to
+rounding.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +34,7 @@ from .errors import ModelError
 from .fixedpoint import MiDescriptor
 from .scenario import ChannelStatistics, assemble_channel, draw_x, draw_y, trial_rng
 
-DEFAULT_CHUNK = 512
+CHUNK = 512
 
 
 def thread_budget() -> int:
@@ -85,17 +87,16 @@ class McRun:
 
     mi_mean / mi_cov are the empirical mean vector and covariance matrix of
     the per-trial mutual-information vector (nats), in descriptor order.
+    mi_samples holds the per-trial mutual-information vectors (n_trials, K).
     secrecy holds the per-trial combined secrecy rate when a combiner was
     supplied (u-weighted rates, noise floors subtracted), else None.
     """
 
     n_trials: int
-    seed: int
-    labels: tuple
     mi_mean: np.ndarray
     mi_cov: np.ndarray
     secrecy: Optional[np.ndarray]
-    mi_samples: Optional[np.ndarray]
+    mi_samples: np.ndarray
 
     def mean_stderr(self) -> np.ndarray:
         """Standard error of each mi_mean entry."""
@@ -109,23 +110,6 @@ class McRun:
         return np.searchsorted(sorted_vals, np.asarray(grid_nats), side="left") / len(sorted_vals)
 
 
-def _validate_groups(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]) -> dict:
-    """Map each shared-X group to its user, in sorted group order.
-
-    Group ids map to exactly one user each (an X draw has one shape).
-    """
-    group_user = {}
-    for d in descriptors:
-        seen = group_user.get(d.shared_x_group)
-        if seen is None:
-            group_user[d.shared_x_group] = d.user
-        elif seen != d.user:
-            raise ModelError(
-                f"shared_x_group {d.shared_x_group} mixes users {seen!r} and {d.user!r}"
-            )
-    return {g: group_user[g] for g in sorted(group_user)}
-
-
 def _chunk_mis(
     stats: ChannelStatistics,
     descriptors: Sequence[MiDescriptor],
@@ -133,36 +117,33 @@ def _chunk_mis(
     seed: int,
     start: int,
     count: int,
-    group_user: dict,
 ) -> np.ndarray:
     """Per-trial MI matrix (count, K) for trials [start, start+count).
 
-    The per-trial loop only draws, into one stack per factor. Each group's
+    The per-trial loop only draws, into one stack per factor. Each user's
     channel stack is then assembled once by ``assemble_channel``, whose
-    products broadcast over the stacks, and every descriptor of the group
+    products broadcast over the stacks, and every descriptor of that user
     reads it.
     """
     double = stats.model_kind == "double"
     L, M = stats.L, stats.M
     y_stack = np.empty((count, L, M), dtype=complex) if double else None
-    x_stacks = {
-        g: np.empty((count, stats.user_n(u), L), dtype=complex)
-        for g, u in group_user.items()
-    }
+    x_stacks = {u: np.empty((count, stats.user_n(u), L), dtype=complex)
+                for u in dict.fromkeys(d.user for d in descriptors)}
     for t in range(count):
-        # documented draw order: Y, then one X per group in sorted group
-        # order, which is the order of group_user
+        # documented draw order: Y, then one X per user in order of first
+        # appearance, which is the order of x_stacks
         rng = trial_rng(seed, start + t)
         if double:
             y_stack[t] = draw_y(rng, L, M)
         for x_stack in x_stacks.values():
             x_stack[t] = draw_x(rng, x_stack.shape[1], L)
 
-    h_stacks = {g: assemble_channel(stats, u, x_stacks[g], y_stack)
-                for g, u in group_user.items()}
+    h_stacks = {u: assemble_channel(stats, u, x, y_stack) for u, x in x_stacks.items()}
     out = np.empty((count, len(descriptors)))
     for i, d in enumerate(descriptors):
-        out[:, i] = _mi_batch(d.noise, h_stacks[d.shared_x_group], precoders[d.precoder])
+        out[:, i] = _mi_batch(stats.user_sigma2(d.user), h_stacks[d.user],
+                              precoders[d.precoder])
     return out
 
 
@@ -173,30 +154,24 @@ def run_mc(
     n_trials: int,
     seed: int,
     combiner: Optional[np.ndarray] = None,
-    keep_samples: bool = False,
-    chunk: int = DEFAULT_CHUNK,
-    dump_csv: Optional[str] = None,
 ) -> McRun:
     """Monte-Carlo joint mutual-information statistics.
 
     combiner: optional weight vector u of length K; the per-trial secrecy
     rate is sum_i u_i (mi_i - N_i log z_i) in nats.
-    dump_csv: optional path; writes rows `trial, mi_<label>..., secrecy_rate_nats`.
     """
     if n_trials < 1:
         raise ModelError("n_trials must be >= 1")
     descriptors = list(descriptors)
-    group_user = _validate_groups(stats, descriptors)
     k = len(descriptors)
-    labels = tuple(d.label for d in descriptors)
-    floors = np.array([stats.user_n(d.user) * math.log(d.noise) for d in descriptors])
-
-    starts = list(range(0, n_trials, chunk))
-    sizes = [min(chunk, n_trials - s) for s in starts]
+    floors = np.array([stats.user_n(d.user) * math.log(stats.user_sigma2(d.user))
+                       for d in descriptors])
+    starts = list(range(0, n_trials, CHUNK))
+    sizes = [min(CHUNK, n_trials - s) for s in starts]
     parts: list = [None] * len(starts)
 
     def work(i: int) -> None:
-        parts[i] = _chunk_mis(stats, descriptors, precoders, seed, starts[i], sizes[i], group_user)
+        parts[i] = _chunk_mis(stats, descriptors, precoders, seed, starts[i], sizes[i])
 
     workers = min(thread_budget(), len(starts))
     if workers > 1:
@@ -210,8 +185,6 @@ def run_mc(
     n_acc = 0
     mean_acc = np.zeros(k)
     m2_acc = np.zeros((k, k))
-    secrecy = [] if combiner is not None else None
-    store = [] if (keep_samples or dump_csv) else None
     for mis in parts:
         n_c = mis.shape[0]
         mean_c = mis.mean(axis=0)
@@ -225,36 +198,11 @@ def run_mc(
             m2_acc = m2_acc + m2_c + np.outer(delta, delta) * (n_acc * n_c / total)
             mean_acc = mean_acc + delta * (n_c / total)
             n_acc = total
-        if secrecy is not None:
-            secrecy.append((mis - floors) @ np.asarray(combiner))
-        if store is not None:
-            store.append(mis)
 
     cov = m2_acc / (n_acc - 1) if n_acc > 1 else np.zeros((k, k))
     cov = 0.5 * (cov + cov.T)
-    secrecy_arr = np.concatenate(secrecy) if secrecy is not None else None
-    samples = np.concatenate(store, axis=0) if store is not None else None
+    samples = np.concatenate(parts, axis=0)
+    secrecy = (samples - floors) @ np.asarray(combiner) if combiner is not None else None
+    return McRun(n_trials=n_trials, mi_mean=mean_acc, mi_cov=cov, secrecy=secrecy,
+                 mi_samples=samples)
 
-    if dump_csv is not None:
-        _write_trials_csv(dump_csv, labels, samples, secrecy_arr)
-    if not keep_samples:
-        samples = None
-    return McRun(
-        n_trials=n_trials, seed=seed, labels=labels,
-        mi_mean=mean_acc, mi_cov=cov, secrecy=secrecy_arr, mi_samples=samples,
-    )
-
-
-def _write_trials_csv(path: str, labels: tuple, samples: np.ndarray,
-                      secrecy: Optional[np.ndarray]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["trial"] + [f"mi_{lab}" for lab in labels]
-        if secrecy is not None:
-            header.append("secrecy_rate_nats")
-        writer.writerow(header)
-        for t in range(samples.shape[0]):
-            row = [str(t)] + [f"{v:.12e}" for v in samples[t]]
-            if secrecy is not None:
-                row.append(f"{secrecy[t]:.12e}")
-            writer.writerow(row)

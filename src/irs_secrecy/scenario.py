@@ -629,7 +629,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if init == "file" and not (isinstance(theta_file, str) and theta_file):
         raise ConfigError("theta.file: a file path is required when theta.init is 'file'")
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         M=M,
         L=L,
         N_B=N_B,
@@ -654,6 +654,34 @@ def parse_config(raw: dict) -> ScenarioConfig:
             _list(sweep.get("P_dbm", list(DEFAULT_SWEEP_P_DBM)), "sweep.P_dbm"))),
         theta_file=theta_file,
     )
+    _path_gains(config)
+    return config
+
+
+def _path_gains(config: ScenarioConfig) -> tuple:
+    """End-to-end path gains (g_B, [g_E1, ...]): the BS-IRS hop gain times
+    each user's IRS hop gain. A hop or end-to-end gain that is not a finite
+    positive float is a ConfigError naming the pathloss fields it uses."""
+
+    def checked(gain, *fields) -> float:
+        try:
+            g = gain()
+        except (OverflowError, ZeroDivisionError):
+            g = math.nan
+        if not 0.0 < g < math.inf:
+            kind = "hop" if len(fields) == 3 else "end-to-end"
+            raise ConfigError(f"pathloss.{', pathloss.'.join(fields)}: {kind} path gain "
+                              "is not a finite positive number")
+        return g
+
+    c, hop1 = config, ("C1", "alpha1", "d_bs_irs")
+    g_bs_irs = checked(lambda: path_loss(c.C1, c.d_bs_irs, c.alpha1), *hop1)
+    gains = []
+    for field, d in [("d_irs_b", c.d_irs_b)] + [
+            (f"d_irs_e[{i}]", d) for i, d in enumerate(c.d_irs_e)]:
+        g = checked(lambda: path_loss(c.C2, d, c.alpha2), "C2", "alpha2", field)
+        gains.append(checked(lambda: g_bs_irs * g, *hop1, "C2", "alpha2", field))
+    return gains[0], gains[1:]
 
 
 @dataclass(frozen=True)
@@ -699,9 +727,7 @@ def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenar
     T_S_E = [_built_corr(c, config.L) for c in corr["T_S_E"]]
     R_S = _built_corr(corr["R_S"], config.L) if config.model_kind == "double" else None
 
-    g_bs_irs = path_loss(config.C1, config.d_bs_irs, config.alpha1)
-    g_b = g_bs_irs * path_loss(config.C2, config.d_irs_b, config.alpha2)
-    g_e = [g_bs_irs * path_loss(config.C2, d, config.alpha2) for d in config.d_irs_e]
+    g_b, g_e = _path_gains(config)
     R_B = g_b * R_B
     R_E = [g * m for g, m in zip(g_e, R_E)]
 

@@ -261,6 +261,14 @@ _MALFORMED = [
     (("noise", "sigma2_dbm"), -4000.0, "noise.sigma2_dbm"),
     (("sweep",), {"P_dbm": [30.0, 4000.0]}, "sweep.P_dbm[1]"),
     (("dimensions",), [1], "dimensions: expected an object"),
+    # hop gains C / d**alpha that leave the float range
+    (("pathloss", "alpha1"), 400.0, "pathloss.C1, pathloss.alpha1, pathloss.d_bs_irs: "),
+    (("pathloss", "d_bs_irs"), 1e300, "pathloss.C1, pathloss.alpha1, pathloss.d_bs_irs: "),
+    (("pathloss", "alpha2"), -400.0, "pathloss.C2, pathloss.alpha2, pathloss.d_irs_b: "),
+    (("pathloss", "d_irs_e"), [1e-300], "pathloss.C2, pathloss.alpha2, pathloss.d_irs_e[0]: "),
+    # a subnormal BS-IRS hop gain whose product with the IRS-B hop is 0.0
+    (("pathloss", "C1"), 1e-320, "pathloss.C1, pathloss.alpha1, pathloss.d_bs_irs, "
+     "pathloss.C2, pathloss.alpha2, pathloss.d_irs_b: end-to-end"),
 ]
 
 

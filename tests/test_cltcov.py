@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestPairFunctionalsScalarOracle:
         assert pair.nu_R == pytest.approx(nu_R, rel=1e-12)
         assert pair.nu_SI_sym == pytest.approx(nu_si_sym, rel=1e-12)
         assert pair.Delta == pytest.approx(delta, rel=1e-12)
-        assert cov_entry_ds(pair, share_x=True) == pytest.approx(
+        assert cov_entry_ds(pair) == pytest.approx(
             -math.log(delta) - math.log(delta_s), rel=1e-12
         )
 
@@ -92,7 +93,7 @@ class TestPairFunctionalsScalarOracle:
         assert pair.gamma_R == pytest.approx(g_r, rel=1e-12)
         assert pair.gamma_T == pytest.approx(g_t, rel=1e-12)
         assert pair.Xi == pytest.approx(1.0 - g_r * g_t, rel=1e-12)
-        assert cov_entry_lbi(pair, share_x=True) == pytest.approx(
+        assert cov_entry_lbi(pair) == pytest.approx(
             -math.log(1.0 - g_r * g_t), rel=1e-12
         )
 
@@ -130,7 +131,8 @@ class TestCovarianceEntries:
         descs = wiretap_descriptors(stats, eves=["E1"])
         sols = solve_all(stats, descs, precs)
         pair = pair_quantities(stats, descs[0], descs[1], sols[0], sols[1])
-        entry = cov_entry_ds(pair, share_x=False)
+        assert pair.nu_R is None and pair.nu_SI_sym is None and pair.Delta is None
+        entry = cov_entry_ds(pair)
         assert entry == pytest.approx(-math.log(pair.Delta_S), rel=1e-12)
         assert entry > 0.0
 
@@ -144,11 +146,12 @@ class TestCovarianceEntries:
         pair = pair_quantities(stats, descs[0], descs[1], sols[0], sols[1])
         assert pair.nu_T == pytest.approx(0.0, abs=1e-15)
         assert pair.Delta_S == pytest.approx(1.0, abs=1e-15)
-        assert cov_entry_ds(pair, share_x=False) == pytest.approx(0.0, abs=1e-14)
-
-    def test_single_hop_cross_user_entry_is_exactly_zero(self):
-        pair = LbiPairQuantities(gamma_R=0.3, gamma_T=0.4, Xi=0.88, valid=True)
-        assert cov_entry_lbi(pair, share_x=False) == 0.0
+        # the scatter-only entry -log Delta_S
+        scatter = replace(pair, nu_R=None, nu_SI_sym=None, Delta=None)
+        assert cov_entry_ds(scatter) == pytest.approx(0.0, abs=1e-14)
+        # the same-user term vanishes too, up to the solver tolerance (the V
+        # term's omega_bar converges to 0 from above)
+        assert pair.Delta == pytest.approx(1.0, abs=1e-12)
 
     def test_single_hop_entry_vanishes_with_the_signal(self):
         stats = make_stats("lbi")
@@ -160,7 +163,7 @@ class TestCovarianceEntries:
             sols = solve_all(stats, desc, precs)
             pair = lbi_pair_quantities(sols[0], sols[1])
             assert pair.valid
-            entries.append(cov_entry_lbi(pair, share_x=True))
+            entries.append(cov_entry_lbi(pair))
         entries = np.array(entries)
         assert np.all(entries > 0.0)
         assert np.all(np.diff(entries) < 0.0)
@@ -189,10 +192,11 @@ class TestJointCovariance:
         assert np.all(np.diag(mat) > 0.0)
         # same-user off-diagonal entries carry the shared-factor term
         pair_b = pair_quantities(stats, descs[0], descs[1], sols[0], sols[1])
-        assert mat[0, 1] == pytest.approx(cov_entry_ds(pair_b, share_x=True), rel=1e-12)
+        assert mat[0, 1] == pytest.approx(cov_entry_ds(pair_b), rel=1e-12)
         # cross-user entries reduce to the scatter-only term
         pair_x = pair_quantities(stats, descs[0], descs[2], sols[0], sols[2])
-        assert mat[0, 2] == pytest.approx(cov_entry_ds(pair_x, share_x=False), rel=1e-12)
+        assert pair_x.Delta is None
+        assert mat[0, 2] == pytest.approx(cov_entry_ds(pair_x), rel=1e-12)
         assert mat[0, 2] < mat[0, 1]
 
     def test_single_hop_block_diagonal_across_users(self):
@@ -226,7 +230,7 @@ class TestValidityGuards:
             nu_R=None, nu_SI_sym=None, Delta=None, valid=False,
         )
         with pytest.raises(InvalidCovarianceError):
-            cov_entry_ds(pair, share_x=False)
+            cov_entry_ds(pair)
 
     def test_negative_shared_discriminant_raises(self):
         pair = PairQuantities(
@@ -234,23 +238,14 @@ class TestValidityGuards:
             nu_R=0.5, nu_SI_sym=0.5, Delta=-0.25, valid=False,
         )
         with pytest.raises(InvalidCovarianceError):
-            cov_entry_ds(pair, share_x=True)
-        # the scatter-only entry is still well defined
-        assert cov_entry_ds(pair, share_x=False) > 0.0
-
-    def test_shared_entry_without_same_user_data_raises(self):
-        pair = PairQuantities(
-            nu_S=0.2, nu_T=0.2, Delta_S=0.96,
-            nu_R=None, nu_SI_sym=None, Delta=None, valid=True,
-        )
-        with pytest.raises(InvalidCovarianceError):
-            cov_entry_ds(pair, share_x=True)
+            cov_entry_ds(pair)
+        # the scatter-only entry of the same functionals is still well defined
+        assert cov_entry_ds(replace(pair, nu_R=None, nu_SI_sym=None, Delta=None)) > 0.0
 
     def test_single_hop_out_of_range_raises(self):
         pair = LbiPairQuantities(gamma_R=2.0, gamma_T=1.0, Xi=-1.0, valid=False)
         with pytest.raises(InvalidCovarianceError):
-            cov_entry_lbi(pair, share_x=True)
-        assert cov_entry_lbi(pair, share_x=False) == 0.0
+            cov_entry_lbi(pair)
 
     def test_out_of_range_pair_warns_and_flags_invalid(self):
         eye = np.eye(2)

@@ -160,7 +160,7 @@ class TestDeterministicEquivalents:
         stats = make_stats("lbi")
         desc = wiretap_descriptors(stats)[0]
         n = stats.user_n("B")
-        floor = n * math.log(desc.noise)
+        floor = n * math.log(stats.user_sigma2("B"))
         P_W, _ = uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0)
         vals = []
         for c in [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5]:
@@ -171,23 +171,24 @@ class TestDeterministicEquivalents:
         assert diffs[-1] < 1e-3
 
     def test_noise_doubling_shifts_by_at_most_n_log_two(self):
-        stats = make_stats("double")
-        precs = precoder_map(*uniform_precoders(stats.M, 1.0))
-        n = stats.user_n("B")
-        base = MiDescriptor(user="B", precoder="W", noise=0.8, shared_x_group=0)
-        doubled = MiDescriptor(user="B", precoder="W", noise=1.6, shared_x_group=0)
-        lo = mean_mi(stats, base, precs)
-        hi = mean_mi(stats, doubled, precs)
+        base = make_stats("double", sigma2_B=0.8)
+        doubled = make_stats("double", sigma2_B=1.6)
+        precs = precoder_map(*uniform_precoders(base.M, 1.0))
+        n = base.user_n("B")
+        desc = MiDescriptor(user="B", precoder="W")
+        lo = mean_mi(base, desc, precs)
+        hi = mean_mi(doubled, desc, precs)
         assert lo <= hi <= lo + n * math.log(2.0) + 1e-9
 
     def test_mean_rate_subtracts_noise_floor(self):
+        # each term's floor is its own user's N log z (B: 0.8, E1: 1.1)
         stats = make_stats("lbi")
-        desc = wiretap_descriptors(stats)[0]
         precs = precoder_map(*uniform_precoders(stats.M, 1.0))
-        n = stats.user_n("B")
-        assert mean_rate(stats, desc, precs) == pytest.approx(
-            mean_mi(stats, desc, precs) - n * math.log(desc.noise), rel=1e-12
-        )
+        for desc in wiretap_descriptors(stats):
+            n = stats.user_n(desc.user)
+            assert mean_rate(stats, desc, precs) == pytest.approx(
+                mean_mi(stats, desc, precs) - n * math.log(stats.user_sigma2(desc.user)),
+                rel=1e-12)
 
     def test_precomputed_solution_matches(self):
         stats = make_stats("double")
@@ -222,16 +223,17 @@ class TestDescriptors:
         stats = make_stats("lbi", N_E=(3, 2))
         descs = wiretap_descriptors(stats)
         assert [d.label for d in descs] == ["BW", "E1W", "E2W"]
-        assert len({d.shared_x_group for d in descs}) == 3
-        assert descs[1].noise == stats.user_sigma2("E1")
+        # one term per user, so no two terms share a factor
+        assert len({d.user for d in descs}) == 3
+        assert descs[1] == MiDescriptor(user="E1", precoder="W")
 
     def test_an_layout_shares_x_per_user(self):
         stats = make_stats("double")
         descs = an_descriptors(stats)
         assert [d.label for d in descs] == ["BU", "BV", "E1U", "E1V"]
-        assert descs[0].shared_x_group == descs[1].shared_x_group
-        assert descs[2].shared_x_group == descs[3].shared_x_group
-        assert descs[0].shared_x_group != descs[2].shared_x_group
+        assert descs[0].user == descs[1].user
+        assert descs[2].user == descs[3].user
+        assert descs[0].user != descs[2].user
 
     def test_eve_subset_selection(self):
         stats = make_stats("lbi", N_E=(3, 2))
@@ -249,6 +251,11 @@ class TestDescriptors:
 
     def test_invalid_descriptor_fields(self):
         with pytest.raises(ModelError):
-            MiDescriptor(user="B", precoder="Q", noise=1.0, shared_x_group=0)
-        with pytest.raises(ModelError):
-            MiDescriptor(user="B", precoder="W", noise=0.0, shared_x_group=0)
+            MiDescriptor(user="B", precoder="Q")
+
+    @pytest.mark.parametrize("noise", [{"sigma2_B": 0.0}, {"sigma2_E": -1.0}])
+    def test_nonpositive_noise_power_is_rejected(self, noise):
+        # every term takes its noise power from the statistics, so this
+        # check guards them all
+        with pytest.raises(ModelError, match="noise powers must be positive"):
+            make_stats("lbi", **noise)

@@ -29,3 +29,17 @@ def test_no_private_names_cross_module_or_object_boundaries():
                 offences.append(f"{path.name}:{node.lineno}: uses "
                                 f"{ast.unparse(node.value)}.{node.attr}")
     assert not offences, offences
+
+
+def test_every_private_definition_is_used():
+    """Every module-level ``_name`` function or class is referenced in its
+    own module, so a deletion cannot leave a helper behind."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{node.lineno}: {node.name}" for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and _private(node.name) and node.name not in loaded]
+    assert not unused, unused

@@ -1,12 +1,13 @@
 """Monte-Carlo engine: exact MI evaluation, shared-factor semantics,
 determinism, and agreement with the closed-form channel moments."""
 
-import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from irs_secrecy import mcoracle
 from irs_secrecy.cltcov import joint_cov
 from irs_secrecy.errors import ModelError
 from irs_secrecy.fixedpoint import (
@@ -15,7 +16,7 @@ from irs_secrecy.fixedpoint import (
     precoder_map,
     wiretap_descriptors,
 )
-from irs_secrecy.mcoracle import McRun, mi_exact, run_mc, thread_budget
+from irs_secrecy.mcoracle import mi_exact, run_mc, thread_budget
 from irs_secrecy.scenario import (
     assemble_channel,
     build_channel_statistics,
@@ -70,15 +71,28 @@ def _small_run(kind="lbi", n_trials=64, seed=9, **kwargs):
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
-        _, _, _, a = _small_run(keep_samples=True)
-        _, _, _, b = _small_run(keep_samples=True)
+        _, _, _, a = _small_run()
+        _, _, _, b = _small_run()
         assert np.array_equal(a.mi_samples, b.mi_samples)
         assert np.array_equal(a.mi_mean, b.mi_mean)
         assert np.array_equal(a.mi_cov, b.mi_cov)
 
-    def test_chunk_size_does_not_change_samples(self):
-        _, _, _, a = _small_run(n_trials=100, keep_samples=True, chunk=7)
-        _, _, _, b = _small_run(n_trials=100, keep_samples=True, chunk=512)
+    def test_chunk_size_does_not_change_samples(self, monkeypatch):
+        chunk_mis, calls = mcoracle._chunk_mis, []
+
+        def counted(*args):
+            calls.append(args)
+            return chunk_mis(*args)
+
+        monkeypatch.setattr(mcoracle, "_chunk_mis", counted)
+        runs = {}
+        for chunk in (7, 512):
+            monkeypatch.setattr(mcoracle, "CHUNK", chunk)
+            calls.clear()
+            runs[chunk] = _small_run(n_trials=100)[3]
+            # the constant is read on every call: ceil(100 / chunk) chunks
+            assert len(calls) == -(-100 // chunk)
+        a, b = runs[7], runs[512]
         assert np.array_equal(a.mi_samples, b.mi_samples)
         # moments are merged chunk-by-chunk; only the float reduction order
         # differs between partitions
@@ -86,36 +100,39 @@ class TestDeterminism:
         np.testing.assert_allclose(a.mi_cov, b.mi_cov, rtol=1e-10, atol=1e-13)
 
     def test_thread_count_does_not_change_anything(self, monkeypatch):
+        monkeypatch.setattr(mcoracle, "CHUNK", 32)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "1")
-        _, _, _, a = _small_run(n_trials=300, chunk=32, keep_samples=True)
+        _, _, _, a = _small_run(n_trials=300)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "4")
-        _, _, _, b = _small_run(n_trials=300, chunk=32, keep_samples=True)
+        _, _, _, b = _small_run(n_trials=300)
         assert np.array_equal(a.mi_samples, b.mi_samples)
         assert np.array_equal(a.mi_mean, b.mi_mean)
         assert np.array_equal(a.mi_cov, b.mi_cov)
 
-    def test_every_trial_matches_documented_draw_order(self):
+    def test_every_trial_matches_documented_draw_order(self, monkeypatch):
         # both models, wiretap and noise-injection descriptors, two
-        # eavesdroppers, and chunk boundaries inside the run
+        # eavesdroppers in either order, and chunk boundaries inside the run
+        monkeypatch.setattr(mcoracle, "CHUNK", 4)
         n_trials, seed = 11, 21
         for kind in ("lbi", "double"):
             stats = make_stats(kind, N_E=(3, 2))
             P_W, P_V = uniform_precoders(stats.M, 2.0)
-            for P_V_design in (None, P_V):
-                descs, precs, _ = secrecy_terms(stats, P_W, P_V_design, eves=["E1", "E2"])
-                run = run_mc(stats, descs, precs, n_trials, seed, chunk=4, keep_samples=True)
-                # groups are visited in sorted order; every descriptor of a
-                # group reuses its X draw
-                groups = sorted({d.shared_x_group for d in descs})
-                group_user = {d.shared_x_group: d.user for d in descs}
+            for eves, P_V_design in itertools.product((["E1", "E2"], ["E2", "E1"]),
+                                                      (None, P_V)):
+                descs, precs, _ = secrecy_terms(stats, P_W, P_V_design, eves=eves)
+                run = run_mc(stats, descs, precs, n_trials, seed)
+                # one X per user, drawn in order of first appearance (B, then
+                # the eavesdroppers as listed); every term of a user reads it
+                users = ["B"] + eves
                 for t in range(n_trials):
                     rng = trial_rng(seed, t)
                     Y = draw_y(rng, stats.L, stats.M) if kind == "double" else None
-                    xs = {g: draw_x(rng, stats.user_n(group_user[g]), stats.L) for g in groups}
+                    xs = {u: draw_x(rng, stats.user_n(u), stats.L) for u in users}
                     for i, d in enumerate(descs):
-                        H = assemble_channel(stats, d.user, xs[d.shared_x_group], Y)
+                        H = assemble_channel(stats, d.user, xs[d.user], Y)
                         assert run.mi_samples[t, i] == mi_exact(
-                            d.noise, H, precs[d.precoder]), (kind, d.label, t)
+                            stats.user_sigma2(d.user), H, precs[d.precoder]), (
+                                kind, eves, d.label, t)
 
     def test_thread_budget_env_handling(self, monkeypatch):
         monkeypatch.setenv("IRS_SECRECY_THREADS", "3")
@@ -136,37 +153,16 @@ class TestSharedFactorSemantics:
         # U = 0 + Q and V = Q: identical precoders on a shared X draw
         precs = precoder_map(np.zeros((stats.M, stats.M)), Q)
         descs = an_descriptors(stats, eves=[])
-        run = run_mc(stats, descs, precs, 32, seed=4, keep_samples=True)
+        run = run_mc(stats, descs, precs, 32, seed=4)
         assert np.array_equal(run.mi_samples[:, 0], run.mi_samples[:, 1])
-
-    def test_distinct_groups_decouple_the_draws(self):
-        stats = make_stats("lbi")
-        P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
-        z = 0.8
-        descs = [
-            MiDescriptor(user="B", precoder="W", noise=z, shared_x_group=0),
-            MiDescriptor(user="B", precoder="W", noise=z, shared_x_group=1),
-        ]
-        run = run_mc(stats, descs, precoder_map(P_W), 32, seed=4, keep_samples=True)
-        assert not np.array_equal(run.mi_samples[:, 0], run.mi_samples[:, 1])
-
-    def test_group_mixing_users_is_rejected(self):
-        stats = make_stats("lbi")
-        P_W, _ = uniform_precoders(stats.M, 2.0)
-        descs = [
-            MiDescriptor(user="B", precoder="W", noise=0.8, shared_x_group=0),
-            MiDescriptor(user="E1", precoder="W", noise=1.1, shared_x_group=0),
-        ]
-        with pytest.raises(ModelError):
-            run_mc(stats, descs, precoder_map(P_W), 8, seed=0)
 
     @pytest.mark.parametrize("kind", ["lbi", "double"])
     def test_unknown_user_tag_is_rejected(self, kind):
         stats = make_stats(kind)
         P_W, _ = uniform_precoders(stats.M, 2.0)
         descs = [
-            MiDescriptor(user="B", precoder="W", noise=0.8, shared_x_group=0),
-            MiDescriptor(user="E2", precoder="W", noise=1.1, shared_x_group=1),
+            MiDescriptor(user="B", precoder="W"),
+            MiDescriptor(user="E2", precoder="W"),
         ]
         with pytest.raises(ModelError, match="unknown user tag 'E2'"):
             run_mc(stats, descs, precoder_map(P_W), 8, seed=0)
@@ -191,7 +187,7 @@ class TestChannelMoments:
         )
         P_W, _ = uniform_precoders(M, 2.0, split_w=1.0, split_v=0.0)
         descs = wiretap_descriptors(stats, eves=[])
-        run = run_mc(stats, descs, precoder_map(P_W), 16, seed=0, keep_samples=True)
+        run = run_mc(stats, descs, precoder_map(P_W), 16, seed=0)
         np.testing.assert_allclose(
             run.mi_samples[:, 0], N * math.log(0.8), rtol=1e-14)
 
@@ -234,9 +230,9 @@ class TestSecrecyAggregation:
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         descs = an_descriptors(stats, eves=["E1"])
         u = secrecy_terms(stats, P_W, P_V, eves=["E1"])[2][0]
-        run = run_mc(stats, descs, precoder_map(P_W, P_V), 128, seed=2,
-                     combiner=u, keep_samples=True)
-        floors = np.array([stats.user_n(d.user) * math.log(d.noise) for d in descs])
+        run = run_mc(stats, descs, precoder_map(P_W, P_V), 128, seed=2, combiner=u)
+        floors = np.array([stats.user_n(d.user) * math.log(stats.user_sigma2(d.user))
+                           for d in descs])
         np.testing.assert_array_equal(run.secrecy, (run.mi_samples - floors) @ u)
 
     def test_empirical_variance_tracks_the_asymptotic_quad_form(self):
@@ -268,27 +264,3 @@ class TestSecrecyAggregation:
         with pytest.raises(ModelError):
             run_mc(stats, wiretap_descriptors(stats), precoder_map(P_W), 0, seed=0)
 
-
-class TestTrialDump:
-    def test_csv_roundtrip(self, tmp_path):
-        stats = make_stats("lbi")
-        P_W, P_V = uniform_precoders(stats.M, 2.0)
-        descs = an_descriptors(stats, eves=["E1"])
-        u = secrecy_terms(stats, P_W, P_V, eves=["E1"])[2][0]
-        path = tmp_path / "trials.csv"
-        run = run_mc(stats, descs, precoder_map(P_W, P_V), 25, seed=6,
-                     combiner=u, keep_samples=True, dump_csv=str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        labels = [d.label for d in descs]
-        assert rows[0] == ["trial"] + [f"mi_{lab}" for lab in labels] + ["secrecy_rate_nats"]
-        assert len(rows) == 26
-        body = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-        np.testing.assert_allclose(body[:, :-1], run.mi_samples, rtol=1e-11)
-        np.testing.assert_allclose(body[:, -1], run.secrecy, rtol=1e-11, atol=1e-11)
-
-    def test_dump_without_keep_discards_samples(self, tmp_path):
-        path = tmp_path / "t.csv"
-        _, _, _, run = _small_run(n_trials=8, dump_csv=str(path))
-        assert run.mi_samples is None
-        assert path.exists()
