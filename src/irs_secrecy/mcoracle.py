@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ModelError
 from .fixedpoint import MiDescriptor
-from .scenario import ChannelStatistics, assemble_channel, draw_x, draw_y, trial_rng
+from .scenario import ChannelStatistics, assemble_channel, draw_x, draw_y
 
 CHUNK = 512
 
@@ -130,10 +130,22 @@ def _chunk_mis(
     y_stack = np.empty((count, L, M), dtype=complex) if double else None
     x_stacks = {u: np.empty((count, stats.user_n(u), L), dtype=complex)
                 for u in dict.fromkeys(d.user for d in descriptors)}
+    # One generator per chunk (chunks may run on pool threads), re-keyed for
+    # each trial to the state of trial_rng(seed, trial): counter 0, key
+    # [seed, trial], empty buffer. A fresh Philox(key=...) per trial would
+    # first read OS entropy for a seed that the key then replaces.
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64),
+                       "key": np.array([seed, start], dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     for t in range(count):
+        state["state"]["key"][1] = start + t
+        bitgen.state = state  # copies the values in
         # documented draw order: Y, then one X per user in order of first
         # appearance, which is the order of x_stacks
-        rng = trial_rng(seed, start + t)
         if double:
             y_stack[t] = draw_y(rng, L, M)
         for x_stack in x_stacks.values():

@@ -64,7 +64,40 @@ class CorrelationSpec:
             raise ModelError(f"angle spread must be positive, got {self.delta}")
 
 
-def build_correlation_matrix(spec: CorrelationSpec, step_deg: float = 0.01) -> np.ndarray:
+# Trapezoid steps in degrees, coarsest first; each divides 360.
+QUADRATURE_STEPS = (0.25, 0.1, 0.05, 0.02, 0.01)
+QUADRATURE_SAFETY = 1.25
+_GAUSS_BANDWIDTH = math.sqrt(2.0 * math.log(1e17))
+# Distance from eta to the nearest end of [-180, 180], in units of delta,
+# below which the density there exceeds 1e-16 of its peak.
+_KINK_DISTANCE = math.sqrt(2.0 * math.log(1e16))
+
+
+def _quadrature_terms(spec: CorrelationSpec) -> tuple:
+    """Bandwidth of the correlation integrand in cycles per period, as its
+    two terms (array phase, Gaussian density).
+
+    The phase exp(j 2 pi d_r k sin phi) has Fourier content up to
+    2 pi d_r k cycles for offsets k <= n - 1; the density's coefficients
+    fall below 1e-17 past sqrt(2 ln 1e17) / delta cycles (delta in radians).
+    """
+    return (2.0 * math.pi * spec.d_r * (spec.n - 1),
+            _GAUSS_BANDWIDTH * 180.0 / (math.pi * spec.delta))
+
+
+def quadrature_step(spec: CorrelationSpec) -> Optional[float]:
+    """Trapezoid step in degrees that ``build_correlation_matrix`` uses for
+    ``spec``, or None when even the finest step cannot resolve it."""
+    needed = QUADRATURE_SAFETY * sum(_quadrature_terms(spec))
+    fits = [h for h in QUADRATURE_STEPS if 360.0 / h >= needed]
+    if not fits:
+        return None
+    if 180.0 - abs(spec.eta) < _KINK_DISTANCE * spec.delta:
+        return QUADRATURE_STEPS[-1]
+    return fits[0]
+
+
+def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
     """Correlation matrix of a uniform linear array under a truncated-Gaussian
     angular density.
 
@@ -73,14 +106,26 @@ def build_correlation_matrix(spec: CorrelationSpec, step_deg: float = 0.01) -> n
         (1 / sqrt(2 pi delta^2)) *
         exp(j 2 pi d_r (m - n) sin(pi phi / 180) - (phi - eta)^2 / (2 delta^2)).
 
+    Step rule (``quadrature_step``): the trapezoid rule converges
+    exponentially on a smooth periodic integrand once its 360 / h nodes
+    exceed the integrand's bandwidth, 2 pi d_r (n - 1) + sqrt(2 ln 1e17) /
+    delta cycles (delta in radians), so the step is the coarsest of
+    ``QUADRATURE_STEPS`` with 360 / h >= QUADRATURE_SAFETY times that.
+    Fallback: where the density at +-180 degrees exceeds 1e-16 of its peak,
+    the periodic extension has a kink and the rule converges only as O(h^2),
+    so the finest step, 0.01 degrees, is used. A spec that even 0.01 degrees
+    cannot resolve is a ModelError.
+
     The matrix depends on (m - n) only, so a single pass over the 2n-1 offsets
     fills a Hermitian Toeplitz matrix. The result is symmetrized exactly.
     """
-    if step_deg <= 0 or step_deg > 1.0:
-        raise ConfigError(f"quadrature step must be in (0, 1] degrees, got {step_deg}")
-    phi = np.arange(-180.0, 180.0 + 0.5 * step_deg, step_deg)
+    step = quadrature_step(spec)
+    if step is None:
+        raise ModelError(f"{spec} needs a quadrature step finer than "
+                         f"{QUADRATURE_STEPS[-1]:g} degrees")
+    phi = np.arange(-180.0, 180.0 + 0.5 * step, step)
     # trapezoid weights for a uniform grid
-    w = np.full(phi.shape, step_deg)
+    w = np.full(phi.shape, step)
     w[0] *= 0.5
     w[-1] *= 0.5
     density = np.exp(-((phi - spec.eta) ** 2) / (2.0 * spec.delta**2))
@@ -547,12 +592,22 @@ def _corr_entry(entry, n: int, path: str):
         return ("identity", None)
     if kind != "gaussian":
         raise ConfigError(f"{path}.kind: expected 'gaussian' or 'identity', got {kind!r}")
-    spec = CorrelationSpec(
-        d_r=_positive(_require(entry, "d_r", path), f"{path}.d_r"),
-        eta=_real(_require(entry, "eta", path), f"{path}.eta"),
-        delta=_positive(_require(entry, "delta", path), f"{path}.delta"),
-        n=n,
-    )
+    d_r = _positive(_require(entry, "d_r", path), f"{path}.d_r")
+    eta = _real(_require(entry, "eta", path), f"{path}.eta")
+    if not abs(eta) <= 180.0:
+        raise ConfigError(f"{path}.eta: expected an angle between -180 and 180 degrees, "
+                          f"got {eta!r}")
+    delta = _positive(_require(entry, "delta", path), f"{path}.delta")
+    if delta > 360.0:
+        raise ConfigError(f"{path}.delta: expected a spread of at most 360 degrees, "
+                          f"got {delta!r}")
+    spec = CorrelationSpec(d_r=d_r, eta=eta, delta=delta, n=n)
+    if quadrature_step(spec) is None:
+        phase, density = _quadrature_terms(spec)
+        field = "d_r" if phase >= density else "delta"
+        raise ConfigError(f"{path}.{field}: the angular spectrum needs more than the "
+                          f"{360.0 / QUADRATURE_STEPS[-1]:.0f} nodes of the finest "
+                          f"({QUADRATURE_STEPS[-1]:g} degree) quadrature grid")
     return ("gaussian", spec)
 
 
@@ -706,26 +761,31 @@ class Scenario:
         )
 
 
-def _built_corr(parsed, n: int) -> np.ndarray:
-    kind, spec = parsed
-    if kind == "identity":
-        return np.eye(n, dtype=complex)
-    return build_correlation_matrix(spec)
-
-
 def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenario:
     """Assemble channel statistics from a validated configuration.
 
     Path gains (two multiplicative distance terms) are folded into the
     receive-side correlations. ``seed`` feeds the 'uniform' theta init only.
+    Each distinct correlation spec is built once; entries with equal specs
+    share one array, which nothing downstream writes to.
     """
+    built = {}
+
+    def built_corr(parsed, n: int) -> np.ndarray:
+        kind, spec = parsed
+        if kind == "identity":
+            return np.eye(n, dtype=complex)
+        if spec not in built:
+            built[spec] = build_correlation_matrix(spec)
+        return built[spec]
+
     corr = config.correlations
-    R_B = _built_corr(corr["R_B"], config.N_B)
-    T_S_B = _built_corr(corr["T_S_B"], config.L)
-    T = _built_corr(corr["T"], config.M)
-    R_E = [_built_corr(c, n) for c, n in zip(corr["R_E"], config.N_E)]
-    T_S_E = [_built_corr(c, config.L) for c in corr["T_S_E"]]
-    R_S = _built_corr(corr["R_S"], config.L) if config.model_kind == "double" else None
+    R_B = built_corr(corr["R_B"], config.N_B)
+    T_S_B = built_corr(corr["T_S_B"], config.L)
+    T = built_corr(corr["T"], config.M)
+    R_E = [built_corr(c, n) for c, n in zip(corr["R_E"], config.N_E)]
+    T_S_E = [built_corr(c, config.L) for c in corr["T_S_E"]]
+    R_S = built_corr(corr["R_S"], config.L) if config.model_kind == "double" else None
 
     g_b, g_e = _path_gains(config)
     R_B = g_b * R_B

@@ -249,6 +249,11 @@ _MALFORMED = [
     (("dimensions", "M"), "four", "dimensions.M"),
     (("power", "P_dbm"), "x", "power.P_dbm"),
     (("correlations", "R_B", "delta"), "wide", "correlations.R_B.delta"),
+    # angles outside the quadrature's domain, and spectra no grid resolves
+    (("correlations", "R_B", "eta"), 1e308, "correlations.R_B.eta"),
+    (("correlations", "R_B", "delta"), 1e300, "correlations.R_B.delta"),
+    (("correlations", "R_B", "delta"), 1e-300, "correlations.R_B.delta"),
+    (("correlations", "R_B", "d_r"), 1e300, "correlations.R_B.d_r"),
     (("power", "split_w"), None, "power.split_w"),
     (("dimensions", "N_E"), [2.5], "dimensions.N_E[0]"),
     (("theta",), {"init": "file", "file": "no-such-dir/theta.json"}, "theta.file"),

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from irs_secrecy import scenario as scenario_module
 from irs_secrecy.errors import ConfigError, ModelError
 from irs_secrecy.scenario import (
     CorrelationSpec,
@@ -21,6 +22,7 @@ from irs_secrecy.scenario import (
     path_loss,
     phase_matrix,
     psd_sqrt,
+    quadrature_step,
 )
 
 from conftest import config_dict, corr, make_stats
@@ -52,9 +54,48 @@ class TestCorrelationMatrix:
         c = build_correlation_matrix(CorrelationSpec(1.0, 60.0, 5.0, 16))
         assert np.linalg.eigvalsh(c).min() > -1e-10
 
-    def test_bad_quadrature_step_rejected(self):
-        with pytest.raises(ConfigError):
-            build_correlation_matrix(CorrelationSpec(1.0, 0.0, 5.0, 2), step_deg=0.0)
+    @pytest.mark.parametrize("d_r", [0.5, 1.0, 2.0])
+    def test_step_rule_matches_the_finest_grid(self, d_r):
+        """Every spec over n, delta and eta against a 0.01-degree trapezoid
+        oracle built here: within 1e-10 relative (max entry) where a coarser
+        step is chosen, bitwise equal where the rule falls back to 0.01
+        degrees. An oracle row costs about 3 ms, so at n = 64 and 256 it
+        covers every 7th offset and the last 8, and a fallback, which runs the
+        same 0.01-degree code at any n, is built only at n <= 16."""
+        phi = np.arange(-180.0, 180.0 + 0.5 * 0.01, 0.01)
+        w = np.full(phi.shape, 0.01)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        fast = 0
+        for n in (1, 16, 64, 256):
+            ks = np.arange(n) if n <= 16 else np.unique(np.r_[0:n:7, n - 8:n])
+            rows = np.exp(1j * 2.0 * math.pi * d_r * np.outer(ks, np.sin(np.pi * phi / 180.0)))
+            for delta in (1.0, 5.0, 30.0, 90.0):
+                for eta in (0.0, 60.0, 170.0):
+                    spec = CorrelationSpec(d_r, eta, delta, n)
+                    step = quadrature_step(spec)
+                    kink = 180.0 - eta < math.sqrt(2.0 * math.log(1e16)) * delta
+                    assert (step == 0.01) if kink else (step > 0.01), (spec, step)
+                    if kink and n > 16:
+                        continue
+                    dens = np.exp(-((phi - eta) ** 2) / (2.0 * delta**2))
+                    dens /= math.sqrt(2.0 * math.pi * delta**2)
+                    col = rows @ (dens * w)
+                    c = build_correlation_matrix(spec)
+                    if kink:
+                        idx = np.subtract.outer(ks, ks)
+                        ref = np.where(idx >= 0, col[np.abs(idx)], np.conj(col[np.abs(idx)]))
+                        assert np.array_equal(c, 0.5 * (ref + ref.conj().T)), spec
+                    else:
+                        fast += 1
+                        assert np.max(np.abs(c[ks, 0] - col)) <= 1e-10 * np.max(np.abs(col)), spec
+        assert fast == 20
+
+    def test_unresolvable_spec_is_rejected(self):
+        for spec in (CorrelationSpec(1e300, 0.0, 5.0, 2), CorrelationSpec(1.0, 0.0, 1e-300, 2)):
+            assert quadrature_step(spec) is None
+            with pytest.raises(ModelError):
+                build_correlation_matrix(spec)
 
 
 class TestLosChannel:
@@ -262,6 +303,20 @@ class TestBuildScenario:
         c = build_scenario(cfg, seed=6).stats.theta
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_each_distinct_spec_is_built_once(self, monkeypatch):
+        specs = []
+
+        def counting(spec):
+            specs.append(spec)
+            return build_correlation_matrix(spec)
+
+        monkeypatch.setattr(scenario_module, "build_correlation_matrix", counting)
+        cfg = parse_config(config_dict(kind="double", N_E=(2, 2)))
+        assert cfg.correlations["T_S_B"] == cfg.correlations["R_S"]
+        stats = build_scenario(cfg).stats
+        assert len(specs) == len(set(specs)) == 6  # 7 entries; R_S is T_S_B's spec
+        assert stats.T_S_B is stats.R_S
 
     def test_null_correlation_is_identity(self):
         cfg = parse_config(config_dict(M=4))
