@@ -34,12 +34,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (ConvergenceError, DegenerateRegimeError,
                      InvalidCovarianceError, ModelError)
 from .fixedpoint import det_equiv_ds, det_equiv_lbi, solve_user
 from .scenario import ChannelStatistics
+from .secrecy import norm_cdf
 
 LN2 = math.log(2.0)
 
@@ -58,6 +58,13 @@ SOP_GRAD_TOL = 1e-6
 EVE = "E1"
 
 TWO_PI = 2.0 * math.pi
+
+
+def wrap_phase(theta: np.ndarray) -> np.ndarray:
+    """Phases reduced to [0, 2 pi). ``np.mod`` alone rounds a tiny negative
+    angle up to exactly 2 pi, which is mapped to 0."""
+    wrapped = np.mod(theta, TWO_PI)
+    return np.where(wrapped < TWO_PI, wrapped, 0.0)
 
 
 @dataclass(frozen=True)
@@ -422,7 +429,7 @@ def algorithm2_ao(
                     theta_new = stats.theta + gamma * g
                     k_new = signed_an_mean(stats.with_theta(theta_new), P_W, P_V)
                     accept = k_new >= k_cur + ARMIJO_C * gamma * grad_norm
-                    return stats.with_theta(np.mod(theta_new, TWO_PI)) if accept else None
+                    return stats.with_theta(wrap_phase(theta_new)) if accept else None
 
                 found = _backtrack(trial)
                 if found is not None:
@@ -643,7 +650,7 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
     grad = pdf * t_grad
 
     return SopGradient(
-        grad=grad, prob=float(ndtr(t_std)), mean_nats=mean_nats, variance=variance,
+        grad=grad, prob=norm_cdf(t_std), mean_nats=mean_nats, variance=variance,
         solve_residual=max(ub.solve_residual, ue.solve_residual),
     )
 
@@ -682,7 +689,7 @@ def optimize_sop(
             break
 
         def trial(gamma):
-            cand = stats.with_theta(np.mod(stats.theta - gamma * g, TWO_PI))
+            cand = stats.with_theta(wrap_phase(stats.theta - gamma * g))
             sg_new = sop_phase_gradient(cand, P_W, r_bits)
             accept = sg_new.prob <= sg.prob - ARMIJO_C * gamma * g_norm ** 2
             return (cand, sg_new) if accept else None

@@ -45,9 +45,11 @@ class CorrelationSpec:
     """Angular spectrum of a uniform linear array.
 
     d_r: antenna spacing in wavelengths (> 0).
-    eta: mean angle of arrival/departure in degrees.
-    delta: angular spread (standard deviation) in degrees (> 0).
+    eta: mean angle of arrival/departure in degrees, in [-180, 180].
+    delta: angular spread (standard deviation) in degrees, in (0, 360].
     n: number of array elements (>= 1).
+
+    A violated rule is a ModelError whose message starts with the field name.
     """
 
     d_r: float
@@ -57,11 +59,19 @@ class CorrelationSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ModelError(f"correlation dimension must be >= 1, got {self.n}")
+            raise ModelError(f"n: expected a correlation dimension >= 1, got {self.n!r}")
+        for name in ("d_r", "eta", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(f"{name}: expected a finite number, "
+                                 f"got {getattr(self, name)!r}")
         if self.d_r <= 0:
-            raise ModelError(f"antenna spacing must be positive, got {self.d_r}")
-        if self.delta <= 0:
-            raise ModelError(f"angle spread must be positive, got {self.delta}")
+            raise ModelError(f"d_r: expected a positive antenna spacing, got {self.d_r!r}")
+        if abs(self.eta) > 180.0:
+            raise ModelError(f"eta: expected an angle between -180 and 180 degrees, "
+                             f"got {self.eta!r}")
+        if not 0.0 < self.delta <= 360.0:
+            raise ModelError(f"delta: expected a spread above 0 and at most 360 degrees, "
+                             f"got {self.delta!r}")
 
 
 # Trapezoid steps in degrees, coarsest first; each divides 360.
@@ -592,16 +602,12 @@ def _corr_entry(entry, n: int, path: str):
         return ("identity", None)
     if kind != "gaussian":
         raise ConfigError(f"{path}.kind: expected 'gaussian' or 'identity', got {kind!r}")
-    d_r = _positive(_require(entry, "d_r", path), f"{path}.d_r")
-    eta = _real(_require(entry, "eta", path), f"{path}.eta")
-    if not abs(eta) <= 180.0:
-        raise ConfigError(f"{path}.eta: expected an angle between -180 and 180 degrees, "
-                          f"got {eta!r}")
-    delta = _positive(_require(entry, "delta", path), f"{path}.delta")
-    if delta > 360.0:
-        raise ConfigError(f"{path}.delta: expected a spread of at most 360 degrees, "
-                          f"got {delta!r}")
-    spec = CorrelationSpec(d_r=d_r, eta=eta, delta=delta, n=n)
+    d_r, eta, delta = (_real(_require(entry, name, path), f"{path}.{name}")
+                       for name in ("d_r", "eta", "delta"))
+    try:
+        spec = CorrelationSpec(d_r=d_r, eta=eta, delta=delta, n=n)
+    except ModelError as exc:  # its message starts with the field name
+        raise ConfigError(f"{path}.{exc}") from exc
     if quadrature_step(spec) is None:
         phase, density = _quadrature_terms(spec)
         field = "d_r" if phase >= density else "delta"

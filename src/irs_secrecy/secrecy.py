@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .cltcov import joint_cov, solve_all
 from .errors import InvalidCovarianceError, ModelError
@@ -29,6 +28,7 @@ from .fixedpoint import (MiDescriptor, an_descriptors, mean_rate,
 from .scenario import ChannelStatistics, trial_rng
 
 LN2 = math.log(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
@@ -39,6 +39,24 @@ def nats_to_bits(x: ArrayLike) -> ArrayLike:
 
 def bits_to_nats(x: ArrayLike) -> ArrayLike:
     return np.asarray(x, dtype=float) * LN2 if np.ndim(x) else float(x) * LN2
+
+
+def _phi(x: float) -> float:
+    # erf near 0; in the tails erfc of |x|, so the lower tail keeps its
+    # relative accuracy instead of cancelling in 0.5 + 0.5 * erf
+    if abs(x) < 1.0:
+        return 0.5 + 0.5 * math.erf(x * _SQRT_HALF)
+    tail = 0.5 * math.erfc(abs(x) * _SQRT_HALF)
+    return 1.0 - tail if x > 0.0 else tail
+
+
+def norm_cdf(x: ArrayLike):
+    """Standard normal CDF, elementwise: a float for a scalar or 0-d input,
+    otherwise an array of the input's shape."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return _phi(float(arr))
+    return np.array([_phi(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -62,8 +80,7 @@ class SecrecyReport:
             raise InvalidCovarianceError(
                 f"secrecy-rate variance {self.variance:.3e} is not positive")
         r_nats = np.asarray(r_bits, dtype=float) * LN2
-        out = ndtr((r_nats - self.mean_nats) / math.sqrt(self.variance))
-        return float(out) if out.ndim == 0 else out
+        return norm_cdf((r_nats - self.mean_nats) / math.sqrt(self.variance))
 
 
 def secrecy_terms(stats: ChannelStatistics, P_W: np.ndarray,

@@ -6,12 +6,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import irs_secrecy
 from irs_secrecy.cli import main
 
 from conftest import config_dict
@@ -216,6 +219,36 @@ class TestOptimizeSopCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error [optimize-sop, config {path}]")
         assert "wiretap" in err
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from irs_secrecy.cli import main
+assert "scipy" not in sys.modules, "scipy loaded by the import"
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, f"scipy loaded by {argv[0]}"
+"""
+
+
+def test_runtime_never_loads_scipy(write_config, tmp_path):
+    """A fresh interpreter imports the CLI and runs one analytic ``sop`` and
+    one ``optimize-sop`` job without scipy entering ``sys.modules``."""
+    jobs = [
+        ["sop", "--config", write_config(config_dict(kind="lbi"), "lbi.json"),
+         "--out", str(tmp_path / "sop"), "--trials", "0"],
+        ["optimize-sop", "--config",
+         write_config(config_dict(kind="double", theta_init="uniform"), "double.json"),
+         "--out", str(tmp_path / "opt"), "--r-min", "1.0", "--seed", "3"],
+    ]
+    src = os.path.dirname(os.path.dirname(irs_secrecy.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(jobs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sop" / "sop.csv").exists()
+    assert (tmp_path / "opt" / "optimize_sop_result.json").exists()
 
 
 class TestSweepCommand:

@@ -1,6 +1,8 @@
-"""Source-layout rules: modules share only public names."""
+"""Source-layout rules: modules share only public names, and the package
+imports only the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import irs_secrecy
@@ -43,3 +45,23 @@ def test_every_private_definition_is_used():
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                    and _private(node.name) and node.name not in loaded]
     assert not unused, unused
+
+
+def test_runtime_imports_only_the_stdlib_and_numpy():
+    """Every import in the package, function-level ones included, is of the
+    standard library, numpy or the package itself: the runtime depends on
+    numpy alone."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "irs_secrecy"}
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offences += [f"{path.name}:{node.lineno}: imports {name}"
+                         for name in names if name.split(".")[0] not in allowed]
+    assert not offences, offences

@@ -21,6 +21,7 @@ from irs_secrecy.optimize import (
     signed_an_mean,
     solve_inner_p6,
     sop_phase_gradient,
+    wrap_phase,
 )
 from irs_secrecy.secrecy import esr_wiretap, sop_wiretap
 
@@ -449,3 +450,17 @@ class TestLineSearchStall:
         assert len(res.trace) == 2
         assert res.trace[-1].step_size == 0.0
         assert res.prob == res.trace[0].objective
+
+
+def test_wrap_phase_stays_below_two_pi():
+    """np.mod rounds a tiny negative angle up to exactly 2 pi; the wrap maps
+    every angle into [0, 2 pi)."""
+    two_pi = 2.0 * math.pi
+    assert np.mod(-1e-17, two_pi) == two_pi
+    tiny = -np.logspace(-320, -16, 200)
+    theta = np.concatenate([tiny, [-0.0, 0.0, two_pi, -two_pi, 3.0 * two_pi, -1e-300, 1.0]])
+    out = wrap_phase(theta)
+    assert out.shape == theta.shape
+    assert np.all((out >= 0.0) & (out < two_pi))
+    assert np.all(out[:tiny.size] == 0.0)
+    assert out[-1] == 1.0

@@ -3,6 +3,7 @@ configuration parsing."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ class TestCorrelationMatrix:
                         fast += 1
                         assert np.max(np.abs(c[ks, 0] - col)) <= 1e-10 * np.max(np.abs(col)), spec
         assert fast == 20
+
+    @pytest.mark.parametrize("args, field", [
+        ((1.0, 1e308, 5.0, 2), "eta"),      # was an overflow warning and a zero matrix
+        ((1.0, 0.0, 1e300, 2), "delta"),    # was a bare OverflowError
+        ((1.0, math.nan, 5.0, 2), "eta"),   # was a NaN matrix
+        ((math.inf, 0.0, 5.0, 2), "d_r"),
+        ((1.0, -180.5, 5.0, 2), "eta"),
+        ((1.0, 0.0, 360.5, 2), "delta"),
+        ((1.0, 0.0, -1.0, 2), "delta"),
+        ((0.0, 0.0, 5.0, 2), "d_r"),
+        ((1.0, 0.0, 5.0, 0), "n"),
+    ])
+    def test_spec_built_in_python_is_validated(self, args, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=f"^{field}: "):
+                CorrelationSpec(*args)
 
     def test_unresolvable_spec_is_rejected(self):
         for spec in (CorrelationSpec(1e300, 0.0, 5.0, 2), CorrelationSpec(1.0, 0.0, 1e-300, 2)):

@@ -20,6 +20,7 @@ from irs_secrecy.secrecy import (
     esr_an,
     esr_wiretap,
     nats_to_bits,
+    norm_cdf,
     sop_an,
     sop_multi_eve,
     sop_wiretap,
@@ -46,6 +47,49 @@ class TestUnitConversions:
         out = nats_to_bits(x)
         assert isinstance(out, np.ndarray)
         np.testing.assert_allclose(out * LN2, x, rtol=1e-15)
+
+
+class TestNormCdf:
+    """``norm_cdf`` against ``scipy.special.ndtr``, which uses the same
+    piecewise erf/erfc form."""
+
+    def test_matches_ndtr_on_normal_draws(self):
+        x = np.random.default_rng(7).normal(0.0, 4.0, 100_000)
+        np.testing.assert_allclose(norm_cdf(x), ndtr(x), rtol=5e-14, atol=0.0)
+
+    def test_matches_ndtr_into_the_far_tail(self):
+        """5e-14 relative down to x = -32. Below, Phi's relative condition
+        number, about x**2, leaves each implementation good to only about
+        x**2 * eps, so the bound grows to that; below -37.7 ndtr underflows
+        to 0 while erfc still returns subnormals, which carry no relative
+        precision, hence the absolute floor at the smallest normal."""
+        x = np.linspace(-38.0, 9.0, 47_001)
+        got, ref = norm_cdf(x), ndtr(x)
+        rtol = np.maximum(5e-14, x * x * np.finfo(float).eps)
+        assert np.all(np.abs(got - ref) <= rtol * ref + np.finfo(float).tiny)
+        assert np.all(np.abs(got - ref)[x >= -32.0] <= 5e-14 * ref[x >= -32.0])
+
+    def test_exactly_half_at_zero(self):
+        assert norm_cdf(0.0) == 0.5
+        assert norm_cdf(-0.0) == 0.5
+
+    def test_monotone_with_exact_limits(self):
+        x = np.sort(np.random.default_rng(8).uniform(-40.0, 40.0, 20_001))
+        vals = norm_cdf(x)
+        assert np.all(np.diff(vals) >= 0.0)
+        assert norm_cdf(-np.inf) == 0.0 and norm_cdf(np.inf) == 1.0
+        assert math.isnan(norm_cdf(math.nan))
+
+    def test_shapes_follow_the_input(self):
+        rep = SecrecyReport(esr_nats=0.5, esr_bits=0.5 / LN2, mean_nats=0.5,
+                            variance=0.3, model_kind="lbi", an_enabled=False)
+        for scalar in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(norm_cdf(scalar)) is float
+            assert type(rep.sop(scalar)) is float
+        for arr in ([0.3], np.array([0.1, 0.2, 0.3])):
+            assert isinstance(norm_cdf(arr), np.ndarray)
+            assert rep.sop(arr).shape == np.shape(arr)
+        assert norm_cdf(np.zeros((2, 3))).shape == (2, 3)
 
 
 class TestOutageFromReport:
