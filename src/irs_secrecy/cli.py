@@ -365,6 +365,8 @@ def main(argv: Optional[list] = None) -> int:
         for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
             if value < 0:
                 raise ConfigError(f"{flag}: must be nonnegative, got {value}")
+        if args.seed >= 2**64:  # the samplers key a uint64 Philox on it
+            raise ConfigError(f"--seed: must be below 2**64, got {args.seed}")
         for flag, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
             if not np.isfinite(value):
                 raise ConfigError(f"{flag}: must be a finite number, got {value}")

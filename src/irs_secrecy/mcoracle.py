@@ -5,9 +5,15 @@ joint analyses (one middle matrix Y per trial for the double model, one
 user-side factor X per user), computes exact per-trial mutual informations,
 and aggregates streaming moments plus per-trial secrecy rates.
 
-Trials run in chunks of ``CHUNK``. Within a chunk the per-trial loop only
-draws the Gaussian factors into stacks. Each user's channel stack is then
-assembled once per chunk by ``scenario.assemble_channel``, whose matrix
+Trials run in chunks of ``CHUNK``. Within a chunk each trial makes one
+standard-normal draw into one row of a buffer of ``SUB_BLOCK`` trials. The
+row holds Y's normals (double model), then each user's X's in order of first
+appearance: the draw order of ``scenario.sample_channel``. One draw of a + b
+normals gives the normals of two draws of a and b, so this equals drawing
+the factors one by one. Once per sub-block, ``scenario.complex_from_normals``
+forms the complex factors from the buffer into one stack per factor; it is
+elementwise, so batching does not change them. Each user's channel stack is
+then assembled once per chunk by ``scenario.assemble_channel``, whose matrix
 products broadcast over the stacks in the same left-to-right order, so every
 sample equals ``mi_exact`` on that per-trial channel bit for bit.
 
@@ -22,6 +28,7 @@ rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -32,9 +39,12 @@ import numpy as np
 
 from .errors import ModelError
 from .fixedpoint import MiDescriptor
-from .scenario import ChannelStatistics, assemble_channel, draw_x, draw_y
+from .scenario import ChannelStatistics, assemble_channel, complex_from_normals
 
 CHUNK = 512
+# trials per normal buffer inside a chunk: one row per trial, so the buffer
+# stays small next to the chunk's complex stacks
+SUB_BLOCK = 32
 
 
 def thread_budget() -> int:
@@ -120,20 +130,27 @@ def _chunk_mis(
 ) -> np.ndarray:
     """Per-trial MI matrix (count, K) for trials [start, start+count).
 
-    The per-trial loop only draws, into one stack per factor. Each user's
-    channel stack is then assembled once by ``assemble_channel``, whose
-    products broadcast over the stacks, and every descriptor of that user
-    reads it.
+    Each trial makes one standard-normal draw into a row of a buffer of
+    ``SUB_BLOCK`` trials. Once per sub-block, every factor's complex entries
+    are formed from its slice of the rows and written into that factor's
+    stack. Each user's channel stack is then assembled once by
+    ``assemble_channel``, whose products broadcast over the stacks, and every
+    descriptor of that user reads it.
     """
-    double = stats.model_kind == "double"
-    L, M = stats.L, stats.M
-    y_stack = np.empty((count, L, M), dtype=complex) if double else None
-    x_stacks = {u: np.empty((count, stats.user_n(u), L), dtype=complex)
-                for u in dict.fromkeys(d.user for d in descriptors)}
-    # One generator per chunk (chunks may run on pool threads), re-keyed for
-    # each trial to the state of trial_rng(seed, trial): counter 0, key
-    # [seed, trial], empty buffer. A fresh Philox(key=...) per trial would
-    # first read OS entropy for a seed that the key then replaces.
+    users = list(dict.fromkeys(d.user for d in descriptors))
+    # documented draw order: Y, then one X per user in order of first
+    # appearance; (rows, cols, variance) per factor
+    factors = [(stats.L, stats.M, 1.0 / stats.M)] if stats.model_kind == "double" else []
+    factors += [(stats.user_n(u), stats.L, 1.0 / stats.L) for u in users]
+    stacks = [np.empty((count, rows, cols), dtype=complex) for rows, cols, _ in factors]
+    bounds = list(itertools.accumulate((2 * rows * cols for rows, cols, _ in factors),
+                                       initial=0))
+    buf = np.empty((min(SUB_BLOCK, count), bounds[-1]))
+    # One generator and buffer per chunk (chunks may run on pool threads), so
+    # threads share nothing. The generator is re-keyed for each trial to the
+    # state of trial_rng(seed, trial): counter 0, key [seed, trial], empty
+    # buffer. A fresh Philox(key=...) per trial would first read OS entropy
+    # for a seed that the key then replaces.
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox",
@@ -141,17 +158,19 @@ def _chunk_mis(
                        "key": np.array([seed, start], dtype=np.uint64)},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for t in range(count):
-        state["state"]["key"][1] = start + t
-        bitgen.state = state  # copies the values in
-        # documented draw order: Y, then one X per user in order of first
-        # appearance, which is the order of x_stacks
-        if double:
-            y_stack[t] = draw_y(rng, L, M)
-        for x_stack in x_stacks.values():
-            x_stack[t] = draw_x(rng, x_stack.shape[1], L)
+    for lo in range(0, count, SUB_BLOCK):
+        n = min(SUB_BLOCK, count - lo)
+        for i in range(n):
+            state["state"]["key"][1] = start + lo + i
+            bitgen.state = state  # copies the values in
+            # one call of size a + b gives the normals of calls of size a, b
+            rng.standard_normal(out=buf[i])
+        for stack, (rows, cols, var), a, b in zip(stacks, factors, bounds, bounds[1:]):
+            stack[lo:lo + n] = complex_from_normals(
+                buf[:n, a:b].reshape(n, 2, rows, cols), var)
 
-    h_stacks = {u: assemble_channel(stats, u, x, y_stack) for u, x in x_stacks.items()}
+    y_stack = stacks.pop(0) if stats.model_kind == "double" else None
+    h_stacks = {u: assemble_channel(stats, u, x, y_stack) for u, x in zip(users, stacks)}
     out = np.empty((count, len(descriptors)))
     for i, d in enumerate(descriptors):
         out[:, i] = _mi_batch(stats.user_sigma2(d.user), h_stacks[d.user],

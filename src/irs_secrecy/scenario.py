@@ -433,11 +433,21 @@ class ChannelSample:
     seed: Optional[int]
 
 
+def complex_from_normals(normals: np.ndarray, var: float) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian entries of variance ``var`` from
+    a ``(..., 2, rows, cols)`` block of standard normals: the real parts at
+    index 0 of the length-2 axis, the imaginary parts at index 1, each scaled
+    to carry var/2. Elementwise, so any batch of blocks gives the same
+    entries as one block at a time."""
+    scale = math.sqrt(var / 2.0)
+    return scale * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+
+
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int, var: float) -> np.ndarray:
     """Matrix with i.i.d. circularly-symmetric complex Gaussian entries of
-    variance ``var`` (real and imaginary parts each carry var/2)."""
-    scale = math.sqrt(var / 2.0)
-    return scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    variance ``var``, from one draw of the real parts followed by the
+    imaginary parts."""
+    return complex_from_normals(rng.standard_normal((2, rows, cols)), var)
 
 
 def draw_x(rng: np.random.Generator, n: int, L: int) -> np.ndarray:

@@ -229,8 +229,14 @@ def sop_multi_eve(model: MultiEveModel, r_bits,
     while done < n_samples:
         size = min(_MVN_CHUNK, n_samples - done)
         rng = trial_rng(seed, chunk_id)
-        z = rng.standard_normal((size, k))
-        worst = np.sort((model.mu + z @ chol.T).min(axis=1))
+        rates = rng.standard_normal((size, k)) @ chol.T
+        rates += model.mu
+        # worst eavesdropper per sample: a column-wise minimum is far cheaper
+        # than a row-wise reduction over k columns
+        worst = rates[:, 0].copy()
+        for j in range(1, k):
+            np.minimum(worst, rates[:, j], out=worst)
+        worst.sort()
         below += np.searchsorted(worst, r_nats, side="left")
         done += size
         chunk_id += 1

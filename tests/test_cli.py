@@ -342,6 +342,21 @@ class TestFailureModes:
                      "--trials", "-5"]) == 2
         assert capsys.readouterr().err.startswith("config error: --trials: ")
 
+    @pytest.mark.parametrize("subcommand, eves", [
+        ("sop", (2, 2)), ("sop", (2,)), ("mc-validate", (2,))])
+    def test_seed_beyond_the_philox_key_is_a_config_error(
+            self, write_config, tmp_path, capsys, subcommand, eves):
+        # the samplers key a uint64 Philox on the seed: 2**64 - 1 is the last
+        # seed they accept
+        path = write_config(config_dict(N_E=eves))
+        args = [subcommand, "--config", path, "--trials", "10", "--r-steps", "3"]
+        assert main(args + ["--out", str(tmp_path / "a"), "--seed", str(2**64)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed: must be below 2**64"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+        assert main(args + ["--out", str(tmp_path / "b"), "--seed", str(2**64 - 1)]) == 0
+
     @pytest.mark.parametrize("subcommand, flag, value, kind", [
         ("sop", "--r-max", "nan", "lbi"),
         ("sop", "--r-min", "nan", "lbi"),

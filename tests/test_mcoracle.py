@@ -3,6 +3,7 @@ determinism, and agreement with the closed-form channel moments."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,9 @@ class TestDeterminism:
         np.testing.assert_allclose(a.mi_cov, b.mi_cov, rtol=1e-10, atol=1e-13)
 
     def test_thread_count_does_not_change_anything(self, monkeypatch):
+        # sub-blocks of 5 split every chunk of 32, the last one partially
         monkeypatch.setattr(mcoracle, "CHUNK", 32)
+        monkeypatch.setattr(mcoracle, "SUB_BLOCK", 5)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "1")
         _, _, _, a = _small_run(n_trials=300)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "4")
@@ -111,8 +114,10 @@ class TestDeterminism:
 
     def test_every_trial_matches_documented_draw_order(self, monkeypatch):
         # both models, wiretap and noise-injection descriptors, two
-        # eavesdroppers in either order, and chunk boundaries inside the run
-        monkeypatch.setattr(mcoracle, "CHUNK", 4)
+        # eavesdroppers in either order, and chunk boundaries inside the run;
+        # chunks of 7 hold sub-blocks of 3, 3 and 1 trials, then 3 and 1
+        monkeypatch.setattr(mcoracle, "CHUNK", 7)
+        monkeypatch.setattr(mcoracle, "SUB_BLOCK", 3)
         n_trials, seed = 11, 21
         for kind in ("lbi", "double"):
             stats = make_stats(kind, N_E=(3, 2))
@@ -133,6 +138,23 @@ class TestDeterminism:
                         assert run.mi_samples[t, i] == mi_exact(
                             stats.user_sigma2(d.user), H, precs[d.precoder]), (
                                 kind, eves, d.label, t)
+
+    def test_chunk_peak_memory_stays_near_its_factor_stacks(self):
+        # the per-trial normals live in a buffer of SUB_BLOCK rows, not one
+        # row per trial of the chunk, which would add as much again as the
+        # complex stacks of Y and both users' X
+        stats = make_stats("double", M=32, L=64, N_B=16, N_E=(16,))
+        P_W, P_V = uniform_precoders(stats.M, 2.0)
+        descs, precs = an_descriptors(stats, eves=["E1"]), precoder_map(P_W, P_V)
+        entries = stats.L * stats.M + 2 * stats.user_n("B") * stats.L
+        stacks = mcoracle.CHUNK * entries * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            mcoracle._chunk_mis(stats, descs, precs, 0, 0, mcoracle.CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * stacks, (peak, stacks)
 
     def test_thread_budget_env_handling(self, monkeypatch):
         monkeypatch.setenv("IRS_SECRECY_THREADS", "3")

@@ -17,6 +17,8 @@ from irs_secrecy.scenario import (
     build_correlation_matrix,
     build_los_channel,
     build_scenario,
+    complex_from_normals,
+    complex_gaussian,
     dbm_to_watts,
     load_config,
     parse_config,
@@ -24,6 +26,7 @@ from irs_secrecy.scenario import (
     phase_matrix,
     psd_sqrt,
     quadrature_step,
+    trial_rng,
 )
 
 from conftest import config_dict, corr, make_stats
@@ -231,6 +234,24 @@ class TestChannelStatistics:
                 sigma2_E_list=[1.0],
                 R_S=None,
             )
+
+
+class TestGaussianFactors:
+    def test_complex_gaussian_reads_real_then_imaginary_parts(self):
+        # one stream of 2 * rows * cols normals: the real parts row by row,
+        # then the imaginary parts, each scaled to carry var/2
+        rows, cols, var = 3, 5, 0.4
+        z = trial_rng(8, 2).standard_normal((2, rows, cols))
+        expected = math.sqrt(var / 2.0) * (z[0] + 1j * z[1])
+        got = complex_gaussian(trial_rng(8, 2), rows, cols, var)
+        assert np.array_equal(got, expected)
+
+    def test_a_batch_of_blocks_gives_the_entries_of_each_block(self):
+        normals = np.random.default_rng(0).standard_normal((7, 2, 3, 4))
+        batch = complex_from_normals(normals, 0.25)
+        assert batch.shape == (7, 3, 4)
+        for t in range(7):
+            assert np.array_equal(batch[t], complex_from_normals(normals[t], 0.25))
 
 
 class TestConfigParsing:

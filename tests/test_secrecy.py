@@ -10,7 +10,7 @@ from scipy.special import ndtr
 from irs_secrecy.errors import InvalidCovarianceError, ModelError
 from irs_secrecy.fixedpoint import precoder_map, wiretap_descriptors, mean_rate
 from irs_secrecy.cltcov import solve_all
-from irs_secrecy.scenario import build_channel_statistics, build_los_channel
+from irs_secrecy.scenario import build_channel_statistics, build_los_channel, trial_rng
 from irs_secrecy.secrecy import (
     LN2,
     MultiEveModel,
@@ -282,6 +282,31 @@ class TestMultiEveOutage:
         p, se = sop_multi_eve(model, r_bits, n_samples=200_000, seed=2)
         singles = [sop_wiretap(stats, P_W, r_bits, eve=e) for e in model.labels]
         assert p >= max(singles) - 3.0 * se
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_samples_follow_the_documented_stream(self, k):
+        # chunk c of 65,536 samples draws z from trial_rng(seed, c); the worst
+        # rate per sample is the row minimum of mu + z @ chol.T, and a
+        # threshold counts the sorted worst rates strictly below it
+        rng = np.random.default_rng(k)
+        A = rng.normal(size=(k, k))
+        model = MultiEveModel(mu=rng.normal(size=k), Q=A @ A.T,
+                              labels=tuple(f"E{i + 1}" for i in range(k)),
+                              selectors=np.zeros((k, k)))
+        chol = np.linalg.cholesky(model.Q + 1e-10 * np.eye(k))
+        r_bits = np.array([0.4, -1.5, 2.5, 0.0, 1.0])
+        seed = 17
+        for n in (1, 65_536, 65_537, 200_003):
+            below = np.zeros(r_bits.shape, dtype=np.int64)
+            for c, lo in enumerate(range(0, n, 65_536)):
+                z = trial_rng(seed, c).standard_normal((min(65_536, n - lo), k))
+                worst = np.sort((model.mu + z @ chol.T).min(axis=1))
+                below += np.searchsorted(worst, r_bits * LN2, side="left")
+            p = below / n
+            se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n)
+            got_p, got_se = sop_multi_eve(model, r_bits, n_samples=n, seed=seed)
+            assert np.array_equal(got_p, p), (k, n)
+            assert np.array_equal(got_se, se), (k, n)
 
     def test_same_seed_reproduces(self):
         stats = make_stats("double")
