@@ -1,5 +1,7 @@
 """Shared exception and warning types for the toolkit."""
 
+from typing import Optional
+
 
 class ConfigError(ValueError):
     """A scenario configuration file failed validation.
@@ -18,12 +20,16 @@ class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget.
 
     Carries the last residual so callers can decide whether the partial
-    answer is usable.
+    answer is usable, and ``n_iter``, the iterations run before giving up
+    (None where the failure is not an iteration cap).
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, n_iter: Optional[int] = None):
+        if n_iter is not None:
+            message = f"{message} after {n_iter} iterations"
         super().__init__(f"{message} (last residual {residual:.3e})")
         self.residual = residual
+        self.n_iter = n_iter
 
 
 class InvalidCovarianceError(ValueError):

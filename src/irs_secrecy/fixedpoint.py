@@ -1,6 +1,6 @@
 """Coupled fixed-point systems and deterministic mutual-information means.
 
-Two systems are solved by damped fixed-point iteration:
+Two coupled fixed-point systems are solved:
 
 - ``lbi`` (single correlated Rayleigh hop, N x M channel through an L-element
   deterministic aperture):
@@ -24,11 +24,20 @@ Two systems are solved by damped fixed-point iteration:
           + logdet(I + delta omega_bar S) + logdet(I + omega T)
           - 2 M omega omega_bar.
 
-Both systems run through one damped loop with fixed constants: from all
-scalars at 1, each iteration moves the scalars a fraction ``DAMPING`` (0.5)
-of the way to the right-hand sides, and the loop stops at the first point
-whose direct-substitution residual (the largest absolute change when the
-right-hand sides are re-evaluated there) is below ``TOL`` (1e-10). After
+Both systems run through one Newton iteration on x = F(x), started from all
+scalars at 1. Each iteration evaluates the right-hand sides F(x) together
+with their analytic Jacobian J_F(x), whose entries are eigen-sums over the
+same vectors (for example d alpha / d alpha_bar = -(1/M) sum_r lam_r^2 /
+(z + alpha_bar lam_r)^2). It takes the full Newton step
+x + (I - J_F)^{-1} (F(x) - x) when the new point stays in the domain (every
+scalar finite and >= 0, and delta > 0); otherwise it takes the damped step
+x <- (1 - DAMPING) x + DAMPING F(x) with ``DAMPING`` = 0.5.
+
+The iteration stops at the first point x whose direct-substitution residual
+passes |F_i(x) - x_i| < max(TOL, ROUNDOFF |x_i|) for every scalar. The
+absolute ``TOL`` (1e-10) governs O(1)-O(1e4) scalars; the relative floor
+``ROUNDOFF`` (64 machine epsilons) takes over only for a scalar so large
+that 1e-10 is below its roundoff, as at very high transmit power. After
 ``MAX_ITER`` (10,000) iterations it raises ``ConvergenceError``.
 
 Each solver diagonalizes its input matrices once, so one iteration costs
@@ -39,8 +48,8 @@ convergence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from operator import sub
 from typing import Optional
 
 import numpy as np
@@ -49,6 +58,7 @@ from .errors import ConvergenceError, ModelError
 from .scenario import ChannelStatistics, psd_eig
 
 TOL = 1e-10
+ROUNDOFF = 64 * sys.float_info.epsilon
 MAX_ITER = 10_000
 DAMPING = 0.5
 
@@ -124,7 +134,8 @@ class LbiSolution:
 
 @dataclass(frozen=True)
 class DsSolution:
-    """Converged double-hop system: scalars, resolvents and inputs."""
+    """Converged double-hop system: scalars, resolvents, inputs, and the
+    trace functionals of the step map's Jacobian at the returned point."""
 
     delta: float
     omega: float
@@ -140,34 +151,86 @@ class DsSolution:
     l_dim: int
     n_iter: int
     residual: float
+    nu_R: float  # (1/L) Tr[(R G_R)^2]
+    nu_S: float  # (1/M) Tr[(S G_S)^2]
+    nu_SI: float  # (1/M) Tr[S G_S^2]
+    nu_T: float  # (1/M) Tr[(T_eff G_T)^2]
 
     @property
     def kappa(self) -> float:
         """The receive-side loading M omega omega_bar / (L delta)."""
         return self.m_dim * self.omega * self.omega_bar / (self.l_dim * self.delta)
 
+    @property
+    def jacobian(self) -> tuple:
+        """J_F, the Jacobian of the step map (delta, omega, omega_bar) ->
+        right-hand sides, at the returned point: the matrix the solver's
+        Newton step and the implicit phase derivative both invert as I - J_F."""
+        return _ds_jacobian(float(self.m_dim), float(self.l_dim), self.delta, self.omega,
+                            self.omega_bar, self.nu_R, self.nu_S, self.nu_SI, self.nu_T)
+
 
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
 
-def _damped_fixed_point(step, x: list, system: str) -> tuple:
-    """Iterate x <- (1 - DAMPING) x + DAMPING step(x) until the current point
-    passes the direct-substitution test max|step(x) - x| < TOL.
+def _newton_point(x: list, diff: list, jac: tuple) -> Optional[list]:
+    """x + (I - J)^{-1} diff for 2 or 3 scalars, by the adjugate in Python
+    floats (at this size numpy's per-call overhead would be most of the
+    cost), or None when I - J is singular."""
+    if len(x) == 2:
+        (j00, j01), (j10, j11) = jac
+        a00, a01, a10, a11 = 1.0 - j00, -j01, -j10, 1.0 - j11
+        det = a00 * a11 - a01 * a10
+        if det == 0.0:
+            return None
+        r0, r1 = diff
+        return [x[0] + (a11 * r0 - a01 * r1) / det, x[1] + (a00 * r1 - a10 * r0) / det]
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
+    a00, a01, a02 = 1.0 - j00, -j01, -j02
+    a10, a11, a12 = -j10, 1.0 - j11, -j12
+    a20, a21, a22 = -j20, -j21, 1.0 - j22
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    if det == 0.0:
+        return None
+    r0, r1, r2 = diff
+    return [x[0] + (c00 * r0 + (a02 * a21 - a01 * a22) * r1 + (a01 * a12 - a02 * a11) * r2) / det,
+            x[1] + (c01 * r0 + (a00 * a22 - a02 * a20) * r1 + (a02 * a10 - a00 * a12) * r2) / det,
+            x[2] + (c02 * r0 + (a01 * a20 - a00 * a21) * r1 + (a00 * a11 - a01 * a10) * r2) / det]
 
-    Returns (x, iterations, residual), the iteration count including the
-    final test. The constants are read on every call.
+
+def _nonnegative(x: list) -> bool:
+    """Every scalar finite and >= 0 (NaN fails both comparisons)."""
+    return all(0.0 <= v < math.inf for v in x)
+
+
+def _newton_fixed_point(step, x: list, system: str, in_domain) -> tuple:
+    """Solve x = F(x) from the start x, where step(*x) returns (F(x), J_F(x)).
+
+    Takes the Newton step when ``in_domain`` accepts its point, else the
+    damped step, until the current point passes the direct-substitution test
+    |F_i(x) - x_i| < max(TOL, ROUNDOFF |x_i|) for every i. Returns
+    (x, iterations, residual): the iteration count includes the final test
+    and the residual is max_i |F_i(x) - x_i|. The constants are read on every
+    call.
     """
-    tol, damping = TOL, DAMPING
+    tol, roundoff, damping = TOL, ROUNDOFF, DAMPING
     keep = 1.0 - damping
     residual = math.inf
     for it in range(1, MAX_ITER + 1):
-        new = step(*x)
-        residual = max(map(abs, map(sub, new, x)))
-        if residual < tol:
+        f, jac = step(*x)
+        diff = [fi - xi for fi, xi in zip(f, x)]
+        residual = max(map(abs, diff))
+        if all(abs(r) < max(tol, roundoff * abs(xi)) for r, xi in zip(diff, x)):
             return x, it, residual
-        x = [keep * o + damping * n for o, n in zip(x, new)]
-    raise ConvergenceError(f"{system} fixed point did not converge", residual)
+        new = _newton_point(x, diff, jac)
+        if new is None or not in_domain(new):
+            new = [keep * o + damping * n for o, n in zip(x, f)]
+        x = new
+    raise ConvergenceError(f"{system} fixed point did not converge", residual, MAX_ITER)
 
 
 def _resolvent(u: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -176,7 +239,8 @@ def _resolvent(u: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 def solve_lbi(R: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int) -> LbiSolution:
-    """Solve the single-hop system to a direct-substitution residual < TOL."""
+    """Solve the single-hop system to the direct-substitution test of
+    ``_newton_fixed_point``."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
     R, T_eff = np.asarray(R, dtype=complex), np.asarray(T_eff, dtype=complex)
@@ -185,11 +249,13 @@ def solve_lbi(R: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int) -> LbiSolu
     m = float(m_dim)
 
     def step(a: float, ab: float) -> tuple:
-        a_new = float((lam_r / (z + ab * lam_r)).sum() / m)
-        ab_new = float((lam_t / (1.0 + a * lam_t)).sum() / m)
-        return a_new, ab_new
+        q_r = lam_r / (z + ab * lam_r)
+        q_t = lam_t / (1.0 + a * lam_t)
+        f = (float(q_r.sum()) / m, float(q_t.sum()) / m)
+        jac = ((0.0, -float(q_r @ q_r) / m), (-float(q_t @ q_t) / m, 0.0))
+        return f, jac
 
-    (a, ab), it, residual = _damped_fixed_point(step, [1.0, 1.0], "single-hop")
+    (a, ab), it, residual = _newton_fixed_point(step, [1.0, 1.0], "single-hop", _nonnegative)
     return LbiSolution(
         alpha=a, alpha_bar=ab, L_R=_resolvent(u_r, z + ab * lam_r),
         L_T=_resolvent(u_t, 1.0 + a * lam_t), z=float(z), R=R, T_eff=T_eff,
@@ -197,9 +263,20 @@ def solve_lbi(R: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int) -> LbiSolu
     )
 
 
+def _ds_jacobian(m: float, ell: float, d: float, o: float, ob: float, nu_R: float,
+                 nu_S: float, nu_SI: float, nu_T: float) -> tuple:
+    """Jacobian of the double-hop right-hand sides in (delta, omega,
+    omega_bar), from the trace functionals nu_* at that point."""
+    c = m * nu_R / (ell * d)
+    return ((c * o * ob / d, -c * ob, -c * o),
+            (nu_SI / (d * d), 0.0, -nu_S),
+            (0.0, -nu_T, 0.0))
+
+
 def solve_ds(R: np.ndarray, S: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int,
              l_dim: int) -> DsSolution:
-    """Solve the double-hop system to a direct-substitution residual < TOL."""
+    """Solve the double-hop system to the direct-substitution test of
+    ``_newton_fixed_point``."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
     R, S, T_eff = (np.asarray(x, dtype=complex) for x in (R, S, T_eff))
@@ -210,22 +287,33 @@ def solve_ds(R: np.ndarray, S: np.ndarray, T_eff: np.ndarray, z: float, m_dim: i
     if np.sum(lam_r) <= 0:
         raise ModelError("degenerate receive correlation: the double-hop system needs Tr R > 0")
 
-    def step(d: float, o: float, ob: float) -> tuple:
+    def moments(d: float, o: float, ob: float) -> tuple:
+        """Right-hand sides and (nu_R, nu_S, nu_SI, nu_T) at (d, o, ob)."""
         if d <= 0:
             raise ModelError("double-hop system hit delta <= 0 (degenerate regime)")
         kappa = m * o * ob / (ell * d)
-        d_new = float((lam_r / (z + kappa * lam_r)).sum() / ell)
-        o_new = float((lam_s / (1.0 / d + ob * lam_s)).sum() / m)
-        ob_new = float((lam_t / (1.0 + o * lam_t)).sum() / m)
-        return d_new, o_new, ob_new
+        q_r = lam_r / (z + kappa * lam_r)
+        g_s = 1.0 / (1.0 / d + ob * lam_s)
+        q_s = lam_s * g_s
+        q_t = lam_t / (1.0 + o * lam_t)
+        f = (float(q_r.sum()) / ell, float(q_s.sum()) / m, float(q_t.sum()) / m)
+        nus = (float(q_r @ q_r) / ell, float(q_s @ q_s) / m, float(q_s @ g_s) / m,
+               float(q_t @ q_t) / m)
+        return f, nus
 
-    (d, o, ob), it, residual = _damped_fixed_point(step, [1.0, 1.0, 1.0], "double-hop")
+    def step(d: float, o: float, ob: float) -> tuple:
+        f, nus = moments(d, o, ob)
+        return f, _ds_jacobian(m, ell, d, o, ob, *nus)
+
+    (d, o, ob), it, residual = _newton_fixed_point(
+        step, [1.0, 1.0, 1.0], "double-hop", lambda x: x[0] > 0.0 and _nonnegative(x))
+    nu_R, nu_S, nu_SI, nu_T = moments(d, o, ob)[1]
     kappa = m * o * ob / (ell * d)
     return DsSolution(
         delta=d, omega=o, omega_bar=ob, G_R=_resolvent(u_r, z + kappa * lam_r),
         G_S=_resolvent(u_s, 1.0 / d + ob * lam_s), G_T=_resolvent(u_t, 1.0 + o * lam_t),
         z=float(z), R=R, S=S, T_eff=T_eff, m_dim=m_dim, l_dim=l_dim, n_iter=it,
-        residual=residual,
+        residual=residual, nu_R=nu_R, nu_S=nu_S, nu_SI=nu_SI, nu_T=nu_T,
     )
 
 

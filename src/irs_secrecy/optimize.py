@@ -474,6 +474,7 @@ class _UserDerivatives:
         self.U = stats.R_S_sqrt
         self.V = stats.R_S_sqrt @ conj_ts
 
+        self.nu_R, self.nu_S, self.nu_SI, self.nu_T = sol.nu_R, sol.nu_S, sol.nu_SI, sol.nu_T
         S, G = sol.S, sol.G_S
         SG = S @ G
         SG2 = SG @ G
@@ -481,20 +482,14 @@ class _UserDerivatives:
         S2G3 = SG @ SG @ G
         S3G3 = SG @ SG @ SG
         G2 = G @ G
-        self.nu_S = float(np.trace(SG @ SG).real) / m
-        self.nu_SI = float(np.trace(SG2).real) / m
         self.tr_S2G3 = float(np.trace(S2G3).real)
         self.tr_S3G3 = float(np.trace(S3G3).real)
         self.tr_SG3 = float(np.trace(SG3).real)
 
-        T, GT = sol.T_eff, sol.G_T
-        TGT = T @ GT
-        self.nu_T = float(np.trace(TGT @ TGT).real) / m
+        TGT = sol.T_eff @ sol.G_T
         self.tr_T3GT3 = float(np.trace(TGT @ TGT @ TGT).real)
 
-        R, GR = sol.R, sol.G_R
-        RGR = R @ GR
-        self.nu_R = float(np.trace(RGR @ RGR).real) / ell
+        RGR = sol.R @ sol.G_R
         self.tr_R3GR3 = float(np.trace(RGR @ RGR @ RGR).real)
 
         self.Delta_S = 1.0 - self.nu_S * self.nu_T
@@ -522,22 +517,16 @@ class _UserDerivatives:
         return _trace_against_phase_derivative(X, self.U, self.V)
 
     def _solve_implicit(self) -> None:
-        sol, m, ell = self.sol, self.m, self.ell
-        d, om, omb = sol.delta, sol.omega, sol.omega_bar
-        A = np.array([
-            [1.0 - m * om * omb * self.nu_R / (ell * d * d),
-             m * omb * self.nu_R / (ell * d),
-             m * om * self.nu_R / (ell * d)],
-            [-self.nu_SI / (d * d), 1.0, self.nu_S],
-            [0.0, self.nu_T, 1.0],
-        ])
+        # I - J_F of the double-hop step map, the matrix of the solver's
+        # Newton step
+        A = np.eye(3) - np.array(self.sol.jacobian)
         row_scale = np.prod(np.linalg.norm(A, axis=1))
         det = np.linalg.det(A)
         if abs(det) < 1e-14 * max(row_scale, 1e-300):
             raise DegenerateRegimeError(
                 f"implicit-derivative system is singular (det {det:.3e})")
         q = np.zeros((3, self.tG.size))
-        q[1] = ((self.tG - omb * self.tSG2) / m).real
+        q[1] = ((self.tG - self.sol.omega_bar * self.tSG2) / self.m).real
         p = np.linalg.solve(A, q)
         self.solve_residual = float(np.max(np.abs(A @ p - q)))
         self.d_delta, self.d_omega, self.d_omega_bar = p[0], p[1], p[2]

@@ -33,7 +33,7 @@ from irs_secrecy.optimize import (
     signed_an_mean,
     sop_phase_gradient,
 )
-from irs_secrecy.scenario import build_channel_statistics, build_los_channel
+from irs_secrecy.scenario import build_channel_statistics, build_los_channel, dbm_to_watts
 from irs_secrecy.secrecy import (
     LN2,
     build_multi_eve_model,
@@ -56,28 +56,34 @@ from conftest import (
 
 
 class TestFixedPointSolvers:
-    """Direct-substitution residual < 1e-10 on 50 random PSD scenarios per
-    model; a single solve stays under one second at dimension 64."""
+    """Direct-substitution residual < 1e-10 and at most 20 iterations on 50
+    random PSD scenarios per model (more would mean the damped fallback has
+    taken over from the Newton step); a single solve stays under one second
+    at dimension 64; every solve converges from -300 to 300 dBm."""
 
     def test_single_hop_residuals_on_random_scenarios(self):
         rng = np.random.default_rng(10)
         worst = 0.0
+        most_iters = 0
         for _ in range(50):
             n, l, m = (int(v) for v in rng.integers(2, 20, size=3))
             R = rand_psd(n, rng, scale=float(rng.uniform(0.3, 2.0)))
             T_eff = rand_psd(l, rng, scale=float(rng.uniform(0.3, 2.0)))
             z = float(rng.uniform(0.3, 3.0))
             sol = solve_lbi(R, T_eff, z, m)
+            most_iters = max(most_iters, sol.n_iter)
             a = np.trace(R @ np.linalg.inv(
                 z * np.eye(n) + sol.alpha_bar * R)).real / m
             ab = np.trace(T_eff @ np.linalg.inv(
                 np.eye(l) + sol.alpha * T_eff)).real / m
             worst = max(worst, abs(a - sol.alpha), abs(ab - sol.alpha_bar))
         assert worst < 1e-10
+        assert most_iters <= 20
 
     def test_double_hop_residuals_on_random_scenarios(self):
         rng = np.random.default_rng(11)
         worst = 0.0
+        most_iters = 0
         for _ in range(50):
             n, l, m = (int(v) for v in rng.integers(2, 20, size=3))
             R = rand_psd(n, rng, scale=float(rng.uniform(0.3, 2.0)))
@@ -85,6 +91,7 @@ class TestFixedPointSolvers:
             T_eff = rand_psd(m, rng, scale=float(rng.uniform(0.3, 2.0)))
             z = float(rng.uniform(0.3, 3.0))
             sol = solve_ds(R, S, T_eff, z, m, l)
+            most_iters = max(most_iters, sol.n_iter)
             kappa = m * sol.omega * sol.omega_bar / (l * sol.delta)
             d = np.trace(R @ np.linalg.inv(z * np.eye(n) + kappa * R)).real / l
             o = np.trace(S @ np.linalg.inv(
@@ -94,6 +101,7 @@ class TestFixedPointSolvers:
             worst = max(worst, abs(d - sol.delta), abs(o - sol.omega),
                         abs(ob - sol.omega_bar))
         assert worst < 1e-10
+        assert most_iters <= 20
 
     def test_solves_stay_under_one_second_at_dimension_64(self):
         rng = np.random.default_rng(12)
@@ -109,6 +117,20 @@ class TestFixedPointSolvers:
         t_ds = time.perf_counter() - t0
         assert t_lbi < 1.0
         assert t_ds < 1.0
+
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    def test_every_solve_converges_from_minus_300_to_300_dbm(self, kind):
+        # two eavesdroppers, artificial noise off and on, 10 dB steps: every
+        # term's solve converges (a ConvergenceError would propagate), and the
+        # per-eavesdropper secrecy means and their covariance are finite
+        stats = experiment_stats(kind, N_E=(4, 4), d_irs_e=(40.0, 35.0))
+        for p_dbm in range(-300, 301, 10):
+            for split_v in (0.0, 0.1):
+                P_W, P_V = uniform_precoders(stats.M, dbm_to_watts(p_dbm),
+                                             1.0 - split_v, split_v)
+                model = build_multi_eve_model(stats, P_W, P_V if split_v else None)
+                assert np.all(np.isfinite(model.mu)), (p_dbm, split_v)
+                assert np.all(np.isfinite(model.Q)), (p_dbm, split_v)
 
 
 class TestMeanAccuracy:

@@ -149,9 +149,9 @@ class TestCovarianceEntries:
         # the scatter-only entry -log Delta_S
         scatter = replace(pair, nu_R=None, nu_SI_sym=None, Delta=None)
         assert cov_entry_ds(scatter) == pytest.approx(0.0, abs=1e-14)
-        # the same-user term vanishes too, up to the solver tolerance (the V
-        # term's omega_bar converges to 0 from above)
-        assert pair.Delta == pytest.approx(1.0, abs=1e-12)
+        # the same-user term vanishes too: the V term's omega_bar is exactly 0,
+        # so Delta is 1 up to roundoff
+        assert pair.Delta == pytest.approx(1.0, abs=1e-15)
 
     def test_single_hop_entry_vanishes_with_the_signal(self):
         stats = make_stats("lbi")

@@ -31,10 +31,10 @@ class TestLowRankFixedPoint:
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         assert sol.alpha == pytest.approx(golden, abs=1e-9)
         assert sol.alpha_bar == pytest.approx(golden, abs=1e-9)
-        # iteration count and final residual of the damped loop, which the
-        # benchmark's solver counters read
-        assert sol.n_iter == 21
-        assert sol.residual == pytest.approx(3.985178853582738e-11, rel=1e-6)
+        # iteration count and final residual of the Newton iteration, which
+        # the benchmark's solver counters read
+        assert sol.n_iter == 5
+        assert sol.residual == 0.0
 
     def test_zero_receive_correlation(self):
         T_eff = np.diag([0.5, 1.5, 2.0])
@@ -58,10 +58,28 @@ class TestLowRankFixedPoint:
             assert abs(sol.alpha_bar - ab) < 1e-10
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # this solve takes 5 iterations uncapped
         monkeypatch.setattr(fixedpoint, "MAX_ITER", 2)
         rng = np.random.default_rng(1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="after 2 iterations") as excinfo:
             solve_lbi(rand_psd(4, rng), rand_psd(4, rng), z=1.0, m_dim=4)
+        assert excinfo.value.n_iter == 2
+        assert excinfo.value.residual > fixedpoint.TOL
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_a_dense_solve(self, n):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            J = rng.standard_normal((n, n))
+            x, diff = rng.standard_normal(n), rng.standard_normal(n)
+            got = fixedpoint._newton_point(list(x), list(diff), tuple(map(tuple, J)))
+            assert np.allclose(got, x + np.linalg.solve(np.eye(n) - J, diff),
+                               rtol=1e-10, atol=1e-12)
+
+    def test_singular_system_gives_no_step(self):
+        assert fixedpoint._newton_point([1.0, 1.0], [0.1, 0.2], ((1.0, 0.0), (0.0, 0.0))) is None
 
 
 class TestDoubleScatteringFixedPoint:
@@ -70,7 +88,8 @@ class TestDoubleScatteringFixedPoint:
         R = rand_psd(3, rng)
         S = rand_psd(5, rng)
         sol = solve_ds(R, S, np.zeros((4, 4)), z=2.0, m_dim=4, l_dim=5)
-        assert sol.omega_bar == pytest.approx(0.0, abs=1e-12)
+        # the Newton row of omega_bar reads omega_bar_new = 0 exactly
+        assert sol.omega_bar == 0.0
         n = 3
         assert det_equiv_ds(sol) == pytest.approx(n * math.log(2.0), abs=1e-9)
 
@@ -107,8 +126,8 @@ class TestDoubleScatteringFixedPoint:
         assert sol.delta == pytest.approx(delta, abs=1e-8)
         assert sol.omega == pytest.approx(om, abs=1e-8)
         assert sol.omega_bar == pytest.approx(ob, abs=1e-8)
-        assert sol.n_iter == 37
-        assert sol.residual == pytest.approx(7.803169221887174e-11, rel=1e-6)
+        assert sol.n_iter == 5
+        assert sol.residual == pytest.approx(5.3179682879545e-13, rel=1e-6)
 
     def test_direct_substitution_residual(self):
         rng = np.random.default_rng(3)
@@ -130,11 +149,44 @@ class TestDoubleScatteringFixedPoint:
             assert abs(sol.omega_bar - ob) < 1e-10
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # this solve takes 6 iterations uncapped
         monkeypatch.setattr(fixedpoint, "MAX_ITER", 2)
         rng = np.random.default_rng(6)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="after 2 iterations") as excinfo:
             solve_ds(rand_psd(3, rng), rand_psd(4, rng), rand_psd(5, rng),
                      z=1.0, m_dim=5, l_dim=4)
+        assert excinfo.value.n_iter == 2
+
+    def test_jacobian_matches_finite_differences_of_the_step_map(self):
+        # J_F at the solution, from which the Newton step and the implicit
+        # phase derivative of the outage gradient both build I - J_F, against
+        # central differences of the right-hand sides in dense form
+        rng = np.random.default_rng(8)
+        n, l, m = 3, 4, 5
+        R, S, T_eff = rand_psd(n, rng, 1.3), rand_psd(l, rng, 0.8), rand_psd(m, rng, 1.1)
+        z = 0.7
+        sol = solve_ds(R, S, T_eff, z=z, m_dim=m, l_dim=l)
+
+        def rhs(x):
+            d, o, ob = x
+            kappa = m * o * ob / (l * d)
+            return np.array([
+                np.trace(R @ np.linalg.inv(z * np.eye(n) + kappa * R)).real / l,
+                np.trace(S @ np.linalg.inv(np.eye(l) / d + ob * S)).real / m,
+                np.trace(T_eff @ np.linalg.inv(np.eye(m) + o * T_eff)).real / m,
+            ])
+
+        x0 = np.array([sol.delta, sol.omega, sol.omega_bar])
+        h = 1e-6
+        fd = np.column_stack([(rhs(x0 + h * e) - rhs(x0 - h * e)) / (2.0 * h)
+                              for e in np.eye(3)])
+        assert np.allclose(np.array(sol.jacobian), fd, rtol=1e-6, atol=1e-9)
+        # the trace functionals it is built from, in dense form
+        SG, TG, RG = S @ sol.G_S, T_eff @ sol.G_T, R @ sol.G_R
+        assert sol.nu_S == pytest.approx(np.trace(SG @ SG).real / m, rel=1e-12)
+        assert sol.nu_SI == pytest.approx(np.trace(SG @ sol.G_S).real / m, rel=1e-12)
+        assert sol.nu_T == pytest.approx(np.trace(TG @ TG).real / m, rel=1e-12)
+        assert sol.nu_R == pytest.approx(np.trace(RG @ RG).real / l, rel=1e-12)
 
     def test_zero_receive_correlation_raises(self):
         rng = np.random.default_rng(7)
