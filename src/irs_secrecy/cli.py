@@ -121,29 +121,30 @@ def _cmd_esr(args, scenario: Scenario) -> int:
     return 0
 
 
-def _sop_curve(stats, P_W, P_V, grid_bits: np.ndarray, trials: int, seed: int):
-    """Analytic SOP on a bit grid; (values, stderr_or_None, mvn_flag)."""
+def _sop_curve(stats, pairs: list, grid_bits: np.ndarray, trials: int, seed: int):
+    """Analytic SOP on a bit grid, one row per (P_W, P_V) pair; returns
+    (values, stderr), with stderr None for a single eavesdropper. With
+    several eavesdroppers the pairs share one set of worst-case draws."""
     if stats.K_eves > 1:
-        model = build_multi_eve_model(stats, P_W, P_V)
+        models = [build_multi_eve_model(stats, P_W, P_V) for P_W, P_V in pairs]
         n = trials if trials > 0 else DEFAULT_MVN_SAMPLES
-        probs, se = sop_multi_eve(model, grid_bits, n_samples=n, seed=seed)
-        return probs, se, True
-    return esr_an(stats, P_W, P_V).sop(grid_bits), None, False
+        return sop_multi_eve(models, grid_bits, n_samples=n, seed=seed)
+    return [esr_an(stats, P_W, P_V).sop(grid_bits) for P_W, P_V in pairs], None
 
 
 def _cmd_sop(args, scenario: Scenario) -> int:
     stats = scenario.stats
     P_W, P_V = _precoders(scenario)
     grid_bits = _threshold_grid(args)
-    analytic, mvn_se, is_mvn = _sop_curve(
-        stats, P_W, P_V, grid_bits, args.trials, args.seed
+    (analytic,), mvn_se = _sop_curve(
+        stats, [(P_W, P_V)], grid_bits, args.trials, args.seed
     )
 
-    if is_mvn:
+    if mvn_se is not None:
         header = ["R_bits", "sop_analytic", "stderr"]
         rows = [
             [_fmt(r), _fmt(p), _fmt(s)]
-            for r, p, s in zip(grid_bits, analytic, mvn_se)
+            for r, p, s in zip(grid_bits, analytic, mvn_se[0])
         ]
     elif args.trials > 0:
         descs, precs, selectors = secrecy_terms(stats, P_W, P_V, eves=["E1"])
@@ -291,21 +292,20 @@ def _cmd_optimize_sop(args, scenario: Scenario) -> int:
 
 def _cmd_sweep(args, scenario: Scenario) -> int:
     grid_bits = _threshold_grid(args)
-    mvn_any = scenario.stats.K_eves > 1
-    header = ["P_dbm", "R_bits", "sop_analytic"] + (["stderr"] if mvn_any else [])
+    powers = scenario.config.sweep_P_dbm
+    # the channel statistics do not depend on the power: only the precoders
+    # change from one sweep point to the next
+    pairs = [_precoders(dataclasses.replace(
+        scenario, config=dataclasses.replace(scenario.config, P_dbm=p_dbm)))
+        for p_dbm in powers]
+    analytic, mvn_se = _sop_curve(scenario.stats, pairs, grid_bits, args.trials, args.seed)
+    header = ["P_dbm", "R_bits", "sop_analytic"] + (["stderr"] if mvn_se is not None else [])
     rows = []
-    for p_dbm in scenario.config.sweep_P_dbm:
-        # the channel statistics do not depend on the power: only the
-        # precoders change from one sweep point to the next
-        sc = dataclasses.replace(
-            scenario, config=dataclasses.replace(scenario.config, P_dbm=p_dbm))
-        analytic, mvn_se, is_mvn = _sop_curve(
-            sc.stats, *_precoders(sc), grid_bits, args.trials, args.seed
-        )
+    for j, p_dbm in enumerate(powers):
         for i, r in enumerate(grid_bits):
-            row = [_fmt(p_dbm), _fmt(r), _fmt(analytic[i])]
-            if is_mvn:
-                row.append(_fmt(mvn_se[i]))
+            row = [_fmt(p_dbm), _fmt(r), _fmt(analytic[j][i])]
+            if mvn_se is not None:
+                row.append(_fmt(mvn_se[j][i]))
             rows.append(row)
     _write_csv(os.path.join(args.out, "sop_sweep.csv"), header, rows)
     return 0
@@ -344,8 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--trials",
             type=int,
             default=0,
-            help="Monte-Carlo trials; 0 picks the subcommand default "
-            "(analytic-only for sop/sweep, 20000 for mc-validate)",
+            help="Monte-Carlo trials: with several eavesdroppers the "
+            "worst-case sample count of sop/sweep (0: 10^6); with one, sop's "
+            "empirical-curve trials (0: analytic only); mc-validate's trials "
+            "(0: 20000)",
         )
         sp.add_argument(
             "--r-min", type=float, default=0.0, help="threshold grid start, bits"

@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import ModelError
 from .fixedpoint import MiDescriptor
-from .scenario import ChannelStatistics, assemble_channel, complex_from_normals
+from .scenario import (ChannelStatistics, assemble_channel, complex_from_normals,
+                       trial_streams)
 
 CHUNK = 512
 # trials per normal buffer inside a chunk: one row per trial, so the buffer
@@ -146,25 +147,14 @@ def _chunk_mis(
     bounds = list(itertools.accumulate((2 * rows * cols for rows, cols, _ in factors),
                                        initial=0))
     buf = np.empty((min(SUB_BLOCK, count), bounds[-1]))
-    # One generator and buffer per chunk (chunks may run on pool threads), so
-    # threads share nothing. The generator is re-keyed for each trial to the
-    # state of trial_rng(seed, trial): counter 0, key [seed, trial], empty
-    # buffer. A fresh Philox(key=...) per trial would first read OS entropy
-    # for a seed that the key then replaces.
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64),
-                       "key": np.array([seed, start], dtype=np.uint64)},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
+    # one generator and buffer per chunk (chunks may run on pool threads), so
+    # threads share nothing
+    stream = trial_streams(seed)
     for lo in range(0, count, SUB_BLOCK):
         n = min(SUB_BLOCK, count - lo)
         for i in range(n):
-            state["state"]["key"][1] = start + lo + i
-            bitgen.state = state  # copies the values in
             # one call of size a + b gives the normals of calls of size a, b
-            rng.standard_normal(out=buf[i])
+            stream(start + lo + i).standard_normal(out=buf[i])
         for stack, (rows, cols, var), a, b in zip(stacks, factors, bounds, bounds[1:]):
             stack[lo:lo + n] = complex_from_normals(
                 buf[:n, a:b].reshape(n, 2, rows, cols), var)

@@ -478,6 +478,24 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
+def trial_streams(seed: int):
+    """``trial -> Generator`` in the state of ``trial_rng(seed, trial)``: each
+    call re-keys one Philox (counter 0, key [seed, trial], empty buffer) and
+    returns the same generator, ending the previous call's stream. This skips
+    the OS-entropy read of a fresh ``Philox(key=...)``."""
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh Philox's: counter 0, empty buffer
+    state["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
+
+    def at(trial: int) -> np.random.Generator:
+        state["state"]["key"][1] = trial
+        bitgen.state = state  # copies the values in
+        return rng
+
+    return at
+
+
 def sample_channel(stats: ChannelStatistics, user: str, seed: int) -> ChannelSample:
     """Draw one channel realization for ``user`` from a counter-based stream.
 

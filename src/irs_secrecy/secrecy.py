@@ -25,7 +25,7 @@ from .cltcov import joint_cov, solve_all
 from .errors import InvalidCovarianceError, ModelError
 from .fixedpoint import (MiDescriptor, an_descriptors, mean_rate,
                          precoder_map, wiretap_descriptors)
-from .scenario import ChannelStatistics, trial_rng
+from .scenario import ChannelStatistics, trial_streams
 
 LN2 = math.log(2.0)
 _SQRT_HALF = math.sqrt(0.5)
@@ -202,46 +202,53 @@ _MVN_JITTER = 1e-10
 _MVN_CHUNK = 65_536
 
 
-def sop_multi_eve(model: MultiEveModel, r_bits,
+def sop_multi_eve(models: Sequence[MultiEveModel], r_bits,
                   n_samples: int = 10**6, seed: int = 0):
     """Probability that the worst per-Eve secrecy rate falls below the
-    threshold, i.e. 1 - P(all rates > R) under N(mu, Q).
+    threshold, i.e. 1 - P(all rates > R) under N(mu, Q), for each model.
 
-    Estimated by Cholesky-based Monte-Carlo with independent per-chunk
-    substreams and an exact integer reduction; returns (estimate, stderr).
-    ``r_bits`` may be a scalar or an array of thresholds; all thresholds are
-    evaluated on the same sample set, so an array call yields a monotone
-    curve. Output shapes follow the input.
+    Estimated by Cholesky-based Monte-Carlo with an exact integer reduction;
+    returns (estimate, stderr), shaped (len(models),) + the shape of
+    ``r_bits``. Chunk c of the samples draws its normals z from
+    ``trial_rng(seed, c)``, and a sample's worst rate is the row minimum of
+    mu + z @ chol(Q).T. All thresholds and all models (of one eavesdropper
+    count) share these draws, so each row is a monotone curve and equals, bit
+    for bit, a call with that model alone: a sweep's powers use common
+    random numbers.
     """
-    if n_samples <= 0:
-        raise ModelError("n_samples must be positive")
-    k = model.n_eves
+    models = list(models)
+    if not models or n_samples <= 0:
+        raise ModelError("sop_multi_eve needs at least one model and a positive n_samples")
+    k = models[0].n_eves
+    if any(m.n_eves != k for m in models):
+        raise ModelError("the models must share one eavesdropper count, got "
+                         f"{[m.n_eves for m in models]}")
     try:
-        chol = np.linalg.cholesky(model.Q + _MVN_JITTER * np.eye(k))
+        chol_t = [np.linalg.cholesky(m.Q + _MVN_JITTER * np.eye(k)).T for m in models]
     except np.linalg.LinAlgError as exc:
         raise ModelError("per-Eve covariance is not positive semidefinite "
                          "within jitter") from exc
-    r_arr = np.atleast_1d(np.asarray(r_bits, dtype=float))
-    r_nats = r_arr * LN2
-    below = np.zeros(r_nats.shape, dtype=np.int64)
-    done = 0
-    chunk_id = 0
-    while done < n_samples:
-        size = min(_MVN_CHUNK, n_samples - done)
-        rng = trial_rng(seed, chunk_id)
-        rates = rng.standard_normal((size, k)) @ chol.T
-        rates += model.mu
-        # worst eavesdropper per sample: a column-wise minimum is far cheaper
-        # than a row-wise reduction over k columns
-        worst = rates[:, 0].copy()
-        for j in range(1, k):
-            np.minimum(worst, rates[:, j], out=worst)
-        worst.sort()
-        below += np.searchsorted(worst, r_nats, side="left")
-        done += size
-        chunk_id += 1
+    r_nats = np.atleast_1d(np.asarray(r_bits, dtype=float)) * LN2
+    below = np.zeros((len(models),) + r_nats.shape, dtype=np.int64)
+    # one draw, one generator and one set of buffers serve every chunk and model
+    rows = min(_MVN_CHUNK, n_samples)
+    z_buf, rates_buf, worst_buf = np.empty((rows, k)), np.empty((rows, k)), np.empty(rows)
+    stream = trial_streams(seed)
+    for chunk_id, lo in enumerate(range(0, n_samples, _MVN_CHUNK)):
+        size = min(_MVN_CHUNK, n_samples - lo)
+        z, rates, worst = z_buf[:size], rates_buf[:size], worst_buf[:size]
+        stream(chunk_id).standard_normal(out=z)
+        for m, c_t, count in zip(models, chol_t, below):
+            np.matmul(z, c_t, out=rates)
+            # worst eavesdropper per sample: column passes (rates[:, j] + mu[j],
+            # as a broadcast add gives it) are far cheaper than row-wise ones
+            np.add(rates[:, 0], m.mu[0], out=worst)
+            for j in range(1, k):
+                col = rates[:, j]
+                np.minimum(worst, np.add(col, m.mu[j], out=col), out=worst)
+            worst.sort()
+            count += np.searchsorted(worst, r_nats, side="left")
     p = below / n_samples
     stderr = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n_samples)
-    if np.isscalar(r_bits) or np.ndim(r_bits) == 0:
-        return float(p[0]), float(stderr[0])
-    return p, stderr
+    shape = (len(models),) + np.shape(r_bits)
+    return p.reshape(shape), stderr.reshape(shape)

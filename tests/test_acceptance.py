@@ -234,7 +234,7 @@ class TestWorstCaseEavesdroppers:
         rep = esr_an(stats, P_W, P_V)
         sd_bits = math.sqrt(rep.variance) / LN2
         for r_bits in rep.mean_nats / LN2 + np.array([-1.0, 0.0, 1.0]) * sd_bits:
-            p, se = sop_multi_eve(model, float(r_bits), n_samples=10**6, seed=0)
+            (p,), (se,) = sop_multi_eve([model], float(r_bits), n_samples=10**6, seed=0)
             assert abs(p - rep.sop(float(r_bits))) <= 3.0 * se
 
     def test_two_eavesdroppers_dominate_each_single_curve(self):
@@ -242,7 +242,7 @@ class TestWorstCaseEavesdroppers:
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         model = build_multi_eve_model(stats, P_W)
         grid = np.linspace(0.0, 5.0, 11)
-        p, se = sop_multi_eve(model, grid, n_samples=200_000, seed=1)
+        (p,), (se,) = sop_multi_eve([model], grid, n_samples=200_000, seed=1)
         for eve in model.labels:
             single = sop_wiretap(stats, P_W, grid, eve=eve)
             assert np.all(p >= single - 3.0 * se - 1e-12)
@@ -256,11 +256,11 @@ class TestWorstCaseEavesdroppers:
         assert np.all(hi <= lo + 1e-12)
         # two eavesdroppers: sampled worst-case curves with a 3 SE slack
         stats2 = experiment_stats("lbi", N_E=(4, 4), d_irs_e=(40.0, 35.0))
-        p_lo, se_lo = sop_multi_eve(
-            build_multi_eve_model(stats2, np.eye(stats2.M, dtype=complex)),
+        (p_lo,), (se_lo,) = sop_multi_eve(
+            [build_multi_eve_model(stats2, np.eye(stats2.M, dtype=complex))],
             grid, n_samples=200_000, seed=2)
-        p_hi, se_hi = sop_multi_eve(
-            build_multi_eve_model(stats2, 100.0 * np.eye(stats2.M, dtype=complex)),
+        (p_hi,), (se_hi,) = sop_multi_eve(
+            [build_multi_eve_model(stats2, 100.0 * np.eye(stats2.M, dtype=complex))],
             grid, n_samples=200_000, seed=2)
         assert np.all(p_hi <= p_lo + 3.0 * (se_lo + se_hi) + 1e-12)
 

@@ -276,6 +276,30 @@ class TestSweepCommand:
         assert lo.shape == hi.shape == (6,)
         assert np.all(hi <= lo + 1e-12)
 
+    @pytest.mark.parametrize("kind, split_v", [("lbi", 0.0), ("double", 0.1)])
+    def test_two_eve_sweep_matches_sop_at_each_power(self, write_config, tmp_path,
+                                                     kind, split_v):
+        # the powers share one set of worst-case draws, and each power's
+        # cells are those of a separate sop run with the same seed
+        powers = [20.0, 40.0, 60.0]
+        grid = ["--r-min", "0.5", "--r-max", "4.0", "--r-steps", "5",
+                "--trials", "70000", "--seed", "11"]
+        cfg = config_dict(kind=kind, N_E=(2, 2), split_w=1.0 - split_v, split_v=split_v)
+        cfg["sweep"] = {"P_dbm": powers}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_config(cfg, "sweep.json"),
+                     "--out", str(out)] + grid) == 0
+        header, rows = _read_csv(out / "sop_sweep.csv")
+        assert header == ["P_dbm", "R_bits", "sop_analytic", "stderr"]
+        for p_dbm in powers:
+            one = config_dict(kind=kind, N_E=(2, 2), P_dbm=p_dbm,
+                              split_w=1.0 - split_v, split_v=split_v)
+            out_p = tmp_path / f"sop{p_dbm:g}"
+            assert main(["sop", "--config", write_config(one, f"sop{p_dbm:g}.json"),
+                         "--out", str(out_p)] + grid) == 0
+            _, sop_rows = _read_csv(out_p / "sop.csv")
+            assert [r[1:] for r in rows if float(r[0]) == p_dbm] == sop_rows
+
 
 # (key path, replacement value, expected start of the message)
 _MALFORMED = [

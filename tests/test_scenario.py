@@ -27,6 +27,7 @@ from irs_secrecy.scenario import (
     psd_sqrt,
     quadrature_step,
     trial_rng,
+    trial_streams,
 )
 
 from conftest import config_dict, corr, make_stats
@@ -245,6 +246,17 @@ class TestGaussianFactors:
         expected = math.sqrt(var / 2.0) * (z[0] + 1j * z[1])
         got = complex_gaussian(trial_rng(8, 2), rows, cols, var)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+    def test_trial_streams_draw_what_trial_rng_draws(self, seed):
+        stream = trial_streams(seed)
+        for trial in (0, 1, 5, 0, 2**63, 2**64 - 1, 3):
+            for size in (1, 7, 1000):
+                expected = trial_rng(seed, trial).standard_normal(size)
+                assert np.array_equal(stream(trial).standard_normal(size), expected)
+            # a re-key also drops a half-used 64-bit word and buffered output
+            stream(trial).integers(0, 2**32, size=3, dtype=np.uint32)
+            assert np.array_equal(stream(trial).random(5), trial_rng(seed, trial).random(5))
 
     def test_a_batch_of_blocks_gives_the_entries_of_each_block(self):
         normals = np.random.default_rng(0).standard_normal((7, 2, 3, 4))

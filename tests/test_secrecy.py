@@ -245,7 +245,7 @@ class TestMultiEveOutage:
         model = build_multi_eve_model(stats, P_W, P_V)
         rep = esr_an(stats, P_W, P_V)
         for r_bits in (0.5, 1.5, 3.0):
-            p, se = sop_multi_eve(model, r_bits, n_samples=200_000, seed=3)
+            (p,), (se,) = sop_multi_eve([model], r_bits, n_samples=200_000, seed=3)
             assert se > 0.0
             assert abs(p - rep.sop(r_bits)) <= 3.0 * se + 1e-12
 
@@ -259,7 +259,7 @@ class TestMultiEveOutage:
         r_bits = 1.4
         marg = ndtr((r_bits * LN2 - mu) / np.sqrt(q))
         expected = 1.0 - np.prod(1.0 - marg)
-        p, se = sop_multi_eve(model, r_bits, n_samples=400_000, seed=7)
+        (p,), (se,) = sop_multi_eve([model], r_bits, n_samples=400_000, seed=7)
         assert abs(p - expected) <= 3.0 * se
 
     def test_threshold_array_is_monotone_and_consistent(self):
@@ -267,11 +267,11 @@ class TestMultiEveOutage:
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         model = build_multi_eve_model(stats, P_W)
         grid = np.linspace(0.0, 5.0, 11)
-        p, se = sop_multi_eve(model, grid, n_samples=50_000, seed=1)
+        (p,), (se,) = sop_multi_eve([model], grid, n_samples=50_000, seed=1)
         assert p.shape == grid.shape and se.shape == grid.shape
         assert np.all(np.diff(p) >= 0.0)
         assert np.all((p >= 0.0) & (p <= 1.0))
-        p_one, _ = sop_multi_eve(model, float(grid[4]), n_samples=50_000, seed=1)
+        (p_one,), _ = sop_multi_eve([model], float(grid[4]), n_samples=50_000, seed=1)
         assert p_one == p[4]
 
     def test_worst_case_dominates_every_single_eve(self):
@@ -279,7 +279,7 @@ class TestMultiEveOutage:
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         model = build_multi_eve_model(stats, P_W)
         r_bits = 1.0
-        p, se = sop_multi_eve(model, r_bits, n_samples=200_000, seed=2)
+        (p,), (se,) = sop_multi_eve([model], r_bits, n_samples=200_000, seed=2)
         singles = [sop_wiretap(stats, P_W, r_bits, eve=e) for e in model.labels]
         assert p >= max(singles) - 3.0 * se
 
@@ -287,31 +287,49 @@ class TestMultiEveOutage:
     def test_samples_follow_the_documented_stream(self, k):
         # chunk c of 65,536 samples draws z from trial_rng(seed, c); the worst
         # rate per sample is the row minimum of mu + z @ chol.T, and a
-        # threshold counts the sorted worst rates strictly below it
+        # threshold counts the sorted worst rates strictly below it. Every
+        # model of one call reads the same z, so each row is also the call
+        # with that model alone.
         rng = np.random.default_rng(k)
-        A = rng.normal(size=(k, k))
-        model = MultiEveModel(mu=rng.normal(size=k), Q=A @ A.T,
-                              labels=tuple(f"E{i + 1}" for i in range(k)),
-                              selectors=np.zeros((k, k)))
-        chol = np.linalg.cholesky(model.Q + 1e-10 * np.eye(k))
+        models = []
+        for _ in range(3):
+            A = rng.normal(size=(k, k))
+            models.append(MultiEveModel(mu=rng.normal(size=k), Q=A @ A.T,
+                                        labels=tuple(f"E{i + 1}" for i in range(k)),
+                                        selectors=np.zeros((k, k))))
         r_bits = np.array([0.4, -1.5, 2.5, 0.0, 1.0])
         seed = 17
         for n in (1, 65_536, 65_537, 200_003):
-            below = np.zeros(r_bits.shape, dtype=np.int64)
-            for c, lo in enumerate(range(0, n, 65_536)):
-                z = trial_rng(seed, c).standard_normal((min(65_536, n - lo), k))
-                worst = np.sort((model.mu + z @ chol.T).min(axis=1))
-                below += np.searchsorted(worst, r_bits * LN2, side="left")
-            p = below / n
-            se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n)
-            got_p, got_se = sop_multi_eve(model, r_bits, n_samples=n, seed=seed)
-            assert np.array_equal(got_p, p), (k, n)
-            assert np.array_equal(got_se, se), (k, n)
+            got_p, got_se = sop_multi_eve(models, r_bits, n_samples=n, seed=seed)
+            assert got_p.shape == got_se.shape == (len(models),) + r_bits.shape
+            for row, model in enumerate(models):
+                chol = np.linalg.cholesky(model.Q + 1e-10 * np.eye(k))
+                below = np.zeros(r_bits.shape, dtype=np.int64)
+                for c, lo in enumerate(range(0, n, 65_536)):
+                    z = trial_rng(seed, c).standard_normal((min(65_536, n - lo), k))
+                    worst = np.sort((model.mu + z @ chol.T).min(axis=1))
+                    below += np.searchsorted(worst, r_bits * LN2, side="left")
+                p = below / n
+                se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n)
+                assert np.array_equal(got_p[row], p), (k, n, row)
+                assert np.array_equal(got_se[row], se), (k, n, row)
+                alone_p, alone_se = sop_multi_eve([model], r_bits, n_samples=n, seed=seed)
+                assert np.array_equal(alone_p[0], got_p[row]), (k, n, row)
+                assert np.array_equal(alone_se[0], got_se[row]), (k, n, row)
+
+    def test_models_must_share_the_eavesdropper_count(self):
+        models = [MultiEveModel(mu=np.zeros(k), Q=np.eye(k),
+                                labels=tuple(f"E{i + 1}" for i in range(k)),
+                                selectors=np.zeros((k, k))) for k in (2, 3)]
+        with pytest.raises(ModelError, match="eavesdropper count"):
+            sop_multi_eve(models, 1.0, n_samples=100)
+        with pytest.raises(ModelError, match="at least one model"):
+            sop_multi_eve([], 1.0, n_samples=100)
 
     def test_same_seed_reproduces(self):
         stats = make_stats("double")
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         model = build_multi_eve_model(stats, P_W, P_V)
-        a = sop_multi_eve(model, 1.0, n_samples=30_000, seed=5)
-        b = sop_multi_eve(model, 1.0, n_samples=30_000, seed=5)
-        assert a == b
+        a = sop_multi_eve([model], 1.0, n_samples=30_000, seed=5)
+        b = sop_multi_eve([model], 1.0, n_samples=30_000, seed=5)
+        assert np.array_equal(a, b)
