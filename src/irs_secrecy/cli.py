@@ -291,6 +291,9 @@ def _cmd_optimize_sop(args, scenario: Scenario) -> int:
 
 
 def _cmd_sweep(args, scenario: Scenario) -> int:
+    if scenario.stats.K_eves == 1 and args.trials > 0:
+        raise ConfigError("--trials: a sweep with one eavesdropper is analytic only; "
+                          f"pass 0, got {args.trials}")
     grid_bits = _threshold_grid(args)
     powers = scenario.config.sweep_P_dbm
     # the channel statistics do not depend on the power: only the precoders
@@ -346,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
             default=0,
             help="Monte-Carlo trials: with several eavesdroppers the "
             "worst-case sample count of sop/sweep (0: 10^6); with one, sop's "
-            "empirical-curve trials (0: analytic only); mc-validate's trials "
-            "(0: 20000)",
+            "empirical-curve trials (0: analytic only), and sweep takes only 0; "
+            "mc-validate's trials (0: 20000)",
         )
         sp.add_argument(
             "--r-min", type=float, default=0.0, help="threshold grid start, bits"

@@ -25,6 +25,10 @@ fixed points:
     Xi = 1 - gamma_R gamma_T
 
 (T_i denotes the effective transmit correlation of term i, precoder folded.)
+The single-hop traces are taken from the solutions' spectra as
+||H_i^H H_j||_F^2, with H H^H = R L_R or T L_T (``Spectrum.resolvent_root``),
+so no resolvent matrix is formed for them.
+
 The ordered product nu_SI(i,j) nu_SI(j,i) keeps Delta real and symmetric;
 the two factors are complex conjugates, and they coincide with the single
 real trace (1/M)Tr[S G_j G_i] whenever both terms belong to one user.
@@ -53,6 +57,11 @@ def _real_trace(*mats) -> float:
     for m in mats[1:]:
         prod = prod @ m
     return float(np.trace(prod).real)
+
+
+def _cross_trace(h_i: np.ndarray, h_j: np.ndarray) -> float:
+    """Tr[h_i h_i^H h_j h_j^H] = ||h_i^H h_j||_F^2."""
+    return float(np.sum(np.abs(h_i.conj().T @ h_j) ** 2))
 
 
 @dataclass(frozen=True)
@@ -126,8 +135,10 @@ def lbi_pair_quantities(sol_i: LbiSolution, sol_j: LbiSolution) -> LbiPairQuanti
     """Evaluate the single-hop pair functionals; only meaningful for terms
     sharing the user-side factor (cross-user fluctuations are independent)."""
     m = float(sol_i.m_dim)
-    gamma_R = _real_trace(sol_i.R, sol_i.L_R, sol_j.R, sol_j.L_R) / m
-    gamma_T = _real_trace(sol_i.T_eff, sol_i.L_T, sol_j.T_eff, sol_j.L_T) / m
+    gamma_R = _cross_trace(sol_i.r.resolvent_root(sol_i.z, sol_i.alpha_bar),
+                           sol_j.r.resolvent_root(sol_j.z, sol_j.alpha_bar)) / m
+    gamma_T = _cross_trace(sol_i.t.resolvent_root(1.0, sol_i.alpha),
+                           sol_j.t.resolvent_root(1.0, sol_j.alpha)) / m
     Xi = 1.0 - gamma_R * gamma_T
     valid = 0.0 < Xi <= 1.0
     if not valid:

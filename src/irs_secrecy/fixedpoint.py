@@ -24,8 +24,14 @@ Two coupled fixed-point systems are solved:
           + logdet(I + delta omega_bar S) + logdet(I + omega T)
           - 2 M omega omega_bar.
 
-Both systems run through one Newton iteration on x = F(x), started from all
-scalars at 1. Each iteration evaluates the right-hand sides F(x) together
+Both systems run through one Newton iteration on x = F(x). It starts from
+the caller's ``start`` point when one is given (the optimizers pass the
+fixed point of a nearby design), else from all scalars at 1. A start
+changes only where the iteration begins: the stop test and the domain check
+are the same, and a failed solve is not retried from elsewhere. A zero
+single-hop transmit spectrum has the closed form alpha_bar = 0,
+alpha = Tr R / (M z), mean N log z, which is then the start, and the first
+test accepts it. Each iteration evaluates the right-hand sides F(x) together
 with their analytic Jacobian J_F(x), whose entries are eigen-sums over the
 same vectors (for example d alpha / d alpha_bar = -(1/M) sum_r lam_r^2 /
 (z + alpha_bar lam_r)^2). It takes the full Newton step
@@ -40,9 +46,15 @@ absolute ``TOL`` (1e-10) governs O(1)-O(1e4) scalars; the relative floor
 that 1e-10 is below its roundoff, as at very high transmit power. After
 ``MAX_ITER`` (10,000) iterations it raises ``ConvergenceError``.
 
-Each solver diagonalizes its input matrices once, so one iteration costs
-O(N + L + M); the resolvent-style matrices are materialized after
-convergence.
+Each solver works on the spectra of its inputs (``scenario.Spectrum``), so
+one iteration costs O(N + L + M). A caller may pass a spectrum in place of
+a matrix: ``solve_user`` passes the receive spectra that
+``ChannelStatistics`` keeps, and a single-hop transmit spectrum taken from
+the min(M, L)-sized Gram of sqrt(M/L) A P^{1/2} (``transmit_spectrum``, an
+M x M and a min(M, L)-sized decomposition). The means D and C are sums over
+those eigenvalues (log det(a I + b X) = sum_i log(a + b lam_i)). A solution
+builds its input and resolvent-style matrices from the spectra only when a
+caller first reads them.
 """
 
 from __future__ import annotations
@@ -50,12 +62,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, ModelError
-from .scenario import ChannelStatistics, psd_eig
+from .scenario import ChannelStatistics, Spectrum, psd_root
 
 TOL = 1e-10
 ROUNDOFF = 64 * sys.float_info.epsilon
@@ -117,36 +130,51 @@ def precoder_map(P_W: np.ndarray, P_V: Optional[np.ndarray] = None) -> dict:
 
 @dataclass(frozen=True)
 class LbiSolution:
-    """Converged single-hop system: scalars, resolvent-style matrices and the
-    inputs they were computed from."""
+    """Converged single-hop system: scalars and the spectra of the inputs
+    they were solved on. The input and resolvent-style matrices are built
+    from the spectra on first use."""
 
     alpha: float
     alpha_bar: float
-    L_R: np.ndarray  # (z I + alpha_bar R)^{-1}
-    L_T: np.ndarray  # (I + alpha T_eff)^{-1}
     z: float
-    R: np.ndarray
-    T_eff: np.ndarray
+    r: Spectrum  # receive correlation R
+    t: Spectrum  # effective transmit correlation T_eff
     m_dim: int
     n_iter: int
     residual: float
 
+    @cached_property
+    def R(self) -> np.ndarray:
+        return self.r.matrix()
+
+    @cached_property
+    def T_eff(self) -> np.ndarray:
+        return self.t.matrix()
+
+    @cached_property
+    def L_R(self) -> np.ndarray:
+        """(z I + alpha_bar R)^{-1}"""
+        return self.r.resolvent(self.z, self.alpha_bar)
+
+    @cached_property
+    def L_T(self) -> np.ndarray:
+        """(I + alpha T_eff)^{-1}"""
+        return self.t.resolvent(1.0, self.alpha)
+
 
 @dataclass(frozen=True)
 class DsSolution:
-    """Converged double-hop system: scalars, resolvents, inputs, and the
-    trace functionals of the step map's Jacobian at the returned point."""
+    """Converged double-hop system: scalars, the spectra of its inputs, and
+    the trace functionals of the step map's Jacobian at the returned point.
+    The input and resolvent-style matrices are built on first use."""
 
     delta: float
     omega: float
     omega_bar: float
-    G_R: np.ndarray  # (z I + (M omega omega_bar/(L delta)) R)^{-1}
-    G_S: np.ndarray  # ((1/delta) I + omega_bar S)^{-1}
-    G_T: np.ndarray  # (I + omega T)^{-1}
     z: float
-    R: np.ndarray
-    S: np.ndarray
-    T_eff: np.ndarray
+    r: Spectrum  # receive correlation R
+    s: Spectrum  # surface Gram S
+    t: Spectrum  # effective transmit correlation T_eff
     m_dim: int
     l_dim: int
     n_iter: int
@@ -155,6 +183,11 @@ class DsSolution:
     nu_S: float  # (1/M) Tr[(S G_S)^2]
     nu_SI: float  # (1/M) Tr[S G_S^2]
     nu_T: float  # (1/M) Tr[(T_eff G_T)^2]
+
+    @property
+    def point(self) -> tuple:
+        """(delta, omega, omega_bar): a ``start`` for a nearby solve."""
+        return self.delta, self.omega, self.omega_bar
 
     @property
     def kappa(self) -> float:
@@ -168,6 +201,33 @@ class DsSolution:
         Newton step and the implicit phase derivative both invert as I - J_F."""
         return _ds_jacobian(float(self.m_dim), float(self.l_dim), self.delta, self.omega,
                             self.omega_bar, self.nu_R, self.nu_S, self.nu_SI, self.nu_T)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return self.r.matrix()
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return self.s.matrix()
+
+    @cached_property
+    def T_eff(self) -> np.ndarray:
+        return self.t.matrix()
+
+    @cached_property
+    def G_R(self) -> np.ndarray:
+        """(z I + kappa R)^{-1}"""
+        return self.r.resolvent(self.z, self.kappa)
+
+    @cached_property
+    def G_S(self) -> np.ndarray:
+        """((1/delta) I + omega_bar S)^{-1}"""
+        return self.s.resolvent(1.0 / self.delta, self.omega_bar)
+
+    @cached_property
+    def G_T(self) -> np.ndarray:
+        """(I + omega T_eff)^{-1}"""
+        return self.t.resolvent(1.0, self.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +293,23 @@ def _newton_fixed_point(step, x: list, system: str, in_domain) -> tuple:
     raise ConvergenceError(f"{system} fixed point did not converge", residual, MAX_ITER)
 
 
-def _resolvent(u: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """u diag(1 / denom) u^H."""
-    return (u / denom) @ u.conj().T
+def _spectrum(mat, name: str) -> Spectrum:
+    """A solver input as a Spectrum: given, or decomposed here."""
+    if isinstance(mat, Spectrum):
+        return mat
+    return Spectrum.of_matrix(np.asarray(mat, dtype=complex), name)
 
 
-def solve_lbi(R: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int) -> LbiSolution:
+def solve_lbi(R, T_eff, z: float, m_dim: int, *,
+              start: Optional[Sequence[float]] = None) -> LbiSolution:
     """Solve the single-hop system to the direct-substitution test of
-    ``_newton_fixed_point``."""
+    ``_newton_fixed_point``. R and T_eff are matrices or their Spectrum;
+    ``start`` is (alpha, alpha_bar), by default the zero-spectrum closed
+    form when T_eff is zero and all ones otherwise."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
-    R, T_eff = np.asarray(R, dtype=complex), np.asarray(T_eff, dtype=complex)
-    lam_r, u_r = psd_eig(R, "R")
-    lam_t, u_t = psd_eig(T_eff, "T_eff")
+    r, t = _spectrum(R, "R"), _spectrum(T_eff, "T_eff")
+    lam_r, lam_t = r.lam, t.lam
     m = float(m_dim)
 
     def step(a: float, ab: float) -> tuple:
@@ -255,12 +319,13 @@ def solve_lbi(R: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int) -> LbiSolu
         jac = ((0.0, -float(q_r @ q_r) / m), (-float(q_t @ q_t) / m, 0.0))
         return f, jac
 
-    (a, ab), it, residual = _newton_fixed_point(step, [1.0, 1.0], "single-hop", _nonnegative)
-    return LbiSolution(
-        alpha=a, alpha_bar=ab, L_R=_resolvent(u_r, z + ab * lam_r),
-        L_T=_resolvent(u_t, 1.0 + a * lam_t), z=float(z), R=R, T_eff=T_eff,
-        m_dim=m_dim, n_iter=it, residual=residual,
-    )
+    if start is None:
+        # with T_eff = 0 the alpha_bar row is 0 whatever alpha is, and alpha
+        # follows in closed form
+        start = (1.0, 1.0) if lam_t.any() else (float((lam_r / z).sum()) / m, 0.0)
+    (a, ab), it, residual = _newton_fixed_point(step, list(start), "single-hop", _nonnegative)
+    return LbiSolution(alpha=a, alpha_bar=ab, z=float(z), r=r, t=t, m_dim=m_dim,
+                       n_iter=it, residual=residual)
 
 
 def _ds_jacobian(m: float, ell: float, d: float, o: float, ob: float, nu_R: float,
@@ -273,16 +338,15 @@ def _ds_jacobian(m: float, ell: float, d: float, o: float, ob: float, nu_R: floa
             (0.0, -nu_T, 0.0))
 
 
-def solve_ds(R: np.ndarray, S: np.ndarray, T_eff: np.ndarray, z: float, m_dim: int,
-             l_dim: int) -> DsSolution:
+def solve_ds(R, S, T_eff, z: float, m_dim: int, l_dim: int, *,
+             start: Optional[Sequence[float]] = None) -> DsSolution:
     """Solve the double-hop system to the direct-substitution test of
-    ``_newton_fixed_point``."""
+    ``_newton_fixed_point``. R, S and T_eff are matrices or their Spectrum;
+    ``start`` is (delta, omega, omega_bar), by default all ones."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
-    R, S, T_eff = (np.asarray(x, dtype=complex) for x in (R, S, T_eff))
-    lam_r, u_r = psd_eig(R, "R")
-    lam_s, u_s = psd_eig(S, "S")
-    lam_t, u_t = psd_eig(T_eff, "T_eff")
+    r, s, t = _spectrum(R, "R"), _spectrum(S, "S"), _spectrum(T_eff, "T_eff")
+    lam_r, lam_s, lam_t = r.lam, s.lam, t.lam
     m, ell = float(m_dim), float(l_dim)
     if np.sum(lam_r) <= 0:
         raise ModelError("degenerate receive correlation: the double-hop system needs Tr R > 0")
@@ -306,14 +370,13 @@ def solve_ds(R: np.ndarray, S: np.ndarray, T_eff: np.ndarray, z: float, m_dim: i
         return f, _ds_jacobian(m, ell, d, o, ob, *nus)
 
     (d, o, ob), it, residual = _newton_fixed_point(
-        step, [1.0, 1.0, 1.0], "double-hop", lambda x: x[0] > 0.0 and _nonnegative(x))
+        step, [1.0, 1.0, 1.0] if start is None else list(start), "double-hop",
+        lambda x: x[0] > 0.0 and _nonnegative(x))
     nu_R, nu_S, nu_SI, nu_T = moments(d, o, ob)[1]
-    kappa = m * o * ob / (ell * d)
     return DsSolution(
-        delta=d, omega=o, omega_bar=ob, G_R=_resolvent(u_r, z + kappa * lam_r),
-        G_S=_resolvent(u_s, 1.0 / d + ob * lam_s), G_T=_resolvent(u_t, 1.0 + o * lam_t),
-        z=float(z), R=R, S=S, T_eff=T_eff, m_dim=m_dim, l_dim=l_dim, n_iter=it,
-        residual=residual, nu_R=nu_R, nu_S=nu_S, nu_SI=nu_SI, nu_T=nu_T,
+        delta=d, omega=o, omega_bar=ob, z=float(z), r=r, s=s, t=t, m_dim=m_dim,
+        l_dim=l_dim, n_iter=it, residual=residual, nu_R=nu_R, nu_S=nu_S, nu_SI=nu_SI,
+        nu_T=nu_T,
     )
 
 
@@ -321,35 +384,31 @@ def solve_ds(R: np.ndarray, S: np.ndarray, T_eff: np.ndarray, z: float, m_dim: i
 # deterministic equivalents
 # ---------------------------------------------------------------------------
 
-def _logdet_psd(mat: np.ndarray) -> float:
-    sign, val = np.linalg.slogdet(mat)
-    if sign.real <= 0:
-        raise ModelError("logdet argument is not positive definite")
-    return float(val)
-
-
 def det_equiv_lbi(sol: LbiSolution) -> float:
     """Deterministic mean of logdet(z I + H P H^H) for the single-hop model
-    (nats)."""
-    n = sol.R.shape[0]
-    d = _logdet_psd(sol.z * np.eye(n) + sol.alpha_bar * sol.R)
-    d += _logdet_psd(np.eye(sol.T_eff.shape[0]) + sol.alpha * sol.T_eff)
+    (nats), from the eigenvalues the system was solved on."""
+    d = sol.r.logdet(sol.z, sol.alpha_bar) + sol.t.logdet(1.0, sol.alpha)
     return d - sol.m_dim * sol.alpha * sol.alpha_bar
 
 
 def det_equiv_ds(sol: DsSolution) -> float:
     """Deterministic mean of logdet(z I + H P H^H) for the double-hop model
-    (nats)."""
-    n = sol.R.shape[0]
-    c = _logdet_psd(sol.z * np.eye(n) + sol.kappa * sol.R)
-    c += _logdet_psd(np.eye(sol.S.shape[0]) + sol.delta * sol.omega_bar * sol.S)
-    c += _logdet_psd(np.eye(sol.T_eff.shape[0]) + sol.omega * sol.T_eff)
+    (nats), from the eigenvalues the system was solved on."""
+    c = (sol.r.logdet(sol.z, sol.kappa) + sol.s.logdet(1.0, sol.delta * sol.omega_bar)
+         + sol.t.logdet(1.0, sol.omega))
     return c - 2.0 * sol.m_dim * sol.omega * sol.omega_bar
 
 
 # ---------------------------------------------------------------------------
 # effective transmit correlations and descriptor-level wrappers
 # ---------------------------------------------------------------------------
+
+def _precoder(stats: ChannelStatistics, P: np.ndarray) -> np.ndarray:
+    P = np.asarray(P, dtype=complex)
+    if P.shape != (stats.M, stats.M):
+        raise ModelError(f"precoder must be {stats.M}x{stats.M}, got {P.shape}")
+    return P
+
 
 def effective_transmit_corr(stats: ChannelStatistics, user: str, P: np.ndarray) -> np.ndarray:
     """Transmit-side correlation seen by the solvers once the precoder P is
@@ -362,9 +421,7 @@ def effective_transmit_corr(stats: ChannelStatistics, user: str, P: np.ndarray) 
             the closed forms and the sampled channel describe different
             ensembles.
     """
-    P = np.asarray(P, dtype=complex)
-    if P.shape != (stats.M, stats.M):
-        raise ModelError(f"precoder must be {stats.M}x{stats.M}, got {P.shape}")
+    P = _precoder(stats, P)
     if stats.model_kind == "lbi":
         A = stats.lbi_aperture(user)
         out = (stats.M / stats.L) * (A @ P @ A.conj().T)
@@ -373,15 +430,36 @@ def effective_transmit_corr(stats: ChannelStatistics, user: str, P: np.ndarray) 
     return 0.5 * (out + out.conj().T)
 
 
-def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray):
+def transmit_spectrum(stats: ChannelStatistics, user: str, P: np.ndarray) -> Spectrum:
+    """Spectrum of ``effective_transmit_corr(stats, user, P)``.
+
+    lbi: from the factor sqrt(M/L) A F of T_eff, F = ``psd_root(P)``,
+         through its min(M, L)-sized Gram; a zero precoder gives the empty
+         spectrum.
+    double: T^{1/2} P T^{1/2} is M x M and decomposed as it is.
+    """
+    if stats.model_kind == "double":
+        return Spectrum.of_matrix(effective_transmit_corr(stats, user, P), "T_eff")
+    root = psd_root(_precoder(stats, P), "precoder")
+    if root.shape[1] == 0:
+        return Spectrum(np.zeros(0), np.zeros((stats.L, 0), dtype=complex), gram=True)
+    factor = math.sqrt(stats.M / stats.L) * (stats.lbi_aperture(user) @ root)
+    return Spectrum.of_factor(factor, "T_eff")
+
+
+def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray, *,
+               transmit: Optional[Spectrum] = None,
+               start: Optional[Sequence[float]] = None):
     """Solve the model-appropriate fixed point of one receiver, at its own
-    noise power, under the transmit covariance P."""
-    T_eff = effective_transmit_corr(stats, user, P)
-    R = stats.user_r(user)
+    noise power, under the transmit covariance P. ``transmit`` is the
+    ``transmit_spectrum`` of P when the caller already has it; ``start`` is
+    passed to the solver."""
+    t = transmit if transmit is not None else transmit_spectrum(stats, user, P)
+    r = stats.user_r_spectrum(user)
     z = stats.user_sigma2(user)
     if stats.model_kind == "lbi":
-        return solve_lbi(R, T_eff, z, stats.M)
-    return solve_ds(R, stats.ds_gram(user), T_eff, z, stats.M, stats.L)
+        return solve_lbi(r, t, z, stats.M, start=start)
+    return solve_ds(r, stats.ds_gram(user), t, z, stats.M, stats.L, start=start)
 
 
 def solve_descriptor(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict):

@@ -12,11 +12,15 @@ Three layers:
 * Joint alternating optimization (``algorithm2_ao``): precoder rounds
   alternate with backtracking gradient ascent on the surface phases, whose
   gradient (``esr_phase_gradient``) is closed-form via the envelope property
-  of the converged fixed points.
+  of the converged fixed points. The gradient returns the signed mean of
+  its own four solves, which is the line search's K(theta), and the round's
+  closing mean when no phase step is accepted.
 * Outage minimization on the double-hop model (``optimize_sop``): gradient
   descent on the Gaussian outage surrogate, with every phase partial obtained
   by implicit differentiation of the three fixed-point scalars per user
-  (``sop_phase_gradient``).
+  (``sop_phase_gradient``). T^{1/2} P_W T^{1/2} is diagonalized once per
+  gradient for both users, and each line-search trial starts its two solves
+  from the current design's fixed points.
 
 The three line searches (inner precoder step, phase ascent, outage descent)
 share one Armijo backtracking loop, ``_backtrack``: steps 1.0, 0.5, ... down
@@ -37,8 +41,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateRegimeError,
                      InvalidCovarianceError, ModelError)
-from .fixedpoint import det_equiv_ds, det_equiv_lbi, solve_user
-from .scenario import ChannelStatistics
+from .fixedpoint import det_equiv_ds, det_equiv_lbi, solve_user, transmit_spectrum
+from .scenario import ChannelStatistics, Spectrum
 from .secrecy import norm_cdf
 
 LN2 = math.log(2.0)
@@ -306,49 +310,61 @@ def algorithm1(
 # phase gradient and joint alternating optimization (single-hop model)
 # ---------------------------------------------------------------------------
 
+# the four terms of the signed secrecy mean: (user, precoder tag, sign)
+_AN_TERMS = (("B", "U", 1.0), ("B", "V", -1.0), (EVE, "U", -1.0), (EVE, "V", 1.0))
+
+
+def _an_solutions(stats: ChannelStatistics, precoders: dict) -> list:
+    """Fixed points of the ``_AN_TERMS``, in their order."""
+    return [solve_user(stats, user, precoders[tag]) for user, tag, _ in _AN_TERMS]
+
+
+def _signed_mean(sols: list) -> float:
+    """Signed secrecy mean of the four ``_an_solutions``."""
+    d_bu, d_bv, d_eu, d_ev = (det_equiv_lbi(sol) for sol in sols)
+    return (d_bu - d_bv) - (d_eu - d_ev)
+
+
 def signed_an_mean(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray) -> float:
     """Signed deterministic secrecy mean (nats) of the four-term combination;
     the noise floors cancel pairwise per user."""
     _require_lbi(stats, "signed_an_mean")
-    P_U = P_W + P_V
-    d_bu = det_equiv_lbi(solve_user(stats, "B", P_U))
-    d_bv = det_equiv_lbi(solve_user(stats, "B", P_V))
-    d_eu = det_equiv_lbi(solve_user(stats, EVE, P_U))
-    d_ev = det_equiv_lbi(solve_user(stats, EVE, P_V))
-    return (d_bu - d_bv) - (d_eu - d_ev)
+    return _signed_mean(_an_solutions(stats, {"U": P_W + P_V, "V": P_V}))
 
 
 def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
-                       P_V: np.ndarray) -> np.ndarray:
-    """Gradient of the signed secrecy mean with respect to the surface phases.
+                       P_V: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Gradient of the signed secrecy mean with respect to the surface
+    phases, and the mean itself (``signed_an_mean`` of the same solves).
 
     Each of the four terms contributes 2 a c Im diag(Z E) with
     Z = T_S^{1/2} L_T T_S^{1/2} and E = Theta W Theta^H,
     W = H_0 T^{1/2} P T^{1/2} H_0^H; the converged scalars make all implicit
-    contributions vanish.
+    contributions vanish. A term with a zero precoder contributes nothing.
     """
     _require_lbi(stats, "esr_phase_gradient")
     c = stats.M / stats.L
     phases = np.exp(1j * stats.theta)
-    P_U = P_W + P_V
+    precoders = {"U": P_W + P_V, "V": P_V}
+    sols = _an_solutions(stats, precoders)
 
     w_cache: Dict[str, np.ndarray] = {}
 
-    def conjugated(P: np.ndarray, tag: str) -> np.ndarray:
+    def conjugated(tag: str) -> np.ndarray:
         if tag not in w_cache:
+            P = precoders[tag]
             core = stats.H_T0 @ (stats.T_sqrt @ P @ stats.T_sqrt) @ stats.H_T0.conj().T
             w_cache[tag] = (phases[:, None] * core) * phases.conj()[None, :]
         return w_cache[tag]
 
     grad = np.zeros(stats.L)
-    for user, P, tag, sign in (("B", P_U, "U", 1.0), ("B", P_V, "V", -1.0),
-                               (EVE, P_U, "U", -1.0), (EVE, P_V, "V", 1.0)):
-        sol = solve_user(stats, user, P)
+    for (user, tag, sign), sol in zip(_AN_TERMS, sols):
+        if not precoders[tag].any():
+            continue
         ts_sqrt = stats.user_ts_sqrt(user)
         z_mat = ts_sqrt @ sol.L_T @ ts_sqrt
-        e_mat = conjugated(P, tag)
-        grad += sign * 2.0 * sol.alpha * c * np.einsum("ij,ji->i", z_mat, e_mat).imag
-    return grad
+        grad += sign * 2.0 * sol.alpha * c * np.einsum("ij,ji->i", z_mat, conjugated(tag)).imag
+    return grad, _signed_mean(sols)
 
 
 @dataclass(frozen=True)
@@ -419,11 +435,11 @@ def algorithm2_ao(
                                  freeze_v=not an)
         step_used = 0.0
         grad_norm = 0.0
+        k_mean = None  # signed mean at the round's final design, once known
         if optimize_theta:
-            g = esr_phase_gradient(stats, P_W, P_V)
+            g, k_cur = esr_phase_gradient(stats, P_W, P_V)
             grad_norm = float(np.linalg.norm(g))
             if grad_norm > 0.0:
-                k_cur = signed_an_mean(stats, P_W, P_V)
 
                 def trial(gamma):
                     theta_new = stats.theta + gamma * g
@@ -434,8 +450,11 @@ def algorithm2_ao(
                 found = _backtrack(trial)
                 if found is not None:
                     step_used, stats = found
+            if step_used == 0.0:
+                k_mean = k_cur  # the design the gradient was solved at
 
-        k_mean = signed_an_mean(stats, P_W, P_V)
+        if k_mean is None:
+            k_mean = signed_an_mean(stats, P_W, P_V)
         esr = max(0.0, k_mean)
         objective.append(esr)
         trace.append(TraceRow(t, esr, step_used,
@@ -451,46 +470,37 @@ def algorithm2_ao(
 # outage-probability phase gradient (double-hop model)
 # ---------------------------------------------------------------------------
 
-def _trace_against_phase_derivative(X: np.ndarray, U: np.ndarray,
-                                    V: np.ndarray) -> np.ndarray:
-    """L-vector of Tr[X dS/dtheta_l] for the rank-two phase derivative
-    dS/dtheta_l = -j (u_l v_l^H - v_l u_l^H), u_l/v_l the columns of U/V."""
-    a = np.einsum("ij,ji->i", V.conj().T @ X, U)
-    b = np.einsum("ij,ji->i", U.conj().T @ X, V)
-    return -1j * (a - b)
-
-
 class _UserDerivatives:
     """Per-user pieces of the outage gradient chain on the double-hop model."""
 
-    def __init__(self, stats: ChannelStatistics, user: str, P_W: np.ndarray):
-        sol = solve_user(stats, user, P_W)
+    def __init__(self, stats: ChannelStatistics, user: str, P_W: np.ndarray,
+                 transmit: Spectrum, start: Optional[tuple]):
+        sol = solve_user(stats, user, P_W, transmit=transmit, start=start)
         self.sol = sol
         m, ell = float(stats.M), float(stats.L)
         self.m, self.ell = m, ell
 
+        # the phase derivative dS/dtheta_l = -j (u_l v_l^H - v_l u_l^H) has
+        # u_l, v_l the columns of U = R_S^{1/2} and V = U Theta^H T_S Theta;
+        # here they are held in S's eigenbasis W as W^H U and W^H V
         phases = np.exp(1j * stats.theta)
         conj_ts = (phases.conj()[:, None] * stats.user_ts(user)) * phases[None, :]
-        self.U = stats.R_S_sqrt
-        self.V = stats.R_S_sqrt @ conj_ts
+        self.W = sol.s.vecs
+        w_h = self.W.conj().T
+        self.wu = w_h @ stats.R_S_sqrt
+        self.wv = w_h @ (stats.R_S_sqrt @ conj_ts)
 
         self.nu_R, self.nu_S, self.nu_SI, self.nu_T = sol.nu_R, sol.nu_S, sol.nu_SI, sol.nu_T
-        S, G = sol.S, sol.G_S
-        SG = S @ G
-        SG2 = SG @ G
-        SG3 = SG2 @ G
-        S2G3 = SG @ SG @ G
-        S3G3 = SG @ SG @ SG
-        G2 = G @ G
-        self.tr_S2G3 = float(np.trace(S2G3).real)
-        self.tr_S3G3 = float(np.trace(S3G3).real)
-        self.tr_SG3 = float(np.trace(SG3).real)
-
-        TGT = sol.T_eff @ sol.G_T
-        self.tr_T3GT3 = float(np.trace(TGT @ TGT @ TGT).real)
-
-        RGR = sol.R @ sol.G_R
-        self.tr_R3GR3 = float(np.trace(RGR @ RGR @ RGR).real)
+        # S, G_S and their products share S's eigenvectors: traces are
+        # eigen-sums, as are those of (T_eff G_T)^3 and (R G_R)^3
+        sigma = sol.s.lam
+        g = 1.0 / (1.0 / sol.delta + sol.omega_bar * sigma)
+        self.g, self.sg = g, sigma * g  # eigenvalues of G_S and S G_S
+        self.tr_S2G3 = float(np.sum(sigma ** 2 * g ** 3))
+        self.tr_S3G3 = float(np.sum((sigma * g) ** 3))
+        self.tr_SG3 = float(np.sum(sigma * g ** 3))
+        self.tr_T3GT3 = float(np.sum((sol.t.lam / (1.0 + sol.omega * sol.t.lam)) ** 3))
+        self.tr_R3GR3 = float(np.sum((sol.r.lam / (sol.z + sol.kappa * sol.r.lam)) ** 3))
 
         self.Delta_S = 1.0 - self.nu_S * self.nu_T
         d = sol.delta
@@ -503,18 +513,18 @@ class _UserDerivatives:
                 f"user {user}: fluctuation scale factors out of range "
                 f"(Delta_S={self.Delta_S:.3e}, Delta={self.Delta:.3e})")
 
-        # phase contractions Tr[X dS/dtheta_l]
-        self.tG = self.trf(G)
-        self.tSG2 = self.trf(SG2)
-        self.tS2G3 = self.trf(S2G3)
-        self.tG2 = self.trf(G2)
-        self.tSG3 = self.trf(SG3)
+        # phase contractions of G, S G^2, S^2 G^3, G^2 and S G^3, all
+        # diagonal in W
+        K = 2.0 * (np.conj(self.wv) * self.wu).imag
+        self.tG, self.tSG2, self.tS2G3, self.tG2, self.tSG3 = np.stack(
+            [g, sigma * g ** 2, sigma ** 2 * g ** 3, g ** 2, sigma * g ** 3]) @ K
 
         self._solve_implicit()
         self._nu_derivatives()
 
-    def trf(self, X: np.ndarray) -> np.ndarray:
-        return _trace_against_phase_derivative(X, self.U, self.V)
+    def trf(self, M: np.ndarray) -> np.ndarray:
+        """L-vector of Tr[X dS/dtheta_l] for the Hermitian X = W M W^H."""
+        return 2.0 * np.sum(np.conj(self.wv) * (M @ self.wu), axis=0).imag
 
     def _solve_implicit(self) -> None:
         # I - J_F of the double-hop step map, the matrix of the solver's
@@ -526,7 +536,7 @@ class _UserDerivatives:
             raise DegenerateRegimeError(
                 f"implicit-derivative system is singular (det {det:.3e})")
         q = np.zeros((3, self.tG.size))
-        q[1] = ((self.tG - self.sol.omega_bar * self.tSG2) / self.m).real
+        q[1] = (self.tG - self.sol.omega_bar * self.tSG2) / self.m
         p = np.linalg.solve(A, q)
         self.solve_residual = float(np.max(np.abs(A @ p - q)))
         self.d_delta, self.d_omega, self.d_omega_bar = p[0], p[1], p[2]
@@ -540,14 +550,14 @@ class _UserDerivatives:
             - (m * om * omb / (ell * d * d)) * dd
         self.d_nu_R = -(2.0 / ell) * self.tr_R3GR3 * d_kappa
         self.d_nu_T = -(2.0 / m) * self.tr_T3GT3 * dom
-        self.d_nu_S = (2.0 / m) * (self.tSG2.real
+        self.d_nu_S = (2.0 / m) * (self.tSG2
                                    + (dd / d ** 2) * self.tr_S2G3
                                    - domb * self.tr_S3G3
-                                   - omb * self.tS2G3.real)
-        self.d_nu_SI = (1.0 / m) * (self.tG2.real
+                                   - omb * self.tS2G3)
+        self.d_nu_SI = (1.0 / m) * (self.tG2
                                     + 2.0 * (dd / d ** 2) * self.tr_SG3
                                     - 2.0 * domb * self.tr_S2G3
-                                    - 2.0 * omb * self.tSG3.real)
+                                    - 2.0 * omb * self.tSG3)
         d_Delta_S = -(self.d_nu_S * self.nu_T + self.nu_S * self.d_nu_T)
         self.d_Delta_S = d_Delta_S
         self.d_Gamma = (m / ell) * (
@@ -560,7 +570,7 @@ class _UserDerivatives:
         self.var = -math.log(self.Delta) - math.log(self.Delta_S)
         self.d_var = ((self.d_nu_S * self.nu_T + self.nu_S * self.d_nu_T) / self.Delta_S
                       + (self.d_nu_R * self.Gamma + self.nu_R * self.d_Gamma) / self.Delta)
-        self.d_mean = omb * self.tG.real
+        self.d_mean = omb * self.tG
 
 
 @dataclass(frozen=True)
@@ -573,41 +583,43 @@ class SopGradient:
     mean_nats: float
     variance: float
     solve_residual: float
+    points: tuple  # fixed points (delta, omega, omega_bar) of B and EVE
 
 
-def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
-                       r_bits: float) -> SopGradient:
+def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float, *,
+                       start: Optional[tuple] = None) -> SopGradient:
     """All L partials of the outage probability of the plain wiretap pair on
     the double-hop model, with the per-user scalar derivatives obtained from
-    the 3 x 3 implicit systems."""
+    the 3 x 3 implicit systems. ``start`` is a pair of solver start points
+    for B and EVE, such as the ``points`` of a nearby gradient."""
     _require_double(stats, "sop_phase_gradient")
     m = float(stats.M)
 
-    ub = _UserDerivatives(stats, "B", P_W)
-    ue = _UserDerivatives(stats, EVE, P_W)
+    # T^{1/2} P_W T^{1/2} is the same for both users
+    transmit = transmit_spectrum(stats, "B", P_W)
+    b_start, e_start = start if start is not None else (None, None)
+    ub = _UserDerivatives(stats, "B", P_W, transmit, b_start)
+    ue = _UserDerivatives(stats, EVE, P_W, transmit, e_start)
 
-    # cross-user quantities (shared BS-side factor)
-    S_b, G_b = ub.sol.S, ub.sol.G_S
-    S_e, G_e = ue.sol.S, ue.sol.G_S
-    SbGb, SeGe = S_b @ G_b, S_e @ G_e
-    nu_S_be = float(np.trace(SbGb @ SeGe).real) / m
-    c1 = np.trace(SbGb @ G_b @ SeGe)
-    c2 = np.trace(SbGb @ SbGb @ SeGe)
-    c3 = np.trace(SbGb @ SeGe @ G_e)
-    c4 = np.trace(SbGb @ SeGe @ SeGe)
-    x_b1 = G_b @ SeGe
-    x_e1 = G_e @ SbGb
-    x_b2 = G_b @ SeGe @ SbGb
-    x_e2 = G_e @ SbGb @ SeGe
-    d_nu_S_be = (ub.trf(x_b1) + ue.trf(x_e1)
+    # cross-user quantities (shared BS-side factor), in the two users' S
+    # eigenbases: with O = W_b^H W_e, Tr[f_b(S_b) f_e(S_e)] = f_b . |O|^2 f_e,
+    # and G_b S_e G_e (I - omega_bar_b S_b G_b) = G_b S_e G_e G_b / delta_b
+    overlap = ub.W.conj().T @ ue.W
+    o2 = np.abs(overlap) ** 2
+    nu_S_be = float(ub.sg @ o2 @ ue.sg) / m
+    c1 = (ub.sg * ub.g) @ o2 @ ue.sg
+    c2 = ub.sg ** 2 @ o2 @ ue.sg
+    c3 = ub.sg @ o2 @ (ue.sg * ue.g)
+    c4 = ub.sg @ o2 @ ue.sg ** 2
+    y_b = ub.g[:, None] * ((overlap * ue.sg) @ overlap.conj().T) * ub.g / ub.sol.delta
+    y_e = ue.g[:, None] * ((overlap.conj().T * ub.sg) @ overlap) * ue.g / ue.sol.delta
+    d_nu_S_be = (ub.trf(y_b) + ue.trf(y_e)
                  + (ub.d_delta / ub.sol.delta ** 2) * c1
                  - ub.d_omega_bar * c2
-                 - ub.sol.omega_bar * ub.trf(x_b2)
                  + (ue.d_delta / ue.sol.delta ** 2) * c3
-                 - ue.d_omega_bar * c4
-                 - ue.sol.omega_bar * ue.trf(x_e2)).real / m
+                 - ue.d_omega_bar * c4) / m
 
-    tau = np.linalg.eigvalsh(_herm(ub.sol.T_eff))
+    tau = transmit.lam
     g_tb = 1.0 / (1.0 + ub.sol.omega * tau)
     g_te = 1.0 / (1.0 + ue.sol.omega * tau)
     nu_T_be = float(np.sum(tau ** 2 * g_tb * g_te)) / m
@@ -641,6 +653,7 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
     return SopGradient(
         grad=grad, prob=norm_cdf(t_std), mean_nats=mean_nats, variance=variance,
         solve_residual=max(ub.solve_residual, ue.solve_residual),
+        points=(ub.sol.point, ue.sol.point),
     )
 
 
@@ -679,7 +692,7 @@ def optimize_sop(
 
         def trial(gamma):
             cand = stats.with_theta(wrap_phase(stats.theta - gamma * g))
-            sg_new = sop_phase_gradient(cand, P_W, r_bits)
+            sg_new = sop_phase_gradient(cand, P_W, r_bits, start=sg.points)
             accept = sg_new.prob <= sg.prob - ARMIJO_C * gamma * g_norm ** 2
             return (cand, sg_new) if accept else None
 

@@ -219,6 +219,75 @@ def psd_sqrt(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (u * np.sqrt(lam)) @ u.conj().T
 
 
+def psd_root(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Thin factor F of a PSD matrix, mat = F F^H, with one column per
+    positive eigenvalue (see ``psd_eig``); n x 0 for a zero matrix."""
+    mat = np.asarray(mat)
+    if not mat.any():
+        return np.zeros((mat.shape[0], 0), dtype=complex)
+    lam, u = psd_eig(mat, name)
+    keep = lam > 0.0
+    return u[:, keep] * np.sqrt(lam[keep])
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigen-decomposition of an n x n PSD matrix X, in one of two forms.
+
+    Full (``gram`` False): X = vecs diag(lam) vecs^H with vecs unitary.
+    Gram (``gram`` True): X = G G^H for a factor G with k < n columns;
+    lam are the eigenvalues of the k x k Gram G^H G = W diag(lam) W^H and
+    vecs = G W, whose orthogonal columns have squared norms lam. X then has
+    the eigenvalues lam and n - k zeros.
+
+    ``mat`` keeps X when the decomposition was made from it.
+    """
+
+    lam: np.ndarray
+    vecs: np.ndarray
+    gram: bool = False
+    mat: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @classmethod
+    def of_matrix(cls, mat: np.ndarray, name: str = "matrix") -> "Spectrum":
+        lam, u = psd_eig(mat, name)
+        return cls(lam, u, mat=mat)
+
+    @classmethod
+    def of_factor(cls, factor: np.ndarray, name: str = "matrix") -> "Spectrum":
+        """Spectrum of factor factor^H from the smaller of its two Grams."""
+        n, k = factor.shape
+        if k >= n:
+            return cls.of_matrix(factor @ factor.conj().T, name)
+        lam, w = psd_eig(factor.conj().T @ factor, name)
+        return cls(lam, factor @ w, gram=True)
+
+    def matrix(self) -> np.ndarray:
+        if self.mat is not None:
+            return self.mat
+        v = self.vecs if self.gram else self.vecs * self.lam
+        return v @ self.vecs.conj().T
+
+    def resolvent(self, a: float, b: float) -> np.ndarray:
+        """(a I + b X)^{-1}, for a > 0 and b >= 0."""
+        if not self.gram:
+            return (self.vecs / (a + b * self.lam)) @ self.vecs.conj().T
+        low_rank = (self.vecs * (b / (a + b * self.lam))) @ self.vecs.conj().T
+        return (np.eye(self.vecs.shape[0]) - low_rank) / a
+
+    def resolvent_root(self, a: float, b: float) -> np.ndarray:
+        """H with H H^H = X (a I + b X)^{-1}, one column per eigenvalue;
+        the product is formed without the cancellation of X times the
+        resolvent."""
+        if self.gram:
+            return self.vecs / np.sqrt(a + b * self.lam)
+        return self.vecs * np.sqrt(self.lam / (a + b * self.lam))
+
+    def logdet(self, a: float, b: float) -> float:
+        """log det(a I + b X), for a > 0 and b >= 0."""
+        return float(np.log1p((b / a) * self.lam).sum()) + self.vecs.shape[0] * math.log(a)
+
+
 # ---------------------------------------------------------------------------
 # channel statistics
 # ---------------------------------------------------------------------------
@@ -230,8 +299,9 @@ class ChannelStatistics:
     Path gains are already folded multiplicatively into the receive-side
     correlations ``R_B`` / ``R_E_list``, so downstream formulas see a single
     matrix per side. ``R_S`` is None for the ``lbi`` model (that link is
-    deterministic). Square roots of the theta-independent matrices are
-    precomputed; everything that depends on ``theta`` is assembled on demand.
+    deterministic). Square roots of the theta-independent matrices, and the
+    eigen-decompositions of the receive correlations, are precomputed;
+    everything that depends on ``theta`` is assembled on demand.
     """
 
     model_kind: str  # "lbi" | "double"
@@ -252,6 +322,8 @@ class ChannelStatistics:
     T_S_E_sqrt_list: tuple = field(default=None, repr=False)
     T_sqrt: np.ndarray = field(default=None, repr=False)
     R_S_sqrt: Optional[np.ndarray] = field(default=None, repr=False)
+    # receive-correlation spectra, one per user in ``users()`` order
+    R_spectra: tuple = field(default=None, repr=False)
 
     # -- dimensions ---------------------------------------------------------
 
@@ -290,6 +362,9 @@ class ChannelStatistics:
 
     def user_r_sqrt(self, user: str) -> np.ndarray:
         return self.R_B_sqrt if user == "B" else self.R_E_sqrt_list[self._eve_index(user)]
+
+    def user_r_spectrum(self, user: str) -> Spectrum:
+        return self.R_spectra[0 if user == "B" else 1 + self._eve_index(user)]
 
     def user_ts(self, user: str) -> np.ndarray:
         return self.T_S_B if user == "B" else self.T_S_E_list[self._eve_index(user)]
@@ -373,10 +448,12 @@ def build_channel_statistics(
         named[f"T_S_E{i + 1}"] = tse
     if R_S is not None:
         named["R_S"] = R_S
-    roots = {}
+    roots, spectra = {}, {}
     for name, mat in named.items():
         mat = np.asarray(mat)
-        roots[name] = psd_sqrt(mat, name)  # rejects non-square input first
+        lam, u = psd_eig(mat, name)  # rejects non-square input first
+        roots[name] = (u * np.sqrt(lam)) @ u.conj().T
+        spectra[name] = lam, u
         if np.max(np.abs(mat - mat.conj().T)) >= HERMITIAN_TOL:
             raise ModelError(f"{name} is not Hermitian to {HERMITIAN_TOL:g}")
     if T_S_B.shape != (L, L):
@@ -391,10 +468,12 @@ def build_channel_statistics(
     if sigma2_B <= 0 or any(s <= 0 for s in sigma2_E_list):
         raise ModelError("noise powers must be positive")
 
+    R_B = np.asarray(R_B, dtype=complex)
+    R_E_list = tuple(np.asarray(m, dtype=complex) for m in R_E_list)
     return ChannelStatistics(
         model_kind=model_kind,
-        R_B=np.asarray(R_B, dtype=complex),
-        R_E_list=tuple(np.asarray(m, dtype=complex) for m in R_E_list),
+        R_B=R_B,
+        R_E_list=R_E_list,
         T_S_B=np.asarray(T_S_B, dtype=complex),
         T_S_E_list=tuple(np.asarray(m, dtype=complex) for m in T_S_E_list),
         T=np.asarray(T, dtype=complex),
@@ -409,6 +488,9 @@ def build_channel_statistics(
         T_S_E_sqrt_list=tuple(roots[f"T_S_E{i + 1}"] for i in range(len(T_S_E_list))),
         T_sqrt=roots["T"],
         R_S_sqrt=roots.get("R_S"),
+        R_spectra=tuple(Spectrum(*spectra[f"R_{user}"], mat=R) for user, R in
+                        zip(["B"] + [f"E{i + 1}" for i in range(len(R_E_list))],
+                            (R_B,) + R_E_list)),
     )
 
 

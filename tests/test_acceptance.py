@@ -282,7 +282,7 @@ class TestGradientFidelity:
             stats = make_stats("lbi", seed=seed)
             P_W = rand_psd(stats.M, rng, scale=0.6)
             P_V = rand_psd(stats.M, rng, scale=0.3)
-            g = esr_phase_gradient(stats, P_W, P_V)
+            g, _ = esr_phase_gradient(stats, P_W, P_V)
             idx = int(rng.integers(stats.L))
             e = np.zeros(stats.L)
             e[idx] = 1.0
@@ -424,7 +424,8 @@ class TestCliDeterminism:
                          ["--seed", "3"]),
         "optimize-sop": (dict(kind="double", theta_init="uniform"),
                          ["--seed", "3", "--r-min", "1.0"]),
-        "sweep": (dict(kind="lbi"),
+        # --trials samples the worst case, so the sweep has two eavesdroppers
+        "sweep": (dict(kind="lbi", N_E=(2, 2)),
                   ["--seed", "3", "--trials", "500", "--r-steps", "4"]),
     }
 

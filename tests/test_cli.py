@@ -276,6 +276,16 @@ class TestSweepCommand:
         assert lo.shape == hi.shape == (6,)
         assert np.all(hi <= lo + 1e-12)
 
+    def test_trials_with_one_eavesdropper_is_a_config_error(self, write_config, tmp_path,
+                                                            capsys):
+        # with one eavesdropper the sweep has no Monte-Carlo columns to fill
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", write_config(config_dict()), "--out", str(out),
+                     "--r-steps", "4", "--trials", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --trials: ")
+        assert not (out / "sop_sweep.csv").exists()
+
     @pytest.mark.parametrize("kind, split_v", [("lbi", 0.0), ("double", 0.1)])
     def test_two_eve_sweep_matches_sop_at_each_power(self, write_config, tmp_path,
                                                      kind, split_v):

@@ -26,6 +26,7 @@ from irs_secrecy.fixedpoint import (
     solve_descriptor,
     wiretap_descriptors,
 )
+from irs_secrecy.scenario import Spectrum
 
 from conftest import make_stats, uniform_precoders
 
@@ -248,11 +249,10 @@ class TestValidityGuards:
             cov_entry_lbi(pair)
 
     def test_out_of_range_pair_warns_and_flags_invalid(self):
-        eye = np.eye(2)
-        sol = LbiSolution(
-            alpha=1.0, alpha_bar=1.0, L_R=eye, L_T=eye, z=1.0,
-            R=2.0 * eye, T_eff=2.0 * eye, m_dim=1, n_iter=1, residual=0.0,
-        )
+        # R = T_eff = 2 I with zero scalars: L_R = L_T = I
+        two = Spectrum.of_matrix(2.0 * np.eye(2))
+        sol = LbiSolution(alpha=0.0, alpha_bar=0.0, z=1.0, r=two, t=two, m_dim=1,
+                          n_iter=1, residual=0.0)
         with pytest.warns(CovarianceValidityWarning):
             pair = lbi_pair_quantities(sol, sol)
         assert not pair.valid

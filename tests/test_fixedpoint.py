@@ -19,8 +19,11 @@ from irs_secrecy.fixedpoint import (
     solve_descriptor,
     solve_ds,
     solve_lbi,
+    solve_user,
+    transmit_spectrum,
     wiretap_descriptors,
 )
+from irs_secrecy.scenario import Spectrum
 
 from conftest import make_stats, rand_psd, uniform_precoders
 
@@ -248,6 +251,125 @@ class TestDeterministicEquivalents:
         precs = precoder_map(*uniform_precoders(stats.M, 1.0))
         sol = solve_descriptor(stats, desc, precs)
         assert mean_mi(stats, desc, precs, solution=sol) == mean_mi(stats, desc, precs)
+
+
+def _logdet(mat: np.ndarray) -> float:
+    sign, val = np.linalg.slogdet(mat)
+    assert sign.real > 0
+    return float(val)
+
+
+def _rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    A = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    return A @ A.conj().T / rank
+
+
+class TestSpectralMeans:
+    """The means are eigen-sums; they must equal the log-determinant forms."""
+
+    def test_single_hop_matches_slogdet(self):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            n, l, m = (int(v) for v in rng.integers(2, 10, size=3))
+            R = rand_psd(n, rng, scale=1.3)
+            # every third T_eff is rank-deficient, as a precoder of low rank makes it
+            T_eff = (_rank_deficient_psd(l, max(1, l // 3), rng) if trial % 3 == 0
+                     else rand_psd(l, rng, scale=0.7))
+            z = float(rng.uniform(0.3, 2.5))
+            sol = solve_lbi(R, T_eff, z=z, m_dim=m)
+            dense = (_logdet(z * np.eye(n) + sol.alpha_bar * R)
+                     + _logdet(np.eye(l) + sol.alpha * T_eff)
+                     - m * sol.alpha * sol.alpha_bar)
+            assert det_equiv_lbi(sol) == pytest.approx(dense, rel=1e-12)
+
+    def test_double_hop_matches_slogdet(self):
+        rng = np.random.default_rng(22)
+        for trial in range(12):
+            n, l, m = (int(v) for v in rng.integers(2, 10, size=3))
+            R, S = rand_psd(n, rng, scale=1.1), rand_psd(l, rng, scale=0.9)
+            T_eff = (_rank_deficient_psd(m, max(1, m // 3), rng) if trial % 3 == 0
+                     else rand_psd(m, rng, scale=0.8))
+            z = float(rng.uniform(0.3, 2.5))
+            sol = solve_ds(R, S, T_eff, z=z, m_dim=m, l_dim=l)
+            dense = (_logdet(z * np.eye(n) + sol.kappa * R)
+                     + _logdet(np.eye(l) + sol.delta * sol.omega_bar * S)
+                     + _logdet(np.eye(m) + sol.omega * T_eff)
+                     - 2.0 * m * sol.omega * sol.omega_bar)
+            assert det_equiv_ds(sol) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("n, rank", [(7, 3), (5, 5), (6, 0)])
+    def test_gram_spectrum_matches_the_full_one(self, n, rank):
+        # a factor with fewer columns than rows is decomposed through its Gram
+        rng = np.random.default_rng(23)
+        factor = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        gram, full = Spectrum.of_factor(factor), Spectrum.of_matrix(factor @ factor.conj().T)
+        assert gram.gram == (rank < n)
+        assert np.allclose(gram.matrix(), full.matrix(), atol=1e-12)
+        assert np.allclose(gram.resolvent(0.7, 1.9), full.resolvent(0.7, 1.9), atol=1e-12)
+        assert gram.logdet(0.7, 1.9) == pytest.approx(full.logdet(0.7, 1.9), rel=1e-12)
+        product = full.matrix() @ full.resolvent(0.7, 1.9)
+        for spec in (gram, full):
+            root = spec.resolvent_root(0.7, 1.9)
+            assert np.allclose(root @ root.conj().T, product, atol=1e-12)
+
+    def test_transmit_spectrum_is_that_of_the_effective_correlation(self):
+        rng = np.random.default_rng(24)
+        for kind in ("lbi", "double"):
+            stats = make_stats(kind)
+            P = _rank_deficient_psd(stats.M, 2, rng)
+            dense = np.linalg.eigvalsh(effective_transmit_corr(stats, "E1", P))
+            lam = transmit_spectrum(stats, "E1", P).lam
+            got = np.sort(np.concatenate([lam, np.zeros(dense.size - lam.size)]))
+            assert np.allclose(got, dense, atol=1e-12)
+
+
+class TestZeroTransmitSpectrum:
+    def test_single_hop_closed_form(self):
+        rng = np.random.default_rng(25)
+        R = rand_psd(3, rng, scale=1.4)
+        z, m = 0.6, 5
+        for T_eff in (np.zeros((4, 4)), Spectrum(np.zeros(0), np.zeros((4, 0)), gram=True)):
+            sol = solve_lbi(R, T_eff, z=z, m_dim=m)
+            assert sol.alpha_bar == 0.0
+            assert sol.alpha == pytest.approx(np.trace(R).real / (m * z), rel=1e-14)
+            assert det_equiv_lbi(sol) == pytest.approx(3 * math.log(z), rel=1e-14)
+            # the closed form is the start point, and the first test accepts it
+            assert sol.n_iter == 1
+            assert sol.residual == 0.0
+
+    def test_zero_precoder_term_has_zero_mean_rate(self):
+        stats = make_stats("lbi")
+        precs = precoder_map(*uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0))
+        assert transmit_spectrum(stats, "B", precs["V"]).lam.size == 0
+        for user in stats.users():
+            desc = MiDescriptor(user=user, precoder="V")
+            sol = solve_descriptor(stats, desc, precs)
+            assert sol.alpha_bar == 0.0
+            assert mean_rate(stats, desc, precs, solution=sol) == 0.0
+
+
+class TestWarmStart:
+    def test_double_hop_warm_start_reaches_the_cold_point_sooner(self):
+        # a phase step moves the surface Gram S; the solve from the previous
+        # design's fixed point lands on the new cold fixed point in fewer steps
+        stats = make_stats("double")
+        P = uniform_precoders(stats.M, 1.0)[0]
+        moved = stats.with_theta(stats.theta + 0.05 * np.sin(np.arange(stats.L)))
+        for user in stats.users():
+            before = solve_user(stats, user, P)
+            cold = solve_user(moved, user, P)
+            warm = solve_user(moved, user, P, start=before.point)
+            for got, want in zip(warm.point, cold.point):
+                assert abs(got - want) < fixedpoint.TOL
+            assert warm.n_iter < cold.n_iter
+
+    def test_single_hop_start_is_used(self):
+        rng = np.random.default_rng(26)
+        R, T_eff = rand_psd(3, rng), rand_psd(5, rng)
+        cold = solve_lbi(R, T_eff, z=0.9, m_dim=4)
+        warm = solve_lbi(R, T_eff, z=0.9, m_dim=4, start=(cold.alpha, cold.alpha_bar))
+        assert warm.n_iter == 1
+        assert (warm.alpha, warm.alpha_bar) == (cold.alpha, cold.alpha_bar)
 
 
 class TestEffectiveTransmitCorrelation:

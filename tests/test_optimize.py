@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from irs_secrecy import optimize
+from irs_secrecy import fixedpoint, optimize
 from irs_secrecy.errors import ConvergenceError, ModelError
 from irs_secrecy.fixedpoint import det_equiv_lbi, effective_transmit_corr, solve_lbi
 from irs_secrecy.optimize import (
@@ -23,9 +23,10 @@ from irs_secrecy.optimize import (
     sop_phase_gradient,
     wrap_phase,
 )
+from irs_secrecy.scenario import dbm_to_watts
 from irs_secrecy.secrecy import esr_wiretap, sop_wiretap
 
-from conftest import make_stats, uniform_precoders
+from conftest import experiment_stats, make_stats, uniform_precoders
 
 
 def _herm_direction(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -263,7 +264,7 @@ class TestEsrPhaseGradient:
     def test_matches_finite_differences(self):
         stats = make_stats("lbi")
         P_W, P_V = uniform_precoders(stats.M, 2.0)
-        g = esr_phase_gradient(stats, P_W, P_V)
+        g, _ = esr_phase_gradient(stats, P_W, P_V)
         rng = np.random.default_rng(3)
         h = 1e-6
         for idx in rng.choice(stats.L, size=4, replace=False):
@@ -277,7 +278,7 @@ class TestEsrPhaseGradient:
     def test_identity_element_gains_make_phases_irrelevant(self):
         stats = make_stats("lbi", identity_ts=True)
         P_W, P_V = uniform_precoders(stats.M, 2.0)
-        g = esr_phase_gradient(stats, P_W, P_V)
+        g, _ = esr_phase_gradient(stats, P_W, P_V)
         assert np.max(np.abs(g)) < 1e-10
         base = signed_an_mean(stats, P_W, P_V)
         rotated = signed_an_mean(
@@ -288,7 +289,7 @@ class TestEsrPhaseGradient:
     def test_gradient_is_an_ascent_direction(self):
         stats = make_stats("lbi")
         P_W, P_V = uniform_precoders(stats.M, 2.0)
-        g = esr_phase_gradient(stats, P_W, P_V)
+        g, _ = esr_phase_gradient(stats, P_W, P_V)
         assert np.linalg.norm(g) > 1e-6
         base = signed_an_mean(stats, P_W, P_V)
         stepped = signed_an_mean(stats.with_theta(stats.theta + 1e-4 * g), P_W, P_V)
@@ -388,6 +389,32 @@ class TestSopDescent:
         if res.converged:
             final = sop_phase_gradient(res.stats, P_W, 1.2)
             assert np.linalg.norm(final.grad) < 1e-6
+
+    def test_warm_started_trials_halve_the_solver_iterations(self, monkeypatch):
+        # every line-search trial starts its two solves from the current
+        # design's fixed points; the same descent with every solve started
+        # from all ones is the baseline (M4L8N2 at 40 dBm, the regime of the
+        # benchmark's optimize-sop jobs)
+        stats = experiment_stats("double", M=4, L=8, N_B=2, N_E=(2,))
+        P_W, _ = uniform_precoders(stats.M, dbm_to_watts(40.0), split_w=1.0, split_v=0.0)
+        solve_ds = fixedpoint.solve_ds
+
+        def descent(cold: bool):
+            iters = []
+
+            def counted(*args, start=None, **kwargs):
+                sol = solve_ds(*args, start=None if cold else start, **kwargs)
+                iters.append(sol.n_iter)
+                return sol
+
+            monkeypatch.setattr(fixedpoint, "solve_ds", counted)
+            return optimize_sop(stats, P_W, r_bits=1.0, budget=20), sum(iters)
+
+        warm_res, warm = descent(cold=False)
+        cold_res, cold = descent(cold=True)
+        assert len(warm_res.trace) == len(cold_res.trace) > 10
+        assert warm_res.prob == pytest.approx(cold_res.prob, rel=1e-8)
+        assert warm <= 0.5 * cold
 
     def test_initial_phases_are_honored(self):
         stats = make_stats("double")
