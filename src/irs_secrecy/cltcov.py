@@ -26,7 +26,7 @@ fixed points:
 
 (T_i denotes the effective transmit correlation of term i, precoder folded.)
 The single-hop traces are taken from the solutions' spectra as
-||H_i^H H_j||_F^2, with H H^H = R L_R or T L_T (``Spectrum.resolvent_root``),
+||H_i^H H_j||_F^2, with H H^H = R L_R or T L_T (``LbiSolution.H_R``, ``H_T``),
 so no resolvent matrix is formed for them.
 
 The ordered product nu_SI(i,j) nu_SI(j,i) keeps Delta real and symmetric;
@@ -135,10 +135,8 @@ def lbi_pair_quantities(sol_i: LbiSolution, sol_j: LbiSolution) -> LbiPairQuanti
     """Evaluate the single-hop pair functionals; only meaningful for terms
     sharing the user-side factor (cross-user fluctuations are independent)."""
     m = float(sol_i.m_dim)
-    gamma_R = _cross_trace(sol_i.r.resolvent_root(sol_i.z, sol_i.alpha_bar),
-                           sol_j.r.resolvent_root(sol_j.z, sol_j.alpha_bar)) / m
-    gamma_T = _cross_trace(sol_i.t.resolvent_root(1.0, sol_i.alpha),
-                           sol_j.t.resolvent_root(1.0, sol_j.alpha)) / m
+    gamma_R = _cross_trace(sol_i.H_R, sol_j.H_R) / m
+    gamma_T = _cross_trace(sol_i.H_T, sol_j.H_T) / m
     Xi = 1.0 - gamma_R * gamma_T
     valid = 0.0 < Xi <= 1.0
     if not valid:

@@ -24,14 +24,14 @@ Two coupled fixed-point systems are solved:
           + logdet(I + delta omega_bar S) + logdet(I + omega T)
           - 2 M omega omega_bar.
 
-Both systems run through one Newton iteration on x = F(x). It starts from
-the caller's ``start`` point when one is given (the optimizers pass the
-fixed point of a nearby design), else from all scalars at 1. A start
-changes only where the iteration begins: the stop test and the domain check
-are the same, and a failed solve is not retried from elsewhere. A zero
-single-hop transmit spectrum has the closed form alpha_bar = 0,
-alpha = Tr R / (M z), mean N log z, which is then the start, and the first
-test accepts it. Each iteration evaluates the right-hand sides F(x) together
+Both systems run through one Newton iteration on x = F(x). The double-hop
+solve starts from the caller's ``start`` point when one is given (the SOP
+descent passes the fixed point of a nearby design), else from all scalars
+at 1. A start changes only where the iteration begins: the stop test and
+the domain check are the same, and a failed solve is not retried from
+elsewhere. The single-hop solve starts from all ones, except that a zero
+transmit spectrum has the closed form alpha_bar = 0, alpha = Tr R / (M z),
+mean N log z, which is then the start, and the first test accepts it. Each iteration evaluates the right-hand sides F(x) together
 with their analytic Jacobian J_F(x), whose entries are eigen-sums over the
 same vectors (for example d alpha / d alpha_bar = -(1/M) sum_r lam_r^2 /
 (z + alpha_bar lam_r)^2). It takes the full Newton step
@@ -160,6 +160,16 @@ class LbiSolution:
     def L_T(self) -> np.ndarray:
         """(I + alpha T_eff)^{-1}"""
         return self.t.resolvent(1.0, self.alpha)
+
+    @cached_property
+    def H_R(self) -> np.ndarray:
+        """H with H H^H = R L_R"""
+        return self.r.resolvent_root(self.z, self.alpha_bar)
+
+    @cached_property
+    def H_T(self) -> np.ndarray:
+        """H with H H^H = T_eff L_T"""
+        return self.t.resolvent_root(1.0, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -300,12 +310,11 @@ def _spectrum(mat, name: str) -> Spectrum:
     return Spectrum.of_matrix(np.asarray(mat, dtype=complex), name)
 
 
-def solve_lbi(R, T_eff, z: float, m_dim: int, *,
-              start: Optional[Sequence[float]] = None) -> LbiSolution:
+def solve_lbi(R, T_eff, z: float, m_dim: int) -> LbiSolution:
     """Solve the single-hop system to the direct-substitution test of
-    ``_newton_fixed_point``. R and T_eff are matrices or their Spectrum;
-    ``start`` is (alpha, alpha_bar), by default the zero-spectrum closed
-    form when T_eff is zero and all ones otherwise."""
+    ``_newton_fixed_point``. R and T_eff are matrices or their Spectrum.
+    The start is the zero-spectrum closed form when T_eff is zero and all
+    ones otherwise."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
     r, t = _spectrum(R, "R"), _spectrum(T_eff, "T_eff")
@@ -319,11 +328,10 @@ def solve_lbi(R, T_eff, z: float, m_dim: int, *,
         jac = ((0.0, -float(q_r @ q_r) / m), (-float(q_t @ q_t) / m, 0.0))
         return f, jac
 
-    if start is None:
-        # with T_eff = 0 the alpha_bar row is 0 whatever alpha is, and alpha
-        # follows in closed form
-        start = (1.0, 1.0) if lam_t.any() else (float((lam_r / z).sum()) / m, 0.0)
-    (a, ab), it, residual = _newton_fixed_point(step, list(start), "single-hop", _nonnegative)
+    # with T_eff = 0 the alpha_bar row is 0 whatever alpha is, and alpha
+    # follows in closed form
+    start = [1.0, 1.0] if lam_t.any() else [float((lam_r / z).sum()) / m, 0.0]
+    (a, ab), it, residual = _newton_fixed_point(step, start, "single-hop", _nonnegative)
     return LbiSolution(alpha=a, alpha_bar=ab, z=float(z), r=r, t=t, m_dim=m_dim,
                        n_iter=it, residual=residual)
 
@@ -453,12 +461,15 @@ def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray, *,
     """Solve the model-appropriate fixed point of one receiver, at its own
     noise power, under the transmit covariance P. ``transmit`` is the
     ``transmit_spectrum`` of P when the caller already has it; ``start`` is
-    passed to the solver."""
+    a double-hop start point (delta, omega, omega_bar), and the single-hop
+    solve takes none."""
     t = transmit if transmit is not None else transmit_spectrum(stats, user, P)
     r = stats.user_r_spectrum(user)
     z = stats.user_sigma2(user)
     if stats.model_kind == "lbi":
-        return solve_lbi(r, t, z, stats.M, start=start)
+        if start is not None:
+            raise ValueError("the single-hop solve takes no start point")
+        return solve_lbi(r, t, z, stats.M)
     return solve_ds(r, stats.ds_gram(user), t, z, stats.M, stats.L, start=start)
 
 

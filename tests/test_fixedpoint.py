@@ -363,13 +363,11 @@ class TestWarmStart:
                 assert abs(got - want) < fixedpoint.TOL
             assert warm.n_iter < cold.n_iter
 
-    def test_single_hop_start_is_used(self):
-        rng = np.random.default_rng(26)
-        R, T_eff = rand_psd(3, rng), rand_psd(5, rng)
-        cold = solve_lbi(R, T_eff, z=0.9, m_dim=4)
-        warm = solve_lbi(R, T_eff, z=0.9, m_dim=4, start=(cold.alpha, cold.alpha_bar))
-        assert warm.n_iter == 1
-        assert (warm.alpha, warm.alpha_bar) == (cold.alpha, cold.alpha_bar)
+    def test_single_hop_solve_takes_no_start(self):
+        stats = make_stats("lbi")
+        P = uniform_precoders(stats.M, 1.0)[0]
+        with pytest.raises(ValueError, match="no start point"):
+            solve_user(stats, "B", P, start=(1.0, 1.0))
 
 
 class TestEffectiveTransmitCorrelation:
