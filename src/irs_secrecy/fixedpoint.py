@@ -31,9 +31,10 @@ at 1. A start changes only where the iteration begins: the stop test and
 the domain check are the same, and a failed solve is not retried from
 elsewhere. The single-hop solve starts from all ones, except that a zero
 transmit spectrum has the closed form alpha_bar = 0, alpha = Tr R / (M z),
-mean N log z, which is then the start, and the first test accepts it. Each iteration evaluates the right-hand sides F(x) together
-with their analytic Jacobian J_F(x), whose entries are eigen-sums over the
-same vectors (for example d alpha / d alpha_bar = -(1/M) sum_r lam_r^2 /
+mean N log z, which is then the start, and the first test accepts it.
+Each iteration evaluates the right-hand sides F(x) together with their
+analytic Jacobian J_F(x), whose entries are eigen-sums over the same
+vectors (for example d alpha / d alpha_bar = -(1/M) sum_r lam_r^2 /
 (z + alpha_bar lam_r)^2). It takes the full Newton step
 x + (I - J_F)^{-1} (F(x) - x) when the new point stays in the domain (every
 scalar finite and >= 0, and delta > 0); otherwise it takes the damped step

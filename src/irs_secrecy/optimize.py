@@ -13,8 +13,9 @@ Three layers:
   alternate with backtracking gradient ascent on the surface phases, whose
   gradient (``esr_phase_gradient``) is closed-form via the envelope property
   of the converged fixed points. The gradient returns the signed mean of
-  its own four solves, which is the line search's K(theta), and the round's
-  closing mean when no phase step is accepted.
+  its own solves of ``secrecy_terms`` (the wiretap pair when P_V is zero),
+  which is the line search's K(theta), and the round's closing mean when
+  no phase step is accepted.
 * Outage minimization on the double-hop model (``optimize_sop``): gradient
   descent on the Gaussian outage surrogate, with every phase partial obtained
   by implicit differentiation of the three fixed-point scalars per user
@@ -41,9 +42,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateRegimeError,
                      InvalidCovarianceError, ModelError)
-from .fixedpoint import det_equiv_ds, det_equiv_lbi, solve_user, transmit_spectrum
+from .cltcov import solve_all
+from .fixedpoint import det_equiv_lbi, solve_user, transmit_spectrum
 from .scenario import ChannelStatistics, Spectrum
-from .secrecy import norm_cdf
+from .secrecy import norm_cdf, secrecy_terms, term_rates
 
 LN2 = math.log(2.0)
 
@@ -310,26 +312,20 @@ def algorithm1(
 # phase gradient and joint alternating optimization (single-hop model)
 # ---------------------------------------------------------------------------
 
-# the four terms of the signed secrecy mean: (user, precoder tag, sign)
-_AN_TERMS = (("B", "U", 1.0), ("B", "V", -1.0), (EVE, "U", -1.0), (EVE, "V", 1.0))
-
-
-def _an_solutions(stats: ChannelStatistics, precoders: dict) -> list:
-    """Fixed points of the ``_AN_TERMS``, in their order."""
-    return [solve_user(stats, user, precoders[tag]) for user, tag, _ in _AN_TERMS]
-
-
-def _signed_mean(sols: list) -> float:
-    """Signed secrecy mean of the four ``_an_solutions``."""
-    d_bu, d_bv, d_eu, d_ev = (det_equiv_lbi(sol) for sol in sols)
-    return (d_bu - d_bv) - (d_eu - d_ev)
+def _solved_terms(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray) -> tuple:
+    """Descriptors, precoders, selector row and fixed points of the design's
+    ``secrecy_terms`` against ``EVE``; a zero P_V gives the wiretap pair."""
+    descriptors, precoders, selectors = secrecy_terms(
+        stats, P_W, P_V if P_V.any() else None, eves=[EVE])
+    return descriptors, precoders, selectors[0], solve_all(stats, descriptors, precoders)
 
 
 def signed_an_mean(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray) -> float:
-    """Signed deterministic secrecy mean (nats) of the four-term combination;
-    the noise floors cancel pairwise per user."""
+    """Signed deterministic secrecy mean (nats) of the design, the
+    ``mean_nats`` of ``esr_an`` (``esr_wiretap`` when P_V is zero)."""
     _require_lbi(stats, "signed_an_mean")
-    return _signed_mean(_an_solutions(stats, {"U": P_W + P_V, "V": P_V}))
+    descriptors, precoders, u, sols = _solved_terms(stats, P_W, P_V)
+    return float(u @ term_rates(stats, descriptors, precoders, sols))
 
 
 def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
@@ -337,16 +333,15 @@ def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
     """Gradient of the signed secrecy mean with respect to the surface
     phases, and the mean itself (``signed_an_mean`` of the same solves).
 
-    Each of the four terms contributes 2 a c Im diag(Z E) with
-    Z = T_S^{1/2} L_T T_S^{1/2} and E = Theta W Theta^H,
+    Each term of ``secrecy_terms`` contributes its signed 2 a c Im diag(Z E)
+    with Z = T_S^{1/2} L_T T_S^{1/2} and E = Theta W Theta^H,
     W = H_0 T^{1/2} P T^{1/2} H_0^H; the converged scalars make all implicit
     contributions vanish. A term with a zero precoder contributes nothing.
     """
     _require_lbi(stats, "esr_phase_gradient")
     c = stats.M / stats.L
     phases = np.exp(1j * stats.theta)
-    precoders = {"U": P_W + P_V, "V": P_V}
-    sols = _an_solutions(stats, precoders)
+    descriptors, precoders, u, sols = _solved_terms(stats, P_W, P_V)
 
     w_cache: Dict[str, np.ndarray] = {}
 
@@ -358,13 +353,12 @@ def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
         return w_cache[tag]
 
     grad = np.zeros(stats.L)
-    for (user, tag, sign), sol in zip(_AN_TERMS, sols):
-        if not precoders[tag].any():
-            continue
-        ts_sqrt = stats.user_ts_sqrt(user)
+    for d, sign, sol in zip(descriptors, u, sols):
+        ts_sqrt = stats.user_ts_sqrt(d.user)
         z_mat = ts_sqrt @ sol.L_T @ ts_sqrt
-        grad += sign * 2.0 * sol.alpha * c * np.einsum("ij,ji->i", z_mat, conjugated(tag)).imag
-    return grad, _signed_mean(sols)
+        grad += sign * 2.0 * sol.alpha * c * np.einsum(
+            "ij,ji->i", z_mat, conjugated(d.precoder)).imag
+    return grad, float(u @ term_rates(stats, descriptors, precoders, sols))
 
 
 @dataclass(frozen=True)
@@ -403,8 +397,8 @@ def algorithm2_ao(
     Each round linearizes the non-concave part at the current iterate, runs
     the precoder alternation, then takes one backtracking ascent step on the
     phases accepting when K(theta + g grad) >= K(theta) + c g ||grad||.
-    With an=False the artificial-noise covariance is pinned at zero and the
-    plain wiretap design results.
+    With an=False only P_W moves (``freeze_v``); P_V stays at its start,
+    zero (the plain wiretap design) unless the caller passes one.
     """
     _require_lbi(stats, "algorithm2_ao")
     m = stats.M
@@ -638,9 +632,8 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
         raise InvalidCovarianceError(f"variance {variance:.3e} is not positive")
     var_grad = ub.d_var + ue.d_var - 2.0 * d_w_cross
 
-    n_b, n_e = stats.user_n("B"), stats.user_n(EVE)
-    mean_nats = (det_equiv_ds(ub.sol) - n_b * math.log(ub.sol.z)) \
-        - (det_equiv_ds(ue.sol) - n_e * math.log(ue.sol.z))
+    descriptors, precoders, sel = secrecy_terms(stats, P_W, eves=[EVE])
+    mean_nats = float(sel[0] @ term_rates(stats, descriptors, precoders, [ub.sol, ue.sol]))
     mean_grad = ub.d_mean - ue.d_mean
 
     r_nats = float(r_bits) * LN2

@@ -111,15 +111,20 @@ def secrecy_terms(stats: ChannelStatistics, P_W: np.ndarray,
     return descriptors, precoder_map(P_W, P_V), selectors
 
 
+def term_rates(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
+               precoders: Dict[str, np.ndarray], solutions: Sequence) -> np.ndarray:
+    """Mean rates (nats) of solved terms, each less its own noise floor: the
+    floors cancel inside a same-user U/V pair but not across users."""
+    return np.array([mean_rate(stats, d, precoders, solution=sol)
+                     for d, sol in zip(descriptors, solutions)])
+
+
 def _rates_and_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
                    precoders: Dict[str, np.ndarray]):
     """Per-term mean rates and their joint fluctuation covariance."""
     sols = solve_all(stats, descriptors, precoders)
-    # Noise floors cancel inside each same-user U/V pair but not across users,
-    # so combine full per-term rates (floor subtracted) throughout.
-    rates = np.array([mean_rate(stats, d, precoders, solution=sol)
-                      for d, sol in zip(descriptors, sols)])
-    return rates, joint_cov(stats, descriptors, precoders, solutions=sols)
+    return (term_rates(stats, descriptors, precoders, sols),
+            joint_cov(stats, descriptors, precoders, solutions=sols))
 
 
 def _report(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],

@@ -24,7 +24,7 @@ from irs_secrecy.optimize import (
     wrap_phase,
 )
 from irs_secrecy.scenario import dbm_to_watts
-from irs_secrecy.secrecy import esr_wiretap, sop_wiretap
+from irs_secrecy.secrecy import esr_an, esr_wiretap, sop_wiretap
 
 from conftest import experiment_stats, make_stats, uniform_precoders
 
@@ -296,6 +296,45 @@ class TestEsrPhaseGradient:
         assert stepped > base
 
 
+class TestDesignEvaluation:
+    """The optimizers evaluate a design through ``secrecy_terms``: the same
+    terms, signs and rates as the ESR reports, with a zero noise covariance
+    evaluated as the wiretap pair."""
+
+    def test_an_design_mean_is_the_report_mean(self):
+        stats = make_stats("lbi")
+        P_W, P_V = uniform_precoders(stats.M, 2.0)
+        rep = esr_an(stats, P_W, P_V)
+        assert signed_an_mean(stats, P_W, P_V) == rep.mean_nats
+        assert esr_phase_gradient(stats, P_W, P_V)[1] == rep.mean_nats
+
+    def test_zero_noise_covariance_is_the_wiretap_mean(self):
+        stats = make_stats("lbi")
+        P_W, P_V = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
+        rep = esr_wiretap(stats, P_W)
+        assert signed_an_mean(stats, P_W, P_V) == rep.mean_nats
+        assert esr_phase_gradient(stats, P_W, P_V)[1] == rep.mean_nats
+
+    @pytest.mark.parametrize("split_v, solves", [(0.0, 2), (0.1, 4)])
+    def test_zero_noise_covariance_skips_the_two_noise_terms(self, monkeypatch,
+                                                             split_v, solves):
+        stats = make_stats("lbi")
+        P_W, P_V = uniform_precoders(stats.M, 2.0, split_w=1.0 - split_v,
+                                     split_v=split_v)
+        calls = []
+        solve = fixedpoint.solve_lbi
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, "solve_lbi", counted)
+        signed_an_mean(stats, P_W, P_V)
+        assert len(calls) == solves
+        esr_phase_gradient(stats, P_W, P_V)
+        assert len(calls) == 2 * solves
+
+
 class TestAlternatingDriver:
     def test_objective_is_monotone_and_feasible(self):
         stats = make_stats("lbi")
@@ -323,7 +362,7 @@ class TestAlternatingDriver:
         state = algorithm2_ao(stats, p_budget=2.0, budget=4, an=False)
         assert np.all(state.P_V == 0.0)
         rep = esr_wiretap(state.stats, state.P_W)
-        assert state.esr_nats == pytest.approx(rep.esr_nats, abs=1e-10)
+        assert state.esr_nats == rep.esr_nats
 
     def test_infeasible_start_is_rejected(self):
         stats = make_stats("lbi")
@@ -344,7 +383,7 @@ class TestSopPhaseGradient:
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         sg = sop_phase_gradient(stats, P_W, r_bits=1.0)
         rep = esr_wiretap(stats, P_W)
-        assert sg.mean_nats == pytest.approx(rep.mean_nats, rel=1e-10)
+        assert sg.mean_nats == rep.mean_nats
         assert sg.variance == pytest.approx(rep.variance, rel=1e-10)
         assert sg.prob == pytest.approx(rep.sop(1.0), rel=1e-10)
         assert sg.solve_residual <= 1e-10
