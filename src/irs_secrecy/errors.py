@@ -4,9 +4,10 @@ from typing import Optional
 
 
 class ConfigError(ValueError):
-    """A scenario configuration file failed validation.
+    """A configuration input (the scenario file, a command-line flag or
+    ``IRS_SECRECY_THREADS``) failed validation.
 
-    The message always names the offending field path, e.g.
+    The message always names the offending field, flag or variable, e.g.
     ``dimensions.N_E: expected a list of length K_eves``.
     """
 

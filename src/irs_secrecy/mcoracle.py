@@ -33,11 +33,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ConfigError, ModelError
 from .fixedpoint import MiDescriptor
 from .scenario import (ChannelStatistics, assemble_channel, complex_from_normals,
                        trial_streams)
@@ -48,24 +48,59 @@ CHUNK = 512
 SUB_BLOCK = 32
 
 
-def thread_budget() -> int:
-    """Worker threads for trial chunks: 1 unless IRS_SECRECY_THREADS is set.
+def available_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the platform
+    reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    ``IRS_SECRECY_THREADS=n`` opts into a pool of ``max(1, n)`` threads.
-    One worker is the default: the batched kernel spends most of its time in
-    BLAS/LAPACK calls, which may run threads of their own, and on a 2-core
-    host a 2-thread pool gave no more Monte-Carlo throughput than one worker
-    while raising peak memory by about a fifth. Samples do not depend on the
-    worker count.
+
+def thread_budget(default: int = 1) -> int:
+    """Requested worker count: ``IRS_SECRECY_THREADS`` if set, else ``default``.
+
+    ``IRS_SECRECY_THREADS=n`` sets every pool to ``max(1, n)`` workers
+    before the cap of ``pool_size``; a value that is not an integer is a
+    ``ConfigError``. ``run_mc`` passes the default of 1 worker: each of its
+    chunks holds large complex channel stacks, and on a 2-core host a
+    2-worker pool gave the mc benchmark about 6% more jobs per second but a
+    13% slower median job and 55% more peak memory. ``secrecy.sop_multi_eve``
+    passes ``available_cores()``: its time goes to normal draws that release
+    the interpreter lock, and its buffers are small. Samples do not depend
+    on the worker count.
     """
     env = os.environ.get("IRS_SECRECY_THREADS")
     if env is None:
-        return 1
+        return default
     try:
-        cap = int(env)
-    except ValueError as exc:
-        raise ModelError(f"IRS_SECRECY_THREADS must be an integer, got {env!r}") from exc
-    return max(1, cap)
+        requested = int(env)
+    except ValueError:
+        raise ConfigError(
+            f"IRS_SECRECY_THREADS: must be an integer, got {env!r}") from None
+    return max(1, requested)
+
+
+def pool_size(n_items: int, default: int = 1) -> int:
+    """Workers for ``n_items`` independent items: ``thread_budget(default)``
+    capped at the item count and at the available cores, so no request
+    starts more threads than there are items or cores."""
+    return min(thread_budget(default), n_items, available_cores())
+
+
+def run_shares(share: Callable[[int], None], workers: int) -> None:
+    """Call ``share(w)`` for every ``w`` in ``range(workers)``: share 0 on
+    the calling thread while a pool of ``workers - 1`` threads runs the
+    others. An error in any share is raised here, after every share ends."""
+    if workers == 1:
+        share(0)
+        return
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(share, w) for w in range(1, workers)]
+        # the caller's share runs beside the pool's, not after them
+        share(0)
+        for future in futures:
+            future.result()
 
 
 def mi_exact(z: float, H: np.ndarray, P: np.ndarray) -> float:
@@ -190,17 +225,13 @@ def run_mc(
     starts = list(range(0, n_trials, CHUNK))
     sizes = [min(CHUNK, n_trials - s) for s in starts]
     parts: list = [None] * len(starts)
+    workers = pool_size(len(starts))
 
-    def work(i: int) -> None:
-        parts[i] = _chunk_mis(stats, descriptors, precoders, seed, starts[i], sizes[i])
+    def share(w: int) -> None:
+        for i in range(w, len(starts), workers):
+            parts[i] = _chunk_mis(stats, descriptors, precoders, seed, starts[i], sizes[i])
 
-    workers = min(thread_budget(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(len(starts))))
-    else:
-        for i in range(len(starts)):
-            work(i)
+    run_shares(share, workers)
 
     # merge exactly in chunk order: deterministic float reduction
     n_acc = 0

@@ -25,6 +25,7 @@ from .cltcov import joint_cov, solve_all
 from .errors import InvalidCovarianceError, ModelError
 from .fixedpoint import (MiDescriptor, an_descriptors, mean_rate,
                          precoder_map, wiretap_descriptors)
+from .mcoracle import available_cores, pool_size, run_shares
 from .scenario import ChannelStatistics, trial_streams
 
 LN2 = math.log(2.0)
@@ -220,6 +221,12 @@ def sop_multi_eve(models: Sequence[MultiEveModel], r_bits,
     count) share these draws, so each row is a monotone curve and equals, bit
     for bit, a call with that model alone: a sweep's powers use common
     random numbers.
+
+    The chunks run on ``mcoracle.pool_size(n_chunks, available_cores())``
+    workers (``IRS_SECRECY_THREADS`` overrides the default); worker w takes
+    chunks w, w + workers, ... and counts its own samples below each
+    threshold. The counts are integers and their sum is exact, so the result
+    is the same, bit for bit, for any worker count.
     """
     models = list(models)
     if not models or n_samples <= 0:
@@ -234,25 +241,37 @@ def sop_multi_eve(models: Sequence[MultiEveModel], r_bits,
         raise ModelError("per-Eve covariance is not positive semidefinite "
                          "within jitter") from exc
     r_nats = np.atleast_1d(np.asarray(r_bits, dtype=float)) * LN2
-    below = np.zeros((len(models),) + r_nats.shape, dtype=np.int64)
-    # one draw, one generator and one set of buffers serve every chunk and model
+    n_chunks = -(-n_samples // _MVN_CHUNK)
+    workers = pool_size(n_chunks, default=available_cores())
     rows = min(_MVN_CHUNK, n_samples)
-    z_buf, rates_buf, worst_buf = np.empty((rows, k)), np.empty((rows, k)), np.empty(rows)
-    stream = trial_streams(seed)
-    for chunk_id, lo in enumerate(range(0, n_samples, _MVN_CHUNK)):
-        size = min(_MVN_CHUNK, n_samples - lo)
-        z, rates, worst = z_buf[:size], rates_buf[:size], worst_buf[:size]
-        stream(chunk_id).standard_normal(out=z)
-        for m, c_t, count in zip(models, chol_t, below):
-            np.matmul(z, c_t, out=rates)
-            # worst eavesdropper per sample: column passes (rates[:, j] + mu[j],
-            # as a broadcast add gives it) are far cheaper than row-wise ones
-            np.add(rates[:, 0], m.mu[0], out=worst)
-            for j in range(1, k):
-                col = rates[:, j]
-                np.minimum(worst, np.add(col, m.mu[j], out=col), out=worst)
-            worst.sort()
-            count += np.searchsorted(worst, r_nats, side="left")
+    # per worker: one generator, one set of buffers for every chunk and model,
+    # and its own counts. All are allocated here, on the calling thread:
+    # allocated on the pool threads, the same buffers left about 1 MB more
+    # resident at the curves benchmark's peak.
+    shares = [(trial_streams(seed), np.empty((rows, k)), np.empty((rows, k)),
+               np.empty(rows), np.zeros((len(models),) + r_nats.shape, dtype=np.int64))
+              for _ in range(workers)]
+
+    def share(w: int) -> None:
+        stream, z_buf, rates_buf, worst_buf, below = shares[w]
+        for chunk_id in range(w, n_chunks, workers):
+            size = min(_MVN_CHUNK, n_samples - chunk_id * _MVN_CHUNK)
+            z, rates, worst = z_buf[:size], rates_buf[:size], worst_buf[:size]
+            stream(chunk_id).standard_normal(out=z)
+            for m, c_t, count in zip(models, chol_t, below):
+                np.matmul(z, c_t, out=rates)
+                # worst eavesdropper per sample: column passes (rates[:, j] +
+                # mu[j], as a broadcast add gives it) are far cheaper than
+                # row-wise ones
+                np.add(rates[:, 0], m.mu[0], out=worst)
+                for j in range(1, k):
+                    col = rates[:, j]
+                    np.minimum(worst, np.add(col, m.mu[j], out=col), out=worst)
+                worst.sort()
+                count += np.searchsorted(worst, r_nats, side="left")
+
+    run_shares(share, workers)
+    below = sum(counts for *_, counts in shares)
     p = below / n_samples
     stderr = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n_samples)
     shape = (len(models),) + np.shape(r_bits)

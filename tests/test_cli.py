@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import irs_secrecy
+from irs_secrecy import mcoracle
 from irs_secrecy.cli import main
 
 from conftest import config_dict
@@ -286,6 +287,27 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("config error: --trials: ")
         assert not (out / "sop_sweep.csv").exists()
 
+    def test_two_eve_sweep_is_byte_identical_for_any_worker_count(
+            self, write_config, tmp_path, monkeypatch):
+        # 3 chunks of worst-case samples on 1 worker, then on the default
+        # pool (3 workers on a host patched to 3 cores)
+        monkeypatch.setattr(mcoracle, "available_cores", lambda: 3)
+        cfg = config_dict(kind="double", N_E=(2, 2), split_w=0.9, split_v=0.1)
+        cfg["sweep"] = {"P_dbm": [20.0, 40.0]}
+        path = write_config(cfg)
+        files = {}
+        for env in ("1", None):
+            if env is None:
+                monkeypatch.delenv("IRS_SECRECY_THREADS")
+            else:
+                monkeypatch.setenv("IRS_SECRECY_THREADS", env)
+            out = tmp_path / f"threads-{env}"
+            assert main(["sweep", "--config", path, "--out", str(out), "--r-steps", "6",
+                         "--trials", "140000", "--seed", "3"]) == 0
+            files[env] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert list(files["1"]) == ["sop_sweep.csv"]
+        assert files["1"] == files[None]
+
     @pytest.mark.parametrize("kind, split_v", [("lbi", 0.0), ("double", 0.1)])
     def test_two_eve_sweep_matches_sop_at_each_power(self, write_config, tmp_path,
                                                      kind, split_v):
@@ -418,6 +440,19 @@ class TestFailureModes:
         assert code == 2, err
         assert err.startswith(f"config error: {field}"), err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand, eves, output", [
+        ("sop", (2, 2), "sop.csv"), ("mc-validate", (2,), "mc_validate.csv")])
+    def test_malformed_thread_setting_is_a_config_error(
+            self, write_config, tmp_path, capsys, monkeypatch, subcommand, eves, output):
+        monkeypatch.setenv("IRS_SECRECY_THREADS", "junk")
+        out = tmp_path / "o"
+        code = main([subcommand, "--config", write_config(config_dict(N_E=eves)),
+                     "--out", str(out), "--trials", "10", "--r-steps", "3"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == "config error: IRS_SECRECY_THREADS: must be an integer, got 'junk'\n"
+        assert not (out / output).exists()
 
     @pytest.mark.parametrize("kind", ["lbi", "double"])
     @pytest.mark.parametrize("p_dbm, sigma2_dbm",

@@ -4,13 +4,14 @@ determinism, and agreement with the closed-form channel moments."""
 import itertools
 import math
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from irs_secrecy import mcoracle
 from irs_secrecy.cltcov import joint_cov
-from irs_secrecy.errors import ModelError
+from irs_secrecy.errors import ConfigError, ModelError
 from irs_secrecy.fixedpoint import (
     MiDescriptor,
     an_descriptors,
@@ -27,7 +28,7 @@ from irs_secrecy.scenario import (
     sample_channel,
     trial_rng,
 )
-from irs_secrecy.secrecy import secrecy_terms
+from irs_secrecy.secrecy import MultiEveModel, secrecy_terms, sop_multi_eve
 
 from conftest import corr, make_stats, rand_psd, uniform_precoders
 
@@ -159,13 +160,56 @@ class TestDeterminism:
     def test_thread_budget_env_handling(self, monkeypatch):
         monkeypatch.setenv("IRS_SECRECY_THREADS", "3")
         assert thread_budget() == 3
+        assert thread_budget(default=7) == 3
         monkeypatch.setenv("IRS_SECRECY_THREADS", "0")
         assert thread_budget() == 1
         monkeypatch.setenv("IRS_SECRECY_THREADS", "junk")
-        with pytest.raises(ModelError):
+        with pytest.raises(ConfigError, match="^IRS_SECRECY_THREADS: must be an integer, "
+                                              "got 'junk'$"):
             thread_budget()
         monkeypatch.delenv("IRS_SECRECY_THREADS")
         assert thread_budget() == 1
+        assert thread_budget(default=7) == 7
+
+    def test_pools_are_capped_at_the_available_cores(self, monkeypatch):
+        # a budget far above the cores sizes each pool at the cores (the
+        # caller is one worker, so the pool gets one thread fewer); the
+        # stand-in pool records its size and runs every task at once on the
+        # calling thread, so no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(mcoracle, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(mcoracle, "available_cores", lambda: 3)
+        monkeypatch.setattr(mcoracle, "CHUNK", 4)
+        model = MultiEveModel(mu=np.array([0.5, 0.8]), Q=np.array([[1.0, 0.3], [0.3, 0.7]]),
+                              labels=("E1", "E2"), selectors=np.zeros((2, 2)))
+        runs = {}
+        for env in ("5000", "1"):
+            monkeypatch.setenv("IRS_SECRECY_THREADS", env)
+            assert thread_budget() == int(env)
+            # 10 chunks of trials, then 4 chunks of worst-case samples
+            runs[env] = (_small_run(n_trials=40)[3],
+                         sop_multi_eve([model], [0.5, 1.0], n_samples=200_003, seed=4))
+        assert sizes == [2, 2]
+        (a, (p_a, se_a)), (b, (p_b, se_b)) = runs["5000"], runs["1"]
+        assert np.array_equal(a.mi_samples, b.mi_samples)
+        assert np.array_equal(a.mi_cov, b.mi_cov)
+        assert np.array_equal(p_a, p_b) and np.array_equal(se_a, se_b)
 
 
 class TestSharedFactorSemantics:

@@ -2,11 +2,13 @@
 worst-case model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from irs_secrecy import mcoracle
 from irs_secrecy.errors import InvalidCovarianceError, ModelError
 from irs_secrecy.fixedpoint import precoder_map, wiretap_descriptors, mean_rate
 from irs_secrecy.cltcov import solve_all
@@ -283,13 +285,22 @@ class TestMultiEveOutage:
         singles = [sop_wiretap(stats, P_W, r_bits, eve=e) for e in model.labels]
         assert p >= max(singles) - 3.0 * se
 
+    @pytest.mark.parametrize("threads", [None, "1", "2", "3"],
+                             ids=["unset", "1", "2", "3"])
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_samples_follow_the_documented_stream(self, k):
+    def test_samples_follow_the_documented_stream(self, k, threads, monkeypatch):
         # chunk c of 65,536 samples draws z from trial_rng(seed, c); the worst
         # rate per sample is the row minimum of mu + z @ chol.T, and a
         # threshold counts the sorted worst rates strictly below it. Every
         # model of one call reads the same z, so each row is also the call
-        # with that model alone.
+        # with that model alone. The 1, 1, 2 and 4 chunks of the sample
+        # counts below run on up to 3 workers, fewer where there are fewer
+        # chunks, and the result is the same for every worker count.
+        monkeypatch.setattr(mcoracle, "available_cores", lambda: 3)
+        if threads is None:
+            monkeypatch.delenv("IRS_SECRECY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("IRS_SECRECY_THREADS", threads)
         rng = np.random.default_rng(k)
         models = []
         for _ in range(3):
@@ -316,6 +327,25 @@ class TestMultiEveOutage:
                 alone_p, alone_se = sop_multi_eve([model], r_bits, n_samples=n, seed=seed)
                 assert np.array_equal(alone_p[0], got_p[row]), (k, n, row)
                 assert np.array_equal(alone_se[0], got_se[row]), (k, n, row)
+
+    def test_worker_buffers_are_allocated_once_per_worker(self, monkeypatch):
+        # two workers over four chunks: each worker's z, rates and worst
+        # buffers hold one chunk and serve every chunk it takes, so the peak
+        # stays near the two workers' buffers
+        monkeypatch.setattr(mcoracle, "available_cores", lambda: 2)
+        monkeypatch.delenv("IRS_SECRECY_THREADS", raising=False)
+        model = MultiEveModel(mu=np.array([0.5, 0.8]), Q=np.array([[1.0, 0.3], [0.3, 0.7]]),
+                              labels=("E1", "E2"), selectors=np.zeros((2, 2)))
+        buffers = 2 * 65_536 * (2 + 2 + 1) * np.dtype(float).itemsize
+        # a first call does the lazy imports (thread pool, generator seeding)
+        sop_multi_eve([model], 1.0, n_samples=2 * 65_536)
+        tracemalloc.start()
+        try:
+            sop_multi_eve([model], np.linspace(0.0, 3.0, 7), n_samples=4 * 65_536, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * buffers, (peak, buffers)
 
     def test_models_must_share_the_eavesdropper_count(self):
         models = [MultiEveModel(mu=np.zeros(k), Q=np.eye(k),
