@@ -44,7 +44,7 @@ from .scenario import Scenario, build_scenario, load_config
 from .fixedpoint import mean_mi
 from .cltcov import joint_cov, solve_all
 from .secrecy import LN2, build_multi_eve_model, esr_an, secrecy_terms, sop_multi_eve
-from .mcoracle import run_mc
+from .mcoracle import run_mc, thread_budget
 from .optimize import algorithm2_ao, optimize_sop
 
 DEFAULT_MC_TRIALS = 20000
@@ -375,6 +375,7 @@ def main(argv: Optional[list] = None) -> int:
         for flag, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
             if not np.isfinite(value):
                 raise ConfigError(f"{flag}: must be a finite number, got {value}")
+        thread_budget()  # a malformed IRS_SECRECY_THREADS fails before --out is made
         scenario = build_scenario(load_config(args.config), seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.subcommand](args, scenario)

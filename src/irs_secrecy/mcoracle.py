@@ -5,17 +5,22 @@ joint analyses (one middle matrix Y per trial for the double model, one
 user-side factor X per user), computes exact per-trial mutual informations,
 and aggregates streaming moments plus per-trial secrecy rates.
 
-Trials run in chunks of ``CHUNK``. Within a chunk each trial makes one
-standard-normal draw into one row of a buffer of ``SUB_BLOCK`` trials. The
-row holds Y's normals (double model), then each user's X's in order of first
+Trials run in chunks of ``CHUNK``, and a chunk runs in blocks of as many
+trials as fit ``BLOCK_BYTES`` of complex factor entries (at least one), so a
+chunk's memory is a block's, not the chunk's. Each trial of a block makes
+one standard-normal draw into one row of the block's buffer. The row holds
+Y's normals (double model), then each user's X's in order of first
 appearance: the draw order of ``scenario.sample_channel``. One draw of a + b
 normals gives the normals of two draws of a and b, so this equals drawing
-the factors one by one. Once per sub-block, ``scenario.complex_from_normals``
-forms the complex factors from the buffer into one stack per factor; it is
-elementwise, so batching does not change them. Each user's channel stack is
-then assembled once per chunk by ``scenario.assemble_channel``, whose matrix
-products broadcast over the stacks in the same left-to-right order, so every
-sample equals ``mi_exact`` on that per-trial channel bit for bit.
+the factors one by one. ``scenario.complex_from_normals`` writes the complex
+factors from the buffer into one block buffer per factor; it is elementwise,
+so batching does not change them. Each user's channel stack is then
+assembled by ``scenario.channel_assembler``, whose matrix products broadcast
+over the stacks in the same left-to-right order, so every sample equals
+``mi_exact`` on that per-trial channel bit for bit.
+
+The chunks run on ``pool_size`` workers, the available cores unless
+``IRS_SECRECY_THREADS`` is set (see ``thread_budget``).
 
 Determinism contract: results are bit-for-bit reproducible for a fixed
 (seed, scenario, descriptor list), independent of the thread count. Every
@@ -39,13 +44,13 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .fixedpoint import MiDescriptor
-from .scenario import (ChannelStatistics, assemble_channel, complex_from_normals,
+from .scenario import (ChannelStatistics, channel_assembler, complex_from_normals,
                        trial_streams)
 
 CHUNK = 512
-# trials per normal buffer inside a chunk: one row per trial, so the buffer
-# stays small next to the chunk's complex stacks
-SUB_BLOCK = 32
+# complex factor entries held per block of trials inside a chunk: the
+# chunk's memory stays at a block's factors and channels, whatever CHUNK is
+BLOCK_BYTES = 1 << 20
 
 
 def available_cores() -> int:
@@ -57,22 +62,21 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def thread_budget(default: int = 1) -> int:
-    """Requested worker count: ``IRS_SECRECY_THREADS`` if set, else ``default``.
+def thread_budget() -> int:
+    """Requested worker count: ``IRS_SECRECY_THREADS`` if set, else
+    ``available_cores()``.
 
     ``IRS_SECRECY_THREADS=n`` sets every pool to ``max(1, n)`` workers
     before the cap of ``pool_size``; a value that is not an integer is a
-    ``ConfigError``. ``run_mc`` passes the default of 1 worker: each of its
-    chunks holds large complex channel stacks, and on a 2-core host a
-    2-worker pool gave the mc benchmark about 6% more jobs per second but a
-    13% slower median job and 55% more peak memory. ``secrecy.sop_multi_eve``
-    passes ``available_cores()``: its time goes to normal draws that release
-    the interpreter lock, and its buffers are small. Samples do not depend
-    on the worker count.
+    ``ConfigError``. Both pools, ``run_mc``'s and
+    ``secrecy.sop_multi_eve``'s, read this one budget: their time goes to
+    normal draws and LAPACK calls that release the interpreter lock, and
+    each worker holds only small buffers (a block of trials for ``run_mc``).
+    Samples do not depend on the worker count.
     """
     env = os.environ.get("IRS_SECRECY_THREADS")
     if env is None:
-        return default
+        return available_cores()
     try:
         requested = int(env)
     except ValueError:
@@ -81,11 +85,11 @@ def thread_budget(default: int = 1) -> int:
     return max(1, requested)
 
 
-def pool_size(n_items: int, default: int = 1) -> int:
-    """Workers for ``n_items`` independent items: ``thread_budget(default)``
-    capped at the item count and at the available cores, so no request
-    starts more threads than there are items or cores."""
-    return min(thread_budget(default), n_items, available_cores())
+def pool_size(n_items: int) -> int:
+    """Workers for ``n_items`` independent items: ``thread_budget()`` capped
+    at the item count and at the available cores, so no request starts more
+    threads than there are items or cores."""
+    return min(thread_budget(), n_items, available_cores())
 
 
 def run_shares(share: Callable[[int], None], workers: int) -> None:
@@ -164,42 +168,40 @@ def _chunk_mis(
     start: int,
     count: int,
 ) -> np.ndarray:
-    """Per-trial MI matrix (count, K) for trials [start, start+count).
-
-    Each trial makes one standard-normal draw into a row of a buffer of
-    ``SUB_BLOCK`` trials. Once per sub-block, every factor's complex entries
-    are formed from its slice of the rows and written into that factor's
-    stack. Each user's channel stack is then assembled once by
-    ``assemble_channel``, whose products broadcast over the stacks, and every
-    descriptor of that user reads it.
-    """
+    """Per-trial MI matrix (count, K) for trials [start, start+count),
+    computed block by block (see the module docstring): only one block's
+    normals, complex factors and channels are held at a time."""
     users = list(dict.fromkeys(d.user for d in descriptors))
     # documented draw order: Y, then one X per user in order of first
     # appearance; (rows, cols, variance) per factor
     factors = [(stats.L, stats.M, 1.0 / stats.M)] if stats.model_kind == "double" else []
     factors += [(stats.user_n(u), stats.L, 1.0 / stats.L) for u in users]
-    stacks = [np.empty((count, rows, cols), dtype=complex) for rows, cols, _ in factors]
     bounds = list(itertools.accumulate((2 * rows * cols for rows, cols, _ in factors),
                                        initial=0))
-    buf = np.empty((min(SUB_BLOCK, count), bounds[-1]))
-    # one generator and buffer per chunk (chunks may run on pool threads), so
-    # threads share nothing
+    trial_bytes = bounds[-1] // 2 * np.dtype(complex).itemsize
+    block = max(1, min(count, BLOCK_BYTES // trial_bytes))
+    # one generator and set of buffers per chunk (chunks may run on pool
+    # threads), so threads share nothing
+    buf = np.empty((block, bounds[-1]))
+    blocks = [np.empty((block, rows, cols), dtype=complex) for rows, cols, _ in factors]
+    x_blocks = blocks[len(blocks) - len(users):]
+    per_user = [(channel_assembler(stats, u),
+                 [(i, stats.user_sigma2(u), precoders[d.precoder])
+                  for i, d in enumerate(descriptors) if d.user == u]) for u in users]
     stream = trial_streams(seed)
-    for lo in range(0, count, SUB_BLOCK):
-        n = min(SUB_BLOCK, count - lo)
+    out = np.empty((count, len(descriptors)))
+    for lo in range(0, count, block):
+        n = min(block, count - lo)
         for i in range(n):
             # one call of size a + b gives the normals of calls of size a, b
             stream(start + lo + i).standard_normal(out=buf[i])
-        for stack, (rows, cols, var), a, b in zip(stacks, factors, bounds, bounds[1:]):
-            stack[lo:lo + n] = complex_from_normals(
-                buf[:n, a:b].reshape(n, 2, rows, cols), var)
-
-    y_stack = stacks.pop(0) if stats.model_kind == "double" else None
-    h_stacks = {u: assemble_channel(stats, u, x, y_stack) for u, x in zip(users, stacks)}
-    out = np.empty((count, len(descriptors)))
-    for i, d in enumerate(descriptors):
-        out[:, i] = _mi_batch(stats.user_sigma2(d.user), h_stacks[d.user],
-                              precoders[d.precoder])
+        for blk, (rows, cols, var), a, b in zip(blocks, factors, bounds, bounds[1:]):
+            complex_from_normals(buf[:n, a:b].reshape(n, 2, rows, cols), var, out=blk[:n])
+        y = blocks[0][:n] if stats.model_kind == "double" else None
+        for x, (assemble, terms) in zip(x_blocks, per_user):
+            h = assemble(x[:n], y)
+            for i, z, P in terms:
+                out[lo:lo + n, i] = _mi_batch(z, h, P)
     return out
 
 

@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -515,14 +515,20 @@ class ChannelSample:
     seed: Optional[int]
 
 
-def complex_from_normals(normals: np.ndarray, var: float) -> np.ndarray:
+def complex_from_normals(normals: np.ndarray, var: float,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Circularly-symmetric complex Gaussian entries of variance ``var`` from
     a ``(..., 2, rows, cols)`` block of standard normals: the real parts at
     index 0 of the length-2 axis, the imaginary parts at index 1, each scaled
     to carry var/2. Elementwise, so any batch of blocks gives the same
-    entries as one block at a time."""
+    entries as one block at a time. The entries are written into ``out``
+    (a complex ``(..., rows, cols)`` array) when one is given."""
+    if out is None:
+        out = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=complex)
     scale = math.sqrt(var / 2.0)
-    return scale * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+    np.multiply(normals[..., 0, :, :], scale, out=out.real)
+    np.multiply(normals[..., 1, :, :], scale, out=out.imag)
+    return out
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int, var: float) -> np.ndarray:
@@ -540,19 +546,25 @@ def draw_y(rng: np.random.Generator, L: int, M: int) -> np.ndarray:
     return complex_gaussian(rng, L, M, 1.0 / M)
 
 
-def assemble_channel(
-    stats: ChannelStatistics, user: str, X: np.ndarray, Y: Optional[np.ndarray]
-) -> np.ndarray:
-    """End-to-end channel from the Gaussian factors, per the model kind.
+def channel_assembler(stats: ChannelStatistics, user: str) -> Callable:
+    """``(X, Y) -> H``: ``user``'s end-to-end channel from the Gaussian
+    factors, per the model kind, with the deterministic factors built once.
 
     X and Y may also be stacks (n, N, L) and (n, L, M): the products
     broadcast, in the same left-to-right order, to an (n, N, M) stack.
     """
+    r_sqrt = stats.user_r_sqrt(user)
     if stats.model_kind == "lbi":
-        return stats.user_r_sqrt(user) @ X @ stats.lbi_aperture(user)
-    if Y is None:
-        raise ModelError("the double-scattering model needs the shared Y factor")
-    return stats.user_r_sqrt(user) @ X @ stats.ds_plus_half(user) @ Y @ stats.T_sqrt
+        aperture = stats.lbi_aperture(user)
+        return lambda X, Y: r_sqrt @ X @ aperture
+    plus_half = stats.ds_plus_half(user)
+
+    def assemble(X: np.ndarray, Y: Optional[np.ndarray]) -> np.ndarray:
+        if Y is None:
+            raise ModelError("the double-scattering model needs the shared Y factor")
+        return r_sqrt @ X @ plus_half @ Y @ stats.T_sqrt
+
+    return assemble
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -587,7 +599,7 @@ def sample_channel(stats: ChannelStatistics, user: str, seed: int) -> ChannelSam
     rng = trial_rng(seed, 0)
     Y = draw_y(rng, stats.L, stats.M) if stats.model_kind == "double" else None
     X = draw_x(rng, stats.user_n(user), stats.L)
-    return ChannelSample(H=assemble_channel(stats, user, X, Y), X=X, Y=Y, seed=seed)
+    return ChannelSample(H=channel_assembler(stats, user)(X, Y), X=X, Y=Y, seed=seed)
 
 
 # ---------------------------------------------------------------------------

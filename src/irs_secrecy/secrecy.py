@@ -25,7 +25,7 @@ from .cltcov import joint_cov, solve_all
 from .errors import InvalidCovarianceError, ModelError
 from .fixedpoint import (MiDescriptor, an_descriptors, mean_rate,
                          precoder_map, wiretap_descriptors)
-from .mcoracle import available_cores, pool_size, run_shares
+from .mcoracle import pool_size, run_shares
 from .scenario import ChannelStatistics, trial_streams
 
 LN2 = math.log(2.0)
@@ -222,8 +222,8 @@ def sop_multi_eve(models: Sequence[MultiEveModel], r_bits,
     for bit, a call with that model alone: a sweep's powers use common
     random numbers.
 
-    The chunks run on ``mcoracle.pool_size(n_chunks, available_cores())``
-    workers (``IRS_SECRECY_THREADS`` overrides the default); worker w takes
+    The chunks run on ``mcoracle.pool_size(n_chunks)`` workers (the
+    available cores unless ``IRS_SECRECY_THREADS`` is set); worker w takes
     chunks w, w + workers, ... and counts its own samples below each
     threshold. The counts are integers and their sum is exact, so the result
     is the same, bit for bit, for any worker count.
@@ -242,7 +242,7 @@ def sop_multi_eve(models: Sequence[MultiEveModel], r_bits,
                          "within jitter") from exc
     r_nats = np.atleast_1d(np.asarray(r_bits, dtype=float)) * LN2
     n_chunks = -(-n_samples // _MVN_CHUNK)
-    workers = pool_size(n_chunks, default=available_cores())
+    workers = pool_size(n_chunks)
     rows = min(_MVN_CHUNK, n_samples)
     # per worker: one generator, one set of buffers for every chunk and model,
     # and its own counts. All are allocated here, on the calling thread:

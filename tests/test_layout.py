@@ -65,3 +65,26 @@ def test_runtime_imports_only_the_stdlib_and_numpy():
             offences += [f"{path.name}:{node.lineno}: imports {name}"
                          for name in names if name.split(".")[0] not in allowed]
     assert not offences, offences
+
+
+def test_every_module_constant_is_read():
+    """Every module-level UPPER_CASE constant is read somewhere in the
+    package, so a test that patches one exercises the code it tunes."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [f"{name}:{node.lineno}: {t.id}" for t in targets
+                       if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
+                       and t.id not in read]
+    assert not unread, unread

@@ -20,9 +20,9 @@ from irs_secrecy.fixedpoint import (
 )
 from irs_secrecy.mcoracle import mi_exact, run_mc, thread_budget
 from irs_secrecy.scenario import (
-    assemble_channel,
     build_channel_statistics,
     build_los_channel,
+    channel_assembler,
     draw_x,
     draw_y,
     sample_channel,
@@ -71,6 +71,55 @@ def _small_run(kind="lbi", n_trials=64, seed=9, **kwargs):
     return stats, descs, precs, run
 
 
+def _patch_block(monkeypatch, stats, users, trials):
+    """Set ``BLOCK_BYTES`` to the complex factors of ``trials`` trials that
+    draw Y (double model) and one X per user."""
+    entries = stats.L * sum(stats.user_n(u) for u in users)
+    entries += stats.L * stats.M if stats.model_kind == "double" else 0
+    monkeypatch.setattr(mcoracle, "BLOCK_BYTES",
+                        trials * entries * np.dtype(complex).itemsize)
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """Trials per block, one entry per factor of every block run."""
+    sizes, convert = [], mcoracle.complex_from_normals
+
+    def recorded(normals, var, out=None):
+        sizes.append(normals.shape[0])
+        return convert(normals, var, out=out)
+
+    monkeypatch.setattr(mcoracle, "complex_from_normals", recorded)
+    return sizes
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Sizes of the pools requested while a stand-in for
+    ``ThreadPoolExecutor`` runs every task at once on the calling thread (so
+    no thread starts), on a host patched to 3 cores."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(mcoracle, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(mcoracle, "available_cores", lambda: 3)
+    return sizes
+
+
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
         _, _, _, a = _small_run()
@@ -101,27 +150,29 @@ class TestDeterminism:
         np.testing.assert_allclose(a.mi_mean, b.mi_mean, rtol=1e-13)
         np.testing.assert_allclose(a.mi_cov, b.mi_cov, rtol=1e-10, atol=1e-13)
 
-    def test_thread_count_does_not_change_anything(self, monkeypatch):
-        # sub-blocks of 5 split every chunk of 32, the last one partially
-        monkeypatch.setattr(mcoracle, "CHUNK", 32)
-        monkeypatch.setattr(mcoracle, "SUB_BLOCK", 5)
+    def test_thread_count_does_not_change_anything(self, monkeypatch, block_sizes):
+        # chunks of 7 run in blocks of 3, 3 and 1 trials (the last, of 6, in
+        # 3 and 3)
+        monkeypatch.setattr(mcoracle, "CHUNK", 7)
+        _patch_block(monkeypatch, make_stats("lbi"), ["B", "E1"], 3)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "1")
         _, _, _, a = _small_run(n_trials=300)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "4")
         _, _, _, b = _small_run(n_trials=300)
+        assert sorted(set(block_sizes)) == [1, 3]
         assert np.array_equal(a.mi_samples, b.mi_samples)
         assert np.array_equal(a.mi_mean, b.mi_mean)
         assert np.array_equal(a.mi_cov, b.mi_cov)
 
-    def test_every_trial_matches_documented_draw_order(self, monkeypatch):
+    def test_every_trial_matches_documented_draw_order(self, monkeypatch, block_sizes):
         # both models, wiretap and noise-injection descriptors, two
         # eavesdroppers in either order, and chunk boundaries inside the run;
-        # chunks of 7 hold sub-blocks of 3, 3 and 1 trials, then 3 and 1
+        # chunks of 7 run in blocks of 3, 3 and 1 trials, then 3 and 1
         monkeypatch.setattr(mcoracle, "CHUNK", 7)
-        monkeypatch.setattr(mcoracle, "SUB_BLOCK", 3)
         n_trials, seed = 11, 21
         for kind in ("lbi", "double"):
             stats = make_stats(kind, N_E=(3, 2))
+            _patch_block(monkeypatch, stats, ["B", "E1", "E2"], 3)
             P_W, P_V = uniform_precoders(stats.M, 2.0)
             for eves, P_V_design in itertools.product((["E1", "E2"], ["E2", "E1"]),
                                                       (None, P_V)):
@@ -135,32 +186,36 @@ class TestDeterminism:
                     Y = draw_y(rng, stats.L, stats.M) if kind == "double" else None
                     xs = {u: draw_x(rng, stats.user_n(u), stats.L) for u in users}
                     for i, d in enumerate(descs):
-                        H = assemble_channel(stats, d.user, xs[d.user], Y)
+                        H = channel_assembler(stats, d.user)(xs[d.user], Y)
                         assert run.mi_samples[t, i] == mi_exact(
                             stats.user_sigma2(d.user), H, precs[d.precoder]), (
                                 kind, eves, d.label, t)
+        assert sorted(set(block_sizes)) == [1, 3]
 
-    def test_chunk_peak_memory_stays_near_its_factor_stacks(self):
-        # the per-trial normals live in a buffer of SUB_BLOCK rows, not one
-        # row per trial of the chunk, which would add as much again as the
-        # complex stacks of Y and both users' X
+    def test_chunk_peak_memory_stays_near_its_factor_stacks(self, monkeypatch):
+        # a chunk holds one block's normals, complex factors and channels
+        # (BLOCK_BYTES of factors, 16 trials here), not chunk-wide stacks,
+        # whose factors alone take 32 MiB at 512 trials and grow with the chunk
         stats = make_stats("double", M=32, L=64, N_B=16, N_E=(16,))
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         descs, precs = an_descriptors(stats, eves=["E1"]), precoder_map(P_W, P_V)
-        entries = stats.L * stats.M + 2 * stats.user_n("B") * stats.L
-        stacks = mcoracle.CHUNK * entries * np.dtype(complex).itemsize
-        tracemalloc.start()
-        try:
-            mcoracle._chunk_mis(stats, descs, precs, 0, 0, mcoracle.CHUNK)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.8 * stacks, (peak, stacks)
+        peaks = {}
+        for chunk in (512, 2048):
+            monkeypatch.setattr(mcoracle, "CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                mcoracle._chunk_mis(stats, descs, precs, 0, 0, mcoracle.CHUNK)
+                peaks[chunk] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] < 4 * mcoracle.BLOCK_BYTES, peaks
+        # only the (count, K) output grows with the chunk
+        assert peaks[2048] < peaks[512] + (2048 - 512) * len(descs) * 8 + 65536, peaks
 
     def test_thread_budget_env_handling(self, monkeypatch):
+        monkeypatch.setattr(mcoracle, "available_cores", lambda: 5)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "3")
         assert thread_budget() == 3
-        assert thread_budget(default=7) == 3
         monkeypatch.setenv("IRS_SECRECY_THREADS", "0")
         assert thread_budget() == 1
         monkeypatch.setenv("IRS_SECRECY_THREADS", "junk")
@@ -168,33 +223,11 @@ class TestDeterminism:
                                               "got 'junk'$"):
             thread_budget()
         monkeypatch.delenv("IRS_SECRECY_THREADS")
-        assert thread_budget() == 1
-        assert thread_budget(default=7) == 7
+        assert thread_budget() == 5
 
-    def test_pools_are_capped_at_the_available_cores(self, monkeypatch):
+    def test_pools_are_capped_at_the_available_cores(self, monkeypatch, serial_pool):
         # a budget far above the cores sizes each pool at the cores (the
-        # caller is one worker, so the pool gets one thread fewer); the
-        # stand-in pool records its size and runs every task at once on the
-        # calling thread, so no thread starts
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(mcoracle, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(mcoracle, "available_cores", lambda: 3)
+        # caller is one worker, so the pool gets one thread fewer)
         monkeypatch.setattr(mcoracle, "CHUNK", 4)
         model = MultiEveModel(mu=np.array([0.5, 0.8]), Q=np.array([[1.0, 0.3], [0.3, 0.7]]),
                               labels=("E1", "E2"), selectors=np.zeros((2, 2)))
@@ -205,11 +238,25 @@ class TestDeterminism:
             # 10 chunks of trials, then 4 chunks of worst-case samples
             runs[env] = (_small_run(n_trials=40)[3],
                          sop_multi_eve([model], [0.5, 1.0], n_samples=200_003, seed=4))
-        assert sizes == [2, 2]
+        assert serial_pool == [2, 2]
         (a, (p_a, se_a)), (b, (p_b, se_b)) = runs["5000"], runs["1"]
         assert np.array_equal(a.mi_samples, b.mi_samples)
         assert np.array_equal(a.mi_cov, b.mi_cov)
         assert np.array_equal(p_a, p_b) and np.array_equal(se_a, se_b)
+
+    def test_run_mc_defaults_to_the_available_cores(self, monkeypatch, serial_pool):
+        # unset, the budget is the 3 cores: the caller and a pool of 2
+        # threads share the 3 chunks
+        monkeypatch.setattr(mcoracle, "CHUNK", 4)
+        monkeypatch.delenv("IRS_SECRECY_THREADS", raising=False)
+        a = _small_run(n_trials=12)[3]
+        assert serial_pool == [2]
+        monkeypatch.setenv("IRS_SECRECY_THREADS", "1")
+        b = _small_run(n_trials=12)[3]
+        assert serial_pool == [2]
+        assert np.array_equal(a.mi_samples, b.mi_samples)
+        assert np.array_equal(a.mi_mean, b.mi_mean)
+        assert np.array_equal(a.mi_cov, b.mi_cov)
 
 
 class TestSharedFactorSemantics:
@@ -266,7 +313,7 @@ class TestChannelMoments:
             rng = trial_rng(123, t)
             Y = draw_y(rng, stats.L, stats.M) if kind == "double" else None
             X = draw_x(rng, n, stats.L)
-            H = assemble_channel(stats, "B", X, Y)
+            H = channel_assembler(stats, "B")(X, Y)
             grams[t] = H @ H.conj().T
         if kind == "lbi":
             A = stats.lbi_aperture("B")
