@@ -7,20 +7,24 @@ and aggregates streaming moments plus per-trial secrecy rates.
 
 Trials run in chunks of ``CHUNK``, and a chunk runs in blocks of as many
 trials as fit ``BLOCK_BYTES`` of complex factor entries (at least one), so a
-chunk's memory is a block's, not the chunk's. Each trial of a block makes
-one standard-normal draw into one row of the block's buffer. The row holds
-Y's normals (double model), then each user's X's in order of first
-appearance: the draw order of ``scenario.sample_channel``. One draw of a + b
+chunk's memory is a block's, not the chunk's. Trial t makes one
+standard-normal draw from ``scenario.trial_rng(seed, t)`` into one row of the
+block's buffer. The row holds, in this documented draw order, Y's normals
+(L x M, entries CN(0, 1/M); double model only), then one X's (N_u x L,
+entries CN(0, 1/L)) per user in order of first appearance; each factor's
+normals are its real parts, then its imaginary parts. One draw of a + b
 normals gives the normals of two draws of a and b, so this equals drawing
 the factors one by one. ``scenario.complex_from_normals`` writes the complex
 factors from the buffer into one block buffer per factor; it is elementwise,
 so batching does not change them. Each user's channel stack is then
 assembled by ``scenario.channel_assembler``, whose matrix products broadcast
-over the stacks in the same left-to-right order, so every sample equals
-``mi_exact`` on that per-trial channel bit for bit.
+over the stacks in the same left-to-right order, and every log-determinant
+is taken by one kernel (``_mi_batch``), so every sample equals ``mi_exact``
+on that per-trial channel bit for bit.
 
-The chunks run on ``pool_size`` workers, the available cores unless
-``IRS_SECRECY_THREADS`` is set (see ``thread_budget``).
+The chunks run on ``pool_size`` workers: ``IRS_SECRECY_THREADS`` if set,
+else one worker below ``POOL_TRIAL_BYTES`` of factors per trial and the
+available cores from there (see ``thread_budget``).
 
 Determinism contract: results are bit-for-bit reproducible for a fixed
 (seed, scenario, descriptor list), independent of the thread count. Every
@@ -51,6 +55,10 @@ CHUNK = 512
 # complex factor entries held per block of trials inside a chunk: the
 # chunk's memory stays at a block's factors and channels, whatever CHUNK is
 BLOCK_BYTES = 1 << 20
+# complex factor bytes per trial from which run_mc's default is a pool: on 2
+# cores, 2 KiB trials (lbi M8 L16 N4) took 7-10% longer on 2 workers than on
+# 1, and 4 KiB trials (double M8 L16 N4, lbi M16 L32 N4) 23-33% less time
+POOL_TRIAL_BYTES = 4 << 10
 
 
 def available_cores() -> int:
@@ -62,21 +70,24 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def thread_budget() -> int:
+def thread_budget(default: Optional[int] = None) -> int:
     """Requested worker count: ``IRS_SECRECY_THREADS`` if set, else
-    ``available_cores()``.
+    ``default``, else ``available_cores()``.
 
     ``IRS_SECRECY_THREADS=n`` sets every pool to ``max(1, n)`` workers
     before the cap of ``pool_size``; a value that is not an integer is a
-    ``ConfigError``. Both pools, ``run_mc``'s and
-    ``secrecy.sop_multi_eve``'s, read this one budget: their time goes to
-    normal draws and LAPACK calls that release the interpreter lock, and
-    each worker holds only small buffers (a block of trials for ``run_mc``).
+    ``ConfigError``. Unset, ``secrecy.sop_multi_eve`` runs on the available
+    cores: its chunks of 65,536 samples are whole-array draws, products and
+    sorts, which release the interpreter lock. ``run_mc`` does so only from
+    ``POOL_TRIAL_BYTES`` of complex factors per trial, and runs on one
+    worker below that: there each trial's Python work (re-keying its stream,
+    calling its small array operations) holds the lock for longer than its
+    lock-free LAPACK/BLAS work takes, so a second worker mostly waits.
     Samples do not depend on the worker count.
     """
     env = os.environ.get("IRS_SECRECY_THREADS")
     if env is None:
-        return available_cores()
+        return available_cores() if default is None else default
     try:
         requested = int(env)
     except ValueError:
@@ -85,11 +96,11 @@ def thread_budget() -> int:
     return max(1, requested)
 
 
-def pool_size(n_items: int) -> int:
-    """Workers for ``n_items`` independent items: ``thread_budget()`` capped
-    at the item count and at the available cores, so no request starts more
-    threads than there are items or cores."""
-    return min(thread_budget(), n_items, available_cores())
+def pool_size(n_items: int, default: Optional[int] = None) -> int:
+    """Workers for ``n_items`` independent items: ``thread_budget(default)``
+    capped at the item count and at the available cores, so no request
+    starts more threads than there are items or cores."""
+    return min(thread_budget(default), n_items, available_cores())
 
 
 def run_shares(share: Callable[[int], None], workers: int) -> None:
@@ -108,27 +119,37 @@ def run_shares(share: Callable[[int], None], workers: int) -> None:
 
 
 def mi_exact(z: float, H: np.ndarray, P: np.ndarray) -> float:
-    """Exact mutual-information term logdet(z I + H P H^H) in nats.
-
-    Computed from the Hermitian eigenvalues of the Gram matrix; every
-    eigenvalue of z I + H P H^H is >= z > 0 so the log is safe.
-    """
+    """Exact mutual-information term logdet(z I + H P H^H) in nats: the
+    one-trial case of the Monte-Carlo kernel (see ``_mi_batch``)."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
-    gram = H @ P @ H.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    lam = np.linalg.eigvalsh(gram)
-    if not np.all(np.isfinite(lam)):
-        raise ModelError("non-finite channel entries in mutual-information evaluation")
-    return float(np.sum(np.log(z + np.clip(lam, 0.0, None))))
+    return float(_mi_batch(z, np.asarray(H)[None], P)[0])
 
 
 def _mi_batch(z: float, H_stack: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Vectorized mi_exact over a stack of channels (n, N, M)."""
+    """logdet(z I + H P H^H) in nats for a stack of channels (n, N, M), as
+    2 sum log diag of the Cholesky factor of each Gram stack entry.
+
+    Cholesky reads only the lower triangle, so the Gram needs no
+    symmetrising. A factorization that fails (non-finite channel entries, or
+    a singular H P H^H whose largest eigenvalue is about 1e16 times z or
+    more, where rounding can leave a non-positive pivot) or a non-finite
+    log-determinant is a ``ModelError``.
+    """
     gram = H_stack @ P @ H_stack.conj().transpose(0, 2, 1)
-    gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
-    lam = np.linalg.eigvalsh(gram)
-    return np.sum(np.log(z + np.clip(lam, 0.0, None)), axis=1).real
+    diag = np.arange(gram.shape[-1])
+    gram[:, diag, diag] += z
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise ModelError(
+            "mutual-information Gram matrix z I + H P H^H is not positive definite "
+            "in floating point: non-finite channel entries, or a noise power "
+            "negligible next to a singular received covariance") from None
+    out = 2.0 * np.sum(np.log(chol.diagonal(axis1=1, axis2=2).real), axis=1)
+    if not np.all(np.isfinite(out)):
+        raise ModelError("non-finite channel entries in mutual-information evaluation")
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,26 +181,38 @@ class McRun:
         return np.searchsorted(sorted_vals, np.asarray(grid_nats), side="left") / len(sorted_vals)
 
 
+def _trial_bytes(factors: list) -> int:
+    """Bytes of one trial's complex factors (see ``_factor_layout``)."""
+    return sum(rows * cols for rows, cols, _ in factors) * np.dtype(complex).itemsize
+
+
+def _factor_layout(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]) -> tuple:
+    """``(users, factors)``: the users in order of first appearance, and
+    (rows, cols, variance) of each complex factor a trial draws, in the
+    documented draw order: Y (double model), then one X per user."""
+    users = list(dict.fromkeys(d.user for d in descriptors))
+    factors = [(stats.L, stats.M, 1.0 / stats.M)] if stats.model_kind == "double" else []
+    factors += [(stats.user_n(u), stats.L, 1.0 / stats.L) for u in users]
+    return users, factors
+
+
 def _chunk_mis(
     stats: ChannelStatistics,
     descriptors: Sequence[MiDescriptor],
     precoders: dict,
+    layout: tuple,
     seed: int,
     start: int,
     count: int,
 ) -> np.ndarray:
     """Per-trial MI matrix (count, K) for trials [start, start+count),
     computed block by block (see the module docstring): only one block's
-    normals, complex factors and channels are held at a time."""
-    users = list(dict.fromkeys(d.user for d in descriptors))
-    # documented draw order: Y, then one X per user in order of first
-    # appearance; (rows, cols, variance) per factor
-    factors = [(stats.L, stats.M, 1.0 / stats.M)] if stats.model_kind == "double" else []
-    factors += [(stats.user_n(u), stats.L, 1.0 / stats.L) for u in users]
+    normals, complex factors and channels are held at a time. ``layout`` is
+    ``_factor_layout(stats, descriptors)``."""
+    users, factors = layout
     bounds = list(itertools.accumulate((2 * rows * cols for rows, cols, _ in factors),
                                        initial=0))
-    trial_bytes = bounds[-1] // 2 * np.dtype(complex).itemsize
-    block = max(1, min(count, BLOCK_BYTES // trial_bytes))
+    block = max(1, min(count, BLOCK_BYTES // _trial_bytes(factors)))
     # one generator and set of buffers per chunk (chunks may run on pool
     # threads), so threads share nothing
     buf = np.empty((block, bounds[-1]))
@@ -224,14 +257,18 @@ def run_mc(
     k = len(descriptors)
     floors = np.array([stats.user_n(d.user) * math.log(stats.user_sigma2(d.user))
                        for d in descriptors])
+    layout = _factor_layout(stats, descriptors)
     starts = list(range(0, n_trials, CHUNK))
     sizes = [min(CHUNK, n_trials - s) for s in starts]
     parts: list = [None] * len(starts)
-    workers = pool_size(len(starts))
+    # below POOL_TRIAL_BYTES a trial's Python work, which holds the
+    # interpreter lock, outweighs its lock-free LAPACK/BLAS work
+    workers = pool_size(len(starts), None if _trial_bytes(layout[1]) >= POOL_TRIAL_BYTES else 1)
 
     def share(w: int) -> None:
         for i in range(w, len(starts), workers):
-            parts[i] = _chunk_mis(stats, descriptors, precoders, seed, starts[i], sizes[i])
+            parts[i] = _chunk_mis(stats, descriptors, precoders, layout, seed, starts[i],
+                                  sizes[i])
 
     run_shares(share, workers)
 

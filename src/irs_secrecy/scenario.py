@@ -498,23 +498,6 @@ def build_channel_statistics(
 # channel sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One random realization of a user's channel.
-
-    H: the end-to-end N_k x M channel.
-    X: the user-side Gaussian factor (N_k x L, entries CN(0, 1/L)).
-    Y: the shared middle factor (L x M, entries CN(0, 1/M)); None for lbi.
-    seed: the seed the sample was drawn from (None when an external
-    generator supplied the randomness).
-    """
-
-    H: np.ndarray
-    X: np.ndarray
-    Y: Optional[np.ndarray]
-    seed: Optional[int]
-
-
 def complex_from_normals(normals: np.ndarray, var: float,
                          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Circularly-symmetric complex Gaussian entries of variance ``var`` from
@@ -529,21 +512,6 @@ def complex_from_normals(normals: np.ndarray, var: float,
     np.multiply(normals[..., 0, :, :], scale, out=out.real)
     np.multiply(normals[..., 1, :, :], scale, out=out.imag)
     return out
-
-
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int, var: float) -> np.ndarray:
-    """Matrix with i.i.d. circularly-symmetric complex Gaussian entries of
-    variance ``var``, from one draw of the real parts followed by the
-    imaginary parts."""
-    return complex_from_normals(rng.standard_normal((2, rows, cols)), var)
-
-
-def draw_x(rng: np.random.Generator, n: int, L: int) -> np.ndarray:
-    return complex_gaussian(rng, n, L, 1.0 / L)
-
-
-def draw_y(rng: np.random.Generator, L: int, M: int) -> np.ndarray:
-    return complex_gaussian(rng, L, M, 1.0 / M)
 
 
 def channel_assembler(stats: ChannelStatistics, user: str) -> Callable:
@@ -588,18 +556,6 @@ def trial_streams(seed: int):
         return rng
 
     return at
-
-
-def sample_channel(stats: ChannelStatistics, user: str, seed: int) -> ChannelSample:
-    """Draw one channel realization for ``user`` from a counter-based stream.
-
-    Draw order is fixed (Y first for the double model, then X) so that
-    samples sharing a seed share their common factors.
-    """
-    rng = trial_rng(seed, 0)
-    Y = draw_y(rng, stats.L, stats.M) if stats.model_kind == "double" else None
-    X = draw_x(rng, stats.user_n(user), stats.L)
-    return ChannelSample(H=channel_assembler(stats, user)(X, Y), X=X, Y=Y, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Two scenario families are used throughout:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from irs_secrecy.scenario import (
     build_channel_statistics,
     dbm_to_watts,
     path_loss,
+    trial_rng,
 )
 
 REF_LOSS_1 = 10.0 ** -2.305
@@ -100,6 +102,25 @@ def experiment_stats(
         sigma2_E_list=[NOISE_WATTS] * len(N_E),
         R_S=corr(5.0, 8.0, L) if kind == "double" else None,
     )
+
+
+def complex_gaussian(rng: np.random.Generator, rows: int, cols: int, var: float) -> np.ndarray:
+    """One documented factor draw: 2 * rows * cols standard normals, the
+    real parts then the imaginary parts, each scaled to carry var/2."""
+    z = rng.standard_normal((2, rows, cols))
+    return math.sqrt(var / 2.0) * (z[0] + 1j * z[1])
+
+
+def draw_factors(stats, users, seed: int, trial: int) -> tuple:
+    """``(Y, {user: X})``: the Gaussian factors of one Monte-Carlo trial in
+    the documented draw order, from ``trial_rng(seed, trial)``. Y (L x M,
+    CN(0, 1/M)) comes first and only for the double model (else None), then
+    one X per user (N_u x L, CN(0, 1/L)) in the order of ``users``."""
+    rng = trial_rng(seed, trial)
+    Y = (complex_gaussian(rng, stats.L, stats.M, 1.0 / stats.M)
+         if stats.model_kind == "double" else None)
+    return Y, {u: complex_gaussian(rng, stats.user_n(u), stats.L, 1.0 / stats.L)
+               for u in users}
 
 
 def uniform_precoders(M: int, p_watts: float, split_w: float = 0.9, split_v: float = 0.1):

@@ -455,6 +455,20 @@ class TestFailureModes:
         assert err == "config error: IRS_SECRECY_THREADS: must be an integer, got 'junk'\n"
         assert not out.exists()
 
+    def test_failed_mc_factorization_exits_1_without_a_traceback(
+            self, write_config, tmp_path, capsys):
+        # 2 transmit antennas into 4 receive antennas: every Gram H P H^H
+        # has rank 2, and at 300 dBm the noise rounds away next to it, so the
+        # Cholesky factorization of the Monte-Carlo kernel fails
+        path = write_config(config_dict(M=2, L=8, N_B=4, N_E=(4,), P_dbm=300.0))
+        out = tmp_path / "o"
+        code = main(["mc-validate", "--config", path, "--out", str(out), "--trials", "50"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error [mc-validate, config {path}]: "), err
+        assert "not positive definite" in err and "Traceback" not in err
+        assert not (out / "mc_validate.csv").exists()
+
     @pytest.mark.parametrize("kind", ["lbi", "double"])
     @pytest.mark.parametrize("p_dbm, sigma2_dbm",
                              [(300.0, -300.0), (-300.0, 300.0), (300.0, 300.0), (-300.0, -300.0)])

@@ -19,18 +19,23 @@ from irs_secrecy.fixedpoint import (
     wiretap_descriptors,
 )
 from irs_secrecy.mcoracle import mi_exact, run_mc, thread_budget
-from irs_secrecy.scenario import (
-    build_channel_statistics,
-    build_los_channel,
-    channel_assembler,
-    draw_x,
-    draw_y,
-    sample_channel,
-    trial_rng,
-)
+from irs_secrecy.scenario import build_channel_statistics, build_los_channel, channel_assembler
 from irs_secrecy.secrecy import MultiEveModel, secrecy_terms, sop_multi_eve
 
-from conftest import corr, make_stats, rand_psd, uniform_precoders
+from conftest import corr, draw_factors, make_stats, rand_psd, uniform_precoders
+
+
+def eigvalsh_logdet(z, H, P):
+    """logdet(z I + H P H^H) of each channel in a stack (n, N, M) from the
+    Hermitian eigenvalues of the symmetrised Gram, clipped at zero: an
+    eigenvalue oracle for the Cholesky kernel."""
+    gram = H @ P @ H.conj().transpose(0, 2, 1)
+    lam = np.linalg.eigvalsh(0.5 * (gram + gram.conj().transpose(0, 2, 1)))
+    return np.sum(np.log(z + np.clip(lam, 0.0, None)), axis=1)
+
+
+def _complex_normal(rng, *shape):
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
 
 
 class TestExactMutualInformation:
@@ -60,6 +65,43 @@ class TestExactMutualInformation:
         H = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ModelError):
             mi_exact(1.0, H, np.eye(2))
+
+    def test_kernel_matches_the_eigenvalue_oracle_on_full_rank_stacks(self):
+        rng = np.random.default_rng(5)
+        for n, N, M in ((64, 1, 3), (64, 2, 4), (32, 4, 8), (16, 16, 32)):
+            H = _complex_normal(rng, n, N, M)
+            P = rand_psd(M, rng, scale=2.0)
+            for z in (0.5, 1.0, 3.0):
+                np.testing.assert_allclose(mcoracle._mi_batch(z, H, P),
+                                           eigvalsh_logdet(z, H, P), rtol=1e-12)
+
+    @pytest.mark.parametrize("N, M", [(1, 3), (2, 4), (4, 8), (16, 32)])
+    def test_rank_one_precoder_matches_its_closed_form(self, N, M):
+        # P = s v v^H: logdet(z I + s (Hv)(Hv)^H) = log(z + s |Hv|^2) +
+        # (N - 1) log z, log1p(s |Hv|^2) at z = 1. Rounding the O(s) Gram
+        # moves its z-sized eigenvalues by about eps s |Hv|^2 each.
+        rng = np.random.default_rng(N)
+        H = _complex_normal(rng, N, M)
+        v = _complex_normal(rng, M)
+        v /= np.linalg.norm(v)
+        w = np.linalg.norm(H @ v) ** 2
+        for z in (1.0, 0.3):
+            for s in 10.0 ** np.arange(0, 13, 2):
+                expected = N * math.log(z) + math.log1p(s * w / z)
+                got = mi_exact(z, H, s * np.outer(v, v.conj()))
+                tol = 4 * N * np.finfo(float).eps * s * w / z + 1e-14 * abs(expected)
+                assert abs(got - expected) <= tol, (z, s, got, expected)
+
+    def test_a_failed_factorization_is_a_model_error(self):
+        # H's first column is all ones and P = s e1 e1^T, so the Gram is
+        # exactly s times the all-ones matrix; at s = 2^54 (about 1.8e16) the
+        # noise z = 1 rounds away and the second pivot is exactly zero
+        H = np.ones((3, 4), dtype=complex)
+        H[:, 1:] = np.random.default_rng(2).integers(-3, 4, size=(3, 3))
+        P = np.zeros((4, 4), dtype=complex)
+        P[0, 0] = 2.0 ** 54
+        with pytest.raises(ModelError, match="not positive definite"):
+            mi_exact(1.0, H, P)
 
 
 def _small_run(kind="lbi", n_trials=64, seed=9, **kwargs):
@@ -120,6 +162,21 @@ def serial_pool(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """Sizes of the real thread pools started, on a host patched to 4
+    cores."""
+    sizes, pool = [], mcoracle.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(mcoracle, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(mcoracle, "available_cores", lambda: 4)
+    return sizes
+
+
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
         _, _, _, a = _small_run()
@@ -150,15 +207,17 @@ class TestDeterminism:
         np.testing.assert_allclose(a.mi_mean, b.mi_mean, rtol=1e-13)
         np.testing.assert_allclose(a.mi_cov, b.mi_cov, rtol=1e-10, atol=1e-13)
 
-    def test_thread_count_does_not_change_anything(self, monkeypatch, block_sizes):
+    def test_thread_count_does_not_change_anything(self, monkeypatch, block_sizes,
+                                                   thread_pools):
         # chunks of 7 run in blocks of 3, 3 and 1 trials (the last, of 6, in
-        # 3 and 3)
+        # 3 and 3); the 4-worker run is the caller beside 3 pool threads
         monkeypatch.setattr(mcoracle, "CHUNK", 7)
         _patch_block(monkeypatch, make_stats("lbi"), ["B", "E1"], 3)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "1")
         _, _, _, a = _small_run(n_trials=300)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "4")
         _, _, _, b = _small_run(n_trials=300)
+        assert thread_pools == [3]
         assert sorted(set(block_sizes)) == [1, 3]
         assert np.array_equal(a.mi_samples, b.mi_samples)
         assert np.array_equal(a.mi_mean, b.mi_mean)
@@ -182,9 +241,7 @@ class TestDeterminism:
                 # the eavesdroppers as listed); every term of a user reads it
                 users = ["B"] + eves
                 for t in range(n_trials):
-                    rng = trial_rng(seed, t)
-                    Y = draw_y(rng, stats.L, stats.M) if kind == "double" else None
-                    xs = {u: draw_x(rng, stats.user_n(u), stats.L) for u in users}
+                    Y, xs = draw_factors(stats, users, seed, t)
                     for i, d in enumerate(descs):
                         H = channel_assembler(stats, d.user)(xs[d.user], Y)
                         assert run.mi_samples[t, i] == mi_exact(
@@ -204,7 +261,8 @@ class TestDeterminism:
             monkeypatch.setattr(mcoracle, "CHUNK", chunk)
             tracemalloc.start()
             try:
-                mcoracle._chunk_mis(stats, descs, precs, 0, 0, mcoracle.CHUNK)
+                mcoracle._chunk_mis(stats, descs, precs, mcoracle._factor_layout(stats, descs),
+                                    0, 0, mcoracle.CHUNK)
                 peaks[chunk] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -244,19 +302,33 @@ class TestDeterminism:
         assert np.array_equal(a.mi_cov, b.mi_cov)
         assert np.array_equal(p_a, p_b) and np.array_equal(se_a, se_b)
 
-    def test_run_mc_defaults_to_the_available_cores(self, monkeypatch, serial_pool):
-        # unset, the budget is the 3 cores: the caller and a pool of 2
-        # threads share the 3 chunks
+    def test_run_mc_default_pool_is_sized_by_the_work(self, monkeypatch, serial_pool):
+        # unset, a trial with under 4 KiB of factors runs on the caller
+        # alone; from 4 KiB (up to M32 L64 N16's 64 KiB) the caller and a
+        # pool of 2 threads share the 3 chunks on the 3 cores
         monkeypatch.setattr(mcoracle, "CHUNK", 4)
-        monkeypatch.delenv("IRS_SECRECY_THREADS", raising=False)
-        a = _small_run(n_trials=12)[3]
-        assert serial_pool == [2]
-        monkeypatch.setenv("IRS_SECRECY_THREADS", "1")
-        b = _small_run(n_trials=12)[3]
-        assert serial_pool == [2]
-        assert np.array_equal(a.mi_samples, b.mi_samples)
-        assert np.array_equal(a.mi_mean, b.mi_mean)
-        assert np.array_equal(a.mi_cov, b.mi_cov)
+        pools = {}
+        for kind, M, L, N in (("lbi", 8, 16, 4), ("double", 8, 16, 4), ("double", 32, 64, 16)):
+            stats = make_stats(kind, M=M, L=L, N_B=N, N_E=(N,))
+            P_W, P_V = uniform_precoders(M, 2.0)
+            descs = an_descriptors(stats, eves=["E1"])
+            nbytes = mcoracle._trial_bytes(mcoracle._factor_layout(stats, descs)[1])
+            runs = []
+            for env in (None, "1"):
+                serial_pool.clear()
+                if env is None:
+                    monkeypatch.delenv("IRS_SECRECY_THREADS", raising=False)
+                else:
+                    monkeypatch.setenv("IRS_SECRECY_THREADS", env)
+                runs.append(run_mc(stats, descs, precoder_map(P_W, P_V), 12, 3))
+                pools[nbytes, env] = list(serial_pool)
+            a, b = runs
+            assert np.array_equal(a.mi_samples, b.mi_samples)
+            assert np.array_equal(a.mi_mean, b.mi_mean)
+            assert np.array_equal(a.mi_cov, b.mi_cov)
+        assert pools == {(2 << 10, None): [], (2 << 10, "1"): [],
+                         (4 << 10, None): [2], (4 << 10, "1"): [],
+                         (64 << 10, None): [2], (64 << 10, "1"): []}
 
 
 class TestSharedFactorSemantics:
@@ -279,13 +351,6 @@ class TestSharedFactorSemantics:
         ]
         with pytest.raises(ModelError, match="unknown user tag 'E2'"):
             run_mc(stats, descs, precoder_map(P_W), 8, seed=0)
-
-    def test_double_model_shares_the_middle_factor(self):
-        stats = make_stats("double")
-        sb = sample_channel(stats, "B", seed=5)
-        se = sample_channel(stats, "E1", seed=5)
-        assert np.array_equal(sb.Y, se.Y)
-        assert sample_channel(make_stats("lbi"), "B", seed=5).Y is None
 
 
 class TestChannelMoments:
@@ -310,10 +375,8 @@ class TestChannelMoments:
         n, n_draws = stats.user_n("B"), 4000
         grams = np.empty((n_draws, n, n), dtype=complex)
         for t in range(n_draws):
-            rng = trial_rng(123, t)
-            Y = draw_y(rng, stats.L, stats.M) if kind == "double" else None
-            X = draw_x(rng, n, stats.L)
-            H = channel_assembler(stats, "B")(X, Y)
+            Y, xs = draw_factors(stats, ["B"], 123, t)
+            H = channel_assembler(stats, "B")(xs["B"], Y)
             grams[t] = H @ H.conj().T
         if kind == "lbi":
             A = stats.lbi_aperture("B")

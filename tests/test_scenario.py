@@ -18,7 +18,6 @@ from irs_secrecy.scenario import (
     build_los_channel,
     build_scenario,
     complex_from_normals,
-    complex_gaussian,
     dbm_to_watts,
     load_config,
     parse_config,
@@ -30,7 +29,7 @@ from irs_secrecy.scenario import (
     trial_streams,
 )
 
-from conftest import config_dict, corr, make_stats
+from conftest import complex_gaussian, config_dict, corr, make_stats
 
 
 class TestCorrelationMatrix:
@@ -240,12 +239,13 @@ class TestChannelStatistics:
 class TestGaussianFactors:
     def test_complex_gaussian_reads_real_then_imaginary_parts(self):
         # one stream of 2 * rows * cols normals: the real parts row by row,
-        # then the imaginary parts, each scaled to carry var/2
+        # then the imaginary parts, each scaled to carry var/2; the documented
+        # draw of the tests' oracle gives the Monte-Carlo kernel's factors
         rows, cols, var = 3, 5, 0.4
         z = trial_rng(8, 2).standard_normal((2, rows, cols))
         expected = math.sqrt(var / 2.0) * (z[0] + 1j * z[1])
-        got = complex_gaussian(trial_rng(8, 2), rows, cols, var)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(complex_from_normals(z, var), expected)
+        assert np.array_equal(complex_gaussian(trial_rng(8, 2), rows, cols, var), expected)
 
     @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
     def test_trial_streams_draw_what_trial_rng_draws(self, seed):
