@@ -41,7 +41,6 @@ from .errors import (
     ModelError,
 )
 from .scenario import Scenario, build_scenario, load_config
-from .fixedpoint import mean_mi
 from .cltcov import joint_cov, solve_all
 from .secrecy import LN2, build_multi_eve_model, esr_an, secrecy_terms, sop_multi_eve
 from .mcoracle import run_mc, thread_budget
@@ -172,9 +171,8 @@ def _cmd_mc_validate(args, scenario: Scenario) -> int:
     run = run_mc(stats, descs, precs, n_trials=trials, seed=args.seed)
 
     sols = solve_all(stats, descs, precs)
-    analytic_mean = np.array([mean_mi(stats, d, precs, solution=sol)
-                              for d, sol in zip(descs, sols)])
-    analytic_cov = joint_cov(stats, descs, precs, solutions=sols).matrix
+    analytic_mean = np.array([s.mean for s in sols])
+    analytic_cov = joint_cov(stats, descs, sols)
     mean_se = run.mean_stderr()
     n = run.n_trials
     # Gaussian large-sample error of a sample covariance entry:

@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CovarianceValidityWarning, InvalidCovarianceError, ModelError
-from .fixedpoint import (DsSolution, LbiSolution, MiDescriptor, solve_descriptor)
+from .fixedpoint import DsSolution, LbiSolution, MiDescriptor, solve_user
 from .scenario import ChannelStatistics
 
 
@@ -169,40 +169,25 @@ def cov_entry_lbi(pair: LbiPairQuantities) -> float:
     return -math.log(pair.Xi)
 
 
-@dataclass(frozen=True)
-class CovMatrix:
-    """Asymptotic covariance of a joint mutual-information vector, in the
-    row/column order of its descriptor list."""
-
-    matrix: np.ndarray
-
-    def quad_form(self, u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(u @ self.matrix @ u)
-
-
 def solve_all(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
               precoders: dict) -> list:
-    """Fixed points for every descriptor, solved once per distinct descriptor."""
+    """Fixed points for every descriptor, solved once per distinct descriptor
+    under its precoder ``precoders[d.precoder]``."""
     cache: dict = {}
     for d in descriptors:
         if d not in cache:
-            cache[d] = solve_descriptor(stats, d, precoders)
+            cache[d] = solve_user(stats, d.user, precoders[d.precoder])
     return [cache[d] for d in descriptors]
 
 
-def joint_cov(
-    stats: ChannelStatistics,
-    descriptors: Sequence[MiDescriptor],
-    precoders: dict,
-    solutions: Optional[Sequence] = None,
-) -> CovMatrix:
-    """Assemble the full K x K covariance of the descriptors' joint
-    mutual-information vector. Same-user pairs get the shared-factor term;
-    the matrix is exactly symmetric by construction."""
-    descriptors = list(descriptors)
+def joint_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
+              solutions: Sequence) -> np.ndarray:
+    """The full K x K covariance of the descriptors' joint mutual-information
+    vector, in descriptor order, from their solutions (``solve_all``).
+    Same-user pairs get the shared-factor term; the matrix is exactly
+    symmetric by construction."""
+    descriptors, sols = list(descriptors), list(solutions)
     k = len(descriptors)
-    sols = list(solutions) if solutions is not None else solve_all(stats, descriptors, precoders)
     if len(sols) != k:
         raise ModelError("solutions list must match the descriptor list")
 
@@ -215,4 +200,4 @@ def joint_cov(
             elif descriptors[i].user == descriptors[j].user:
                 mat[i, j] = cov_entry_lbi(lbi_pair_quantities(sols[i], sols[j]))
             mat[j, i] = mat[i, j]
-    return CovMatrix(matrix=mat)
+    return mat

@@ -53,9 +53,10 @@ a matrix: ``solve_user`` passes the receive spectra that
 ``ChannelStatistics`` keeps, and a single-hop transmit spectrum taken from
 the min(M, L)-sized Gram of sqrt(M/L) A P^{1/2} (``transmit_spectrum``, an
 M x M and a min(M, L)-sized decomposition). The means D and C are sums over
-those eigenvalues (log det(a I + b X) = sum_i log(a + b lam_i)). A solution
-builds its input and resolvent-style matrices from the spectra only when a
-caller first reads them.
+those eigenvalues (log det(a I + b X) = sum_i log(a + b lam_i)): a
+solution's ``mean`` is its D or C, and its ``rate`` that mean less the
+N log z noise floor. A solution builds its input and resolvent-style
+matrices from the spectra only when a caller first reads them.
 """
 
 from __future__ import annotations
@@ -105,29 +106,16 @@ class MiDescriptor:
         return f"{self.user}{self.precoder}"
 
 
-def wiretap_descriptors(stats: ChannelStatistics, eves: Optional[list] = None) -> list:
-    """Descriptors (B,W), (E1,W), ...: one term per user."""
-    users = ["B"] + (eves if eves is not None else [f"E{i+1}" for i in range(stats.K_eves)])
-    return [MiDescriptor(user=u, precoder="W") for u in users]
-
-
-def an_descriptors(stats: ChannelStatistics, eves: Optional[list] = None) -> list:
-    """Descriptors (B,U), (B,V), (E1,U), (E1,V), ...: both terms of one user
-    share that user's X realization."""
-    users = ["B"] + (eves if eves is not None else [f"E{i+1}" for i in range(stats.K_eves)])
-    return [MiDescriptor(user=u, precoder=p) for u in users for p in ("U", "V")]
-
-
-def precoder_map(P_W: np.ndarray, P_V: Optional[np.ndarray] = None) -> dict:
-    """Tag-to-matrix map used everywhere a descriptor selects its covariance."""
-    if P_V is None:
-        P_V = np.zeros_like(P_W)
-    return {"W": P_W, "V": P_V, "U": P_W + P_V}
-
-
 # ---------------------------------------------------------------------------
 # solutions
 # ---------------------------------------------------------------------------
+
+def _rate(sol) -> float:
+    """Deterministic mean rate of a solution: its ``mean`` less the N log z
+    noise floor, N the dimension of the receive spectrum. The floors cancel
+    inside a same-user U/V pair but not across users."""
+    return sol.mean - sol.r.vecs.shape[0] * math.log(sol.z)
+
 
 @dataclass(frozen=True)
 class LbiSolution:
@@ -143,6 +131,17 @@ class LbiSolution:
     m_dim: int
     n_iter: int
     residual: float
+
+    @property
+    def mean(self) -> float:
+        """Deterministic mean of logdet(z I + H P H^H) (nats), D of the
+        module docstring, from the eigenvalues the system was solved on."""
+        d = self.r.logdet(self.z, self.alpha_bar) + self.t.logdet(1.0, self.alpha)
+        return d - self.m_dim * self.alpha * self.alpha_bar
+
+    @property
+    def rate(self) -> float:
+        return _rate(self)
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -204,6 +203,18 @@ class DsSolution:
     def kappa(self) -> float:
         """The receive-side loading M omega omega_bar / (L delta)."""
         return self.m_dim * self.omega * self.omega_bar / (self.l_dim * self.delta)
+
+    @property
+    def mean(self) -> float:
+        """Deterministic mean of logdet(z I + H P H^H) (nats), C of the
+        module docstring, from the eigenvalues the system was solved on."""
+        c = (self.r.logdet(self.z, self.kappa) + self.s.logdet(1.0, self.delta * self.omega_bar)
+             + self.t.logdet(1.0, self.omega))
+        return c - 2.0 * self.m_dim * self.omega * self.omega_bar
+
+    @property
+    def rate(self) -> float:
+        return _rate(self)
 
     @property
     def jacobian(self) -> tuple:
@@ -390,66 +401,29 @@ def solve_ds(R, S, T_eff, z: float, m_dim: int, l_dim: int, *,
 
 
 # ---------------------------------------------------------------------------
-# deterministic equivalents
+# per-receiver solves
 # ---------------------------------------------------------------------------
 
-def det_equiv_lbi(sol: LbiSolution) -> float:
-    """Deterministic mean of logdet(z I + H P H^H) for the single-hop model
-    (nats), from the eigenvalues the system was solved on."""
-    d = sol.r.logdet(sol.z, sol.alpha_bar) + sol.t.logdet(1.0, sol.alpha)
-    return d - sol.m_dim * sol.alpha * sol.alpha_bar
+def transmit_spectrum(stats: ChannelStatistics, user: str, P: np.ndarray) -> Spectrum:
+    """Spectrum of the transmit-side correlation T_eff seen by the solvers
+    once the precoder P is absorbed.
 
-
-def det_equiv_ds(sol: DsSolution) -> float:
-    """Deterministic mean of logdet(z I + H P H^H) for the double-hop model
-    (nats), from the eigenvalues the system was solved on."""
-    c = (sol.r.logdet(sol.z, sol.kappa) + sol.s.logdet(1.0, sol.delta * sol.omega_bar)
-         + sol.t.logdet(1.0, sol.omega))
-    return c - 2.0 * sol.m_dim * sol.omega * sol.omega_bar
-
-
-# ---------------------------------------------------------------------------
-# effective transmit correlations and descriptor-level wrappers
-# ---------------------------------------------------------------------------
-
-def _precoder(stats: ChannelStatistics, P: np.ndarray) -> np.ndarray:
+    double: T^{1/2} P T^{1/2} (M x M), decomposed as it is.
+    lbi:    (M/L) A P A^H with A the deterministic aperture (L x L), taken
+            from its factor sqrt(M/L) A F, F = ``psd_root(P)``, through its
+            min(M, L)-sized Gram; a zero precoder gives the empty spectrum.
+            The M/L factor rescales the solver's unit-variance trace
+            convention to the per-column 1/L variance of the sampled
+            Gaussian factor; without it the closed forms and the sampled
+            channel describe different ensembles.
+    """
     P = np.asarray(P, dtype=complex)
     if P.shape != (stats.M, stats.M):
         raise ModelError(f"precoder must be {stats.M}x{stats.M}, got {P.shape}")
-    return P
-
-
-def effective_transmit_corr(stats: ChannelStatistics, user: str, P: np.ndarray) -> np.ndarray:
-    """Transmit-side correlation seen by the solvers once the precoder P is
-    absorbed.
-
-    double: T^{1/2} P T^{1/2} (M x M).
-    lbi:    (M/L) A P A^H with A the deterministic aperture (L x L). The M/L
-            factor rescales the solver's unit-variance trace convention to the
-            per-column 1/L variance of the sampled Gaussian factor; without it
-            the closed forms and the sampled channel describe different
-            ensembles.
-    """
-    P = _precoder(stats, P)
-    if stats.model_kind == "lbi":
-        A = stats.lbi_aperture(user)
-        out = (stats.M / stats.L) * (A @ P @ A.conj().T)
-    else:
-        out = stats.T_sqrt @ P @ stats.T_sqrt
-    return 0.5 * (out + out.conj().T)
-
-
-def transmit_spectrum(stats: ChannelStatistics, user: str, P: np.ndarray) -> Spectrum:
-    """Spectrum of ``effective_transmit_corr(stats, user, P)``.
-
-    lbi: from the factor sqrt(M/L) A F of T_eff, F = ``psd_root(P)``,
-         through its min(M, L)-sized Gram; a zero precoder gives the empty
-         spectrum.
-    double: T^{1/2} P T^{1/2} is M x M and decomposed as it is.
-    """
     if stats.model_kind == "double":
-        return Spectrum.of_matrix(effective_transmit_corr(stats, user, P), "T_eff")
-    root = psd_root(_precoder(stats, P), "precoder")
+        out = stats.T_sqrt @ P @ stats.T_sqrt
+        return Spectrum.of_matrix(0.5 * (out + out.conj().T), "T_eff")
+    root = psd_root(P, "precoder")
     if root.shape[1] == 0:
         return Spectrum(np.zeros(0), np.zeros((stats.L, 0), dtype=complex), gram=True)
     factor = math.sqrt(stats.M / stats.L) * (stats.lbi_aperture(user) @ root)
@@ -472,22 +446,3 @@ def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray, *,
             raise ValueError("the single-hop solve takes no start point")
         return solve_lbi(r, t, z, stats.M)
     return solve_ds(r, stats.ds_gram(user), t, z, stats.M, stats.L, start=start)
-
-
-def solve_descriptor(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict):
-    """Solve the model-appropriate fixed point for one descriptor."""
-    return solve_user(stats, desc.user, precoders[desc.precoder])
-
-
-def mean_mi(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,
-            solution=None) -> float:
-    """Deterministic mean of the descriptor's logdet term (nats)."""
-    sol = solution if solution is not None else solve_descriptor(stats, desc, precoders)
-    return det_equiv_lbi(sol) if stats.model_kind == "lbi" else det_equiv_ds(sol)
-
-
-def mean_rate(stats: ChannelStatistics, desc: MiDescriptor, precoders: dict,
-              solution=None) -> float:
-    """Deterministic mean rate: mean logdet minus the N log z noise floor."""
-    floor = stats.user_n(desc.user) * math.log(stats.user_sigma2(desc.user))
-    return mean_mi(stats, desc, precoders, solution=solution) - floor

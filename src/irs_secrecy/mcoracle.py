@@ -8,13 +8,14 @@ and aggregates streaming moments plus per-trial secrecy rates.
 Trials run in chunks of ``CHUNK``, and a chunk runs in blocks of as many
 trials as fit ``BLOCK_BYTES`` of complex factor entries (at least one), so a
 chunk's memory is a block's, not the chunk's. Trial t makes one
-standard-normal draw from ``scenario.trial_rng(seed, t)`` into one row of the
-block's buffer. The row holds, in this documented draw order, Y's normals
-(L x M, entries CN(0, 1/M); double model only), then one X's (N_u x L,
-entries CN(0, 1/L)) per user in order of first appearance; each factor's
-normals are its real parts, then its imaginary parts. One draw of a + b
-normals gives the normals of two draws of a and b, so this equals drawing
-the factors one by one. ``scenario.complex_from_normals`` writes the complex
+standard-normal draw into one row of the block's buffer from its own stream:
+a ``np.random.Generator`` over a Philox bit generator with key [seed, t] and
+counter 0 (``scenario.trial_streams``). The row holds, in this documented
+draw order, Y's normals (L x M, entries CN(0, 1/M); double model only), then
+one X's (N_u x L, entries CN(0, 1/L)) per user in order of first
+appearance; each factor's normals are its real parts, then its imaginary
+parts. One draw of a + b normals gives the normals of two draws of a and b,
+so this equals drawing the factors one by one. ``scenario.complex_from_normals`` writes the complex
 factors from the buffer into one block buffer per factor; it is elementwise,
 so batching does not change them. Each user's channel stack is then
 assembled by ``scenario.channel_assembler``, whose matrix products broadcast

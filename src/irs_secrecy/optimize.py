@@ -43,9 +43,9 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateRegimeError,
                      InvalidCovarianceError, ModelError)
 from .cltcov import solve_all
-from .fixedpoint import det_equiv_lbi, solve_user, transmit_spectrum
+from .fixedpoint import solve_user, transmit_spectrum
 from .scenario import ChannelStatistics, Spectrum
-from .secrecy import norm_cdf, secrecy_terms, term_rates
+from .secrecy import norm_cdf, secrecy_terms
 
 LN2 = math.log(2.0)
 
@@ -286,8 +286,7 @@ def algorithm1(
     def full_objective(w, v):
         sol_b = solve_user(stats, "B", w + v)
         sol_e = solve_user(stats, EVE, v)
-        f = (det_equiv_lbi(sol_b) + det_equiv_lbi(sol_e)
-             - _inner(grad_w_n, w) - _inner(grad_v_n, v))
+        f = sol_b.mean + sol_e.mean - _inner(grad_w_n, w) - _inner(grad_v_n, v)
         return f, sol_b, sol_e
 
     obj, sol_b, sol_e = full_objective(P_W, P_V)
@@ -324,8 +323,8 @@ def signed_an_mean(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray) -
     """Signed deterministic secrecy mean (nats) of the design, the
     ``mean_nats`` of ``esr_an`` (``esr_wiretap`` when P_V is zero)."""
     _require_lbi(stats, "signed_an_mean")
-    descriptors, precoders, u, sols = _solved_terms(stats, P_W, P_V)
-    return float(u @ term_rates(stats, descriptors, precoders, sols))
+    _, _, u, sols = _solved_terms(stats, P_W, P_V)
+    return float(u @ np.array([s.rate for s in sols]))
 
 
 def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
@@ -358,7 +357,7 @@ def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
         z_mat = ts_sqrt @ sol.L_T @ ts_sqrt
         grad += sign * 2.0 * sol.alpha * c * np.einsum(
             "ij,ji->i", z_mat, conjugated(d.precoder)).imag
-    return grad, float(u @ term_rates(stats, descriptors, precoders, sols))
+    return grad, float(u @ np.array([s.rate for s in sols]))
 
 
 @dataclass(frozen=True)
@@ -524,11 +523,13 @@ class _UserDerivatives:
         # I - J_F of the double-hop step map, the matrix of the solver's
         # Newton step
         A = np.eye(3) - np.array(self.sol.jacobian)
-        row_scale = np.prod(np.linalg.norm(A, axis=1))
-        det = np.linalg.det(A)
-        if abs(det) < 1e-14 * max(row_scale, 1e-300):
+        # |det A| over the product of A's row norms, which bounds it
+        # (Hadamard): scale-free, 1 for orthogonal rows, 0 when singular
+        measure = abs(np.linalg.det(A)) / max(np.prod(np.linalg.norm(A, axis=1)), 1e-300)
+        if measure < 1e-14:
             raise DegenerateRegimeError(
-                f"implicit-derivative system is singular (det {det:.3e})")
+                "implicit-derivative system is singular (|det(I - J)| / product of "
+                f"row norms = {measure:.3e}, below 1e-14)")
         q = np.zeros((3, self.tG.size))
         q[1] = (self.tG - self.sol.omega_bar * self.tSG2) / self.m
         p = np.linalg.solve(A, q)
@@ -632,8 +633,8 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
         raise InvalidCovarianceError(f"variance {variance:.3e} is not positive")
     var_grad = ub.d_var + ue.d_var - 2.0 * d_w_cross
 
-    descriptors, precoders, sel = secrecy_terms(stats, P_W, eves=[EVE])
-    mean_nats = float(sel[0] @ term_rates(stats, descriptors, precoders, [ub.sol, ue.sol]))
+    _, _, sel = secrecy_terms(stats, P_W, eves=[EVE])
+    mean_nats = float(sel[0] @ np.array([ub.sol.rate, ue.sol.rate]))
     mean_grad = ub.d_mean - ue.d_mean
 
     r_nats = float(r_bits) * LN2

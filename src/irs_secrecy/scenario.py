@@ -3,7 +3,7 @@
 Builds everything that defines one statistical channel state: antenna
 correlation matrices from a truncated-Gaussian angular power spectrum, the
 deterministic line-of-sight link between the transmitter and the reflecting
-surface, distance-based path gains, the diagonal phase-shift matrix, and the
+surface, distance-based path gains, the surface phase shifts, and the
 random channel realizations used by the Monte-Carlo oracle.
 
 Two channel factorizations are supported:
@@ -189,14 +189,6 @@ def path_loss(c_ref: float, d: float, alpha: float) -> float:
     return c_ref / d**alpha
 
 
-def phase_matrix(theta: np.ndarray) -> np.ndarray:
-    """Diagonal unit-modulus matrix diag(exp(j theta_1), ..., exp(j theta_L))."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:
-        raise ModelError(f"phase vector must be 1-D, got shape {theta.shape}")
-    return np.diag(np.exp(1j * theta))
-
-
 def psd_eig(mat: np.ndarray, name: str = "matrix") -> tuple:
     """Eigenvalues (clipped at zero) and eigenvectors of the Hermitian part
     of a square PSD matrix.
@@ -211,12 +203,6 @@ def psd_eig(mat: np.ndarray, name: str = "matrix") -> tuple:
     if lam.size and lam[0] < -PSD_CLIP_TOL * max(abs(lam[-1]), 1.0):
         raise ModelError(f"{name} is not PSD (min eigenvalue {lam[0]:.3e})")
     return np.clip(lam, 0.0, None), u
-
-
-def psd_sqrt(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Hermitian square root of a PSD matrix (see ``psd_eig``)."""
-    lam, u = psd_eig(mat, name)
-    return (u * np.sqrt(lam)) @ u.conj().T
 
 
 def psd_root(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -535,16 +521,13 @@ def channel_assembler(stats: ChannelStatistics, user: str) -> Callable:
     return assemble
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based per-trial stream keyed on (master seed, trial index)."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
-
-
 def trial_streams(seed: int):
-    """``trial -> Generator`` in the state of ``trial_rng(seed, trial)``: each
-    call re-keys one Philox (counter 0, key [seed, trial], empty buffer) and
-    returns the same generator, ending the previous call's stream. This skips
-    the OS-entropy read of a fresh ``Philox(key=...)``."""
+    """``trial -> Generator``: the counter-based stream of one trial, a
+    ``np.random.Generator`` over a Philox bit generator with key
+    [seed, trial] (uint64), counter 0 and an empty buffer, the state of
+    ``Generator(Philox(key=[seed, trial]))``. Each call re-keys one Philox
+    and returns the same generator, ending the previous call's stream. This
+    skips the OS-entropy read of a fresh ``Philox(key=...)``."""
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh Philox's: counter 0, empty buffer

@@ -23,8 +23,7 @@ import numpy as np
 
 from .cltcov import joint_cov, solve_all
 from .errors import InvalidCovarianceError, ModelError
-from .fixedpoint import (MiDescriptor, an_descriptors, mean_rate,
-                         precoder_map, wiretap_descriptors)
+from .fixedpoint import MiDescriptor
 from .mcoracle import pool_size, run_shares
 from .scenario import ChannelStatistics, trial_streams
 
@@ -32,14 +31,6 @@ LN2 = math.log(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
-
-
-def nats_to_bits(x: ArrayLike) -> ArrayLike:
-    return np.asarray(x, dtype=float) / LN2 if np.ndim(x) else float(x) / LN2
-
-
-def bits_to_nats(x: ArrayLike) -> ArrayLike:
-    return np.asarray(x, dtype=float) * LN2 if np.ndim(x) else float(x) * LN2
 
 
 def _phi(x: float) -> float:
@@ -90,42 +81,36 @@ def secrecy_terms(stats: ChannelStatistics, P_W: np.ndarray,
                   ) -> Tuple[list, Dict[str, np.ndarray], np.ndarray]:
     """Mutual-information terms of the secrecy rate against each eavesdropper.
 
-    Returns (descriptors, precoders, selectors): selector row k contracts the
-    per-term rates into the signed secrecy rate against ``eves[k]`` (default:
-    every eavesdropper). With ``P_V`` None the plain wiretap difference
-    I_B(P_W) - I_E(P_W) is used, otherwise the artificial-noise combination
-    [I_B(P_U) - I_B(P_V)] - [I_E(P_U) - I_E(P_V)].
+    Returns (descriptors, precoders, selectors). With ``P_V`` None the terms
+    are (B,W), (E1,W), ... and the plain wiretap difference I_B(P_W) - I_E(P_W)
+    is used. Otherwise they are (B,U), (B,V), (E1,U), (E1,V), ..., the two
+    terms of one user sharing that user's X realization, and the
+    artificial-noise combination [I_B(P_U) - I_B(P_V)] - [I_E(P_U) - I_E(P_V)]
+    is used. ``precoders`` maps each tag to its covariance (W: P_W, V: P_V or
+    zero, U: their sum), and selector row k contracts the per-term rates into
+    the signed secrecy rate against ``eves[k]`` (default: every eavesdropper).
     """
     eves = list(stats.users()[1:] if eves is None else eves)
     if P_V is None:
-        descriptors = wiretap_descriptors(stats, eves=eves)
+        P_V = np.zeros_like(P_W)
         sign = {"W": 1.0}
     else:
-        descriptors = an_descriptors(stats, eves=eves)
         sign = {"U": 1.0, "V": -1.0}
+    descriptors = [MiDescriptor(user=u, precoder=p) for u in ["B"] + eves for p in sign]
     selectors = np.zeros((len(eves), len(descriptors)))
     for i, d in enumerate(descriptors):
         if d.user == "B":
             selectors[:, i] = sign[d.precoder]
         else:
             selectors[eves.index(d.user), i] = -sign[d.precoder]
-    return descriptors, precoder_map(P_W, P_V), selectors
-
-
-def term_rates(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
-               precoders: Dict[str, np.ndarray], solutions: Sequence) -> np.ndarray:
-    """Mean rates (nats) of solved terms, each less its own noise floor: the
-    floors cancel inside a same-user U/V pair but not across users."""
-    return np.array([mean_rate(stats, d, precoders, solution=sol)
-                     for d, sol in zip(descriptors, solutions)])
+    return descriptors, {"W": P_W, "V": P_V, "U": P_W + P_V}, selectors
 
 
 def _rates_and_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
                    precoders: Dict[str, np.ndarray]):
     """Per-term mean rates and their joint fluctuation covariance."""
     sols = solve_all(stats, descriptors, precoders)
-    return (term_rates(stats, descriptors, precoders, sols),
-            joint_cov(stats, descriptors, precoders, solutions=sols))
+    return np.array([s.rate for s in sols]), joint_cov(stats, descriptors, sols)
 
 
 def _report(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
@@ -135,7 +120,7 @@ def _report(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray]
     u = selectors[0]
     rates, cov = _rates_and_cov(stats, descriptors, precoders)
     mean_nats = float(u @ rates)
-    variance = cov.quad_form(u)
+    variance = float(u @ cov @ u)
     esr_nats = max(0.0, mean_nats)
     return SecrecyReport(
         esr_nats=esr_nats, esr_bits=esr_nats / LN2, mean_nats=mean_nats,
@@ -154,20 +139,6 @@ def esr_an(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
     """Ergodic secrecy rate with artificial noise of covariance P_V; with
     P_V None this is ``esr_wiretap``."""
     return _report(stats, P_W, P_V, eve)
-
-
-def sop_wiretap(stats: ChannelStatistics, P_W: np.ndarray, r_bits: ArrayLike,
-                eve: Optional[str] = None):
-    """Secrecy outage probability of the plain wiretap system at threshold(s)
-    in bits; vectorized over r_bits."""
-    return esr_wiretap(stats, P_W, eve=eve).sop(r_bits)
-
-
-def sop_an(stats: ChannelStatistics, P_W: np.ndarray, P_V: np.ndarray,
-           r_bits: ArrayLike, eve: Optional[str] = None):
-    """Secrecy outage probability with artificial noise at threshold(s) in
-    bits; vectorized over r_bits."""
-    return esr_an(stats, P_W, P_V, eve=eve).sop(r_bits)
 
 
 @dataclass(frozen=True)
@@ -199,7 +170,7 @@ def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
     descriptors, precoders, selectors = secrecy_terms(stats, P_W, P_V)
     rates, cov = _rates_and_cov(stats, descriptors, precoders)
     mu = selectors @ rates
-    Q = selectors @ cov.matrix @ selectors.T
+    Q = selectors @ cov @ selectors.T
     Q = 0.5 * (Q + Q.T)
     return MultiEveModel(mu=mu, Q=Q, labels=tuple(stats.users()[1:]), selectors=selectors)
 
@@ -215,9 +186,10 @@ def sop_multi_eve(models: Sequence[MultiEveModel], r_bits,
 
     Estimated by Cholesky-based Monte-Carlo with an exact integer reduction;
     returns (estimate, stderr), shaped (len(models),) + the shape of
-    ``r_bits``. Chunk c of the samples draws its normals z from
-    ``trial_rng(seed, c)``, and a sample's worst rate is the row minimum of
-    mu + z @ chol(Q).T. All thresholds and all models (of one eavesdropper
+    ``r_bits``. Chunk c of the samples draws its normals z from its own
+    stream, a ``np.random.Generator`` over a Philox bit generator with key
+    [seed, c] and counter 0 (``scenario.trial_streams``), and a sample's
+    worst rate is the row minimum of mu + z @ chol(Q).T. All thresholds and all models (of one eavesdropper
     count) share these draws, so each row is a monotone curve and equals, bit
     for bit, a call with that model alone: a sweep's powers use common
     random numbers.

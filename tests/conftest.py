@@ -23,7 +23,6 @@ from irs_secrecy.scenario import (
     build_channel_statistics,
     dbm_to_watts,
     path_loss,
-    trial_rng,
 )
 
 REF_LOSS_1 = 10.0 ** -2.305
@@ -102,6 +101,28 @@ def experiment_stats(
         sigma2_E_list=[NOISE_WATTS] * len(N_E),
         R_S=corr(5.0, 8.0, L) if kind == "double" else None,
     )
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The documented stream of one Monte-Carlo trial (or one worst-case
+    sampler chunk), built fresh: a Generator over a Philox bit generator
+    with key [seed, trial] and counter 0. ``scenario.trial_streams`` re-keys
+    one generator into this state."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+
+def effective_transmit_corr(stats, user: str, P: np.ndarray) -> np.ndarray:
+    """Dense transmit-side correlation T_eff of one receiver under the
+    precoder P, whose spectrum ``fixedpoint.transmit_spectrum`` takes
+    without forming it: (M/L) A P A^H (L x L, A the aperture) on the
+    single-hop model, T^{1/2} P T^{1/2} (M x M) on the double-hop one."""
+    P = np.asarray(P, dtype=complex)
+    if stats.model_kind == "lbi":
+        A = stats.lbi_aperture(user)
+        out = (stats.M / stats.L) * (A @ P @ A.conj().T)
+    else:
+        out = stats.T_sqrt @ P @ stats.T_sqrt
+    return 0.5 * (out + out.conj().T)
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int, var: float) -> np.ndarray:

@@ -14,16 +14,8 @@ import numpy as np
 import pytest
 
 from irs_secrecy.cli import main as cli_main
-from irs_secrecy.cltcov import joint_cov
-from irs_secrecy.fixedpoint import (
-    an_descriptors,
-    det_equiv_lbi,
-    effective_transmit_corr,
-    mean_mi,
-    precoder_map,
-    solve_ds,
-    solve_lbi,
-)
+from irs_secrecy.cltcov import joint_cov, solve_all
+from irs_secrecy.fixedpoint import solve_ds, solve_lbi
 from irs_secrecy.mcoracle import run_mc
 from irs_secrecy.optimize import (
     algorithm2_ao,
@@ -40,14 +32,13 @@ from irs_secrecy.secrecy import (
     esr_an,
     esr_wiretap,
     secrecy_terms,
-    sop_an,
     sop_multi_eve,
-    sop_wiretap,
 )
 
 from conftest import (
     config_dict,
     corr,
+    effective_transmit_corr,
     experiment_stats,
     make_stats,
     rand_psd,
@@ -142,10 +133,9 @@ class TestMeanAccuracy:
     def test_mean_mi_matches_monte_carlo(self, kind):
         stats = experiment_stats(kind)
         P_W, P_V = uniform_precoders(stats.M, 1.0)  # 30 dBm per antenna
-        precs = precoder_map(P_W, P_V)
-        descs = an_descriptors(stats)
+        descs, precs, _ = secrecy_terms(stats, P_W, P_V)
         run = run_mc(stats, descs, precs, n_trials=20_000, seed=0)
-        analytic = np.array([mean_mi(stats, d, precs) for d in descs])
+        analytic = np.array([s.mean for s in solve_all(stats, descs, precs)])
         err = np.abs(analytic - run.mi_mean)
         tol = np.maximum(0.05, 3.0 * run.mean_stderr())
         assert np.all(err <= tol), (err, tol)
@@ -160,10 +150,9 @@ class TestMeanAccuracy:
         for (m, l, n) in [(8, 16, 4), (16, 32, 8)]:
             stats = make_stats("lbi", M=m, L=l, N_B=n, N_E=(n,), seed=1)
             P_W, P_V = uniform_precoders(m, 1.0)
-            precs = precoder_map(P_W, P_V)
-            descs = an_descriptors(stats)
+            descs, precs, _ = secrecy_terms(stats, P_W, P_V)
             run = run_mc(stats, descs, precs, n_trials=100_000, seed=42)
-            analytic = np.array([mean_mi(stats, d, precs) for d in descs])
+            analytic = np.array([s.mean for s in solve_all(stats, descs, precs)])
             errs.append(float(np.max(np.abs(analytic - run.mi_mean))))
         assert errs[1] < errs[0], errs
         assert time.perf_counter() - t0 < 120.0
@@ -178,11 +167,10 @@ class TestCovarianceAccuracy:
     def test_four_term_covariance_matches_monte_carlo(self, kind):
         stats = make_stats(kind, M=8, L=32, N_B=4, N_E=(4,))
         P_W, P_V = uniform_precoders(stats.M, 2.0)
-        precs = precoder_map(P_W, P_V)
-        descs = an_descriptors(stats)
+        descs, precs, _ = secrecy_terms(stats, P_W, P_V)
         n = 20_000
         run = run_mc(stats, descs, precs, n_trials=n, seed=0)
-        analytic = joint_cov(stats, descs, precs).matrix
+        analytic = joint_cov(stats, descs, solve_all(stats, descs, precs))
         diag = np.diag(analytic)
         # sampling stderr of a Gaussian covariance entry
         se = np.sqrt((np.outer(diag, diag).clip(0.0) + analytic**2) / n)
@@ -244,15 +232,15 @@ class TestWorstCaseEavesdroppers:
         grid = np.linspace(0.0, 5.0, 11)
         (p,), (se,) = sop_multi_eve([model], grid, n_samples=200_000, seed=1)
         for eve in model.labels:
-            single = sop_wiretap(stats, P_W, grid, eve=eve)
+            single = esr_wiretap(stats, P_W, eve=eve).sop(grid)
             assert np.all(p >= single - 3.0 * se - 1e-12)
 
     def test_more_transmit_power_lowers_the_curve_pointwise(self):
         grid = np.linspace(0.0, 8.0, 40)
         # single eavesdropper: the normal curves compare exactly
         stats = experiment_stats("lbi")
-        lo = sop_wiretap(stats, np.eye(stats.M, dtype=complex), grid)
-        hi = sop_wiretap(stats, 100.0 * np.eye(stats.M, dtype=complex), grid)
+        lo = esr_wiretap(stats, np.eye(stats.M, dtype=complex)).sop(grid)
+        hi = esr_wiretap(stats, 100.0 * np.eye(stats.M, dtype=complex)).sop(grid)
         assert np.all(hi <= lo + 1e-12)
         # two eavesdroppers: sampled worst-case curves with a 3 SE slack
         stats2 = experiment_stats("lbi", N_E=(4, 4), d_irs_e=(40.0, 35.0))
@@ -297,7 +285,7 @@ class TestGradientFidelity:
                 sol = solve_lbi(stats.user_r(user),
                                 effective_transmit_corr(stats, user, P),
                                 stats.user_sigma2(user), stats.M)
-                out += det_equiv_lbi(sol)
+                out += sol.mean
             return out
 
         h = 1e-5
@@ -329,8 +317,8 @@ class TestGradientFidelity:
             idx = int(rng.integers(stats.L))
             e = np.zeros(stats.L)
             e[idx] = 1.0
-            hi = sop_wiretap(stats.with_theta(stats.theta + h * e), P_W, r_bits)
-            lo = sop_wiretap(stats.with_theta(stats.theta - h * e), P_W, r_bits)
+            hi = esr_wiretap(stats.with_theta(stats.theta + h * e), P_W).sop(r_bits)
+            lo = esr_wiretap(stats.with_theta(stats.theta - h * e), P_W).sop(r_bits)
             assert _rel_err(sg.grad[idx], (hi - lo) / (2 * h)) <= 1e-3
 
 
@@ -385,8 +373,7 @@ class TestReductionIdentities:
         assert abs(reduced.mean_nats - plain.mean_nats) <= 1e-12
         assert abs(reduced.esr_nats - plain.esr_nats) <= 1e-12
         grid = np.linspace(0.0, 6.0, 25)
-        np.testing.assert_allclose(sop_an(stats, P_W, Z, grid),
-                                   sop_wiretap(stats, P_W, grid), atol=1e-10)
+        np.testing.assert_allclose(reduced.sop(grid), plain.sop(grid), atol=1e-10)
 
     def test_symmetric_receivers_clamp_to_zero(self):
         L, M, N = 6, 4, 3

@@ -469,6 +469,21 @@ class TestFailureModes:
         assert "not positive definite" in err and "Traceback" not in err
         assert not (out / "mc_validate.csv").exists()
 
+    def test_singular_implicit_system_exits_1_without_a_traceback(
+            self, write_config, tmp_path, capsys):
+        # at 300 dBm the double-hop fixed point's I - J is singular to
+        # working precision: |det| is about 1e-54 of its row-norm product
+        path = write_config(config_dict(kind="double", P_dbm=300.0))
+        out = tmp_path / "o"
+        code = main(["optimize-sop", "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error [optimize-sop, config {path}]: "
+                              "implicit-derivative system is singular"), err
+        assert "product of row norms" in err and "below 1e-14" in err
+        assert "Traceback" not in err
+        assert not (out / "optimize_sop_result.json").exists()
+
     @pytest.mark.parametrize("kind", ["lbi", "double"])
     @pytest.mark.parametrize("p_dbm, sigma2_dbm",
                              [(300.0, -300.0), (-300.0, 300.0), (300.0, 300.0), (-300.0, -300.0)])

@@ -19,14 +19,9 @@ from irs_secrecy.cltcov import (
     solve_all,
 )
 from irs_secrecy.errors import InvalidCovarianceError
-from irs_secrecy.fixedpoint import (
-    LbiSolution,
-    an_descriptors,
-    precoder_map,
-    solve_descriptor,
-    wiretap_descriptors,
-)
+from irs_secrecy.fixedpoint import LbiSolution
 from irs_secrecy.scenario import Spectrum
+from irs_secrecy.secrecy import esr_an, secrecy_terms
 
 from conftest import make_stats, uniform_precoders
 
@@ -34,8 +29,7 @@ from conftest import make_stats, uniform_precoders
 def _an_setup(kind, **kwargs):
     stats = make_stats(kind, **kwargs)
     P_W, P_V = uniform_precoders(stats.M, 2.0)
-    precs = precoder_map(P_W, P_V)
-    descs = an_descriptors(stats, eves=["E1"])
+    descs, precs, _ = secrecy_terms(stats, P_W, P_V, eves=["E1"])
     sols = solve_all(stats, descs, precs)
     return stats, precs, descs, sols
 
@@ -129,7 +123,7 @@ class TestPairFunctionalSymmetry:
 class TestCovarianceEntries:
     def test_cross_user_double_hop_drops_the_shared_factor_term(self):
         stats, precs, _, _ = _an_setup("double")
-        descs = wiretap_descriptors(stats, eves=["E1"])
+        descs, precs, _ = secrecy_terms(stats, precs["W"], eves=["E1"])
         sols = solve_all(stats, descs, precs)
         pair = pair_quantities(stats, descs[0], descs[1], sols[0], sols[1])
         assert pair.nu_R is None and pair.nu_SI_sym is None and pair.Delta is None
@@ -140,8 +134,7 @@ class TestCovarianceEntries:
     def test_zero_precoder_decouples_the_pair(self):
         stats = make_stats("double")
         P_W, _ = uniform_precoders(stats.M, 2.0)
-        precs = precoder_map(P_W, np.zeros((stats.M, stats.M)))
-        descs = an_descriptors(stats, eves=[])
+        descs, precs, _ = secrecy_terms(stats, P_W, np.zeros((stats.M, stats.M)), eves=[])
         assert [d.precoder for d in descs] == ["U", "V"]
         sols = solve_all(stats, descs, precs)
         pair = pair_quantities(stats, descs[0], descs[1], sols[0], sols[1])
@@ -156,12 +149,11 @@ class TestCovarianceEntries:
 
     def test_single_hop_entry_vanishes_with_the_signal(self):
         stats = make_stats("lbi")
-        desc = an_descriptors(stats, eves=[])
         entries = []
         for c in [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5]:
             P_W, P_V = uniform_precoders(stats.M, c * 2.0)
-            precs = precoder_map(P_W, P_V)
-            sols = solve_all(stats, desc, precs)
+            descs, precs, _ = secrecy_terms(stats, P_W, P_V, eves=[])
+            sols = solve_all(stats, descs, precs)
             pair = lbi_pair_quantities(sols[0], sols[1])
             assert pair.valid
             entries.append(cov_entry_lbi(pair))
@@ -178,16 +170,14 @@ class TestJointCovariance:
         for kind in ("lbi", "double"):
             stats = make_stats(kind)
             P_W, _ = uniform_precoders(stats.M, 2.0)
-            precs = precoder_map(P_W)
-            descs = wiretap_descriptors(stats, eves=[])
-            cov = joint_cov(stats, descs, precs)
-            assert cov.matrix.shape == (1, 1)
-            assert cov.matrix[0, 0] > 0.0
+            descs, precs, _ = secrecy_terms(stats, P_W, eves=[])
+            cov = joint_cov(stats, descs, solve_all(stats, descs, precs))
+            assert cov.shape == (1, 1)
+            assert cov[0, 0] > 0.0
 
     def test_four_term_noise_injection_structure(self):
         stats, precs, descs, sols = _an_setup("double")
-        cov = joint_cov(stats, descs, precs, solutions=sols)
-        mat = cov.matrix
+        mat = joint_cov(stats, descs, sols)
         assert mat.shape == (4, 4)
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diag(mat) > 0.0)
@@ -201,8 +191,8 @@ class TestJointCovariance:
         assert mat[0, 2] < mat[0, 1]
 
     def test_single_hop_block_diagonal_across_users(self):
-        stats, precs, descs, _ = _an_setup("lbi")
-        mat = joint_cov(stats, descs, precs).matrix
+        stats, _, descs, sols = _an_setup("lbi")
+        mat = joint_cov(stats, descs, sols)
         assert mat.shape == (4, 4)
         # users are (B, B, E1, E1); the 2x2 cross blocks are identically zero
         assert np.all(mat[:2, 2:] == 0.0)
@@ -211,10 +201,14 @@ class TestJointCovariance:
         assert mat[0, 1] > 0.0 and mat[2, 3] > 0.0
 
     def test_quad_form_matches_manual_contraction(self):
-        stats, precs, descs, _ = _an_setup("double")
-        cov = joint_cov(stats, descs, precs)
+        # the report's variance is the selector's quadratic form of the
+        # joint covariance of its four terms (BU, BV, E1U, E1V)
+        stats, precs, descs, sols = _an_setup("double")
+        cov = joint_cov(stats, descs, sols)
         u = np.array([1.0, -1.0, -1.0, 1.0])
-        assert cov.quad_form(u) == pytest.approx(float(u @ cov.matrix @ u), rel=1e-14)
+        manual = sum(u[i] * cov[i, j] * u[j] for i in range(4) for j in range(4))
+        variance = esr_an(stats, precs["W"], precs["V"], eve="E1").variance
+        assert variance == pytest.approx(manual, rel=1e-14)
 
     def test_solve_all_caches_repeated_descriptors(self):
         stats, precs, descs, _ = _an_setup("double")

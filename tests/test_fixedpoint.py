@@ -1,4 +1,5 @@
-"""Fixed-point systems, deterministic equivalents, and MI descriptors."""
+"""Fixed-point systems, their deterministic means and rates, and the
+secrecy terms they are solved for."""
 
 import math
 
@@ -9,23 +10,15 @@ from irs_secrecy import fixedpoint
 from irs_secrecy.errors import ConvergenceError, ModelError
 from irs_secrecy.fixedpoint import (
     MiDescriptor,
-    an_descriptors,
-    det_equiv_ds,
-    det_equiv_lbi,
-    effective_transmit_corr,
-    mean_mi,
-    mean_rate,
-    precoder_map,
-    solve_descriptor,
     solve_ds,
     solve_lbi,
     solve_user,
     transmit_spectrum,
-    wiretap_descriptors,
 )
 from irs_secrecy.scenario import Spectrum
+from irs_secrecy.secrecy import secrecy_terms
 
-from conftest import make_stats, rand_psd, uniform_precoders
+from conftest import effective_transmit_corr, make_stats, rand_psd, uniform_precoders
 
 
 class TestLowRankFixedPoint:
@@ -94,7 +87,7 @@ class TestDoubleScatteringFixedPoint:
         # the Newton row of omega_bar reads omega_bar_new = 0 exactly
         assert sol.omega_bar == 0.0
         n = 3
-        assert det_equiv_ds(sol) == pytest.approx(n * math.log(2.0), abs=1e-9)
+        assert sol.mean == pytest.approx(n * math.log(2.0), abs=1e-9)
 
     def test_scalar_case_matches_nested_bisection(self):
         sol = solve_ds(np.eye(1), np.eye(1), np.eye(1), z=1.0, m_dim=1, l_dim=1)
@@ -209,17 +202,16 @@ class TestDoubleScatteringFixedPoint:
 class TestDeterministicEquivalents:
     def test_lbi_zero_receive_correlation_is_noise_floor(self):
         sol = solve_lbi(np.zeros((3, 3)), np.diag([1.0, 2.0]), z=1.7, m_dim=2)
-        assert det_equiv_lbi(sol) == pytest.approx(3 * math.log(1.7), abs=1e-10)
+        assert sol.mean == pytest.approx(3 * math.log(1.7), abs=1e-10)
 
     def test_vanishing_power_approaches_noise_floor_monotonically(self):
         stats = make_stats("lbi")
-        desc = wiretap_descriptors(stats)[0]
         n = stats.user_n("B")
         floor = n * math.log(stats.user_sigma2("B"))
         P_W, _ = uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0)
         vals = []
         for c in [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5]:
-            vals.append(mean_mi(stats, desc, precoder_map(c * P_W)))
+            vals.append(solve_user(stats, "B", c * P_W).mean)
         diffs = np.array(vals) - floor
         assert np.all(diffs > 0)
         assert np.all(np.diff(diffs) < 0)
@@ -228,29 +220,22 @@ class TestDeterministicEquivalents:
     def test_noise_doubling_shifts_by_at_most_n_log_two(self):
         base = make_stats("double", sigma2_B=0.8)
         doubled = make_stats("double", sigma2_B=1.6)
-        precs = precoder_map(*uniform_precoders(base.M, 1.0))
+        P_W, _ = uniform_precoders(base.M, 1.0)
         n = base.user_n("B")
-        desc = MiDescriptor(user="B", precoder="W")
-        lo = mean_mi(base, desc, precs)
-        hi = mean_mi(doubled, desc, precs)
+        lo = solve_user(base, "B", P_W).mean
+        hi = solve_user(doubled, "B", P_W).mean
         assert lo <= hi <= lo + n * math.log(2.0) + 1e-9
 
-    def test_mean_rate_subtracts_noise_floor(self):
-        # each term's floor is its own user's N log z (B: 0.8, E1: 1.1)
-        stats = make_stats("lbi")
-        precs = precoder_map(*uniform_precoders(stats.M, 1.0))
-        for desc in wiretap_descriptors(stats):
-            n = stats.user_n(desc.user)
-            assert mean_rate(stats, desc, precs) == pytest.approx(
-                mean_mi(stats, desc, precs) - n * math.log(stats.user_sigma2(desc.user)),
-                rel=1e-12)
-
-    def test_precomputed_solution_matches(self):
-        stats = make_stats("double")
-        desc = wiretap_descriptors(stats)[0]
-        precs = precoder_map(*uniform_precoders(stats.M, 1.0))
-        sol = solve_descriptor(stats, desc, precs)
-        assert mean_mi(stats, desc, precs, solution=sol) == mean_mi(stats, desc, precs)
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    def test_mean_rate_subtracts_noise_floor(self, kind):
+        # each term's floor is its own user's N log z (B: N 3, z 0.8; E1: N 2,
+        # z 1.1): the dimension of its receive spectrum and its noise power
+        stats = make_stats(kind, N_E=(2,))
+        P_W, _ = uniform_precoders(stats.M, 1.0)
+        for user in stats.users():
+            sol = solve_user(stats, user, P_W)
+            n = stats.user_n(user)
+            assert sol.rate == sol.mean - n * math.log(stats.user_sigma2(user))
 
 
 def _logdet(mat: np.ndarray) -> float:
@@ -280,7 +265,7 @@ class TestSpectralMeans:
             dense = (_logdet(z * np.eye(n) + sol.alpha_bar * R)
                      + _logdet(np.eye(l) + sol.alpha * T_eff)
                      - m * sol.alpha * sol.alpha_bar)
-            assert det_equiv_lbi(sol) == pytest.approx(dense, rel=1e-12)
+            assert sol.mean == pytest.approx(dense, rel=1e-12)
 
     def test_double_hop_matches_slogdet(self):
         rng = np.random.default_rng(22)
@@ -295,7 +280,7 @@ class TestSpectralMeans:
                      + _logdet(np.eye(l) + sol.delta * sol.omega_bar * S)
                      + _logdet(np.eye(m) + sol.omega * T_eff)
                      - 2.0 * m * sol.omega * sol.omega_bar)
-            assert det_equiv_ds(sol) == pytest.approx(dense, rel=1e-12)
+            assert sol.mean == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("n, rank", [(7, 3), (5, 5), (6, 0)])
     def test_gram_spectrum_matches_the_full_one(self, n, rank):
@@ -332,20 +317,19 @@ class TestZeroTransmitSpectrum:
             sol = solve_lbi(R, T_eff, z=z, m_dim=m)
             assert sol.alpha_bar == 0.0
             assert sol.alpha == pytest.approx(np.trace(R).real / (m * z), rel=1e-14)
-            assert det_equiv_lbi(sol) == pytest.approx(3 * math.log(z), rel=1e-14)
+            assert sol.mean == pytest.approx(3 * math.log(z), rel=1e-14)
             # the closed form is the start point, and the first test accepts it
             assert sol.n_iter == 1
             assert sol.residual == 0.0
 
     def test_zero_precoder_term_has_zero_mean_rate(self):
         stats = make_stats("lbi")
-        precs = precoder_map(*uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0))
-        assert transmit_spectrum(stats, "B", precs["V"]).lam.size == 0
+        _, P_V = uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0)
+        assert transmit_spectrum(stats, "B", P_V).lam.size == 0
         for user in stats.users():
-            desc = MiDescriptor(user=user, precoder="V")
-            sol = solve_descriptor(stats, desc, precs)
+            sol = solve_user(stats, user, P_V)
             assert sol.alpha_bar == 0.0
-            assert mean_rate(stats, desc, precs, solution=sol) == 0.0
+            assert sol.rate == 0.0
 
 
 class TestWarmStart:
@@ -371,29 +355,33 @@ class TestWarmStart:
 
 
 class TestEffectiveTransmitCorrelation:
+    """``transmit_spectrum`` as a matrix: T_eff of the precoder."""
+
     def test_identity_precoder_returns_transmit_correlation(self):
         stats = make_stats("double")
-        T_eff = effective_transmit_corr(stats, "B", np.eye(stats.M, dtype=complex))
+        T_eff = transmit_spectrum(stats, "B", np.eye(stats.M, dtype=complex)).matrix()
         assert np.allclose(T_eff, stats.T, atol=1e-12)
 
     def test_zero_precoder_returns_zero(self):
         for kind in ("lbi", "double"):
             stats = make_stats(kind)
-            T_eff = effective_transmit_corr(stats, "E1", np.zeros((stats.M, stats.M)))
+            T_eff = transmit_spectrum(stats, "E1", np.zeros((stats.M, stats.M))).matrix()
             assert np.allclose(T_eff, 0.0, atol=1e-14)
 
     def test_random_precoder_gives_psd(self):
         rng = np.random.default_rng(5)
         for kind in ("lbi", "double"):
             stats = make_stats(kind)
-            T_eff = effective_transmit_corr(stats, "B", rand_psd(stats.M, rng))
+            T_eff = transmit_spectrum(stats, "B", rand_psd(stats.M, rng)).matrix()
             assert np.linalg.eigvalsh(T_eff).min() > -1e-10
 
 
 class TestDescriptors:
+    """The terms and precoders of ``secrecy_terms``."""
+
     def test_wiretap_layout(self):
         stats = make_stats("lbi", N_E=(3, 2))
-        descs = wiretap_descriptors(stats)
+        descs, _, _ = secrecy_terms(stats, uniform_precoders(stats.M, 1.0)[0])
         assert [d.label for d in descs] == ["BW", "E1W", "E2W"]
         # one term per user, so no two terms share a factor
         assert len({d.user for d in descs}) == 3
@@ -401,7 +389,7 @@ class TestDescriptors:
 
     def test_an_layout_shares_x_per_user(self):
         stats = make_stats("double")
-        descs = an_descriptors(stats)
+        descs, _, _ = secrecy_terms(stats, *uniform_precoders(stats.M, 1.0))
         assert [d.label for d in descs] == ["BU", "BV", "E1U", "E1V"]
         assert descs[0].user == descs[1].user
         assert descs[2].user == descs[3].user
@@ -409,15 +397,16 @@ class TestDescriptors:
 
     def test_eve_subset_selection(self):
         stats = make_stats("lbi", N_E=(3, 2))
-        descs = wiretap_descriptors(stats, eves=["E2"])
+        descs, _, _ = secrecy_terms(stats, uniform_precoders(stats.M, 1.0)[0], eves=["E2"])
         assert [d.label for d in descs] == ["BW", "E2W"]
 
     def test_precoder_map_keys(self):
-        P_W, P_V = uniform_precoders(4, 1.0)
-        m = precoder_map(P_W, P_V)
+        stats = make_stats("lbi")
+        P_W, P_V = uniform_precoders(stats.M, 1.0)
+        _, m, _ = secrecy_terms(stats, P_W, P_V)
         assert set(m) == {"W", "V", "U"}
         assert np.allclose(m["U"], P_W + P_V)
-        m2 = precoder_map(P_W)
+        _, m2, _ = secrecy_terms(stats, P_W)
         assert np.allclose(m2["U"], P_W)
         assert np.allclose(m2["V"], 0.0)
 

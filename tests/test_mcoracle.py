@@ -10,17 +10,11 @@ import numpy as np
 import pytest
 
 from irs_secrecy import mcoracle
-from irs_secrecy.cltcov import joint_cov
 from irs_secrecy.errors import ConfigError, ModelError
-from irs_secrecy.fixedpoint import (
-    MiDescriptor,
-    an_descriptors,
-    precoder_map,
-    wiretap_descriptors,
-)
+from irs_secrecy.fixedpoint import MiDescriptor
 from irs_secrecy.mcoracle import mi_exact, run_mc, thread_budget
 from irs_secrecy.scenario import build_channel_statistics, build_los_channel, channel_assembler
-from irs_secrecy.secrecy import MultiEveModel, secrecy_terms, sop_multi_eve
+from irs_secrecy.secrecy import MultiEveModel, esr_an, secrecy_terms, sop_multi_eve
 
 from conftest import corr, draw_factors, make_stats, rand_psd, uniform_precoders
 
@@ -107,8 +101,7 @@ class TestExactMutualInformation:
 def _small_run(kind="lbi", n_trials=64, seed=9, **kwargs):
     stats = make_stats(kind)
     P_W, P_V = uniform_precoders(stats.M, 2.0)
-    descs = an_descriptors(stats, eves=["E1"])
-    precs = precoder_map(P_W, P_V)
+    descs, precs, _ = secrecy_terms(stats, P_W, P_V, eves=["E1"])
     run = run_mc(stats, descs, precs, n_trials, seed, **kwargs)
     return stats, descs, precs, run
 
@@ -255,7 +248,7 @@ class TestDeterminism:
         # whose factors alone take 32 MiB at 512 trials and grow with the chunk
         stats = make_stats("double", M=32, L=64, N_B=16, N_E=(16,))
         P_W, P_V = uniform_precoders(stats.M, 2.0)
-        descs, precs = an_descriptors(stats, eves=["E1"]), precoder_map(P_W, P_V)
+        descs, precs, _ = secrecy_terms(stats, P_W, P_V, eves=["E1"])
         peaks = {}
         for chunk in (512, 2048):
             monkeypatch.setattr(mcoracle, "CHUNK", chunk)
@@ -311,7 +304,7 @@ class TestDeterminism:
         for kind, M, L, N in (("lbi", 8, 16, 4), ("double", 8, 16, 4), ("double", 32, 64, 16)):
             stats = make_stats(kind, M=M, L=L, N_B=N, N_E=(N,))
             P_W, P_V = uniform_precoders(M, 2.0)
-            descs = an_descriptors(stats, eves=["E1"])
+            descs, precs, _ = secrecy_terms(stats, P_W, P_V, eves=["E1"])
             nbytes = mcoracle._trial_bytes(mcoracle._factor_layout(stats, descs)[1])
             runs = []
             for env in (None, "1"):
@@ -320,7 +313,7 @@ class TestDeterminism:
                     monkeypatch.delenv("IRS_SECRECY_THREADS", raising=False)
                 else:
                     monkeypatch.setenv("IRS_SECRECY_THREADS", env)
-                runs.append(run_mc(stats, descs, precoder_map(P_W, P_V), 12, 3))
+                runs.append(run_mc(stats, descs, precs, 12, 3))
                 pools[nbytes, env] = list(serial_pool)
             a, b = runs
             assert np.array_equal(a.mi_samples, b.mi_samples)
@@ -336,8 +329,7 @@ class TestSharedFactorSemantics:
         stats = make_stats("lbi")
         Q = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)[0]
         # U = 0 + Q and V = Q: identical precoders on a shared X draw
-        precs = precoder_map(np.zeros((stats.M, stats.M)), Q)
-        descs = an_descriptors(stats, eves=[])
+        descs, precs, _ = secrecy_terms(stats, np.zeros((stats.M, stats.M)), Q, eves=[])
         run = run_mc(stats, descs, precs, 32, seed=4)
         assert np.array_equal(run.mi_samples[:, 0], run.mi_samples[:, 1])
 
@@ -350,7 +342,7 @@ class TestSharedFactorSemantics:
             MiDescriptor(user="E2", precoder="W"),
         ]
         with pytest.raises(ModelError, match="unknown user tag 'E2'"):
-            run_mc(stats, descs, precoder_map(P_W), 8, seed=0)
+            run_mc(stats, descs, {"W": P_W}, 8, seed=0)
 
 
 class TestChannelMoments:
@@ -364,8 +356,8 @@ class TestChannelMoments:
             theta=np.zeros(L), sigma2_B=0.8, sigma2_E_list=[1.1],
         )
         P_W, _ = uniform_precoders(M, 2.0, split_w=1.0, split_v=0.0)
-        descs = wiretap_descriptors(stats, eves=[])
-        run = run_mc(stats, descs, precoder_map(P_W), 16, seed=0)
+        descs, precs, _ = secrecy_terms(stats, P_W, eves=[])
+        run = run_mc(stats, descs, precs, 16, seed=0)
         np.testing.assert_allclose(
             run.mi_samples[:, 0], N * math.log(0.8), rtol=1e-14)
 
@@ -392,8 +384,7 @@ class TestChannelMoments:
     def test_small_and_large_runs_agree_within_noise(self):
         stats = make_stats("lbi")
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
-        descs = wiretap_descriptors(stats)
-        precs = precoder_map(P_W)
+        descs, precs, _ = secrecy_terms(stats, P_W)
         small = run_mc(stats, descs, precs, 100, seed=8)
         large = run_mc(stats, descs, precs, 10_000, seed=8)
         gap = np.abs(small.mi_mean - large.mi_mean)
@@ -404,9 +395,9 @@ class TestSecrecyAggregation:
     def test_per_trial_secrecy_recomputes_from_samples(self):
         stats = make_stats("double")
         P_W, P_V = uniform_precoders(stats.M, 2.0)
-        descs = an_descriptors(stats, eves=["E1"])
-        u = secrecy_terms(stats, P_W, P_V, eves=["E1"])[2][0]
-        run = run_mc(stats, descs, precoder_map(P_W, P_V), 128, seed=2, combiner=u)
+        descs, precs, selectors = secrecy_terms(stats, P_W, P_V, eves=["E1"])
+        u = selectors[0]
+        run = run_mc(stats, descs, precs, 128, seed=2, combiner=u)
         floors = np.array([stats.user_n(d.user) * math.log(stats.user_sigma2(d.user))
                            for d in descs])
         np.testing.assert_array_equal(run.secrecy, (run.mi_samples - floors) @ u)
@@ -414,11 +405,10 @@ class TestSecrecyAggregation:
     def test_empirical_variance_tracks_the_asymptotic_quad_form(self):
         stats = make_stats("lbi", M=8, L=32, N_B=4, N_E=(4,))
         P_W, P_V = uniform_precoders(stats.M, 2.0)
-        descs = an_descriptors(stats, eves=["E1"])
-        precs = precoder_map(P_W, P_V)
-        u = secrecy_terms(stats, P_W, P_V, eves=["E1"])[2][0]
+        descs, precs, selectors = secrecy_terms(stats, P_W, P_V, eves=["E1"])
+        u = selectors[0]
         run = run_mc(stats, descs, precs, 20_000, seed=3, combiner=u)
-        analytic = joint_cov(stats, descs, precs).quad_form(u)
+        analytic = esr_an(stats, P_W, P_V, eve="E1").variance
         empirical = float(np.var(run.secrecy, ddof=1))
         assert empirical == pytest.approx(analytic, rel=0.10)
 
@@ -438,5 +428,5 @@ class TestSecrecyAggregation:
         stats = make_stats("lbi")
         P_W, _ = uniform_precoders(stats.M, 2.0)
         with pytest.raises(ModelError):
-            run_mc(stats, wiretap_descriptors(stats), precoder_map(P_W), 0, seed=0)
+            run_mc(stats, *secrecy_terms(stats, P_W)[:2], 0, seed=0)
 

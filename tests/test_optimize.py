@@ -9,7 +9,7 @@ import pytest
 
 from irs_secrecy import fixedpoint, optimize
 from irs_secrecy.errors import ConvergenceError, ModelError
-from irs_secrecy.fixedpoint import det_equiv_lbi, effective_transmit_corr, solve_lbi
+from irs_secrecy.fixedpoint import solve_lbi
 from irs_secrecy.optimize import (
     algorithm1,
     algorithm2_ao,
@@ -24,9 +24,9 @@ from irs_secrecy.optimize import (
     wrap_phase,
 )
 from irs_secrecy.scenario import dbm_to_watts
-from irs_secrecy.secrecy import esr_an, esr_wiretap, sop_wiretap
+from irs_secrecy.secrecy import esr_an, esr_wiretap
 
-from conftest import experiment_stats, make_stats, uniform_precoders
+from conftest import effective_transmit_corr, experiment_stats, make_stats, uniform_precoders
 
 
 def _herm_direction(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -42,7 +42,7 @@ def _surrogate_n(stats, P_W, P_V) -> float:
     for user, P in terms:
         sol = solve_lbi(stats.user_r(user), effective_transmit_corr(stats, user, P),
                         stats.user_sigma2(user), stats.M)
-        out += det_equiv_lbi(sol)
+        out += sol.mean
     return out
 
 
@@ -398,8 +398,8 @@ class TestSopPhaseGradient:
         for idx in rng.choice(stats.L, size=4, replace=False):
             e = np.zeros(stats.L)
             e[idx] = 1.0
-            hi = sop_wiretap(stats.with_theta(stats.theta + h * e), P_W, r_bits)
-            lo = sop_wiretap(stats.with_theta(stats.theta - h * e), P_W, r_bits)
+            hi = esr_wiretap(stats.with_theta(stats.theta + h * e), P_W).sop(r_bits)
+            lo = esr_wiretap(stats.with_theta(stats.theta - h * e), P_W).sop(r_bits)
             fd = (hi - lo) / (2.0 * h)
             assert sg.grad[idx] == pytest.approx(fd, rel=1e-3, abs=1e-9)
 
@@ -460,7 +460,7 @@ class TestSopDescent:
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         theta0 = np.linspace(0.1, 1.9, stats.L)
         res = optimize_sop(stats.with_theta(theta0), P_W, r_bits=1.2, budget=3)
-        expected = sop_wiretap(stats.with_theta(theta0), P_W, 1.2)
+        expected = esr_wiretap(stats.with_theta(theta0), P_W).sop(1.2)
         assert res.trace[0].objective == pytest.approx(expected, rel=1e-10)
 
     def test_phase_invariant_scenario_converges_immediately(self):

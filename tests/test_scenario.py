@@ -22,14 +22,13 @@ from irs_secrecy.scenario import (
     load_config,
     parse_config,
     path_loss,
-    phase_matrix,
-    psd_sqrt,
+    psd_eig,
+    psd_root,
     quadrature_step,
-    trial_rng,
     trial_streams,
 )
 
-from conftest import complex_gaussian, config_dict, corr, make_stats
+from conftest import complex_gaussian, config_dict, corr, make_stats, trial_rng
 
 
 class TestCorrelationMatrix:
@@ -164,30 +163,29 @@ class TestPathLossAndPower:
 
 
 class TestPsdSqrt:
+    """PSD square roots: the thin factor of ``psd_root`` and the PSD check
+    of ``psd_eig`` that every decomposition goes through."""
+
     def test_reconstructs_psd_input(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         p = a @ a.conj().T
-        s = psd_sqrt(p)
+        s = psd_root(p)
         assert np.allclose(s @ s.conj().T, p, atol=1e-10)
 
     def test_clips_tiny_negative_eigenvalues(self):
         p = np.diag([1.0, -1e-14])
-        s = psd_sqrt(p)
-        assert np.all(np.isfinite(s))
+        lam, _ = psd_eig(p)
+        assert lam.tolist() == [0.0, 1.0]
+        s = psd_root(p)
+        assert s.shape == (2, 1) and np.all(np.isfinite(s))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ModelError):
-            psd_sqrt(np.diag([1.0, -0.5]))
+        with pytest.raises(ModelError, match="not PSD"):
+            psd_eig(np.diag([1.0, -0.5]))
 
 
 class TestChannelStatistics:
-    def test_phase_matrix_unit_modulus_diagonal(self):
-        theta = np.array([0.1, 2.5, 4.0])
-        t = phase_matrix(theta)
-        assert np.allclose(np.abs(np.diag(t)), 1.0)
-        assert np.count_nonzero(t - np.diag(np.diag(t))) == 0
-
     def test_users_and_accessors(self):
         stats = make_stats("lbi", N_E=(3, 2))
         assert stats.users() == ["B", "E1", "E2"]
@@ -199,11 +197,16 @@ class TestChannelStatistics:
     def test_lbi_aperture_matches_direct_formula(self):
         stats = make_stats("lbi")
         A = stats.lbi_aperture("B")
+
+        def sqrtm(mat):  # Hermitian square root
+            lam, u = np.linalg.eigh(mat)
+            return (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
+
         direct = (
-            psd_sqrt(stats.T_S_B)
-            @ phase_matrix(stats.theta)
+            sqrtm(stats.T_S_B)
+            @ np.diag(np.exp(1j * stats.theta))
             @ stats.H_T0
-            @ psd_sqrt(stats.T)
+            @ sqrtm(stats.T)
         )
         assert np.allclose(A, direct, atol=1e-12)
 

@@ -10,45 +10,20 @@ from scipy.special import ndtr
 
 from irs_secrecy import mcoracle
 from irs_secrecy.errors import InvalidCovarianceError, ModelError
-from irs_secrecy.fixedpoint import precoder_map, wiretap_descriptors, mean_rate
-from irs_secrecy.cltcov import solve_all
-from irs_secrecy.scenario import build_channel_statistics, build_los_channel, trial_rng
+from irs_secrecy.fixedpoint import solve_user
+from irs_secrecy.scenario import build_channel_statistics, build_los_channel
 from irs_secrecy.secrecy import (
     LN2,
     MultiEveModel,
     SecrecyReport,
-    bits_to_nats,
     build_multi_eve_model,
     esr_an,
     esr_wiretap,
-    nats_to_bits,
     norm_cdf,
-    sop_an,
     sop_multi_eve,
-    sop_wiretap,
 )
 
-from conftest import corr, make_stats, uniform_precoders
-
-
-def _bob_rate(stats, P_W) -> float:
-    desc = wiretap_descriptors(stats, eves=[])[0]
-    precs = precoder_map(P_W)
-    sol = solve_all(stats, [desc], precs)[0]
-    return mean_rate(stats, desc, precs, solution=sol)
-
-
-class TestUnitConversions:
-    def test_scalar_roundtrip(self):
-        assert nats_to_bits(bits_to_nats(3.7)) == pytest.approx(3.7, rel=1e-15)
-        assert bits_to_nats(1.0) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert isinstance(nats_to_bits(1.0), float)
-
-    def test_array_conversion(self):
-        x = np.array([0.0, 1.0, 2.5])
-        out = nats_to_bits(x)
-        assert isinstance(out, np.ndarray)
-        np.testing.assert_allclose(out * LN2, x, rtol=1e-15)
+from conftest import corr, make_stats, trial_rng, uniform_precoders
 
 
 class TestNormCdf:
@@ -170,7 +145,7 @@ class TestReductions:
         gaps = []
         for z_e in [1.0, 1e2, 1e4, 1e6]:
             stats = make_stats("lbi", sigma2_E=z_e)
-            bob = _bob_rate(stats, P_W)
+            bob = solve_user(stats, "B", P_W).rate
             gaps.append(bob - esr_wiretap(stats, P_W).mean_nats)
         gaps = np.array(gaps)
         assert np.all(gaps > 0.0)  # the eavesdropper always costs something
@@ -183,8 +158,8 @@ class TestReductions:
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         grid = np.linspace(0.0, 6.0, 13)
         np.testing.assert_allclose(
-            sop_an(stats, P_W, np.zeros((stats.M, stats.M)), grid),
-            sop_wiretap(stats, P_W, grid),
+            esr_an(stats, P_W, np.zeros((stats.M, stats.M))).sop(grid),
+            esr_wiretap(stats, P_W).sop(grid),
             atol=1e-10,
         )
 
@@ -282,7 +257,7 @@ class TestMultiEveOutage:
         model = build_multi_eve_model(stats, P_W)
         r_bits = 1.0
         (p,), (se,) = sop_multi_eve([model], r_bits, n_samples=200_000, seed=2)
-        singles = [sop_wiretap(stats, P_W, r_bits, eve=e) for e in model.labels]
+        singles = [esr_wiretap(stats, P_W, eve=e).sop(r_bits) for e in model.labels]
         assert p >= max(singles) - 3.0 * se
 
     @pytest.mark.parametrize("threads", [None, "1", "2", "3"],
