@@ -25,7 +25,6 @@ the numerics fail on a valid configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -82,13 +81,6 @@ def _threshold_grid(args) -> np.ndarray:
     return np.linspace(args.r_min, args.r_max, args.r_steps)
 
 
-def _precoders(scenario: Scenario) -> tuple:
-    """Initial (P_W, P_V) of the configured mode; P_V is None for the plain
-    wiretap design."""
-    P_W, P_V = scenario.initial_precoders()
-    return P_W, (P_V if scenario.config.an else None)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -96,7 +88,7 @@ def _precoders(scenario: Scenario) -> tuple:
 
 def _cmd_esr(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    P_W, P_V = _precoders(scenario)
+    P_W, P_V = scenario.precoders()
     eves = {}
     worst = None
     for tag in stats.users()[1:]:
@@ -133,7 +125,7 @@ def _sop_curve(stats, pairs: list, grid_bits: np.ndarray, trials: int, seed: int
 
 def _cmd_sop(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    P_W, P_V = _precoders(scenario)
+    P_W, P_V = scenario.precoders()
     grid_bits = _threshold_grid(args)
     (analytic,), mvn_se = _sop_curve(
         stats, [(P_W, P_V)], grid_bits, args.trials, args.seed
@@ -166,7 +158,7 @@ def _cmd_sop(args, scenario: Scenario) -> int:
 
 def _cmd_mc_validate(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    descs, precs, _ = secrecy_terms(stats, *_precoders(scenario))
+    descs, precs, _ = secrecy_terms(stats, *scenario.precoders())
     trials = args.trials if args.trials > 0 else DEFAULT_MC_TRIALS
     run = run_mc(stats, descs, precs, n_trials=trials, seed=args.seed)
 
@@ -239,7 +231,7 @@ _TRACE_HEADER = [
 
 def _cmd_optimize_esr(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    P_W, P_V = _precoders(scenario)
+    P_W, P_V = scenario.precoders()
     state = algorithm2_ao(stats, scenario.p_budget, P_W=P_W, P_V=P_V, an=scenario.config.an)
     _write_csv(
         os.path.join(args.out, "optimize_esr_trace.csv"),
@@ -267,7 +259,7 @@ def _cmd_optimize_sop(args, scenario: Scenario) -> int:
             "optimize-sop handles the wiretap model only; set power.split_v to 0 "
             "and leave power.an unset or false"
         )
-    P_W, _ = scenario.initial_precoders()
+    P_W, _ = scenario.precoders()
     result = optimize_sop(stats, P_W, r_bits=args.r_min)
     _write_csv(
         os.path.join(args.out, "optimize_sop_trace.csv"),
@@ -296,9 +288,7 @@ def _cmd_sweep(args, scenario: Scenario) -> int:
     powers = scenario.config.sweep_P_dbm
     # the channel statistics do not depend on the power: only the precoders
     # change from one sweep point to the next
-    pairs = [_precoders(dataclasses.replace(
-        scenario, config=dataclasses.replace(scenario.config, P_dbm=p_dbm)))
-        for p_dbm in powers]
+    pairs = [scenario.precoders(p_dbm) for p_dbm in powers]
     analytic, mvn_se = _sop_curve(scenario.stats, pairs, grid_bits, args.trials, args.seed)
     header = ["P_dbm", "R_bits", "sop_analytic"] + (["stderr"] if mvn_se is not None else [])
     rows = []

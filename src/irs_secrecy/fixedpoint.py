@@ -88,8 +88,8 @@ class MiDescriptor:
     of one receiver at its own noise power.
 
     user: receiver tag, 'B' or 'E<i>'. Terms with the same user share that
-        user's Gaussian factor X, and ``stats.user_sigma2(user)`` is the noise
-        power z of the term.
+        user's Gaussian factor X, and ``stats.receiver(user).sigma2`` is the
+        noise power z of the term.
     precoder: which transmit covariance the term sees, 'W' (information),
         'V' (noise injection) or 'U' (their sum).
     """
@@ -439,10 +439,9 @@ def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray, *,
     a double-hop start point (delta, omega, omega_bar), and the single-hop
     solve takes none."""
     t = transmit if transmit is not None else transmit_spectrum(stats, user, P)
-    r = stats.user_r_spectrum(user)
-    z = stats.user_sigma2(user)
+    rx = stats.receiver(user)
     if stats.model_kind == "lbi":
         if start is not None:
             raise ValueError("the single-hop solve takes no start point")
-        return solve_lbi(r, t, z, stats.M)
-    return solve_ds(r, stats.ds_gram(user), t, z, stats.M, stats.L, start=start)
+        return solve_lbi(rx.r, t, rx.sigma2, stats.M)
+    return solve_ds(rx.r, stats.ds_gram(user), t, rx.sigma2, stats.M, stats.L, start=start)

@@ -193,7 +193,7 @@ def _factor_layout(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]
     documented draw order: Y (double model), then one X per user."""
     users = list(dict.fromkeys(d.user for d in descriptors))
     factors = [(stats.L, stats.M, 1.0 / stats.M)] if stats.model_kind == "double" else []
-    factors += [(stats.user_n(u), stats.L, 1.0 / stats.L) for u in users]
+    factors += [(stats.receiver(u).n, stats.L, 1.0 / stats.L) for u in users]
     return users, factors
 
 
@@ -220,7 +220,7 @@ def _chunk_mis(
     blocks = [np.empty((block, rows, cols), dtype=complex) for rows, cols, _ in factors]
     x_blocks = blocks[len(blocks) - len(users):]
     per_user = [(channel_assembler(stats, u),
-                 [(i, stats.user_sigma2(u), precoders[d.precoder])
+                 [(i, stats.receiver(u).sigma2, precoders[d.precoder])
                   for i, d in enumerate(descriptors) if d.user == u]) for u in users]
     stream = trial_streams(seed)
     out = np.empty((count, len(descriptors)))
@@ -256,8 +256,8 @@ def run_mc(
         raise ModelError("n_trials must be >= 1")
     descriptors = list(descriptors)
     k = len(descriptors)
-    floors = np.array([stats.user_n(d.user) * math.log(stats.user_sigma2(d.user))
-                       for d in descriptors])
+    receivers = [stats.receiver(d.user) for d in descriptors]
+    floors = np.array([rx.n * math.log(rx.sigma2) for rx in receivers])
     layout = _factor_layout(stats, descriptors)
     starts = list(range(0, n_trials, CHUNK))
     sizes = [min(CHUNK, n_trials - s) for s in starts]

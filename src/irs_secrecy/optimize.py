@@ -353,7 +353,7 @@ def esr_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray,
 
     grad = np.zeros(stats.L)
     for d, sign, sol in zip(descriptors, u, sols):
-        ts_sqrt = stats.user_ts_sqrt(d.user)
+        ts_sqrt = stats.receiver(d.user).ts_sqrt
         z_mat = ts_sqrt @ sol.L_T @ ts_sqrt
         grad += sign * 2.0 * sol.alpha * c * np.einsum(
             "ij,ji->i", z_mat, conjugated(d.precoder)).imag
@@ -477,7 +477,7 @@ class _UserDerivatives:
         # u_l, v_l the columns of U = R_S^{1/2} and V = U Theta^H T_S Theta;
         # here they are held in S's eigenbasis W as W^H U and W^H V
         phases = np.exp(1j * stats.theta)
-        conj_ts = (phases.conj()[:, None] * stats.user_ts(user)) * phases[None, :]
+        conj_ts = (phases.conj()[:, None] * stats.receiver(user).ts) * phases[None, :]
         self.W = sol.s.vecs
         w_h = self.W.conj().T
         self.wu = w_h @ stats.R_S_sqrt

@@ -15,6 +15,12 @@ Two channel factorizations are supported:
   ``H_k = R_k^{1/2} X_k S_k^{+/2} Y T^{1/2}`` with
   ``S_k^{+/2} = T_{S,k}^{1/2} Theta R_S^{1/2}``.
 
+Every receiver k, the legitimate one ('B') and each eavesdropper ('E1',
+'E2', ...), has the same three things: a receive correlation R_k, a
+surface-side correlation T_{S,k} and a noise power sigma_k^2. One
+``Receiver`` record holds them; ``ChannelStatistics.receiver(tag)`` looks
+it up.
+
 Entries of ``X_k`` are CN(0, 1/L) and entries of ``Y`` are CN(0, 1/M); these
 sampling conventions are load-bearing for every closed form downstream.
 All angles in configuration are degrees; all internal math is radians.
@@ -279,39 +285,46 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Receiver:
+    """One receiver's side of its channel: the receive correlation R_k, with
+    the path gain folded in, as the spectrum ``r`` (``r.mat`` is R_k), the
+    surface-side correlation ``ts`` = T_{S,k}, the Hermitian square roots of
+    both, and the noise power ``sigma2``."""
+
+    r: Spectrum
+    r_sqrt: np.ndarray = field(repr=False)
+    ts: np.ndarray = field(repr=False)
+    ts_sqrt: np.ndarray = field(repr=False)
+    sigma2: float
+
+    @property
+    def n(self) -> int:
+        """Number of receive antennas."""
+        return self.r.vecs.shape[0]
+
+
+@dataclass(frozen=True)
 class ChannelStatistics:
     """All deterministic matrices defining one statistical channel state.
 
-    Path gains are already folded multiplicatively into the receive-side
-    correlations ``R_B`` / ``R_E_list``, so downstream formulas see a single
-    matrix per side. ``R_S`` is None for the ``lbi`` model (that link is
-    deterministic). Square roots of the theta-independent matrices, and the
-    eigen-decompositions of the receive correlations, are precomputed;
-    everything that depends on ``theta`` is assembled on demand.
+    ``receivers`` holds one ``Receiver`` per tag in ``users()`` order: 'B',
+    then 'E1', 'E2', ...; the legitimate receiver and the eavesdroppers are
+    alike. ``R_S`` is None for the ``lbi`` model (that link is
+    deterministic). Square roots of the theta-independent matrices are
+    precomputed; everything that depends on ``theta`` is assembled on
+    demand.
     """
 
     model_kind: str  # "lbi" | "double"
-    R_B: np.ndarray
-    R_E_list: tuple
-    T_S_B: np.ndarray
-    T_S_E_list: tuple
+    receivers: dict
     T: np.ndarray
     H_T0: np.ndarray
     theta: np.ndarray
-    sigma2_B: float
-    sigma2_E_list: tuple
     R_S: Optional[np.ndarray] = None
-    # precomputed square roots (filled by build_channel_statistics)
-    R_B_sqrt: np.ndarray = field(default=None, repr=False)
-    R_E_sqrt_list: tuple = field(default=None, repr=False)
-    T_S_B_sqrt: np.ndarray = field(default=None, repr=False)
-    T_S_E_sqrt_list: tuple = field(default=None, repr=False)
     T_sqrt: np.ndarray = field(default=None, repr=False)
     R_S_sqrt: Optional[np.ndarray] = field(default=None, repr=False)
-    # receive-correlation spectra, one per user in ``users()`` order
-    R_spectra: tuple = field(default=None, repr=False)
 
-    # -- dimensions ---------------------------------------------------------
+    # -- dimensions and receivers --------------------------------------------
 
     @property
     def M(self) -> int:
@@ -323,54 +336,22 @@ class ChannelStatistics:
 
     @property
     def K_eves(self) -> int:
-        return len(self.R_E_list)
+        return len(self.receivers) - 1
 
     def users(self) -> list:
-        return ["B"] + [f"E{i + 1}" for i in range(self.K_eves)]
+        return list(self.receivers)
 
-    # -- per-user accessors -------------------------------------------------
-
-    def _eve_index(self, user: str) -> int:
-        if user == "E":
-            return 0
-        if user.startswith("E") and user[1:].isdigit():
-            idx = int(user[1:]) - 1
-            if 0 <= idx < self.K_eves:
-                return idx
-        raise ModelError(f"unknown user tag {user!r}; expected 'B' or 'E1'..'E{self.K_eves}'")
-
-    def eve_tag(self, eve: Optional[str] = None) -> str:
-        """Canonical eavesdropper tag 'E<i>' of 'E', 'E<i>' or None (the first)."""
-        return f"E{self._eve_index('E1' if eve is None else eve) + 1}"
-
-    def user_r(self, user: str) -> np.ndarray:
-        return self.R_B if user == "B" else self.R_E_list[self._eve_index(user)]
-
-    def user_r_sqrt(self, user: str) -> np.ndarray:
-        return self.R_B_sqrt if user == "B" else self.R_E_sqrt_list[self._eve_index(user)]
-
-    def user_r_spectrum(self, user: str) -> Spectrum:
-        return self.R_spectra[0 if user == "B" else 1 + self._eve_index(user)]
-
-    def user_ts(self, user: str) -> np.ndarray:
-        return self.T_S_B if user == "B" else self.T_S_E_list[self._eve_index(user)]
-
-    def user_ts_sqrt(self, user: str) -> np.ndarray:
-        return self.T_S_B_sqrt if user == "B" else self.T_S_E_sqrt_list[self._eve_index(user)]
-
-    def user_sigma2(self, user: str) -> float:
-        return self.sigma2_B if user == "B" else self.sigma2_E_list[self._eve_index(user)]
-
-    def user_n(self, user: str) -> int:
-        return self.user_r(user).shape[0]
+    def receiver(self, tag: str) -> Receiver:
+        try:
+            return self.receivers[tag]
+        except KeyError:
+            raise ModelError(f"unknown user tag {tag!r}; expected 'B' or "
+                             f"'E1'..'E{self.K_eves}'") from None
 
     # -- theta-dependent assemblies ------------------------------------------
 
     def with_theta(self, theta: np.ndarray) -> "ChannelStatistics":
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.L,):
-            raise ModelError(f"theta must have shape ({self.L},), got {theta.shape}")
-        return replace(self, theta=theta)
+        return replace(self, theta=_checked_theta(theta, self.L))
 
     def lbi_aperture(self, user: str) -> np.ndarray:
         """Deterministic L x M factor ``T_{S,k}^{1/2} Theta H_0 T^{1/2}`` of
@@ -378,20 +359,45 @@ class ChannelStatistics:
         if self.model_kind != "lbi":
             raise ModelError("lbi_aperture is only defined for the lbi model")
         phases = np.exp(1j * self.theta)
-        return self.user_ts_sqrt(user) @ (phases[:, None] * self.H_T0) @ self.T_sqrt
+        return self.receiver(user).ts_sqrt @ (phases[:, None] * self.H_T0) @ self.T_sqrt
 
     def ds_plus_half(self, user: str) -> np.ndarray:
         """Half factor ``S_k^{+/2} = T_{S,k}^{1/2} Theta R_S^{1/2}`` (L x L)."""
         if self.model_kind != "double":
             raise ModelError("ds_plus_half is only defined for the double model")
         phases = np.exp(1j * self.theta)
-        return self.user_ts_sqrt(user) @ (phases[:, None] * self.R_S_sqrt)
+        return self.receiver(user).ts_sqrt @ (phases[:, None] * self.R_S_sqrt)
 
     def ds_gram(self, user: str) -> np.ndarray:
         """Surface Gram matrix ``S_k = S_k^{-/2} S_k^{+/2}`` (L x L, PSD)."""
         plus = self.ds_plus_half(user)
         gram = plus.conj().T @ plus
         return 0.5 * (gram + gram.conj().T)
+
+
+def _checked_theta(theta, L: int) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (L,):
+        raise ModelError(f"theta must have shape ({L},), got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ModelError("theta has a non-finite entry")
+    return theta
+
+
+def _checked_corr(name: str, mat, n: Optional[int] = None) -> tuple:
+    """``(mat, root, (lam, vecs))`` of a correlation matrix that is finite,
+    square and PSD (see ``psd_eig``), Hermitian to ``HERMITIAN_TOL`` and,
+    when ``n`` is given, n x n; ``mat`` as complex, ``root`` its Hermitian
+    square root. Anything else is a ModelError naming the matrix."""
+    mat = np.asarray(mat)
+    if not np.all(np.isfinite(mat)):
+        raise ModelError(f"{name} has a non-finite entry")
+    lam, u = psd_eig(mat, name)
+    if np.max(np.abs(mat - mat.conj().T)) >= HERMITIAN_TOL:
+        raise ModelError(f"{name} is not Hermitian to {HERMITIAN_TOL:g}")
+    if n is not None and mat.shape != (n, n):
+        raise ModelError(f"{name} must be {n}x{n}, got {mat.shape}")
+    return np.asarray(mat, dtype=complex), (u * np.sqrt(lam)) @ u.conj().T, (lam, u)
 
 
 def build_channel_statistics(
@@ -409,8 +415,11 @@ def build_channel_statistics(
 ) -> ChannelStatistics:
     """Validate inputs, precompute square roots and freeze the statistics.
 
-    Every correlation matrix must be square, PSD (see ``psd_eig``) and
-    Hermitian to ``HERMITIAN_TOL``.
+    The lists give the eavesdroppers E1, E2, ... in order. Every correlation
+    matrix must be finite, square, PSD (see ``psd_eig``), Hermitian to
+    ``HERMITIAN_TOL`` and, except for a receive correlation, of its link's
+    dimension; every noise power finite and positive. A violation is a
+    ModelError naming the matrix (``R_E2``, ``T_S_B``, ...) or the receiver.
     """
     if model_kind not in ("lbi", "double"):
         raise ConfigError(f"model.kind must be 'lbi' or 'double', got {model_kind!r}")
@@ -424,60 +433,23 @@ def build_channel_statistics(
     L, M = H_T0.shape
     if not np.allclose(np.abs(H_T0), 1.0, atol=1e-9):
         raise ModelError("line-of-sight matrix entries must be unit modulus")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (L,):
-        raise ModelError(f"theta must have shape ({L},), got {theta.shape}")
+    theta = _checked_theta(theta, L)
 
-    named = {"R_B": R_B, "T_S_B": T_S_B, "T": T}
-    for i, (re, tse) in enumerate(zip(R_E_list, T_S_E_list)):
-        named[f"R_E{i + 1}"] = re
-        named[f"T_S_E{i + 1}"] = tse
-    if R_S is not None:
-        named["R_S"] = R_S
-    roots, spectra = {}, {}
-    for name, mat in named.items():
-        mat = np.asarray(mat)
-        lam, u = psd_eig(mat, name)  # rejects non-square input first
-        roots[name] = (u * np.sqrt(lam)) @ u.conj().T
-        spectra[name] = lam, u
-        if np.max(np.abs(mat - mat.conj().T)) >= HERMITIAN_TOL:
-            raise ModelError(f"{name} is not Hermitian to {HERMITIAN_TOL:g}")
-    if T_S_B.shape != (L, L):
-        raise ModelError(f"T_S_B must be {L}x{L}, got {T_S_B.shape}")
-    for i, tse in enumerate(T_S_E_list):
-        if tse.shape != (L, L):
-            raise ModelError(f"T_S_E{i + 1} must be {L}x{L}, got {tse.shape}")
-    if T.shape != (M, M):
-        raise ModelError(f"T must be {M}x{M}, got {T.shape}")
-    if R_S is not None and R_S.shape != (L, L):
-        raise ModelError(f"R_S must be {L}x{L}, got {R_S.shape}")
-    if sigma2_B <= 0 or any(s <= 0 for s in sigma2_E_list):
-        raise ModelError("noise powers must be positive")
-
-    R_B = np.asarray(R_B, dtype=complex)
-    R_E_list = tuple(np.asarray(m, dtype=complex) for m in R_E_list)
-    return ChannelStatistics(
-        model_kind=model_kind,
-        R_B=R_B,
-        R_E_list=R_E_list,
-        T_S_B=np.asarray(T_S_B, dtype=complex),
-        T_S_E_list=tuple(np.asarray(m, dtype=complex) for m in T_S_E_list),
-        T=np.asarray(T, dtype=complex),
-        H_T0=np.asarray(H_T0, dtype=complex),
-        theta=theta,
-        sigma2_B=float(sigma2_B),
-        sigma2_E_list=tuple(float(s) for s in sigma2_E_list),
-        R_S=None if R_S is None else np.asarray(R_S, dtype=complex),
-        R_B_sqrt=roots["R_B"],
-        R_E_sqrt_list=tuple(roots[f"R_E{i + 1}"] for i in range(len(R_E_list))),
-        T_S_B_sqrt=roots["T_S_B"],
-        T_S_E_sqrt_list=tuple(roots[f"T_S_E{i + 1}"] for i in range(len(T_S_E_list))),
-        T_sqrt=roots["T"],
-        R_S_sqrt=roots.get("R_S"),
-        R_spectra=tuple(Spectrum(*spectra[f"R_{user}"], mat=R) for user, R in
-                        zip(["B"] + [f"E{i + 1}" for i in range(len(R_E_list))],
-                            (R_B,) + R_E_list)),
-    )
+    receivers = {}
+    tags = ["B"] + [f"E{i + 1}" for i in range(len(R_E_list))]
+    for tag, R, T_S, sigma2 in zip(tags, [R_B, *R_E_list], [T_S_B, *T_S_E_list],
+                                   [sigma2_B, *sigma2_E_list]):
+        R, r_sqrt, (lam, u) = _checked_corr(f"R_{tag}", R)
+        T_S, ts_sqrt, _ = _checked_corr(f"T_S_{tag}", T_S, L)
+        if not 0.0 < sigma2 < math.inf:
+            raise ModelError(f"noise powers must be positive and finite, got "
+                             f"{sigma2!r} for {tag}")
+        receivers[tag] = Receiver(Spectrum(lam, u, mat=R), r_sqrt, T_S, ts_sqrt, float(sigma2))
+    T, T_sqrt, _ = _checked_corr("T", T, M)
+    R_S, R_S_sqrt, _ = _checked_corr("R_S", R_S, L) if R_S is not None else (None, None, None)
+    return ChannelStatistics(model_kind=model_kind, receivers=receivers, T=T,
+                             H_T0=np.asarray(H_T0, dtype=complex), theta=theta,
+                             R_S=R_S, T_sqrt=T_sqrt, R_S_sqrt=R_S_sqrt)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +479,7 @@ def channel_assembler(stats: ChannelStatistics, user: str) -> Callable:
     X and Y may also be stacks (n, N, L) and (n, L, M): the products
     broadcast, in the same left-to-right order, to an (n, N, M) stack.
     """
-    r_sqrt = stats.user_r_sqrt(user)
+    r_sqrt = stats.receiver(user).r_sqrt
     if stats.model_kind == "lbi":
         aperture = stats.lbi_aperture(user)
         return lambda X, Y: r_sqrt @ X @ aperture
@@ -652,15 +624,16 @@ def _count(value, field: str) -> int:
     return int(x)
 
 
-def _corr_entry(entry, n: int, path: str):
-    """Parse one correlation entry: a gaussian spec dict or an identity tag."""
+def _corr_entry(entry, n: int, path: str) -> Optional[CorrelationSpec]:
+    """Parse one correlation entry: the spec of a gaussian entry, or None
+    for the identity (null or ``"kind": "identity"``)."""
     if entry is None:
-        return ("identity", None)
+        return None
     if not isinstance(entry, dict):
         raise ConfigError(f"{path}: expected an object or null")
     kind = entry.get("kind", "gaussian")
     if kind == "identity":
-        return ("identity", None)
+        return None
     if kind != "gaussian":
         raise ConfigError(f"{path}.kind: expected 'gaussian' or 'identity', got {kind!r}")
     d_r, eta, delta = (_real(_require(entry, name, path), f"{path}.{name}")
@@ -675,7 +648,7 @@ def _corr_entry(entry, n: int, path: str):
         raise ConfigError(f"{path}.{field}: the angular spectrum needs more than the "
                           f"{360.0 / QUADRATURE_STEPS[-1]:.0f} nodes of the finest "
                           f"({QUADRATURE_STEPS[-1]:g} degree) quadrature grid")
-    return ("gaussian", spec)
+    return spec
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -819,13 +792,14 @@ class Scenario:
         """Total transmit power budget M * P in watts."""
         return self.config.M * self.config.p_watts
 
-    def initial_precoders(self) -> tuple:
-        """Uniform initial covariances P_W = split_w * P * I, P_V = split_v * P * I."""
-        eye = np.eye(self.config.M, dtype=complex)
-        return (
-            self.config.split_w * self.config.p_watts * eye,
-            self.config.split_v * self.config.p_watts * eye,
-        )
+    def precoders(self, P_dbm: Optional[float] = None) -> tuple:
+        """Uniform covariances (P_W, P_V) = (split_w P I, split_v P I) at the
+        configured power P, or at ``P_dbm`` when given; P_V is None when
+        artificial noise is off."""
+        c = self.config
+        p_watts = c.p_watts if P_dbm is None else dbm_to_watts(P_dbm)
+        eye = np.eye(c.M, dtype=complex)
+        return c.split_w * p_watts * eye, (c.split_v * p_watts * eye if c.an else None)
 
 
 def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenario:
@@ -838,25 +812,21 @@ def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenar
     """
     built = {}
 
-    def built_corr(parsed, n: int) -> np.ndarray:
-        kind, spec = parsed
-        if kind == "identity":
+    def built_corr(spec: Optional[CorrelationSpec], n: int) -> np.ndarray:
+        if spec is None:
             return np.eye(n, dtype=complex)
         if spec not in built:
             built[spec] = build_correlation_matrix(spec)
         return built[spec]
 
     corr = config.correlations
-    R_B = built_corr(corr["R_B"], config.N_B)
+    g_b, g_e = _path_gains(config)
+    R_B = g_b * built_corr(corr["R_B"], config.N_B)
     T_S_B = built_corr(corr["T_S_B"], config.L)
     T = built_corr(corr["T"], config.M)
-    R_E = [built_corr(c, n) for c, n in zip(corr["R_E"], config.N_E)]
+    R_E = [g * built_corr(c, n) for g, c, n in zip(g_e, corr["R_E"], config.N_E)]
     T_S_E = [built_corr(c, config.L) for c in corr["T_S_E"]]
     R_S = built_corr(corr["R_S"], config.L) if config.model_kind == "double" else None
-
-    g_b, g_e = _path_gains(config)
-    R_B = g_b * R_B
-    R_E = [g * m for g, m in zip(g_e, R_E)]
 
     if config.theta_init == "zeros":
         theta = np.zeros(config.L)
@@ -875,16 +845,8 @@ def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenar
                               f"got shape {theta.shape}")
 
     stats = build_channel_statistics(
-        model_kind=config.model_kind,
-        R_B=R_B,
-        R_E_list=R_E,
-        T_S_B=T_S_B,
-        T_S_E_list=T_S_E,
-        T=T,
-        H_T0=build_los_channel(config.M, config.L),
-        theta=theta,
-        sigma2_B=config.sigma2_watts,
-        sigma2_E_list=[config.sigma2_watts] * config.K_eves,
-        R_S=R_S,
-    )
+        model_kind=config.model_kind, R_B=R_B, R_E_list=R_E, T_S_B=T_S_B,
+        T_S_E_list=T_S_E, T=T, H_T0=build_los_channel(config.M, config.L), theta=theta,
+        sigma2_B=config.sigma2_watts, sigma2_E_list=[config.sigma2_watts] * config.K_eves,
+        R_S=R_S)
     return Scenario(stats=stats, config=config)

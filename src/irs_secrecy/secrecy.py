@@ -89,8 +89,16 @@ def secrecy_terms(stats: ChannelStatistics, P_W: np.ndarray,
     is used. ``precoders`` maps each tag to its covariance (W: P_W, V: P_V or
     zero, U: their sum), and selector row k contracts the per-term rates into
     the signed secrecy rate against ``eves[k]`` (default: every eavesdropper).
+    An entry of ``eves`` that is 'B', no eavesdropper's tag or repeated is a
+    ModelError.
     """
     eves = list(stats.users()[1:] if eves is None else eves)
+    for eve in eves:
+        if eve == "B" or eve not in stats.receivers:
+            raise ModelError(f"unknown eavesdropper tag {eve!r}; expected "
+                             f"'E1'..'E{stats.K_eves}'")
+    if len(set(eves)) < len(eves):
+        raise ModelError(f"eavesdropper tags must be distinct, got {eves}")
     if P_V is None:
         P_V = np.zeros_like(P_W)
         sign = {"W": 1.0}
@@ -116,7 +124,7 @@ def _rates_and_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]
 def _report(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
             eve: Optional[str]) -> SecrecyReport:
     descriptors, precoders, selectors = secrecy_terms(
-        stats, P_W, P_V, eves=[stats.eve_tag(eve)])
+        stats, P_W, P_V, eves=["E1" if eve is None else eve])
     u = selectors[0]
     rates, cov = _rates_and_cov(stats, descriptors, precoders)
     mean_nats = float(u @ rates)

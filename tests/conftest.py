@@ -140,7 +140,7 @@ def draw_factors(stats, users, seed: int, trial: int) -> tuple:
     rng = trial_rng(seed, trial)
     Y = (complex_gaussian(rng, stats.L, stats.M, 1.0 / stats.M)
          if stats.model_kind == "double" else None)
-    return Y, {u: complex_gaussian(rng, stats.user_n(u), stats.L, 1.0 / stats.L)
+    return Y, {u: complex_gaussian(rng, stats.receiver(u).n, stats.L, 1.0 / stats.L)
                for u in users}
 
 

@@ -282,9 +282,9 @@ class TestGradientFidelity:
         def surrogate(stats, P_W, P_V):
             out = 0.0
             for user, P in (("E1", P_W + P_V), ("B", P_V)):
-                sol = solve_lbi(stats.user_r(user),
+                sol = solve_lbi(stats.receiver(user).r.mat,
                                 effective_transmit_corr(stats, user, P),
-                                stats.user_sigma2(user), stats.M)
+                                stats.receiver(user).sigma2, stats.M)
                 out += sol.mean
             return out
 

@@ -206,8 +206,8 @@ class TestDeterministicEquivalents:
 
     def test_vanishing_power_approaches_noise_floor_monotonically(self):
         stats = make_stats("lbi")
-        n = stats.user_n("B")
-        floor = n * math.log(stats.user_sigma2("B"))
+        n = stats.receiver("B").n
+        floor = n * math.log(stats.receiver("B").sigma2)
         P_W, _ = uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0)
         vals = []
         for c in [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5]:
@@ -221,7 +221,7 @@ class TestDeterministicEquivalents:
         base = make_stats("double", sigma2_B=0.8)
         doubled = make_stats("double", sigma2_B=1.6)
         P_W, _ = uniform_precoders(base.M, 1.0)
-        n = base.user_n("B")
+        n = base.receiver("B").n
         lo = solve_user(base, "B", P_W).mean
         hi = solve_user(doubled, "B", P_W).mean
         assert lo <= hi <= lo + n * math.log(2.0) + 1e-9
@@ -234,8 +234,8 @@ class TestDeterministicEquivalents:
         P_W, _ = uniform_precoders(stats.M, 1.0)
         for user in stats.users():
             sol = solve_user(stats, user, P_W)
-            n = stats.user_n(user)
-            assert sol.rate == sol.mean - n * math.log(stats.user_sigma2(user))
+            n = stats.receiver(user).n
+            assert sol.rate == sol.mean - n * math.log(stats.receiver(user).sigma2)
 
 
 def _logdet(mat: np.ndarray) -> float:
@@ -414,7 +414,10 @@ class TestDescriptors:
         with pytest.raises(ModelError):
             MiDescriptor(user="B", precoder="Q")
 
-    @pytest.mark.parametrize("noise", [{"sigma2_B": 0.0}, {"sigma2_E": -1.0}])
+    @pytest.mark.parametrize("noise", [
+        {"sigma2_B": 0.0}, {"sigma2_E": -1.0}, {"sigma2_B": math.nan},
+        {"sigma2_E": math.nan}, {"sigma2_B": math.inf}, {"sigma2_E": math.inf},
+    ])
     def test_nonpositive_noise_power_is_rejected(self, noise):
         # every term takes its noise power from the statistics, so this
         # check guards them all

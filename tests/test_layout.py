@@ -16,7 +16,7 @@ def _private(name: str) -> bool:
 
 def test_no_private_names_cross_module_or_object_boundaries():
     """No ``from .module import _name``, and private attributes are reached
-    only through ``self`` (so e.g. ``stats._eve_index`` fails outside the
+    only through ``self`` (so e.g. ``stats._helper`` fails outside the
     class that defines it)."""
     offences = []
     for path in sorted(SRC.glob("*.py")):

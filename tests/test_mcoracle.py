@@ -109,7 +109,7 @@ def _small_run(kind="lbi", n_trials=64, seed=9, **kwargs):
 def _patch_block(monkeypatch, stats, users, trials):
     """Set ``BLOCK_BYTES`` to the complex factors of ``trials`` trials that
     draw Y (double model) and one X per user."""
-    entries = stats.L * sum(stats.user_n(u) for u in users)
+    entries = stats.L * sum(stats.receiver(u).n for u in users)
     entries += stats.L * stats.M if stats.model_kind == "double" else 0
     monkeypatch.setattr(mcoracle, "BLOCK_BYTES",
                         trials * entries * np.dtype(complex).itemsize)
@@ -238,7 +238,7 @@ class TestDeterminism:
                     for i, d in enumerate(descs):
                         H = channel_assembler(stats, d.user)(xs[d.user], Y)
                         assert run.mi_samples[t, i] == mi_exact(
-                            stats.user_sigma2(d.user), H, precs[d.precoder]), (
+                            stats.receiver(d.user).sigma2, H, precs[d.precoder]), (
                                 kind, eves, d.label, t)
         assert sorted(set(block_sizes)) == [1, 3]
 
@@ -364,7 +364,7 @@ class TestChannelMoments:
     @pytest.mark.parametrize("kind", ["lbi", "double"])
     def test_empirical_gram_matches_closed_form(self, kind):
         stats = make_stats(kind)
-        n, n_draws = stats.user_n("B"), 4000
+        n, n_draws = stats.receiver("B").n, 4000
         grams = np.empty((n_draws, n, n), dtype=complex)
         for t in range(n_draws):
             Y, xs = draw_factors(stats, ["B"], 123, t)
@@ -376,7 +376,7 @@ class TestChannelMoments:
         else:
             scale = (np.trace(stats.T).real / stats.M
                      * np.trace(stats.ds_gram("B")).real / stats.L)
-        expected = scale * stats.user_r("B")
+        expected = scale * stats.receiver("B").r.mat
         err = np.abs(grams.mean(axis=0) - expected)
         se = grams.std(axis=0) / math.sqrt(n_draws)
         assert np.all(err <= 5.0 * se + 1e-12)
@@ -398,7 +398,7 @@ class TestSecrecyAggregation:
         descs, precs, selectors = secrecy_terms(stats, P_W, P_V, eves=["E1"])
         u = selectors[0]
         run = run_mc(stats, descs, precs, 128, seed=2, combiner=u)
-        floors = np.array([stats.user_n(d.user) * math.log(stats.user_sigma2(d.user))
+        floors = np.array([stats.receiver(d.user).n * math.log(stats.receiver(d.user).sigma2)
                            for d in descs])
         np.testing.assert_array_equal(run.secrecy, (run.mi_samples - floors) @ u)
 

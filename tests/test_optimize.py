@@ -40,8 +40,8 @@ def _surrogate_n(stats, P_W, P_V) -> float:
     terms = [("E1", P_W + P_V), ("B", P_V)]
     out = 0.0
     for user, P in terms:
-        sol = solve_lbi(stats.user_r(user), effective_transmit_corr(stats, user, P),
-                        stats.user_sigma2(user), stats.M)
+        sol = solve_lbi(stats.receiver(user).r.mat, effective_transmit_corr(stats, user, P),
+                        stats.receiver(user).sigma2, stats.M)
         out += sol.mean
     return out
 
@@ -169,12 +169,12 @@ class TestSurrogateGradients:
 
 class TestInnerSurrogate:
     def _pieces(self, stats, P_W, P_V):
-        sol_b = solve_lbi(stats.user_r("B"),
+        sol_b = solve_lbi(stats.receiver("B").r.mat,
                           effective_transmit_corr(stats, "B", P_W + P_V),
-                          stats.user_sigma2("B"), stats.M)
-        sol_e = solve_lbi(stats.user_r("E1"),
+                          stats.receiver("B").sigma2, stats.M)
+        sol_e = solve_lbi(stats.receiver("E1").r.mat,
                           effective_transmit_corr(stats, "E1", P_V),
-                          stats.user_sigma2("E1"), stats.M)
+                          stats.receiver("E1").sigma2, stats.M)
         return sol_b.alpha, sol_e.alpha
 
     def _objective(self, stats, a1, a2, g_w, g_v, w, v):

@@ -28,6 +28,8 @@ from irs_secrecy.scenario import (
     trial_streams,
 )
 
+from irs_secrecy.secrecy import esr_wiretap, secrecy_terms
+
 from conftest import complex_gaussian, config_dict, corr, make_stats, trial_rng
 
 
@@ -189,10 +191,44 @@ class TestChannelStatistics:
     def test_users_and_accessors(self):
         stats = make_stats("lbi", N_E=(3, 2))
         assert stats.users() == ["B", "E1", "E2"]
-        assert stats.user_n("B") == 3
-        assert stats.user_n("E2") == 2
+        assert stats.receiver("B").n == 3
+        assert stats.receiver("E2").n == 2
         with pytest.raises(ModelError):
-            stats.user_r("E3")
+            stats.receiver("E3")
+
+    def test_receivers_hold_their_own_inputs_in_order(self):
+        # K = 2 through the config path: each record holds its own R times
+        # its own path gain, its own T_S and the noise power
+        cfg = parse_config(config_dict(L=8, N_B=2, N_E=(3, 2)))
+        stats = build_scenario(cfg).stats
+        assert list(stats.receivers) == stats.users() == ["B", "E1", "E2"]
+        hop = path_loss(cfg.C1, cfg.d_bs_irs, cfg.alpha1)
+        expected = {  # tag: (path gain, R, T_S)
+            "B": (hop * path_loss(cfg.C2, cfg.d_irs_b, cfg.alpha2),
+                  corr(0.0, 5.0, 2), corr(5.0, 8.0, 8)),
+            "E1": (hop * path_loss(cfg.C2, cfg.d_irs_e[0], cfg.alpha2),
+                   corr(60.0, 5.0, 3), corr(10.0, 8.0, 8)),
+            "E2": (hop * path_loss(cfg.C2, cfg.d_irs_e[1], cfg.alpha2),
+                   corr(50.0, 5.0, 2), corr(15.0, 8.0, 8)),
+        }
+        for tag, (gain, R, T_S) in expected.items():
+            rx = stats.receiver(tag)
+            assert rx is stats.receivers[tag] and rx.n == R.shape[0]
+            assert np.array_equal(rx.r.mat, gain * R)
+            assert np.array_equal(rx.ts, T_S)
+            assert rx.sigma2 == cfg.sigma2_watts
+        # noise powers that differ stay with their receivers
+        sigma2 = [rx.sigma2 for rx in make_stats("lbi", N_E=(3, 2)).receivers.values()]
+        assert sigma2 == [0.8, 1.1, 1.1 + 0.15]
+        with pytest.raises(ModelError, match="unknown user tag 'E3'"):
+            stats.receiver("E3")
+        P_W = np.eye(stats.M, dtype=complex)
+        for eve in ("B", "E", "E3"):
+            with pytest.raises(ModelError, match=f"unknown eavesdropper tag '{eve}'"):
+                esr_wiretap(stats, P_W, eve=eve)
+        # without the check, 'B' as an eavesdropper would give 2 I_B quietly
+        with pytest.raises(ModelError, match="unknown eavesdropper tag 'B'"):
+            secrecy_terms(stats, P_W, eves=["B"])
 
     def test_lbi_aperture_matches_direct_formula(self):
         stats = make_stats("lbi")
@@ -203,7 +239,7 @@ class TestChannelStatistics:
             return (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
 
         direct = (
-            sqrtm(stats.T_S_B)
+            sqrtm(stats.receiver("B").ts)
             @ np.diag(np.exp(1j * stats.theta))
             @ stats.H_T0
             @ sqrtm(stats.T)
@@ -237,6 +273,42 @@ class TestChannelStatistics:
                 sigma2_E_list=[1.0],
                 R_S=None,
             )
+
+
+def _small_inputs(model_kind: str = "double") -> dict:
+    """Keyword inputs of ``build_channel_statistics`` with K = 2, identity
+    correlations (L = 3, N = 2, M = 2) and unit noise powers."""
+    eye = lambda n: np.eye(n, dtype=complex)
+    return dict(model_kind=model_kind, R_B=eye(2), R_E_list=[eye(2), eye(2)],
+                T_S_B=eye(3), T_S_E_list=[eye(3), eye(3)], T=eye(2),
+                H_T0=build_los_channel(2, 3), theta=np.zeros(3),
+                sigma2_B=1.0, sigma2_E_list=[1.0, 1.0], R_S=eye(3))
+
+
+class TestNonFiniteInputs:
+    """``build_channel_statistics`` is the Python entry point: a NaN or inf
+    in any matrix, in theta or in a noise power is a ModelError naming it,
+    before any decomposition or solve sees it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name, key, index", [
+        ("R_B", "R_B", None), ("R_E2", "R_E_list", 1), ("T_S_B", "T_S_B", None),
+        ("T_S_E1", "T_S_E_list", 0), ("T", "T", None), ("R_S", "R_S", None),
+        ("theta", "theta", None),
+    ])
+    def test_non_finite_entry_is_named(self, name, key, index, bad):
+        inputs = _small_inputs()
+        target = inputs[key] if index is None else inputs[key][index]
+        target.flat[0] = bad
+        with pytest.raises(ModelError, match=f"^{name} has a non-finite entry"):
+            build_channel_statistics(**inputs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_noise_power_names_the_receiver(self, bad):
+        inputs = _small_inputs("lbi")
+        inputs["sigma2_E_list"][1] = bad
+        with pytest.raises(ModelError, match="^noise powers must be positive.* for E2$"):
+            build_channel_statistics(**inputs)
 
 
 class TestGaussianFactors:
@@ -337,9 +409,16 @@ class TestBuildScenario:
         scenario = build_scenario(parse_config(cfg))
         assert isinstance(scenario, Scenario)
         assert scenario.p_budget == pytest.approx(4.0)
-        P_W, P_V = scenario.initial_precoders()
+        P_W, P_V = scenario.precoders()
         assert np.trace(P_W).real == pytest.approx(0.7 * 4.0)
         assert np.trace(P_V).real == pytest.approx(0.2 * 4.0)
+
+    def test_precoders_at_a_given_power_without_noise_injection(self):
+        cfg = config_dict(M=4, P_dbm=30.0, split_w=0.7, split_v=0.0)
+        scenario = build_scenario(parse_config(cfg))
+        P_W, P_V = scenario.precoders(40.0)
+        assert P_V is None  # split_v 0: artificial noise is off
+        assert np.array_equal(P_W, 0.7 * dbm_to_watts(40.0) * np.eye(4))
 
     def test_pathloss_folded_into_receive_correlations(self):
         cfg = parse_config(config_dict(M=4, L=8, N_B=2))
@@ -348,7 +427,7 @@ class TestBuildScenario:
             cfg.C2, cfg.d_irs_b, cfg.alpha2
         )
         expected = g_b * corr(0.0, 5.0, 2)
-        assert np.allclose(scenario.stats.R_B, expected, atol=1e-15)
+        assert np.allclose(scenario.stats.receiver("B").r.mat, expected, atol=1e-15)
 
     def test_uniform_theta_seeded(self):
         cfg = parse_config(config_dict(theta_init="uniform"))
@@ -370,7 +449,7 @@ class TestBuildScenario:
         assert cfg.correlations["T_S_B"] == cfg.correlations["R_S"]
         stats = build_scenario(cfg).stats
         assert len(specs) == len(set(specs)) == 6  # 7 entries; R_S is T_S_B's spec
-        assert stats.T_S_B is stats.R_S
+        assert stats.receiver("B").ts is stats.R_S
 
     def test_null_correlation_is_identity(self):
         cfg = parse_config(config_dict(M=4))

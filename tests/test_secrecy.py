@@ -20,6 +20,7 @@ from irs_secrecy.secrecy import (
     esr_an,
     esr_wiretap,
     norm_cdf,
+    secrecy_terms,
     sop_multi_eve,
 )
 
@@ -179,6 +180,14 @@ class TestEveSelection:
         P_W, _ = uniform_precoders(stats.M, 2.0)
         with pytest.raises(ModelError):
             esr_wiretap(stats, P_W, eve="E9")
+
+    def test_repeated_eve_tag_raises(self):
+        # a repeated tag would leave a selector row of I_B alone and count
+        # the other row's eavesdropper twice
+        stats = make_stats("lbi", N_E=(3, 2))
+        P_W, _ = uniform_precoders(stats.M, 2.0)
+        with pytest.raises(ModelError, match="eavesdropper tags must be distinct"):
+            secrecy_terms(stats, P_W, eves=["E1", "E1"])
 
 
 class TestMultiEveModelConstruction:
