@@ -231,8 +231,7 @@ _TRACE_HEADER = [
 
 def _cmd_optimize_esr(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    P_W, P_V = scenario.precoders()
-    state = algorithm2_ao(stats, scenario.p_budget, P_W=P_W, P_V=P_V, an=scenario.config.an)
+    state = algorithm2_ao(stats, scenario.p_budget, *scenario.precoders())
     _write_csv(
         os.path.join(args.out, "optimize_esr_trace.csv"),
         _TRACE_HEADER,

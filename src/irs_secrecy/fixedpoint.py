@@ -55,8 +55,11 @@ the min(M, L)-sized Gram of sqrt(M/L) A P^{1/2} (``transmit_spectrum``, an
 M x M and a min(M, L)-sized decomposition). The means D and C are sums over
 those eigenvalues (log det(a I + b X) = sum_i log(a + b lam_i)): a
 solution's ``mean`` is its D or C, and its ``rate`` that mean less the
-N log z noise floor. A solution builds its input and resolvent-style
-matrices from the spectra only when a caller first reads them.
+N log z noise floor. A solution keeps its inputs as spectra and forms no
+dense input matrix: it builds the resolvent roots H (H H^H =
+X (a I + b X)^{-1}, one column per eigenvalue of X), whose cross traces
+are the covariance traces, and the single-hop transmit resolvent L_T of
+the precoder gradients, from the spectra when a caller first reads them.
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ def _rate(sol) -> float:
 @dataclass(frozen=True)
 class LbiSolution:
     """Converged single-hop system: scalars and the spectra of the inputs
-    they were solved on. The input and resolvent-style matrices are built
-    from the spectra on first use."""
+    they were solved on. The resolvent roots ``H_R``, ``H_T`` and the
+    transmit resolvent ``L_T`` are built from the spectra on first use."""
 
     alpha: float
     alpha_bar: float
@@ -144,26 +147,13 @@ class LbiSolution:
         return _rate(self)
 
     @cached_property
-    def R(self) -> np.ndarray:
-        return self.r.matrix()
-
-    @cached_property
-    def T_eff(self) -> np.ndarray:
-        return self.t.matrix()
-
-    @cached_property
-    def L_R(self) -> np.ndarray:
-        """(z I + alpha_bar R)^{-1}"""
-        return self.r.resolvent(self.z, self.alpha_bar)
-
-    @cached_property
     def L_T(self) -> np.ndarray:
         """(I + alpha T_eff)^{-1}"""
         return self.t.resolvent(1.0, self.alpha)
 
     @cached_property
     def H_R(self) -> np.ndarray:
-        """H with H H^H = R L_R"""
+        """H with H H^H = R L_R, L_R = (z I + alpha_bar R)^{-1}"""
         return self.r.resolvent_root(self.z, self.alpha_bar)
 
     @cached_property
@@ -176,7 +166,7 @@ class LbiSolution:
 class DsSolution:
     """Converged double-hop system: scalars, the spectra of its inputs, and
     the trace functionals of the step map's Jacobian at the returned point.
-    The input and resolvent-style matrices are built on first use."""
+    The resolvent roots ``H_R``, ``H_S``, ``H_T`` are built on first use."""
 
     delta: float
     omega: float
@@ -225,31 +215,19 @@ class DsSolution:
                             self.omega_bar, self.nu_R, self.nu_S, self.nu_SI, self.nu_T)
 
     @cached_property
-    def R(self) -> np.ndarray:
-        return self.r.matrix()
+    def H_R(self) -> np.ndarray:
+        """H with H H^H = R G_R, G_R = (z I + kappa R)^{-1}"""
+        return self.r.resolvent_root(self.z, self.kappa)
 
     @cached_property
-    def S(self) -> np.ndarray:
-        return self.s.matrix()
+    def H_S(self) -> np.ndarray:
+        """H with H H^H = S G_S, G_S = ((1/delta) I + omega_bar S)^{-1}"""
+        return self.s.resolvent_root(1.0 / self.delta, self.omega_bar)
 
     @cached_property
-    def T_eff(self) -> np.ndarray:
-        return self.t.matrix()
-
-    @cached_property
-    def G_R(self) -> np.ndarray:
-        """(z I + kappa R)^{-1}"""
-        return self.r.resolvent(self.z, self.kappa)
-
-    @cached_property
-    def G_S(self) -> np.ndarray:
-        """((1/delta) I + omega_bar S)^{-1}"""
-        return self.s.resolvent(1.0 / self.delta, self.omega_bar)
-
-    @cached_property
-    def G_T(self) -> np.ndarray:
-        """(I + omega T_eff)^{-1}"""
-        return self.t.resolvent(1.0, self.omega)
+    def H_T(self) -> np.ndarray:
+        """H with H H^H = T_eff G_T, G_T = (I + omega T_eff)^{-1}"""
+        return self.t.resolvent_root(1.0, self.omega)
 
 
 # ---------------------------------------------------------------------------

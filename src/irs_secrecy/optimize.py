@@ -384,35 +384,27 @@ class AoState:
 def algorithm2_ao(
     stats: ChannelStatistics,
     p_budget: float,
-    P_W: Optional[np.ndarray] = None,
+    P_W: np.ndarray,
     P_V: Optional[np.ndarray] = None,
     budget: int = 100,
-    an: bool = True,
     optimize_theta: bool = True,
 ) -> AoState:
     """Alternating maximization of the ergodic secrecy rate over the transmit
-    covariances and (optionally) the surface phases.
+    covariances and (optionally) the surface phases, from the design
+    (P_W, P_V).
 
     Each round linearizes the non-concave part at the current iterate, runs
     the precoder alternation, then takes one backtracking ascent step on the
     phases accepting when K(theta + g grad) >= K(theta) + c g ||grad||.
-    With an=False only P_W moves (``freeze_v``); P_V stays at its start,
-    zero (the plain wiretap design) unless the caller passes one.
+    P_V None is the plain wiretap design, as ``secrecy_terms`` reads it: the
+    noise covariance is zero and stays there, and only P_W moves
+    (``freeze_v``). A noise-injection search that starts from no noise
+    passes a zero P_V.
     """
     _require_lbi(stats, "algorithm2_ao")
-    m = stats.M
-    if P_W is None and P_V is None:
-        if an:
-            P_W = P_V = (p_budget / (2 * m)) * np.eye(m, dtype=complex)
-        else:
-            P_W = (p_budget / m) * np.eye(m, dtype=complex)
-            P_V = np.zeros((m, m), dtype=complex)
-    elif P_W is None:
-        P_W = np.zeros((m, m), dtype=complex)
-    elif P_V is None:
-        P_V = np.zeros((m, m), dtype=complex)
+    freeze_v = P_V is None
     P_W = _herm(np.asarray(P_W, dtype=complex))
-    P_V = _herm(np.asarray(P_V, dtype=complex))
+    P_V = np.zeros_like(P_W) if freeze_v else _herm(np.asarray(P_V, dtype=complex))
     viol = feasibility_violation(P_W, P_V, p_budget)
     if viol > 1e-9:
         raise ModelError(f"initial precoders violate the constraints by {viol:.3e}")
@@ -425,7 +417,7 @@ def algorithm2_ao(
     for t in range(1, budget + 1):
         grad_w_n, grad_v_n = sca_gradients(stats, P_W, P_V)
         P_W, P_V, _ = algorithm1(stats, P_W, P_V, grad_w_n, grad_v_n, p_budget,
-                                 freeze_v=not an)
+                                 freeze_v=freeze_v)
         step_used = 0.0
         grad_norm = 0.0
         k_mean = None  # signed mean at the round's final design, once known
@@ -523,13 +515,19 @@ class _UserDerivatives:
         # I - J_F of the double-hop step map, the matrix of the solver's
         # Newton step
         A = np.eye(3) - np.array(self.sol.jacobian)
-        # |det A| over the product of A's row norms, which bounds it
-        # (Hadamard): scale-free, 1 for orthogonal rows, 0 when singular
-        measure = abs(np.linalg.det(A)) / max(np.prod(np.linalg.norm(A, axis=1)), 1e-300)
+        # |det| over the product of row norms, which bounds it (Hadamard):
+        # 1 for orthogonal rows, 0 when singular. It is taken with column k
+        # scaled by the k-th scalar x_k (1 where x_k = 0), the system in the
+        # relative derivatives dx/x, so that it does not depend on the
+        # scales of (delta, omega, omega_bar), which run decades apart at
+        # high power
+        scaled = A * np.array([x if x != 0.0 else 1.0 for x in self.sol.point])
+        measure = abs(np.linalg.det(scaled)) / max(
+            np.prod(np.linalg.norm(scaled, axis=1)), 1e-300)
         if measure < 1e-14:
             raise DegenerateRegimeError(
                 "implicit-derivative system is singular (|det(I - J)| / product of "
-                f"row norms = {measure:.3e}, below 1e-14)")
+                f"row norms = {measure:.3e}, below 1e-14, with column k scaled by x_k)")
         q = np.zeros((3, self.tG.size))
         q[1] = (self.tG - self.sol.omega_bar * self.tSG2) / self.m
         p = np.linalg.solve(A, q)

@@ -254,12 +254,6 @@ class Spectrum:
         lam, w = psd_eig(factor.conj().T @ factor, name)
         return cls(lam, factor @ w, gram=True)
 
-    def matrix(self) -> np.ndarray:
-        if self.mat is not None:
-            return self.mat
-        v = self.vecs if self.gram else self.vecs * self.lam
-        return v @ self.vecs.conj().T
-
     def resolvent(self, a: float, b: float) -> np.ndarray:
         """(a I + b X)^{-1}, for a > 0 and b >= 0."""
         if not self.gram:

@@ -41,6 +41,15 @@ def rand_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray
     return P * (scale * n / np.trace(P).real)
 
 
+def spectrum_matrix(spec) -> np.ndarray:
+    """The dense matrix X of a ``scenario.Spectrum``: ``mat`` when it was
+    kept, else rebuilt from the eigenvectors (a dense test oracle)."""
+    if spec.mat is not None:
+        return spec.mat
+    v = spec.vecs if spec.gram else spec.vecs * spec.lam
+    return v @ spec.vecs.conj().T
+
+
 def make_stats(
     kind: str,
     M: int = 4,

@@ -330,7 +330,8 @@ class TestOptimizerBehavior:
 
     def test_alternating_ascent_is_monotone(self):
         stats = make_stats("lbi")
-        state = algorithm2_ao(stats, p_budget=3.0, budget=15)
+        P_W, P_V = uniform_precoders(stats.M, 3.0 / stats.M, 0.5, 0.5)
+        state = algorithm2_ao(stats, 3.0, P_W, P_V, budget=15)
         obj = np.array(state.objective)
         assert np.all(np.diff(obj) >= -1e-8 * np.maximum(1.0, np.abs(obj[:-1])))
         assert obj[-1] >= obj[0]
@@ -338,11 +339,12 @@ class TestOptimizerBehavior:
     def test_noise_injection_never_loses_to_plain_wiretap(self):
         stats = make_stats("lbi")
         budget_rounds = 10
-        wt = algorithm2_ao(stats, p_budget=3.0, budget=budget_rounds, an=False)
-        # warm-start the noise-injection search at the wiretap solution; by
-        # monotonicity its final value cannot drop below the wiretap one
-        an = algorithm2_ao(wt.stats, p_budget=3.0, P_W=wt.P_W,
-                           budget=budget_rounds, an=True)
+        P_W, _ = uniform_precoders(stats.M, 3.0 / stats.M, 1.0, 0.0)
+        wt = algorithm2_ao(stats, 3.0, P_W, budget=budget_rounds)
+        # warm-start the noise-injection search at the wiretap solution, from
+        # no noise; by monotonicity its final value cannot drop below the
+        # wiretap one
+        an = algorithm2_ao(wt.stats, 3.0, wt.P_W, np.zeros_like(wt.P_W), budget=budget_rounds)
         assert an.esr_nats >= wt.esr_nats - 1e-8
 
     def test_outage_descent_improves_most_random_phase_starts(self):

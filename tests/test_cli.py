@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import irs_secrecy
 from irs_secrecy import mcoracle
 from irs_secrecy.cli import main
+from irs_secrecy.fixedpoint import DsSolution
 
 from conftest import config_dict
 
@@ -220,6 +221,29 @@ class TestOptimizeSopCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error [optimize-sop, config {path}]")
         assert "wiretap" in err
+
+    @pytest.mark.parametrize("p_dbm", [120.0, 200.0])
+    def test_descent_at_high_power(self, write_config, tmp_path, capsys, p_dbm):
+        # delta and omega fall and omega_bar grows with the power, decades
+        # apart here; the implicit-derivative system is well posed in the
+        # relative derivatives, so its singularity test passes
+        out = tmp_path / "o"
+        code = main(["optimize-sop", "--config",
+                     write_config(config_dict(kind="double", P_dbm=p_dbm)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert (out / "optimize_sop_result.json").exists()
+
+    def test_zero_information_precoder_is_a_zero_variance_error(
+            self, write_config, tmp_path, capsys):
+        # split_w = 0 puts omega_bar at 0: the singularity test keeps that
+        # column unscaled, and the run stops at the variance check
+        path = write_config(config_dict(kind="double", split_w=0.0))
+        code = main(["optimize-sop", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == (f"error [optimize-sop, config {path}]: "
+                       "variance 0.000e+00 is not positive\n")
 
 
 _NO_SCIPY_SCRIPT = """
@@ -470,10 +494,12 @@ class TestFailureModes:
         assert not (out / "mc_validate.csv").exists()
 
     def test_singular_implicit_system_exits_1_without_a_traceback(
-            self, write_config, tmp_path, capsys):
-        # at 300 dBm the double-hop fixed point's I - J is singular to
-        # working precision: |det| is about 1e-54 of its row-norm product
-        path = write_config(config_dict(kind="double", P_dbm=300.0))
+            self, write_config, tmp_path, capsys, monkeypatch):
+        # a step-map Jacobian with I - J all ones: rank one, singular under
+        # any column scaling
+        monkeypatch.setattr(DsSolution, "jacobian",
+                            property(lambda sol: tuple(map(tuple, np.eye(3) - 1.0))))
+        path = write_config(config_dict(kind="double"))
         out = tmp_path / "o"
         code = main(["optimize-sop", "--config", path, "--out", str(out)])
         err = capsys.readouterr().err

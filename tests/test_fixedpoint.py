@@ -18,7 +18,8 @@ from irs_secrecy.fixedpoint import (
 from irs_secrecy.scenario import Spectrum
 from irs_secrecy.secrecy import secrecy_terms
 
-from conftest import effective_transmit_corr, make_stats, rand_psd, uniform_precoders
+from conftest import (effective_transmit_corr, make_stats, rand_psd, spectrum_matrix,
+                      uniform_precoders)
 
 
 class TestLowRankFixedPoint:
@@ -178,9 +179,12 @@ class TestDoubleScatteringFixedPoint:
                               for e in np.eye(3)])
         assert np.allclose(np.array(sol.jacobian), fd, rtol=1e-6, atol=1e-9)
         # the trace functionals it is built from, in dense form
-        SG, TG, RG = S @ sol.G_S, T_eff @ sol.G_T, R @ sol.G_R
+        G_S = sol.s.resolvent(1.0 / sol.delta, sol.omega_bar)
+        G_T = sol.t.resolvent(1.0, sol.omega)
+        G_R = sol.r.resolvent(z, sol.kappa)
+        SG, TG, RG = S @ G_S, T_eff @ G_T, R @ G_R
         assert sol.nu_S == pytest.approx(np.trace(SG @ SG).real / m, rel=1e-12)
-        assert sol.nu_SI == pytest.approx(np.trace(SG @ sol.G_S).real / m, rel=1e-12)
+        assert sol.nu_SI == pytest.approx(np.trace(SG @ G_S).real / m, rel=1e-12)
         assert sol.nu_T == pytest.approx(np.trace(TG @ TG).real / m, rel=1e-12)
         assert sol.nu_R == pytest.approx(np.trace(RG @ RG).real / l, rel=1e-12)
 
@@ -289,10 +293,10 @@ class TestSpectralMeans:
         factor = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
         gram, full = Spectrum.of_factor(factor), Spectrum.of_matrix(factor @ factor.conj().T)
         assert gram.gram == (rank < n)
-        assert np.allclose(gram.matrix(), full.matrix(), atol=1e-12)
+        assert np.allclose(spectrum_matrix(gram), spectrum_matrix(full), atol=1e-12)
         assert np.allclose(gram.resolvent(0.7, 1.9), full.resolvent(0.7, 1.9), atol=1e-12)
         assert gram.logdet(0.7, 1.9) == pytest.approx(full.logdet(0.7, 1.9), rel=1e-12)
-        product = full.matrix() @ full.resolvent(0.7, 1.9)
+        product = spectrum_matrix(full) @ full.resolvent(0.7, 1.9)
         for spec in (gram, full):
             root = spec.resolvent_root(0.7, 1.9)
             assert np.allclose(root @ root.conj().T, product, atol=1e-12)
@@ -359,20 +363,20 @@ class TestEffectiveTransmitCorrelation:
 
     def test_identity_precoder_returns_transmit_correlation(self):
         stats = make_stats("double")
-        T_eff = transmit_spectrum(stats, "B", np.eye(stats.M, dtype=complex)).matrix()
+        T_eff = spectrum_matrix(transmit_spectrum(stats, "B", np.eye(stats.M, dtype=complex)))
         assert np.allclose(T_eff, stats.T, atol=1e-12)
 
     def test_zero_precoder_returns_zero(self):
         for kind in ("lbi", "double"):
             stats = make_stats(kind)
-            T_eff = transmit_spectrum(stats, "E1", np.zeros((stats.M, stats.M))).matrix()
+            T_eff = spectrum_matrix(transmit_spectrum(stats, "E1", np.zeros((stats.M, stats.M))))
             assert np.allclose(T_eff, 0.0, atol=1e-14)
 
     def test_random_precoder_gives_psd(self):
         rng = np.random.default_rng(5)
         for kind in ("lbi", "double"):
             stats = make_stats(kind)
-            T_eff = transmit_spectrum(stats, "B", rand_psd(stats.M, rng)).matrix()
+            T_eff = spectrum_matrix(transmit_spectrum(stats, "B", rand_psd(stats.M, rng)))
             assert np.linalg.eigvalsh(T_eff).min() > -1e-10
 
 

@@ -67,11 +67,14 @@ def test_runtime_imports_only_the_stdlib_and_numpy():
     assert not offences, offences
 
 
-def test_every_module_constant_is_read():
-    """Every module-level UPPER_CASE constant is read somewhere in the
-    package, so a test that patches one exercises the code it tunes."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
+def _package_trees() -> dict:
+    """{module name: parsed source} of every module of the package."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(trees: dict) -> set:
+    """Every name the package reads: an ``ast.Name`` or ``ast.Attribute`` load."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -79,12 +82,20 @@ def test_every_module_constant_is_read():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_every_module_constant_is_read():
+    """Every module-level UPPER_CASE constant is read somewhere in the
+    package, so a test that patches one exercises the code it tunes."""
+    trees = _package_trees()
+    read = _read_names(trees)
     unread = []
     for name, tree in trees.items():
         for node in tree.body:
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
-            unread += [f"{name}:{node.lineno}: {t.id}" for t in targets
+            unread += [f"{name}.py:{node.lineno}: {t.id}" for t in targets
                        if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
                        and t.id not in read]
     assert not unread, unread
@@ -105,18 +116,33 @@ def test_every_public_definition_is_read_or_listed():
     package (an ``ast.Name`` or ``ast.Attribute`` load), or is listed in
     ``UNREAD_PUBLIC`` with its reason: code that only the tests call lives
     in the tests."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    trees = _package_trees()
+    read = _read_names(trees)
     unread = {(module, node.name) for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not _private(node.name) and node.name not in read}
     assert unread == set(UNREAD_PUBLIC), (
         f"unread and unlisted: {sorted(unread - set(UNREAD_PUBLIC))}; "
         f"listed but read or gone: {sorted(set(UNREAD_PUBLIC) - unread)}")
+
+
+# public methods and properties that nothing in the package reads, each kept
+# for a reason outside it
+UNREAD_MEMBERS: dict = {}
+
+
+def test_every_public_member_is_read_or_listed():
+    """Every public method or property of a class in the package is read
+    somewhere in the package, or is listed in ``UNREAD_MEMBERS`` with its
+    reason, the way ``UNREAD_PUBLIC`` lists module-level names. Fields are
+    not checked."""
+    trees = _package_trees()
+    read = _read_names(trees)
+    unread = {(module, cls.name, node.name) for module, tree in trees.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_") and node.name not in read}
+    assert unread == set(UNREAD_MEMBERS), (
+        f"unread and unlisted: {sorted(unread - set(UNREAD_MEMBERS))}; "
+        f"listed but read or gone: {sorted(set(UNREAD_MEMBERS) - unread)}")

@@ -338,7 +338,8 @@ class TestDesignEvaluation:
 class TestAlternatingDriver:
     def test_objective_is_monotone_and_feasible(self):
         stats = make_stats("lbi")
-        state = algorithm2_ao(stats, p_budget=3.0, budget=6)
+        P_W, P_V = uniform_precoders(stats.M, 3.0 / stats.M, 0.5, 0.5)
+        state = algorithm2_ao(stats, 3.0, P_W, P_V, budget=6)
         obj = np.array(state.objective)
         assert np.all(np.diff(obj) >= -1e-8 * np.maximum(1.0, np.abs(obj[:-1])))
         for row in state.trace:
@@ -350,7 +351,8 @@ class TestAlternatingDriver:
 
     def test_zero_budget_returns_the_initial_point(self):
         stats = make_stats("lbi")
-        state = algorithm2_ao(stats, p_budget=2.0, budget=0)
+        P_W, P_V = uniform_precoders(stats.M, 2.0 / stats.M, 0.5, 0.5)
+        state = algorithm2_ao(stats, 2.0, P_W, P_V, budget=0)
         assert state.t == 0
         assert len(state.objective) == 1
         expected = (2.0 / (2 * stats.M)) * np.eye(stats.M)
@@ -359,7 +361,8 @@ class TestAlternatingDriver:
 
     def test_plain_wiretap_mode_pins_the_noise_covariance_at_zero(self):
         stats = make_stats("lbi")
-        state = algorithm2_ao(stats, p_budget=2.0, budget=4, an=False)
+        P_W, _ = uniform_precoders(stats.M, 2.0 / stats.M, 1.0, 0.0)
+        state = algorithm2_ao(stats, 2.0, P_W, budget=4)
         assert np.all(state.P_V == 0.0)
         rep = esr_wiretap(state.stats, state.P_W)
         assert state.esr_nats == rep.esr_nats
@@ -372,7 +375,8 @@ class TestAlternatingDriver:
 
     def test_frozen_phases_still_improve_the_precoders(self):
         stats = make_stats("lbi")
-        state = algorithm2_ao(stats, p_budget=3.0, budget=5, optimize_theta=False)
+        P_W, P_V = uniform_precoders(stats.M, 3.0 / stats.M, 0.5, 0.5)
+        state = algorithm2_ao(stats, 3.0, P_W, P_V, budget=5, optimize_theta=False)
         np.testing.assert_array_equal(state.theta, stats.theta)
         assert state.objective[-1] >= state.objective[0] - 1e-10
 
@@ -498,9 +502,10 @@ class TestLineSearchStall:
 
     def test_phase_ascent_keeps_theta_with_step_zero(self):
         stats = make_stats("lbi")
+        P_W, P_V = uniform_precoders(stats.M, 2.0 / stats.M, 0.5, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            state = algorithm2_ao(stats, p_budget=2.0, budget=2)
+            state = algorithm2_ao(stats, 2.0, P_W, P_V, budget=2)
         np.testing.assert_array_equal(state.theta, stats.theta)
         assert len(state.trace) > 1
         for row in state.trace[1:]:
