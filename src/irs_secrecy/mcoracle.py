@@ -3,11 +3,11 @@
 Samples channel realizations with the exact shared-factor semantics of the
 joint analyses (one middle matrix Y per trial for the double model, one
 user-side factor X per user), computes exact per-trial mutual informations,
-and aggregates streaming moments plus per-trial secrecy rates.
+and takes their moments and the per-trial secrecy rates from the samples.
 
-Trials run in chunks of ``CHUNK``, and a chunk runs in blocks of as many
-trials as fit ``BLOCK_BYTES`` of complex factor entries (at least one), so a
-chunk's memory is a block's, not the chunk's. Trial t makes one
+Trials run in blocks of as many trials as fit ``BLOCK_BYTES`` of complex
+factor entries (at least one), the run's one unit of work: a worker holds
+one block's arrays at a time, whatever the trial count. Trial t makes one
 standard-normal draw into one row of the block's buffer from its own stream:
 a ``np.random.Generator`` over a Philox bit generator with key [seed, t] and
 counter 0 (``scenario.trial_streams``). The row holds, in this documented
@@ -23,17 +23,18 @@ over the stacks in the same left-to-right order, and every log-determinant
 is taken by one kernel (``_mi_batch``), so every sample equals ``mi_exact``
 on that per-trial channel bit for bit.
 
-The chunks run on ``pool_size`` workers: ``IRS_SECRECY_THREADS`` if set,
-else one worker below ``POOL_TRIAL_BYTES`` of factors per trial and the
-available cores from there (see ``thread_budget``).
+The blocks run on ``pool_size`` workers, at most one per block:
+``IRS_SECRECY_THREADS`` if set, else one worker below ``POOL_TRIAL_BYTES``
+of factors per trial and the available cores from there (see
+``thread_budget``). Worker w takes blocks w, w + workers, ... and writes
+their rows of one (n_trials, K) samples array; the mean and covariance are
+then taken once, from that array.
 
 Determinism contract: results are bit-for-bit reproducible for a fixed
-(seed, scenario, descriptor list), independent of the thread count. Every
-trial draws from its own counter-based stream keyed on (master seed, trial
-index), so the per-trial samples do not depend on the chunk size either.
-Chunk moments are merged in chunk order, so ``mi_mean`` and ``mi_cov`` are
-bit-for-bit stable at a fixed ``CHUNK`` and agree across chunk sizes only to
-rounding.
+(seed, scenario, descriptor list). Every trial draws from its own
+counter-based stream keyed on (master seed, trial index), so the samples,
+and the moments taken from them, are bit-for-bit independent of the block
+size and of the worker count.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from .fixedpoint import MiDescriptor
 from .scenario import (ChannelStatistics, channel_assembler, complex_from_normals,
                        trial_streams)
 
-CHUNK = 512
-# complex factor entries held per block of trials inside a chunk: the
-# chunk's memory stays at a block's factors and channels, whatever CHUNK is
+# complex factor bytes per block of trials: a worker's memory stays at a
+# block's factors and channels, whatever the trial count
 BLOCK_BYTES = 1 << 20
 # complex factor bytes per trial from which run_mc's default is a pool: on 2
 # cores, 2 KiB trials (lbi M8 L16 N4) took 7-10% longer on 2 workers than on
@@ -182,63 +182,6 @@ class McRun:
         return np.searchsorted(sorted_vals, np.asarray(grid_nats), side="left") / len(sorted_vals)
 
 
-def _trial_bytes(factors: list) -> int:
-    """Bytes of one trial's complex factors (see ``_factor_layout``)."""
-    return sum(rows * cols for rows, cols, _ in factors) * np.dtype(complex).itemsize
-
-
-def _factor_layout(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]) -> tuple:
-    """``(users, factors)``: the users in order of first appearance, and
-    (rows, cols, variance) of each complex factor a trial draws, in the
-    documented draw order: Y (double model), then one X per user."""
-    users = list(dict.fromkeys(d.user for d in descriptors))
-    factors = [(stats.L, stats.M, 1.0 / stats.M)] if stats.model_kind == "double" else []
-    factors += [(stats.receiver(u).n, stats.L, 1.0 / stats.L) for u in users]
-    return users, factors
-
-
-def _chunk_mis(
-    stats: ChannelStatistics,
-    descriptors: Sequence[MiDescriptor],
-    precoders: dict,
-    layout: tuple,
-    seed: int,
-    start: int,
-    count: int,
-) -> np.ndarray:
-    """Per-trial MI matrix (count, K) for trials [start, start+count),
-    computed block by block (see the module docstring): only one block's
-    normals, complex factors and channels are held at a time. ``layout`` is
-    ``_factor_layout(stats, descriptors)``."""
-    users, factors = layout
-    bounds = list(itertools.accumulate((2 * rows * cols for rows, cols, _ in factors),
-                                       initial=0))
-    block = max(1, min(count, BLOCK_BYTES // _trial_bytes(factors)))
-    # one generator and set of buffers per chunk (chunks may run on pool
-    # threads), so threads share nothing
-    buf = np.empty((block, bounds[-1]))
-    blocks = [np.empty((block, rows, cols), dtype=complex) for rows, cols, _ in factors]
-    x_blocks = blocks[len(blocks) - len(users):]
-    per_user = [(channel_assembler(stats, u),
-                 [(i, stats.receiver(u).sigma2, precoders[d.precoder])
-                  for i, d in enumerate(descriptors) if d.user == u]) for u in users]
-    stream = trial_streams(seed)
-    out = np.empty((count, len(descriptors)))
-    for lo in range(0, count, block):
-        n = min(block, count - lo)
-        for i in range(n):
-            # one call of size a + b gives the normals of calls of size a, b
-            stream(start + lo + i).standard_normal(out=buf[i])
-        for blk, (rows, cols, var), a, b in zip(blocks, factors, bounds, bounds[1:]):
-            complex_from_normals(buf[:n, a:b].reshape(n, 2, rows, cols), var, out=blk[:n])
-        y = blocks[0][:n] if stats.model_kind == "double" else None
-        for x, (assemble, terms) in zip(x_blocks, per_user):
-            h = assemble(x[:n], y)
-            for i, z, P in terms:
-                out[lo:lo + n, i] = _mi_batch(z, h, P)
-    return out
-
-
 def run_mc(
     stats: ChannelStatistics,
     descriptors: Sequence[MiDescriptor],
@@ -255,46 +198,54 @@ def run_mc(
     if n_trials < 1:
         raise ModelError("n_trials must be >= 1")
     descriptors = list(descriptors)
-    k = len(descriptors)
     receivers = [stats.receiver(d.user) for d in descriptors]
     floors = np.array([rx.n * math.log(rx.sigma2) for rx in receivers])
-    layout = _factor_layout(stats, descriptors)
-    starts = list(range(0, n_trials, CHUNK))
-    sizes = [min(CHUNK, n_trials - s) for s in starts]
-    parts: list = [None] * len(starts)
+    # (rows, cols, variance) of each complex factor, in the documented draw
+    # order: Y (double model), then one X per user in order of first appearance
+    users = list(dict.fromkeys(d.user for d in descriptors))
+    factors = [(stats.L, stats.M, 1.0 / stats.M)] if stats.model_kind == "double" else []
+    factors += [(stats.receiver(u).n, stats.L, 1.0 / stats.L) for u in users]
+    bounds = list(itertools.accumulate((2 * rows * cols for rows, cols, _ in factors),
+                                       initial=0))
+    trial_bytes = bounds[-1] // 2 * np.dtype(complex).itemsize  # two normals per entry
+    block = max(1, min(n_trials, BLOCK_BYTES // trial_bytes))
+    n_blocks = -(-n_trials // block)
     # below POOL_TRIAL_BYTES a trial's Python work, which holds the
     # interpreter lock, outweighs its lock-free LAPACK/BLAS work
-    workers = pool_size(len(starts), None if _trial_bytes(layout[1]) >= POOL_TRIAL_BYTES else 1)
+    workers = pool_size(n_blocks, None if trial_bytes >= POOL_TRIAL_BYTES else 1)
+    per_user = [(channel_assembler(stats, u),
+                 [(i, stats.receiver(u).sigma2, precoders[d.precoder])
+                  for i, d in enumerate(descriptors) if d.user == u]) for u in users]
+    samples = np.empty((n_trials, len(descriptors)))
 
     def share(w: int) -> None:
-        for i in range(w, len(starts), workers):
-            parts[i] = _chunk_mis(stats, descriptors, precoders, layout, seed, starts[i],
-                                  sizes[i])
+        # one generator and set of buffers per worker, so threads share nothing
+        # they write but their own rows of ``samples``
+        stream = trial_streams(seed)
+        buf = np.empty((block, bounds[-1]))
+        blocks = [np.empty((block, rows, cols), dtype=complex) for rows, cols, _ in factors]
+        for lo in range(w * block, n_trials, workers * block):
+            n = min(block, n_trials - lo)
+            for i in range(n):
+                # one call of size a + b gives the normals of calls of size a, b
+                stream(lo + i).standard_normal(out=buf[i])
+            for blk, (rows, cols, var), a, b in zip(blocks, factors, bounds, bounds[1:]):
+                complex_from_normals(buf[:n, a:b].reshape(n, 2, rows, cols), var, out=blk[:n])
+            y = blocks[0][:n] if stats.model_kind == "double" else None
+            for x, (assemble, terms) in zip(blocks[len(blocks) - len(users):], per_user):
+                h = assemble(x[:n], y)
+                for i, z, P in terms:
+                    samples[lo:lo + n, i] = _mi_batch(z, h, P)
 
     run_shares(share, workers)
 
-    # merge exactly in chunk order: deterministic float reduction
-    n_acc = 0
-    mean_acc = np.zeros(k)
-    m2_acc = np.zeros((k, k))
-    for mis in parts:
-        n_c = mis.shape[0]
-        mean_c = mis.mean(axis=0)
-        centered = mis - mean_c
-        m2_c = centered.T @ centered
-        if n_acc == 0:
-            n_acc, mean_acc, m2_acc = n_c, mean_c, m2_c
-        else:
-            delta = mean_c - mean_acc
-            total = n_acc + n_c
-            m2_acc = m2_acc + m2_c + np.outer(delta, delta) * (n_acc * n_c / total)
-            mean_acc = mean_acc + delta * (n_c / total)
-            n_acc = total
-
-    cov = m2_acc / (n_acc - 1) if n_acc > 1 else np.zeros((k, k))
+    # moments of the deviations from trial 0: a column whose samples are all
+    # equal gets its exact value and exactly zero (co)variance
+    dev = samples - samples[0]
+    offset = dev.mean(axis=0)
+    dev -= offset
+    cov = dev.T @ dev / (n_trials - 1) if n_trials > 1 else np.zeros((len(descriptors),) * 2)
     cov = 0.5 * (cov + cov.T)
-    samples = np.concatenate(parts, axis=0)
     secrecy = (samples - floors) @ np.asarray(combiner) if combiner is not None else None
-    return McRun(n_trials=n_trials, mi_mean=mean_acc, mi_cov=cov, secrecy=secrecy,
+    return McRun(n_trials=n_trials, mi_mean=samples[0] + offset, mi_cov=cov, secrecy=secrecy,
                  mi_samples=samples)
-

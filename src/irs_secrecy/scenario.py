@@ -162,18 +162,18 @@ def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
 # deterministic link, path loss, phases
 # ---------------------------------------------------------------------------
 
-def build_los_channel(M: int, L: int, d_bs: float = 1.0, d_irs: float = 1.0) -> np.ndarray:
+def build_los_channel(M: int, L: int) -> np.ndarray:
     """Deterministic unit-modulus L x M line-of-sight link matrix.
 
     Built from two fixed uniform angle grids, theta1(l) = pi (l-1) / L over
     [0, pi) and phi2(m) = 2 pi (m-1) / M over [0, 2 pi):
 
-        [H0]_{l,m} = exp{ j 2 pi [ d_irs (l-1) sin(phi2(m))
-                                   + d_bs (m-1) sin(theta1(l)) ] }
+        [H0]_{l,m} = exp{ j 2 pi [ (l-1) sin(phi2(m)) + (m-1) sin(theta1(l)) ] }
 
-    Spacings are in wavelengths. Coupling each row index with the column
-    grid (and vice versa) makes the matrix numerically full rank; a plain
-    outer sum of per-row and per-column phases would be rank one.
+    with antenna and element spacings of one wavelength. Coupling each row
+    index with the column grid (and vice versa) makes the matrix numerically
+    full rank; a plain outer sum of per-row and per-column phases would be
+    rank one.
     """
     if M < 1 or L < 1:
         raise ModelError(f"dimensions must be >= 1, got M={M}, L={L}")
@@ -181,7 +181,7 @@ def build_los_channel(M: int, L: int, d_bs: float = 1.0, d_irs: float = 1.0) -> 
     ms = np.arange(M)
     theta1 = math.pi * ls / L
     phi2 = 2.0 * math.pi * ms / M
-    phase = d_irs * np.outer(ls, np.sin(phi2)) + d_bs * np.outer(np.sin(theta1), ms)
+    phase = np.outer(ls, np.sin(phi2)) + np.outer(np.sin(theta1), ms)
     return np.exp(1j * 2.0 * math.pi * phase)
 
 

@@ -63,8 +63,6 @@ class SecrecyReport:
     esr_bits: float
     mean_nats: float
     variance: float
-    model_kind: str
-    an_enabled: bool
 
     def sop(self, r_bits: ArrayLike):
         """Outage probability at threshold(s) given in bits."""
@@ -130,10 +128,8 @@ def _report(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray]
     mean_nats = float(u @ rates)
     variance = float(u @ cov @ u)
     esr_nats = max(0.0, mean_nats)
-    return SecrecyReport(
-        esr_nats=esr_nats, esr_bits=esr_nats / LN2, mean_nats=mean_nats,
-        variance=variance, model_kind=stats.model_kind, an_enabled=P_V is not None,
-    )
+    return SecrecyReport(esr_nats=esr_nats, esr_bits=esr_nats / LN2, mean_nats=mean_nats,
+                         variance=variance)
 
 
 def esr_wiretap(stats: ChannelStatistics, P_W: np.ndarray,
@@ -154,14 +150,11 @@ class MultiEveModel:
     """Joint Gaussian description of the per-eavesdropper secrecy rates.
 
     ``mu`` holds the signed per-Eve secrecy means (nats) and ``Q`` their
-    fluctuation covariance; ``selectors`` records the per-Eve contraction of
-    the underlying per-term covariance (rows align with ``labels``).
+    fluctuation covariance, in the eavesdroppers' order.
     """
 
     mu: np.ndarray
     Q: np.ndarray
-    labels: Tuple[str, ...]
-    selectors: np.ndarray
 
     @property
     def n_eves(self) -> int:
@@ -180,7 +173,7 @@ def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
     mu = selectors @ rates
     Q = selectors @ cov @ selectors.T
     Q = 0.5 * (Q + Q.T)
-    return MultiEveModel(mu=mu, Q=Q, labels=tuple(stats.users()[1:]), selectors=selectors)
+    return MultiEveModel(mu=mu, Q=Q)
 
 
 _MVN_JITTER = 1e-10

@@ -231,7 +231,7 @@ class TestWorstCaseEavesdroppers:
         model = build_multi_eve_model(stats, P_W)
         grid = np.linspace(0.0, 5.0, 11)
         (p,), (se,) = sop_multi_eve([model], grid, n_samples=200_000, seed=1)
-        for eve in model.labels:
+        for eve in stats.users()[1:]:
             single = esr_wiretap(stats, P_W, eve=eve).sop(grid)
             assert np.all(p >= single - 3.0 * se - 1e-12)
 

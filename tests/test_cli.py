@@ -156,6 +156,28 @@ class TestMcValidateCommand:
             assert float(row[4]) == pytest.approx(
                 abs(float(row[1]) - float(row[2])), abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    def test_zero_noise_precoder_rows_pass_with_exact_zeros(self, write_config, tmp_path,
+                                                           kind):
+        # noise injection forced on with split_v 0: every V sample is exactly
+        # N log z, so its rows must carry no roundoff variance
+        cfg = config_dict(kind=kind)
+        cfg["power"]["an"] = True
+        out = tmp_path / "out"
+        code = main(["mc-validate", "--config", write_config(cfg),
+                     "--out", str(out), "--trials", "500"])
+        assert code == 0
+        _, rows = _read_csv(out / "mc_validate.csv")
+        assert all(row[6] == "1" for row in rows), rows
+        v_rows = [row for row in rows if any(label.endswith("V")
+                                             for label in row[0].split("_")[1:])]
+        cov_rows = [row for row in v_rows if row[0].startswith("cov_")]
+        assert len(v_rows) == 2 + 7 and len(cov_rows) == 7
+        for row in v_rows:
+            assert float(row[3]) == 0.0, row
+        for row in cov_rows:
+            assert float(row[2]) == 0.0, row
+
 
 class TestOptimizeEsrCommand:
     def test_trace_and_result(self, write_config, tmp_path):

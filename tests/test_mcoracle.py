@@ -3,6 +3,7 @@ determinism, and agreement with the closed-form channel moments."""
 
 import itertools
 import math
+import sys
 import tracemalloc
 from concurrent.futures import Future
 
@@ -106,13 +107,17 @@ def _small_run(kind="lbi", n_trials=64, seed=9, **kwargs):
     return stats, descs, precs, run
 
 
-def _patch_block(monkeypatch, stats, users, trials):
-    """Set ``BLOCK_BYTES`` to the complex factors of ``trials`` trials that
-    draw Y (double model) and one X per user."""
+def _trial_bytes(stats, users):
+    """Bytes of the complex factors a trial draws: Y (double model) and one X
+    per user."""
     entries = stats.L * sum(stats.receiver(u).n for u in users)
     entries += stats.L * stats.M if stats.model_kind == "double" else 0
-    monkeypatch.setattr(mcoracle, "BLOCK_BYTES",
-                        trials * entries * np.dtype(complex).itemsize)
+    return entries * np.dtype(complex).itemsize
+
+
+def _patch_block(monkeypatch, stats, users, trials):
+    """Set ``BLOCK_BYTES`` to the complex factors of ``trials`` trials."""
+    monkeypatch.setattr(mcoracle, "BLOCK_BYTES", trials * _trial_bytes(stats, users))
 
 
 @pytest.fixture
@@ -178,38 +183,42 @@ class TestDeterminism:
         assert np.array_equal(a.mi_mean, b.mi_mean)
         assert np.array_equal(a.mi_cov, b.mi_cov)
 
-    def test_chunk_size_does_not_change_samples(self, monkeypatch):
-        chunk_mis, calls = mcoracle._chunk_mis, []
-
-        def counted(*args):
-            calls.append(args)
-            return chunk_mis(*args)
-
-        monkeypatch.setattr(mcoracle, "_chunk_mis", counted)
-        runs = {}
-        for chunk in (7, 512):
-            monkeypatch.setattr(mcoracle, "CHUNK", chunk)
-            calls.clear()
-            runs[chunk] = _small_run(n_trials=100)[3]
-            # the constant is read on every call: ceil(100 / chunk) chunks
-            assert len(calls) == -(-100 // chunk)
-        a, b = runs[7], runs[512]
-        assert np.array_equal(a.mi_samples, b.mi_samples)
-        # moments are merged chunk-by-chunk; only the float reduction order
-        # differs between partitions
-        np.testing.assert_allclose(a.mi_mean, b.mi_mean, rtol=1e-13)
-        np.testing.assert_allclose(a.mi_cov, b.mi_cov, rtol=1e-10, atol=1e-13)
+    def test_block_size_does_not_change_anything(self, monkeypatch, block_sizes,
+                                                  thread_pools):
+        # 100 trials in blocks of 1, 3 and 7 (the last block holding 1, 1 and
+        # 2 trials), each on the caller alone and beside 3 pool threads
+        runs = []
+        for trials in (1, 3, 7):
+            _patch_block(monkeypatch, make_stats("lbi"), ["B", "E1"], trials)
+            for env in ("1", "4"):
+                monkeypatch.setenv("IRS_SECRECY_THREADS", env)
+                block_sizes.clear()
+                runs.append(_small_run(n_trials=100)[3])
+                # the constant is read on every call
+                assert max(block_sizes) == trials
+                assert len(block_sizes) == 2 * -(-100 // trials)
+        assert thread_pools == [3, 3, 3]
+        a = runs[0]
+        for b in runs[1:]:
+            assert np.array_equal(a.mi_samples, b.mi_samples)
+            assert np.array_equal(a.mi_mean, b.mi_mean)
+            assert np.array_equal(a.mi_cov, b.mi_cov)
 
     def test_thread_count_does_not_change_anything(self, monkeypatch, block_sizes,
                                                    thread_pools):
-        # chunks of 7 run in blocks of 3, 3 and 1 trials (the last, of 6, in
-        # 3 and 3); the 4-worker run is the caller beside 3 pool threads
-        monkeypatch.setattr(mcoracle, "CHUNK", 7)
+        # 301 trials run in 100 blocks of 3 and one of 1; the 4-worker run is
+        # the caller beside 3 pool threads, all writing rows of one samples
+        # array, with threads switched as often as the interpreter allows
         _patch_block(monkeypatch, make_stats("lbi"), ["B", "E1"], 3)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "1")
-        _, _, _, a = _small_run(n_trials=300)
+        _, _, _, a = _small_run(n_trials=301)
         monkeypatch.setenv("IRS_SECRECY_THREADS", "4")
-        _, _, _, b = _small_run(n_trials=300)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, _, _, b = _small_run(n_trials=301)
+        finally:
+            sys.setswitchinterval(interval)
         assert thread_pools == [3]
         assert sorted(set(block_sizes)) == [1, 3]
         assert np.array_equal(a.mi_samples, b.mi_samples)
@@ -218,9 +227,8 @@ class TestDeterminism:
 
     def test_every_trial_matches_documented_draw_order(self, monkeypatch, block_sizes):
         # both models, wiretap and noise-injection descriptors, two
-        # eavesdroppers in either order, and chunk boundaries inside the run;
-        # chunks of 7 run in blocks of 3, 3 and 1 trials, then 3 and 1
-        monkeypatch.setattr(mcoracle, "CHUNK", 7)
+        # eavesdroppers in either order, and block boundaries inside the run;
+        # 11 trials run in blocks of 3, 3, 3 and 2
         n_trials, seed = 11, 21
         for kind in ("lbi", "double"):
             stats = make_stats(kind, N_E=(3, 2))
@@ -240,28 +248,26 @@ class TestDeterminism:
                         assert run.mi_samples[t, i] == mi_exact(
                             stats.receiver(d.user).sigma2, H, precs[d.precoder]), (
                                 kind, eves, d.label, t)
-        assert sorted(set(block_sizes)) == [1, 3]
+        assert sorted(set(block_sizes)) == [2, 3]
 
-    def test_chunk_peak_memory_stays_near_its_factor_stacks(self, monkeypatch):
-        # a chunk holds one block's normals, complex factors and channels
-        # (BLOCK_BYTES of factors, 16 trials here), not chunk-wide stacks,
-        # whose factors alone take 32 MiB at 512 trials and grow with the chunk
+    def test_peak_memory_stays_near_a_blocks_factor_stacks(self, monkeypatch):
+        # a run holds one block's normals, complex factors and channels
+        # (BLOCK_BYTES of factors, 16 trials here), not run-wide stacks,
+        # whose factors alone take 32 MiB at 512 trials and grow with the
+        # run; only the (n_trials, K) samples and their deviations grow
+        monkeypatch.setenv("IRS_SECRECY_THREADS", "1")
         stats = make_stats("double", M=32, L=64, N_B=16, N_E=(16,))
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         descs, precs, _ = secrecy_terms(stats, P_W, P_V, eves=["E1"])
-        peaks = {}
-        for chunk in (512, 2048):
-            monkeypatch.setattr(mcoracle, "CHUNK", chunk)
+        for n_trials in (512, 2048):
             tracemalloc.start()
             try:
-                mcoracle._chunk_mis(stats, descs, precs, mcoracle._factor_layout(stats, descs),
-                                    0, 0, mcoracle.CHUNK)
-                peaks[chunk] = tracemalloc.get_traced_memory()[1]
+                run_mc(stats, descs, precs, n_trials, 0)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[512] < 4 * mcoracle.BLOCK_BYTES, peaks
-        # only the (count, K) output grows with the chunk
-        assert peaks[2048] < peaks[512] + (2048 - 512) * len(descs) * 8 + 65536, peaks
+            assert peak < 4 * mcoracle.BLOCK_BYTES + 2 * n_trials * len(descs) * 8, (
+                n_trials, peak)
 
     def test_thread_budget_env_handling(self, monkeypatch):
         monkeypatch.setattr(mcoracle, "available_cores", lambda: 5)
@@ -279,14 +285,13 @@ class TestDeterminism:
     def test_pools_are_capped_at_the_available_cores(self, monkeypatch, serial_pool):
         # a budget far above the cores sizes each pool at the cores (the
         # caller is one worker, so the pool gets one thread fewer)
-        monkeypatch.setattr(mcoracle, "CHUNK", 4)
-        model = MultiEveModel(mu=np.array([0.5, 0.8]), Q=np.array([[1.0, 0.3], [0.3, 0.7]]),
-                              labels=("E1", "E2"), selectors=np.zeros((2, 2)))
+        _patch_block(monkeypatch, make_stats("lbi"), ["B", "E1"], 4)
+        model = MultiEveModel(mu=np.array([0.5, 0.8]), Q=np.array([[1.0, 0.3], [0.3, 0.7]]))
         runs = {}
         for env in ("5000", "1"):
             monkeypatch.setenv("IRS_SECRECY_THREADS", env)
             assert thread_budget() == int(env)
-            # 10 chunks of trials, then 4 chunks of worst-case samples
+            # 10 blocks of trials, then 4 chunks of worst-case samples
             runs[env] = (_small_run(n_trials=40)[3],
                          sop_multi_eve([model], [0.5, 1.0], n_samples=200_003, seed=4))
         assert serial_pool == [2, 2]
@@ -298,14 +303,14 @@ class TestDeterminism:
     def test_run_mc_default_pool_is_sized_by_the_work(self, monkeypatch, serial_pool):
         # unset, a trial with under 4 KiB of factors runs on the caller
         # alone; from 4 KiB (up to M32 L64 N16's 64 KiB) the caller and a
-        # pool of 2 threads share the 3 chunks on the 3 cores
-        monkeypatch.setattr(mcoracle, "CHUNK", 4)
+        # pool of 2 threads share the 3 blocks on the 3 cores
         pools = {}
         for kind, M, L, N in (("lbi", 8, 16, 4), ("double", 8, 16, 4), ("double", 32, 64, 16)):
             stats = make_stats(kind, M=M, L=L, N_B=N, N_E=(N,))
             P_W, P_V = uniform_precoders(M, 2.0)
             descs, precs, _ = secrecy_terms(stats, P_W, P_V, eves=["E1"])
-            nbytes = mcoracle._trial_bytes(mcoracle._factor_layout(stats, descs)[1])
+            nbytes = _trial_bytes(stats, ["B", "E1"])
+            _patch_block(monkeypatch, stats, ["B", "E1"], 4)
             runs = []
             for env in (None, "1"):
                 serial_pool.clear()

@@ -59,8 +59,7 @@ class TestNormCdf:
         assert math.isnan(norm_cdf(math.nan))
 
     def test_shapes_follow_the_input(self):
-        rep = SecrecyReport(esr_nats=0.5, esr_bits=0.5 / LN2, mean_nats=0.5,
-                            variance=0.3, model_kind="lbi", an_enabled=False)
+        rep = SecrecyReport(esr_nats=0.5, esr_bits=0.5 / LN2, mean_nats=0.5, variance=0.3)
         for scalar in (0.3, np.float64(0.3), np.array(0.3)):
             assert type(norm_cdf(scalar)) is float
             assert type(rep.sop(scalar)) is float
@@ -74,9 +73,7 @@ class TestOutageFromReport:
     def _report(self, mean_nats=1.2, variance=0.49):
         return SecrecyReport(
             esr_nats=max(0.0, mean_nats), esr_bits=max(0.0, mean_nats) / LN2,
-            mean_nats=mean_nats, variance=variance,
-            model_kind="lbi", an_enabled=False,
-        )
+            mean_nats=mean_nats, variance=variance)
 
     def test_half_at_the_mean(self):
         rep = self._report()
@@ -196,7 +193,7 @@ class TestMultiEveModelConstruction:
         P_W, P_V = uniform_precoders(stats.M, 2.0)
         model = build_multi_eve_model(stats, P_W, P_V)
         rep = esr_an(stats, P_W, P_V)
-        assert model.labels == ("E1",)
+        assert stats.users()[1:] == ["E1"]
         assert model.n_eves == 1
         assert model.mu[0] == pytest.approx(rep.mean_nats, abs=1e-12)
         assert model.Q[0, 0] == pytest.approx(rep.variance, abs=1e-12)
@@ -205,11 +202,11 @@ class TestMultiEveModelConstruction:
         stats = make_stats("lbi", N_E=(3, 2))
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         model = build_multi_eve_model(stats, P_W)
-        assert model.labels == ("E1", "E2")
+        assert stats.users()[1:] == ["E1", "E2"]
         assert model.Q.shape == (2, 2)
         assert np.array_equal(model.Q, model.Q.T)
         assert np.all(np.linalg.eigvalsh(model.Q) > -1e-12)
-        for k, eve in enumerate(model.labels):
+        for k, eve in enumerate(stats.users()[1:]):
             rep = esr_wiretap(stats, P_W, eve=eve)
             assert model.mu[k] == pytest.approx(rep.mean_nats, abs=1e-12)
             assert model.Q[k, k] == pytest.approx(rep.variance, abs=1e-10)
@@ -217,11 +214,11 @@ class TestMultiEveModelConstruction:
     def test_selectors_shape_tracks_descriptor_list(self):
         stats = make_stats("double", N_E=(3, 2))
         P_W, P_V = uniform_precoders(stats.M, 2.0)
-        model = build_multi_eve_model(stats, P_W, P_V)
+        selectors = secrecy_terms(stats, P_W, P_V)[2]
         # noise-injection mode: (B, E1, E2) x (U, V) terms
-        assert model.selectors.shape == (2, 6)
-        np.testing.assert_array_equal(model.selectors[:, 0], [1.0, 1.0])
-        np.testing.assert_array_equal(model.selectors[:, 1], [-1.0, -1.0])
+        assert selectors.shape == (2, 6)
+        np.testing.assert_array_equal(selectors[:, 0], [1.0, 1.0])
+        np.testing.assert_array_equal(selectors[:, 1], [-1.0, -1.0])
 
 
 class TestMultiEveOutage:
@@ -238,10 +235,7 @@ class TestMultiEveOutage:
     def test_independent_eves_match_product_form(self):
         mu = np.array([1.1, 0.7, 1.6])
         q = np.array([0.30, 0.55, 0.20])
-        model = MultiEveModel(
-            mu=mu, Q=np.diag(q), labels=("E1", "E2", "E3"),
-            selectors=np.zeros((3, 3)),
-        )
+        model = MultiEveModel(mu=mu, Q=np.diag(q))
         r_bits = 1.4
         marg = ndtr((r_bits * LN2 - mu) / np.sqrt(q))
         expected = 1.0 - np.prod(1.0 - marg)
@@ -266,7 +260,7 @@ class TestMultiEveOutage:
         model = build_multi_eve_model(stats, P_W)
         r_bits = 1.0
         (p,), (se,) = sop_multi_eve([model], r_bits, n_samples=200_000, seed=2)
-        singles = [esr_wiretap(stats, P_W, eve=e).sop(r_bits) for e in model.labels]
+        singles = [esr_wiretap(stats, P_W, eve=e).sop(r_bits) for e in stats.users()[1:]]
         assert p >= max(singles) - 3.0 * se
 
     @pytest.mark.parametrize("threads", [None, "1", "2", "3"],
@@ -289,9 +283,7 @@ class TestMultiEveOutage:
         models = []
         for _ in range(3):
             A = rng.normal(size=(k, k))
-            models.append(MultiEveModel(mu=rng.normal(size=k), Q=A @ A.T,
-                                        labels=tuple(f"E{i + 1}" for i in range(k)),
-                                        selectors=np.zeros((k, k))))
+            models.append(MultiEveModel(mu=rng.normal(size=k), Q=A @ A.T))
         r_bits = np.array([0.4, -1.5, 2.5, 0.0, 1.0])
         seed = 17
         for n in (1, 65_536, 65_537, 200_003):
@@ -318,8 +310,7 @@ class TestMultiEveOutage:
         # stays near the two workers' buffers
         monkeypatch.setattr(mcoracle, "available_cores", lambda: 2)
         monkeypatch.delenv("IRS_SECRECY_THREADS", raising=False)
-        model = MultiEveModel(mu=np.array([0.5, 0.8]), Q=np.array([[1.0, 0.3], [0.3, 0.7]]),
-                              labels=("E1", "E2"), selectors=np.zeros((2, 2)))
+        model = MultiEveModel(mu=np.array([0.5, 0.8]), Q=np.array([[1.0, 0.3], [0.3, 0.7]]))
         buffers = 2 * 65_536 * (2 + 2 + 1) * np.dtype(float).itemsize
         # a first call does the lazy imports (thread pool, generator seeding)
         sop_multi_eve([model], 1.0, n_samples=2 * 65_536)
@@ -332,9 +323,7 @@ class TestMultiEveOutage:
         assert peak < 1.2 * buffers, (peak, buffers)
 
     def test_models_must_share_the_eavesdropper_count(self):
-        models = [MultiEveModel(mu=np.zeros(k), Q=np.eye(k),
-                                labels=tuple(f"E{i + 1}" for i in range(k)),
-                                selectors=np.zeros((k, k))) for k in (2, 3)]
+        models = [MultiEveModel(mu=np.zeros(k), Q=np.eye(k)) for k in (2, 3)]
         with pytest.raises(ModelError, match="eavesdropper count"):
             sop_multi_eve(models, 1.0, n_samples=100)
         with pytest.raises(ModelError, match="at least one model"):
