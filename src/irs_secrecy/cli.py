@@ -40,7 +40,8 @@ from .errors import (
     ModelError,
 )
 from .scenario import Scenario, build_scenario, load_config
-from .cltcov import joint_cov, solve_all
+from .cltcov import joint_cov
+from .fixedpoint import solve_all
 from .secrecy import LN2, build_multi_eve_model, esr_an, secrecy_terms, sop_multi_eve
 from .mcoracle import run_mc, thread_budget
 from .optimize import algorithm2_ao, optimize_sop
@@ -164,7 +165,7 @@ def _cmd_mc_validate(args, scenario: Scenario) -> int:
 
     sols = solve_all(stats, descs, precs)
     analytic_mean = np.array([s.mean for s in sols])
-    analytic_cov = joint_cov(stats, descs, sols)
+    analytic_cov = joint_cov(descs, sols)
     mean_se = run.mean_stderr()
     n = run.n_trials
     # Gaussian large-sample error of a sample covariance entry:

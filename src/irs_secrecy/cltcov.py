@@ -25,10 +25,11 @@ fixed points:
     Xi = 1 - gamma_R gamma_T
 
 (T_i denotes the effective transmit correlation of term i, precoder folded.)
-One rule gives every trace Tr[X_i Q_i X_j Q_j] of both models, Q the
-resolvent of X at a solution: the cross trace ||H_i^H H_j||_F^2 of the two
-solutions' resolvent roots, H H^H = X Q (``LbiSolution.H_R``, ``H_T`` and
-``DsSolution.H_R``, ``H_S``, ``H_T``), so no resolvent matrix is formed.
+Each solution type computes its own pairs' factors (``pair_factors``), so
+this module assembles the matrix and reads no model. Every trace
+Tr[X_i Q_i X_j Q_j], Q the resolvent of X at a solution, is the cross trace
+||H_i^H H_j||_F^2 of the two solutions' resolvent roots, H H^H = X Q
+(``H_R``, ``H_S``, ``H_T``), so no resolvent matrix is formed.
 
 Both terms of a same-user pair see one surface Gram S = ``stats.ds_gram``,
 so the paper's ordered product nu_SI(i,j) nu_SI(j,i) of the traces
@@ -50,35 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CovarianceValidityWarning, InvalidCovarianceError, ModelError
-from .fixedpoint import DsSolution, MiDescriptor, solve_user
-from .scenario import ChannelStatistics
-
-
-def _cross_trace(h_i: np.ndarray, h_j: np.ndarray) -> float:
-    """Tr[h_i h_i^H h_j h_j^H] = ||h_i^H h_j||_F^2."""
-    return float(np.sum(np.abs(h_i.conj().T @ h_j) ** 2))
-
-
-def _ds_factors(same_user: bool, sol_i: DsSolution, sol_j: DsSolution) -> dict:
-    """{Delta_S} of a double-hop pair, and Delta for a same-user pair."""
-    m, ell = float(sol_i.m_dim), float(sol_i.l_dim)
-    nu_S = _cross_trace(sol_i.H_S, sol_j.H_S) / m
-    nu_T = _cross_trace(sol_i.H_T, sol_j.H_T) / m
-    Delta_S = 1.0 - nu_S * nu_T
-    if not same_user:
-        return {"Delta_S": Delta_S}
-    nu_R = _cross_trace(sol_i.H_R, sol_j.H_R) / ell
-    lam = sol_i.s.lam  # one S for both terms
-    g_i = 1.0 / (1.0 / sol_i.delta + sol_i.omega_bar * lam)
-    g_j = 1.0 / (1.0 / sol_j.delta + sol_j.omega_bar * lam)
-    nu_SI = float((lam * g_i) @ g_j) / m
-    d_i, d_j = sol_i.delta, sol_j.delta
-    Delta = (
-        1.0
-        - m * sol_i.omega_bar * sol_j.omega_bar * nu_R * nu_S / (ell * d_i * d_j)
-        - m * nu_R * nu_SI**2 * nu_T / (ell * d_i**2 * d_j**2 * Delta_S)
-    )
-    return {"Delta_S": Delta_S, "Delta": Delta}
+from .fixedpoint import MiDescriptor
 
 
 def _entry(desc_i: MiDescriptor, desc_j: MiDescriptor, factors: dict) -> float:
@@ -96,24 +69,11 @@ def _entry(desc_i: MiDescriptor, desc_j: MiDescriptor, factors: dict) -> float:
     return -total
 
 
-def solve_all(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
-              precoders: dict) -> list:
-    """Fixed points for every descriptor, solved once per distinct descriptor
-    under its precoder ``precoders[d.precoder]``."""
-    cache: dict = {}
-    for d in descriptors:
-        if d not in cache:
-            cache[d] = solve_user(stats, d.user, precoders[d.precoder])
-    return [cache[d] for d in descriptors]
-
-
-def joint_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
-              solutions: Sequence) -> np.ndarray:
+def joint_cov(descriptors: Sequence[MiDescriptor], solutions: Sequence) -> np.ndarray:
     """The full K x K covariance of the descriptors' joint mutual-information
     vector, in descriptor order, from their solutions (``solve_all``).
-    Same-user pairs get the shared-factor term; single-hop cross-user
-    entries are exactly zero; the matrix is exactly symmetric by
-    construction."""
+    A pair without factors (single-hop, across users) is exactly zero; the
+    matrix is exactly symmetric by construction."""
     descriptors, sols = list(descriptors), list(solutions)
     k = len(descriptors)
     if len(sols) != k:
@@ -122,15 +82,7 @@ def joint_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
     mat = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
-            same_user = descriptors[i].user == descriptors[j].user
-            if stats.model_kind == "double":
-                factors = _ds_factors(same_user, sols[i], sols[j])
-            elif same_user:
-                m = float(sols[i].m_dim)
-                gamma_R = _cross_trace(sols[i].H_R, sols[j].H_R) / m
-                gamma_T = _cross_trace(sols[i].H_T, sols[j].H_T) / m
-                factors = {"Xi": 1.0 - gamma_R * gamma_T}
-            else:
-                continue
-            mat[i, j] = mat[j, i] = _entry(descriptors[i], descriptors[j], factors)
+            factors = sols[i].pair_factors(sols[j], descriptors[i].user == descriptors[j].user)
+            if factors:
+                mat[i, j] = mat[j, i] = _entry(descriptors[i], descriptors[j], factors)
     return mat

@@ -26,12 +26,12 @@ Two coupled fixed-point systems are solved:
 
 Both systems run through one Newton iteration on x = F(x). The double-hop
 solve starts from the caller's ``start`` point when one is given (the SOP
-descent passes the fixed point of a nearby design), else from all scalars
-at 1. A start changes only where the iteration begins: the stop test and
-the domain check are the same, and a failed solve is not retried from
-elsewhere. The single-hop solve starts from all ones, except that a zero
-transmit spectrum has the closed form alpha_bar = 0, alpha = Tr R / (M z),
-mean N log z, which is then the start, and the first test accepts it.
+descent passes a nearby design's fixed points as ``solve_all``'s ``starts``),
+else from all scalars at 1. A start changes only where the iteration begins:
+the stop test and the domain check are the same, and a failed solve is not
+retried from elsewhere. The single-hop solve starts from all ones, except
+that a zero transmit spectrum starts at its closed form alpha_bar = 0,
+alpha = Tr R / (M z), mean N log z, which the first test accepts.
 Each iteration evaluates the right-hand sides F(x) together with their
 analytic Jacobian J_F(x), whose entries are eigen-sums over the same
 vectors (for example d alpha / d alpha_bar = -(1/M) sum_r lam_r^2 /
@@ -49,17 +49,20 @@ that 1e-10 is below its roundoff, as at very high transmit power. After
 
 Each solver works on the spectra of its inputs (``scenario.Spectrum``), so
 one iteration costs O(N + L + M). A caller may pass a spectrum in place of
-a matrix: ``solve_user`` passes the receive spectra that
-``ChannelStatistics`` keeps, and a single-hop transmit spectrum taken from
-the min(M, L)-sized Gram of sqrt(M/L) A P^{1/2} (``transmit_spectrum``, an
-M x M and a min(M, L)-sized decomposition). The means D and C are sums over
-those eigenvalues (log det(a I + b X) = sum_i log(a + b lam_i)): a
-solution's ``mean`` is its D or C, and its ``rate`` that mean less the
-N log z noise floor. A solution keeps its inputs as spectra and forms no
-dense input matrix: it builds the resolvent roots H (H H^H =
-X (a I + b X)^{-1}, one column per eigenvalue of X), whose cross traces
-are the covariance traces, and the single-hop transmit resolvent L_T of
-the precoder gradients, from the spectra when a caller first reads them.
+a matrix: ``solve_all``, the one solver of a design's terms, passes the
+receive spectra that ``ChannelStatistics`` keeps, one decomposition of each
+input its terms share (a user's surface Gram S; on the double model a
+precoder's T^{1/2} P T^{1/2}, which no user changes) and a single-hop
+transmit spectrum from the min(M, L)-sized Gram of sqrt(M/L) A P^{1/2}
+(``transmit_spectrum``). The means D and C are sums over those eigenvalues
+(log det(a I + b X) = sum_i log(a + b lam_i)): a solution's ``mean`` is its
+D or C, and its ``rate`` that mean less the N log z noise floor. A solution
+keeps its inputs as spectra and forms no dense input matrix: it builds the
+resolvent roots H (H H^H = X (a I + b X)^{-1}, one column per eigenvalue of
+X), whose cross traces give its model's covariance factors
+(``pair_factors``, assembled by ``cltcov``), and the single-hop transmit
+resolvent L_T of the precoder gradients, from the spectra when a caller
+first reads them.
 """
 
 from __future__ import annotations
@@ -120,6 +123,11 @@ def _rate(sol) -> float:
     return sol.mean - sol.r.vecs.shape[0] * math.log(sol.z)
 
 
+def _cross_trace(h_i: np.ndarray, h_j: np.ndarray) -> float:
+    """Tr[h_i h_i^H h_j h_j^H] = ||h_i^H h_j||_F^2."""
+    return float(np.sum(np.abs(h_i.conj().T @ h_j) ** 2))
+
+
 @dataclass(frozen=True)
 class LbiSolution:
     """Converged single-hop system: scalars and the spectra of the inputs
@@ -145,6 +153,16 @@ class LbiSolution:
     @property
     def rate(self) -> float:
         return _rate(self)
+
+    def pair_factors(self, other: "LbiSolution", same_user: bool) -> dict:
+        """{Xi} of this term's covariance with ``other`` for a same-user
+        pair; {} across users, whose terms share no Gaussian factor."""
+        if not same_user:
+            return {}
+        m = float(self.m_dim)
+        gamma_R = _cross_trace(self.H_R, other.H_R) / m
+        gamma_T = _cross_trace(self.H_T, other.H_T) / m
+        return {"Xi": 1.0 - gamma_R * gamma_T}
 
     @cached_property
     def L_T(self) -> np.ndarray:
@@ -213,6 +231,25 @@ class DsSolution:
         Newton step and the implicit phase derivative both invert as I - J_F."""
         return _ds_jacobian(float(self.m_dim), float(self.l_dim), self.delta, self.omega,
                             self.omega_bar, self.nu_R, self.nu_S, self.nu_SI, self.nu_T)
+
+    def pair_factors(self, other: "DsSolution", same_user: bool) -> dict:
+        """{Delta_S} of this term's covariance with ``other``, and Delta for
+        a same-user pair, whose terms see one surface Gram S."""
+        m, ell = float(self.m_dim), float(self.l_dim)
+        nu_S = _cross_trace(self.H_S, other.H_S) / m
+        nu_T = _cross_trace(self.H_T, other.H_T) / m
+        Delta_S = 1.0 - nu_S * nu_T
+        if not same_user:
+            return {"Delta_S": Delta_S}
+        nu_R = _cross_trace(self.H_R, other.H_R) / ell
+        lam = self.s.lam
+        g_i = 1.0 / (1.0 / self.delta + self.omega_bar * lam)
+        g_j = 1.0 / (1.0 / other.delta + other.omega_bar * lam)
+        nu_SI = float((lam * g_i) @ g_j) / m
+        d_i, d_j = self.delta, other.delta
+        Delta = (1.0 - m * self.omega_bar * other.omega_bar * nu_R * nu_S / (ell * d_i * d_j)
+                 - m * nu_R * nu_SI**2 * nu_T / (ell * d_i**2 * d_j**2 * Delta_S))
+        return {"Delta_S": Delta_S, "Delta": Delta}
 
     @cached_property
     def H_R(self) -> np.ndarray:
@@ -379,7 +416,7 @@ def solve_ds(R, S, T_eff, z: float, m_dim: int, l_dim: int, *,
 
 
 # ---------------------------------------------------------------------------
-# per-receiver solves
+# solving a design's terms
 # ---------------------------------------------------------------------------
 
 def transmit_spectrum(stats: ChannelStatistics, user: str, P: np.ndarray) -> Spectrum:
@@ -398,6 +435,8 @@ def transmit_spectrum(stats: ChannelStatistics, user: str, P: np.ndarray) -> Spe
     P = np.asarray(P, dtype=complex)
     if P.shape != (stats.M, stats.M):
         raise ModelError(f"precoder must be {stats.M}x{stats.M}, got {P.shape}")
+    if not np.isfinite(P).all():
+        raise ModelError("precoder has a non-finite entry")
     if stats.model_kind == "double":
         out = stats.T_sqrt @ P @ stats.T_sqrt
         return Spectrum.of_matrix(0.5 * (out + out.conj().T), "T_eff")
@@ -408,18 +447,33 @@ def transmit_spectrum(stats: ChannelStatistics, user: str, P: np.ndarray) -> Spe
     return Spectrum.of_factor(factor, "T_eff")
 
 
-def solve_user(stats: ChannelStatistics, user: str, P: np.ndarray, *,
-               transmit: Optional[Spectrum] = None,
-               start: Optional[Sequence[float]] = None):
-    """Solve the model-appropriate fixed point of one receiver, at its own
-    noise power, under the transmit covariance P. ``transmit`` is the
-    ``transmit_spectrum`` of P when the caller already has it; ``start`` is
-    a double-hop start point (delta, omega, omega_bar), and the single-hop
-    solve takes none."""
-    t = transmit if transmit is not None else transmit_spectrum(stats, user, P)
-    rx = stats.receiver(user)
-    if stats.model_kind == "lbi":
-        if start is not None:
-            raise ValueError("the single-hop solve takes no start point")
-        return solve_lbi(rx.r, t, rx.sigma2, stats.M)
-    return solve_ds(rx.r, stats.ds_gram(user), t, rx.sigma2, stats.M, stats.L, start=start)
+def solve_all(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
+              precoders: dict, starts: Optional[Sequence] = None) -> list:
+    """Fixed points of the descriptors, in order, each distinct one solved once
+    under ``precoders[d.precoder]``. Inputs the terms share are decomposed once
+    per call: a user's surface Gram, and on the double model a precoder's
+    T^{1/2} P T^{1/2}. ``starts`` holds a double-hop start point (delta, omega,
+    omega_bar) or None per descriptor; a single-hop term takes none."""
+    descriptors = list(descriptors)
+    starts = [None] * len(descriptors) if starts is None else list(starts)
+    if len(starts) != len(descriptors):
+        raise ModelError(f"{len(starts)} start points for {len(descriptors)} descriptors")
+    double = stats.model_kind == "double"
+    transmits, grams, solved = {}, {}, {}
+    for d, start in zip(descriptors, starts):
+        if d in solved:
+            continue
+        rx = stats.receiver(d.user)
+        if double:
+            if d.precoder not in transmits:
+                transmits[d.precoder] = transmit_spectrum(stats, d.user, precoders[d.precoder])
+            if d.user not in grams:
+                grams[d.user] = _spectrum(stats.ds_gram(d.user), "S")
+            solved[d] = solve_ds(rx.r, grams[d.user], transmits[d.precoder], rx.sigma2,
+                                 stats.M, stats.L, start=start)
+        else:
+            t = transmit_spectrum(stats, d.user, precoders[d.precoder])
+            if start is not None:
+                raise ValueError("the single-hop solve takes no start point")
+            solved[d] = solve_lbi(rx.r, t, rx.sigma2, stats.M)
+    return [solved[d] for d in descriptors]

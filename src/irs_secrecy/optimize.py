@@ -19,9 +19,9 @@ Three layers:
 * Outage minimization on the double-hop model (``optimize_sop``): gradient
   descent on the Gaussian outage surrogate, with every phase partial obtained
   by implicit differentiation of the three fixed-point scalars per user
-  (``sop_phase_gradient``). T^{1/2} P_W T^{1/2} is diagonalized once per
-  gradient for both users, and each line-search trial starts its two solves
-  from the current design's fixed points.
+  (``sop_phase_gradient``). Its two solves are one ``solve_all`` call, so
+  T^{1/2} P_W T^{1/2} is diagonalized once per gradient for both users, and
+  each line-search trial starts them from the current design's fixed points.
 
 The three line searches (inner precoder step, phase ascent, outage descent)
 share one Armijo backtracking loop, ``_backtrack``: steps 1.0, 0.5, ... down
@@ -42,9 +42,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateRegimeError,
                      InvalidCovarianceError, ModelError)
-from .cltcov import solve_all
-from .fixedpoint import solve_user, transmit_spectrum
-from .scenario import ChannelStatistics, Spectrum
+from .fixedpoint import DsSolution, MiDescriptor, solve_all
+from .scenario import ChannelStatistics
 from .secrecy import norm_cdf, secrecy_terms
 
 LN2 = math.log(2.0)
@@ -64,6 +63,11 @@ SOP_GRAD_TOL = 1e-6
 EVE = "E1"
 
 TWO_PI = 2.0 * math.pi
+
+# precoder-design term pairs under {"U": P_W + P_V, "V": P_V}: the two that
+# ``sca_gradients`` linearizes and the two that ``algorithm1`` keeps exact
+_LINEARIZED_TERMS = (MiDescriptor(EVE, "U"), MiDescriptor("B", "V"))
+_EXACT_TERMS = (MiDescriptor("B", "U"), MiDescriptor(EVE, "V"))
 
 
 def wrap_phase(theta: np.ndarray) -> np.ndarray:
@@ -175,16 +179,10 @@ def sca_gradients(stats: ChannelStatistics, P_W: np.ndarray,
     """
     _require_lbi(stats, "sca_gradients")
     c = stats.M / stats.L
-    P_U = P_W + P_V
-
-    sol_eu = solve_user(stats, EVE, P_U)
-    A_e = stats.lbi_aperture(EVE)
+    sol_eu, sol_bv = solve_all(stats, _LINEARIZED_TERMS, {"U": P_W + P_V, "V": P_V})
+    A_e, A_b = stats.lbi_aperture(EVE), stats.lbi_aperture("B")
     g_eu = sol_eu.alpha * c * _herm(A_e.conj().T @ sol_eu.L_T @ A_e)
-
-    sol_bv = solve_user(stats, "B", P_V)
-    A_b = stats.lbi_aperture("B")
     g_bv = sol_bv.alpha * c * _herm(A_b.conj().T @ sol_bv.L_T @ A_b)
-
     return g_eu, g_eu + g_bv
 
 
@@ -284,8 +282,7 @@ def algorithm1(
     _require_lbi(stats, "algorithm1")
 
     def full_objective(w, v):
-        sol_b = solve_user(stats, "B", w + v)
-        sol_e = solve_user(stats, EVE, v)
+        sol_b, sol_e = solve_all(stats, _EXACT_TERMS, {"U": w + v, "V": v})
         f = sol_b.mean + sol_e.mean - _inner(grad_w_n, w) - _inner(grad_v_n, v)
         return f, sol_b, sol_e
 
@@ -458,9 +455,7 @@ def algorithm2_ao(
 class _UserDerivatives:
     """Per-user pieces of the outage gradient chain on the double-hop model."""
 
-    def __init__(self, stats: ChannelStatistics, user: str, P_W: np.ndarray,
-                 transmit: Spectrum, start: Optional[tuple]):
-        sol = solve_user(stats, user, P_W, transmit=transmit, start=start)
+    def __init__(self, stats: ChannelStatistics, user: str, sol: DsSolution):
         self.sol = sol
         m, ell = float(stats.M), float(stats.L)
         self.m, self.ell = m, ell
@@ -588,11 +583,10 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
     _require_double(stats, "sop_phase_gradient")
     m = float(stats.M)
 
-    # T^{1/2} P_W T^{1/2} is the same for both users
-    transmit = transmit_spectrum(stats, "B", P_W)
-    b_start, e_start = start if start is not None else (None, None)
-    ub = _UserDerivatives(stats, "B", P_W, transmit, b_start)
-    ue = _UserDerivatives(stats, EVE, P_W, transmit, e_start)
+    descriptors, precoders, sel = secrecy_terms(stats, P_W, eves=[EVE])
+    sol_b, sol_e = solve_all(stats, descriptors, precoders, starts=start)
+    ub = _UserDerivatives(stats, "B", sol_b)
+    ue = _UserDerivatives(stats, EVE, sol_e)
 
     # cross-user quantities (shared BS-side factor), in the two users' S
     # eigenbases: with O = W_b^H W_e, Tr[f_b(S_b) f_e(S_e)] = f_b . |O|^2 f_e,
@@ -612,7 +606,7 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
                  + (ue.d_delta / ue.sol.delta ** 2) * c3
                  - ue.d_omega_bar * c4) / m
 
-    tau = transmit.lam
+    tau = sol_b.t.lam  # the one T_eff of both users
     g_tb = 1.0 / (1.0 + ub.sol.omega * tau)
     g_te = 1.0 / (1.0 + ue.sol.omega * tau)
     nu_T_be = float(np.sum(tau ** 2 * g_tb * g_te)) / m
@@ -631,8 +625,7 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
         raise InvalidCovarianceError(f"variance {variance:.3e} is not positive")
     var_grad = ub.d_var + ue.d_var - 2.0 * d_w_cross
 
-    _, _, sel = secrecy_terms(stats, P_W, eves=[EVE])
-    mean_nats = float(sel[0] @ np.array([ub.sol.rate, ue.sol.rate]))
+    mean_nats = float(sel[0] @ np.array([sol_b.rate, sol_e.rate]))
     mean_grad = ub.d_mean - ue.d_mean
 
     r_nats = float(r_bits) * LN2

@@ -21,9 +21,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cltcov import joint_cov, solve_all
+from .cltcov import joint_cov
 from .errors import InvalidCovarianceError, ModelError
-from .fixedpoint import MiDescriptor
+from .fixedpoint import MiDescriptor, solve_all
 from .mcoracle import pool_size, run_shares
 from .scenario import ChannelStatistics, trial_streams
 
@@ -116,7 +116,7 @@ def _rates_and_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor]
                    precoders: Dict[str, np.ndarray]):
     """Per-term mean rates and their joint fluctuation covariance."""
     sols = solve_all(stats, descriptors, precoders)
-    return np.array([s.rate for s in sols]), joint_cov(stats, descriptors, sols)
+    return np.array([s.rate for s in sols]), joint_cov(descriptors, sols)
 
 
 def _report(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],

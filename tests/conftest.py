@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from irs_secrecy.fixedpoint import MiDescriptor, solve_all
 from irs_secrecy.scenario import (
     CorrelationSpec,
     build_correlation_matrix,
@@ -118,6 +119,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     with key [seed, trial] and counter 0. ``scenario.trial_streams`` re-keys
     one generator into this state."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+
+def solve_term(stats, user: str, P: np.ndarray, start=None):
+    """The fixed point of one receiver under the precoder P, from the double-hop
+    ``start`` when one is given: a one-term ``fixedpoint.solve_all`` call."""
+    return solve_all(stats, [MiDescriptor(user, "W")], {"W": P},
+                     None if start is None else [start])[0]
 
 
 def effective_transmit_corr(stats, user: str, P: np.ndarray) -> np.ndarray:

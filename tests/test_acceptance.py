@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from irs_secrecy.cli import main as cli_main
-from irs_secrecy.cltcov import joint_cov, solve_all
-from irs_secrecy.fixedpoint import solve_ds, solve_lbi
+from irs_secrecy.cltcov import joint_cov
+from irs_secrecy.fixedpoint import solve_all, solve_ds, solve_lbi
 from irs_secrecy.mcoracle import run_mc
 from irs_secrecy.optimize import (
     algorithm2_ao,
@@ -170,7 +170,7 @@ class TestCovarianceAccuracy:
         descs, precs, _ = secrecy_terms(stats, P_W, P_V)
         n = 20_000
         run = run_mc(stats, descs, precs, n_trials=n, seed=0)
-        analytic = joint_cov(stats, descs, solve_all(stats, descs, precs))
+        analytic = joint_cov(descs, solve_all(stats, descs, precs))
         diag = np.diag(analytic)
         # sampling stderr of a Gaussian covariance entry
         se = np.sqrt((np.outer(diag, diag).clip(0.0) + analytic**2) / n)

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from irs_secrecy.cltcov import CovarianceValidityWarning, joint_cov, solve_all
+from irs_secrecy.cltcov import CovarianceValidityWarning, joint_cov
 from irs_secrecy.errors import InvalidCovarianceError
-from irs_secrecy.fixedpoint import DsSolution, LbiSolution, MiDescriptor
+from irs_secrecy.fixedpoint import DsSolution, LbiSolution, MiDescriptor, solve_all
 from irs_secrecy.scenario import Spectrum, build_scenario, parse_config
 from irs_secrecy.secrecy import esr_an, secrecy_terms
 
@@ -104,7 +104,7 @@ class TestPairFunctionalsScalarOracle:
                  - rg_u * rg_v * nu_si**2 * tg_u * tg_v / (di**2 * dj**2 * delta_s))
         _, sg_x, tg_x, _, _ = scalars("E1", descs[2], s_x)
 
-        mat = joint_cov(stats, descs, sols)
+        mat = joint_cov(descs, sols)
         assert mat[0, 1] == pytest.approx(-math.log(delta) - math.log(delta_s), rel=1e-12)
         assert mat[0, 2] == pytest.approx(-math.log(1.0 - sg_u * sg_x * tg_u * tg_x),
                                           rel=1e-12)
@@ -120,7 +120,7 @@ class TestPairFunctionalsScalarOracle:
         g_r = R / (s_u.z + s_u.alpha_bar * R) * R / (s_v.z + s_v.alpha_bar * R)
         g_t = T_u / (1.0 + s_u.alpha * T_u) * T_v / (1.0 + s_v.alpha * T_v)
 
-        mat = joint_cov(stats, descs, sols)
+        mat = joint_cov(descs, sols)
         assert mat[0, 1] == pytest.approx(-math.log(1.0 - g_r * g_t), rel=1e-12)
         assert mat[0, 2] == 0.0
 
@@ -132,8 +132,8 @@ class TestPairFunctionalSymmetry:
     @staticmethod
     def _reversed_matches(kind):
         stats, _, descs, sols = _an_setup(kind)
-        mat = joint_cov(stats, descs, sols)
-        rev = joint_cov(stats, descs[::-1], sols[::-1])
+        mat = joint_cov(descs, sols)
+        rev = joint_cov(descs[::-1], sols[::-1])
         np.testing.assert_allclose(rev[::-1, ::-1], mat, rtol=1e-12, atol=0.0)
 
     def test_double_hop_swap_invariance(self):
@@ -146,7 +146,7 @@ class TestPairFunctionalSymmetry:
         stats, _, descs, sols = _an_setup("double")
         with warnings.catch_warnings():
             warnings.simplefilter("error", CovarianceValidityWarning)
-            mat = joint_cov(stats, descs, sols)
+            mat = joint_cov(descs, sols)
         assert mat.dtype == np.float64
         for i in range(len(descs)):
             Delta_S, Delta = _dense_factors(stats, descs[i], descs[i], sols[i], sols[i])
@@ -162,7 +162,7 @@ class TestCovarianceEntries:
         sols = solve_all(stats, descs, precs)
         Delta_S, Delta = _dense_factors(stats, descs[0], descs[1], sols[0], sols[1])
         assert Delta is None
-        entry = joint_cov(stats, descs, sols)[0, 1]
+        entry = joint_cov(descs, sols)[0, 1]
         assert entry == pytest.approx(-math.log(Delta_S), rel=1e-12)
         assert entry > 0.0
 
@@ -177,7 +177,7 @@ class TestCovarianceEntries:
         # the same-user term vanishes too: the V term's omega_bar is exactly 0,
         # so Delta is 1 up to roundoff
         assert Delta == pytest.approx(1.0, abs=1e-15)
-        mat = joint_cov(stats, descs, sols)
+        mat = joint_cov(descs, sols)
         assert mat[0, 1] == pytest.approx(0.0, abs=1e-14)
         assert mat[1, 1] == pytest.approx(0.0, abs=1e-14)
 
@@ -190,7 +190,7 @@ class TestCovarianceEntries:
             sols = solve_all(stats, descs, precs)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", CovarianceValidityWarning)
-                entries.append(joint_cov(stats, descs, sols)[0, 1])
+                entries.append(joint_cov(descs, sols)[0, 1])
         entries = np.array(entries)
         assert np.all(entries > 0.0)
         assert np.all(np.diff(entries) < 0.0)
@@ -205,13 +205,13 @@ class TestJointCovariance:
             stats = make_stats(kind)
             P_W, _ = uniform_precoders(stats.M, 2.0)
             descs, precs, _ = secrecy_terms(stats, P_W, eves=[])
-            cov = joint_cov(stats, descs, solve_all(stats, descs, precs))
+            cov = joint_cov(descs, solve_all(stats, descs, precs))
             assert cov.shape == (1, 1)
             assert cov[0, 0] > 0.0
 
     def test_four_term_noise_injection_structure(self):
         stats, precs, descs, sols = _an_setup("double")
-        mat = joint_cov(stats, descs, sols)
+        mat = joint_cov(descs, sols)
         assert mat.shape == (4, 4)
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diag(mat) > 0.0)
@@ -226,7 +226,7 @@ class TestJointCovariance:
 
     def test_single_hop_block_diagonal_across_users(self):
         stats, _, descs, sols = _an_setup("lbi")
-        mat = joint_cov(stats, descs, sols)
+        mat = joint_cov(descs, sols)
         assert mat.shape == (4, 4)
         # users are (B, B, E1, E1); the 2x2 cross blocks are identically zero
         assert np.all(mat[:2, 2:] == 0.0)
@@ -238,7 +238,7 @@ class TestJointCovariance:
         # the report's variance is the selector's quadratic form of the
         # joint covariance of its four terms (BU, BV, E1U, E1V)
         stats, precs, descs, sols = _an_setup("double")
-        cov = joint_cov(stats, descs, sols)
+        cov = joint_cov(descs, sols)
         u = np.array([1.0, -1.0, -1.0, 1.0])
         manual = sum(u[i] * cov[i, j] * u[j] for i in range(4) for j in range(4))
         variance = esr_an(stats, precs["W"], precs["V"], eve="E1").variance
@@ -262,7 +262,7 @@ class TestJointCovariance:
         descs, precs, _ = secrecy_terms(stats, *scenario.precoders())
         assert len(descs) == 6
         sols = solve_all(stats, descs, precs)
-        mat = joint_cov(stats, descs, sols)
+        mat = joint_cov(descs, sols)
         dense = np.array([[_dense_entry(stats, descs[i], descs[j], sols[i], sols[j])
                            for j in range(6)] for i in range(6)])
         np.testing.assert_allclose(mat, dense, rtol=1e-12, atol=0.0)
@@ -276,7 +276,7 @@ class TestValidityGuards:
         sol = _ds_solution(1.0, 0.0, 0.0, np.eye(1), two, two)
         with pytest.warns(CovarianceValidityWarning, match=r"pair \(BW, BW\)"), \
                 pytest.raises(InvalidCovarianceError, match=r"^Delta_S = -6\.300e\+01"):
-            joint_cov(make_stats("double"), [MiDescriptor("B", "W")], [sol])
+            joint_cov([MiDescriptor("B", "W")], [sol])
 
     def test_negative_shared_discriminant_raises(self):
         # Delta_S = 1 - (100/101)^2 0.04 is in range; Delta is about -2.9
@@ -287,7 +287,7 @@ class TestValidityGuards:
         with pytest.warns(CovarianceValidityWarning,
                           match=r"pair \(BU, BU\) .*\(Delta_S=9\.608e-01, Delta=-2\.92"), \
                 pytest.raises(InvalidCovarianceError, match=r"^Delta = -2\.92"):
-            joint_cov(make_stats("double"), descs, [sol, sol])
+            joint_cov(descs, [sol, sol])
 
     def test_single_hop_out_of_range_raises(self):
         # R = T_eff = 2 I with zero scalars: L_R = L_T = I, Xi = 1 - 8 * 8
@@ -297,7 +297,7 @@ class TestValidityGuards:
         descs = [MiDescriptor("B", "U"), MiDescriptor("B", "V")]
         with pytest.warns(CovarianceValidityWarning), \
                 pytest.raises(InvalidCovarianceError, match=r"^Xi = -6\.300e\+01"):
-            joint_cov(make_stats("lbi"), descs, [sol, sol])
+            joint_cov(descs, [sol, sol])
 
     def test_out_of_range_pair_warns_and_flags_invalid(self):
         # the single-hop warning names the pair and its factor before the
@@ -309,7 +309,7 @@ class TestValidityGuards:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(InvalidCovarianceError):
-                joint_cov(make_stats("lbi"), descs, [sol])
+                joint_cov(descs, [sol])
         assert [w.category for w in caught] == [CovarianceValidityWarning]
         assert str(caught[0].message) == (
             "pair (BU, BU) outside the asymptotic validity region (Xi=-6.300e+01)")
@@ -319,5 +319,5 @@ class TestValidityGuards:
             stats, _, descs, sols = _an_setup(kind)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", CovarianceValidityWarning)
-                mat = joint_cov(stats, descs, sols)
+                mat = joint_cov(descs, sols)
             assert np.all(np.isfinite(mat))

@@ -1,6 +1,7 @@
 """Fixed-point systems, their deterministic means and rates, and the
 secrecy terms they are solved for."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,16 +11,16 @@ from irs_secrecy import fixedpoint
 from irs_secrecy.errors import ConvergenceError, ModelError
 from irs_secrecy.fixedpoint import (
     MiDescriptor,
+    solve_all,
     solve_ds,
     solve_lbi,
-    solve_user,
     transmit_spectrum,
 )
 from irs_secrecy.scenario import Spectrum
 from irs_secrecy.secrecy import secrecy_terms
 
-from conftest import (effective_transmit_corr, make_stats, rand_psd, spectrum_matrix,
-                      uniform_precoders)
+from conftest import (effective_transmit_corr, make_stats, rand_psd, solve_term,
+                      spectrum_matrix, uniform_precoders)
 
 
 class TestLowRankFixedPoint:
@@ -215,7 +216,7 @@ class TestDeterministicEquivalents:
         P_W, _ = uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0)
         vals = []
         for c in [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5]:
-            vals.append(solve_user(stats, "B", c * P_W).mean)
+            vals.append(solve_term(stats, "B", c * P_W).mean)
         diffs = np.array(vals) - floor
         assert np.all(diffs > 0)
         assert np.all(np.diff(diffs) < 0)
@@ -226,8 +227,8 @@ class TestDeterministicEquivalents:
         doubled = make_stats("double", sigma2_B=1.6)
         P_W, _ = uniform_precoders(base.M, 1.0)
         n = base.receiver("B").n
-        lo = solve_user(base, "B", P_W).mean
-        hi = solve_user(doubled, "B", P_W).mean
+        lo = solve_term(base, "B", P_W).mean
+        hi = solve_term(doubled, "B", P_W).mean
         assert lo <= hi <= lo + n * math.log(2.0) + 1e-9
 
     @pytest.mark.parametrize("kind", ["lbi", "double"])
@@ -237,7 +238,7 @@ class TestDeterministicEquivalents:
         stats = make_stats(kind, N_E=(2,))
         P_W, _ = uniform_precoders(stats.M, 1.0)
         for user in stats.users():
-            sol = solve_user(stats, user, P_W)
+            sol = solve_term(stats, user, P_W)
             n = stats.receiver(user).n
             assert sol.rate == sol.mean - n * math.log(stats.receiver(user).sigma2)
 
@@ -331,7 +332,7 @@ class TestZeroTransmitSpectrum:
         _, P_V = uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0)
         assert transmit_spectrum(stats, "B", P_V).lam.size == 0
         for user in stats.users():
-            sol = solve_user(stats, user, P_V)
+            sol = solve_term(stats, user, P_V)
             assert sol.alpha_bar == 0.0
             assert sol.rate == 0.0
 
@@ -344,9 +345,9 @@ class TestWarmStart:
         P = uniform_precoders(stats.M, 1.0)[0]
         moved = stats.with_theta(stats.theta + 0.05 * np.sin(np.arange(stats.L)))
         for user in stats.users():
-            before = solve_user(stats, user, P)
-            cold = solve_user(moved, user, P)
-            warm = solve_user(moved, user, P, start=before.point)
+            before = solve_term(stats, user, P)
+            cold = solve_term(moved, user, P)
+            warm = solve_term(moved, user, P, start=before.point)
             for got, want in zip(warm.point, cold.point):
                 assert abs(got - want) < fixedpoint.TOL
             assert warm.n_iter < cold.n_iter
@@ -355,7 +356,63 @@ class TestWarmStart:
         stats = make_stats("lbi")
         P = uniform_precoders(stats.M, 1.0)[0]
         with pytest.raises(ValueError, match="no start point"):
-            solve_user(stats, "B", P, start=(1.0, 1.0))
+            solve_all(stats, [MiDescriptor("B", "W")], {"W": P}, starts=[(1.0, 1.0)])
+
+
+class TestSolveAll:
+    """``solve_all`` solves a design's terms together, decomposing each input
+    that they share once, and gives the solutions one-term calls give."""
+
+    @staticmethod
+    def _an_terms(kind):
+        stats = make_stats(kind, N_E=(3, 2))
+        descs, precs, _ = secrecy_terms(stats, *uniform_precoders(stats.M, 2.0))
+        return stats, descs, precs
+
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    def test_joint_solves_match_one_term_solves(self, kind):
+        stats, descs, precs = self._an_terms(kind)
+        joint = solve_all(stats, descs, precs)
+        assert len(descs) == 6
+        for d, sol in zip(descs, joint):
+            alone = solve_all(stats, [d], precs)[0]
+            assert type(alone) is type(sol)
+            for f in dataclasses.fields(sol):
+                got, want = getattr(sol, f.name), getattr(alone, f.name)
+                if isinstance(got, Spectrum):
+                    assert np.array_equal(got.lam, want.lam)
+                    assert np.array_equal(got.vecs, want.vecs)
+                else:
+                    assert got == want, f.name  # every scalar, n_iter and residual
+            assert sol.mean == alone.mean
+
+    def test_double_hop_terms_share_their_decompositions(self, monkeypatch):
+        stats, descs, precs = self._an_terms("double")
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        sols = solve_all(stats, descs, precs)
+        # terms (BU, BV, E1U, E1V, E2U, E2V): one Gram per user, one T_eff per
+        # precoder, and no other decomposition
+        assert sorted(calls) == sorted([(stats.L, stats.L)] * 3 + [(stats.M, stats.M)] * 2)
+        for i in (0, 2, 4):
+            assert sols[i].s is sols[i + 1].s
+            assert sols[i].t is sols[0].t and sols[i + 1].t is sols[1].t
+        assert sols[0].s is not sols[2].s and sols[2].s is not sols[4].s
+        assert sols[0].t is not sols[1].t
+
+    def test_single_hop_transmit_spectra_are_per_term(self):
+        # the aperture differs per user, so no two terms share T_eff
+        stats, descs, precs = self._an_terms("lbi")
+        sols = solve_all(stats, descs, precs)
+        assert len({id(sol.t) for sol in sols}) == len(sols)
+
+    @pytest.mark.parametrize("starts", [[], [None], [None] * 3])
+    def test_starts_must_match_the_descriptors(self, starts):
+        stats = make_stats("double")
+        descs, precs, _ = secrecy_terms(stats, uniform_precoders(stats.M, 1.0)[0])
+        with pytest.raises(ModelError, match="start points for 2 descriptors"):
+            solve_all(stats, descs, precs, starts=starts)
 
 
 class TestEffectiveTransmitCorrelation:

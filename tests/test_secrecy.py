@@ -10,7 +10,6 @@ from scipy.special import ndtr
 
 from irs_secrecy import mcoracle
 from irs_secrecy.errors import InvalidCovarianceError, ModelError
-from irs_secrecy.fixedpoint import solve_user
 from irs_secrecy.scenario import build_channel_statistics, build_los_channel
 from irs_secrecy.secrecy import (
     LN2,
@@ -24,7 +23,7 @@ from irs_secrecy.secrecy import (
     sop_multi_eve,
 )
 
-from conftest import corr, make_stats, trial_rng, uniform_precoders
+from conftest import corr, make_stats, solve_term, trial_rng, uniform_precoders
 
 
 class TestNormCdf:
@@ -143,7 +142,7 @@ class TestReductions:
         gaps = []
         for z_e in [1.0, 1e2, 1e4, 1e6]:
             stats = make_stats("lbi", sigma2_E=z_e)
-            bob = solve_user(stats, "B", P_W).rate
+            bob = solve_term(stats, "B", P_W).rate
             gaps.append(bob - esr_wiretap(stats, P_W).mean_nats)
         gaps = np.array(gaps)
         assert np.all(gaps > 0.0)  # the eavesdropper always costs something
@@ -185,6 +184,20 @@ class TestEveSelection:
         P_W, _ = uniform_precoders(stats.M, 2.0)
         with pytest.raises(ModelError, match="eavesdropper tags must be distinct"):
             secrecy_terms(stats, P_W, eves=["E1", "E1"])
+
+
+class TestNonFinitePrecoder:
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", [0, 1], ids=["P_W", "P_V"])
+    def test_non_finite_precoder_entry_is_a_model_error(self, kind, value, which):
+        # without the check a NaN or inf gave a finite but meaningless mean
+        # on lbi and a raw LinAlgError on the double model
+        stats = make_stats(kind)
+        precoders = uniform_precoders(stats.M, 2.0)
+        precoders[which][0, 0] = value
+        with pytest.raises(ModelError, match="precoder has a non-finite entry"):
+            esr_an(stats, *precoders)
 
 
 class TestMultiEveModelConstruction:
