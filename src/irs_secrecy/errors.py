@@ -8,7 +8,8 @@ class ConfigError(ValueError):
     ``IRS_SECRECY_THREADS``) failed validation.
 
     The message always names the offending field, flag or variable, e.g.
-    ``dimensions.N_E: expected a list of length K_eves``.
+    ``dimensions.N_E: expected a non-empty list of length K_eves`` or
+    ``power.split_V: unknown key``.
     """
 
 

@@ -17,9 +17,12 @@ Two channel factorizations are supported:
 
 Every receiver k, the legitimate one ('B') and each eavesdropper ('E1',
 'E2', ...), has the same three things: a receive correlation R_k, a
-surface-side correlation T_{S,k} and a noise power sigma_k^2. One
-``Receiver`` record holds them; ``ChannelStatistics.receiver(tag)`` looks
-it up.
+surface-side correlation T_{S,k} and a noise power sigma_k^2. One record per
+receiver carries them from the scenario file to the statistics:
+``ScenarioConfig.receivers`` holds each receiver's correlation specs and path
+gain, ``build_channel_statistics`` takes one ``(R, T_S, sigma2)`` per
+receiver, and a ``Receiver`` holds the result, which
+``ChannelStatistics.receiver(tag)`` looks up.
 
 Entries of ``X_k`` are CN(0, 1/L) and entries of ``Y`` are CN(0, 1/M); these
 sampling conventions are load-bearing for every closed form downstream.
@@ -396,32 +399,28 @@ def _checked_corr(name: str, mat, n: Optional[int] = None) -> tuple:
 
 def build_channel_statistics(
     model_kind: str,
-    R_B: np.ndarray,
-    R_E_list: Sequence[np.ndarray],
-    T_S_B: np.ndarray,
-    T_S_E_list: Sequence[np.ndarray],
+    receivers: Sequence[tuple],
     T: np.ndarray,
     H_T0: np.ndarray,
     theta: np.ndarray,
-    sigma2_B: float,
-    sigma2_E_list: Sequence[float],
     R_S: Optional[np.ndarray] = None,
 ) -> ChannelStatistics:
     """Validate inputs, precompute square roots and freeze the statistics.
 
-    The lists give the eavesdroppers E1, E2, ... in order. Every correlation
-    matrix must be finite, square, PSD (see ``psd_eig``), Hermitian to
-    ``HERMITIAN_TOL`` and, except for a receive correlation, of its link's
-    dimension; every noise power finite and positive. A violation is a
-    ModelError naming the matrix (``R_E2``, ``T_S_B``, ...) or the receiver.
+    ``receivers`` gives one ``(R, T_S, sigma2)`` per receiver, the
+    legitimate one 'B' first, then the eavesdroppers E1, E2, ...: its receive
+    correlation (path gain folded in), its surface-side correlation and its
+    noise power. Every correlation matrix must be finite, square, PSD (see
+    ``psd_eig``), Hermitian to ``HERMITIAN_TOL`` and, except for a receive
+    correlation, of its link's dimension; every noise power finite and
+    positive. A violation is a ModelError naming the matrix (``R_E2``,
+    ``T_S_B``, ...) or the receiver.
     """
     if model_kind not in ("lbi", "double"):
         raise ConfigError(f"model.kind must be 'lbi' or 'double', got {model_kind!r}")
     if model_kind == "double" and R_S is None:
         raise ConfigError("the double-scattering model requires R_S")
-    if len(R_E_list) != len(T_S_E_list) or len(R_E_list) != len(sigma2_E_list):
-        raise ConfigError("R_E, T_S_E and sigma2_E lists must have equal length")
-    if len(R_E_list) < 1:
+    if len(receivers) < 2:
         raise ConfigError("at least one eavesdropper is required")
 
     L, M = H_T0.shape
@@ -429,19 +428,18 @@ def build_channel_statistics(
         raise ModelError("line-of-sight matrix entries must be unit modulus")
     theta = _checked_theta(theta, L)
 
-    receivers = {}
-    tags = ["B"] + [f"E{i + 1}" for i in range(len(R_E_list))]
-    for tag, R, T_S, sigma2 in zip(tags, [R_B, *R_E_list], [T_S_B, *T_S_E_list],
-                                   [sigma2_B, *sigma2_E_list]):
+    records = {}
+    for i, (R, T_S, sigma2) in enumerate(receivers):
+        tag = f"E{i}" if i else "B"
         R, r_sqrt, (lam, u) = _checked_corr(f"R_{tag}", R)
         T_S, ts_sqrt, _ = _checked_corr(f"T_S_{tag}", T_S, L)
         if not 0.0 < sigma2 < math.inf:
             raise ModelError(f"noise powers must be positive and finite, got "
                              f"{sigma2!r} for {tag}")
-        receivers[tag] = Receiver(Spectrum(lam, u, mat=R), r_sqrt, T_S, ts_sqrt, float(sigma2))
+        records[tag] = Receiver(Spectrum(lam, u, mat=R), r_sqrt, T_S, ts_sqrt, float(sigma2))
     T, T_sqrt, _ = _checked_corr("T", T, M)
     R_S, R_S_sqrt, _ = _checked_corr("R_S", R_S, L) if R_S is not None else (None, None, None)
-    return ChannelStatistics(model_kind=model_kind, receivers=receivers, T=T,
+    return ChannelStatistics(model_kind=model_kind, receivers=records, T=T,
                              H_T0=np.asarray(H_T0, dtype=complex), theta=theta,
                              R_S=R_S, T_sqrt=T_sqrt, R_S_sqrt=R_S_sqrt)
 
@@ -520,28 +518,37 @@ DBM_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
+class ReceiverConfig:
+    """One receiver's part of a scenario file: ``n`` receive antennas, the
+    specs of its receive and surface-side correlations ``R`` and ``T_S``
+    (None: identity), and ``gain``, its end-to-end path gain, which
+    multiplies R."""
+
+    n: int
+    R: Optional[CorrelationSpec]
+    T_S: Optional[CorrelationSpec]
+    gain: float
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Parsed and validated scenario configuration (see README for the full
-    key reference). Dimensions, model kind, correlation specs, path loss,
-    noise and power are exactly the file contents; derived linear quantities
-    are exposed as properties. ``an`` is the artificial-noise mode
-    (``power.an``, default: on exactly when ``split_v > 0``) and
-    ``sweep_P_dbm`` the transmit powers of a sweep (``sweep.P_dbm``)."""
+    key reference). ``receivers`` holds one ``ReceiverConfig`` per
+    receiver, the legitimate one first, then the eavesdroppers in file
+    order; ``T`` and ``R_S`` are the transmit-side and surface-scattering
+    specs (None: identity; ``R_S`` is None on the lbi model, which has no
+    such link). Model kind, noise and power are exactly the file contents;
+    derived linear quantities are exposed as properties. ``an`` is the
+    artificial-noise mode (``power.an``, default: on exactly when
+    ``split_v > 0``) and ``sweep_P_dbm`` the transmit powers of a sweep
+    (``sweep.P_dbm``)."""
 
     M: int
     L: int
-    N_B: int
-    N_E: tuple
-    K_eves: int
     model_kind: str
-    correlations: dict
-    C1: float
-    C2: float
-    alpha1: float
-    alpha2: float
-    d_bs_irs: float
-    d_irs_b: float
-    d_irs_e: tuple
+    receivers: tuple
+    T: Optional[CorrelationSpec]
+    R_S: Optional[CorrelationSpec]
     sigma2_dbm: float
     P_dbm: float
     split_w: float
@@ -569,9 +576,14 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
-def _object(value, field: str) -> dict:
+def _object(value, field: str, keys: tuple) -> dict:
+    """An object whose every key is one of ``keys``: a misspelt key is an
+    error, not a silently ignored one."""
     if not isinstance(value, dict):
         raise ConfigError(f"{field}: expected an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{field}.{key}: unknown key")
     return value
 
 
@@ -627,9 +639,11 @@ def _corr_entry(entry, n: int, path: str) -> Optional[CorrelationSpec]:
         raise ConfigError(f"{path}: expected an object or null")
     kind = entry.get("kind", "gaussian")
     if kind == "identity":
+        _object(entry, path, ("kind",))
         return None
     if kind != "gaussian":
         raise ConfigError(f"{path}.kind: expected 'gaussian' or 'identity', got {kind!r}")
+    _object(entry, path, ("kind", "d_r", "eta", "delta"))
     d_r, eta, delta = (_real(_require(entry, name, path), f"{path}.{name}")
                        for name in ("d_r", "eta", "delta"))
     try:
@@ -661,14 +675,21 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
-    dims = _object(_require(raw, "dimensions", "config"), "dimensions")
-    model = _object(_require(raw, "model", "config"), "model")
-    corr = _object(_require(raw, "correlations", "config"), "correlations")
-    ploss = _object(_require(raw, "pathloss", "config"), "pathloss")
-    noise = _object(_require(raw, "noise", "config"), "noise")
-    power = _object(_require(raw, "power", "config"), "power")
-    theta = _object(raw.get("theta", {}), "theta")
-    sweep = _object(raw.get("sweep", {}), "sweep")
+    """Validate the contents of a scenario file (see ``load_config``)."""
+    raw = _object(raw, "config", ("dimensions", "model", "correlations", "pathloss",
+                                  "noise", "power", "theta", "sweep"))
+    dims = _object(_require(raw, "dimensions", "config"), "dimensions",
+                   ("M", "L", "N_B", "N_E", "K_eves"))
+    model = _object(_require(raw, "model", "config"), "model", ("kind",))
+    corr = _object(_require(raw, "correlations", "config"), "correlations",
+                   ("R_B", "T_S_B", "T", "R_E", "T_S_E", "R_S"))
+    ploss = _object(_require(raw, "pathloss", "config"), "pathloss",
+                    ("C1", "C2", "alpha1", "alpha2", "d_bs_irs", "d_irs_b", "d_irs_e"))
+    noise = _object(_require(raw, "noise", "config"), "noise", ("sigma2_dbm",))
+    power = _object(_require(raw, "power", "config"), "power",
+                    ("P_dbm", "split_w", "split_v", "an"))
+    theta = _object(raw.get("theta", {}), "theta", ("init", "file"))
+    sweep = _object(raw.get("sweep", {}), "sweep", ("P_dbm",))
 
     M = _count(_require(dims, "M", "dimensions"), "dimensions.M")
     L = _count(_require(dims, "L", "dimensions"), "dimensions.L")
@@ -683,21 +704,16 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if kind not in ("lbi", "double"):
         raise ConfigError(f"model.kind: expected 'lbi' or 'double', got {kind!r}")
 
-    parsed_corr = {
-        "R_B": _corr_entry(corr.get("R_B"), N_B, "correlations.R_B"),
-        "T_S_B": _corr_entry(corr.get("T_S_B"), L, "correlations.T_S_B"),
-        "T": _corr_entry(corr.get("T"), M, "correlations.T"),
-    }
+    # receive and surface-side specs, the legitimate receiver first
+    R = [_corr_entry(corr.get("R_B"), N_B, "correlations.R_B")]
+    T_S = [_corr_entry(corr.get("T_S_B"), L, "correlations.T_S_B")]
+    T = _corr_entry(corr.get("T"), M, "correlations.T")
     r_e_raw = _list(corr.get("R_E"), "correlations.R_E", K)
     ts_e_raw = _list(corr.get("T_S_E"), "correlations.T_S_E", K)
-    parsed_corr["R_E"] = tuple(
-        _corr_entry(e, n, f"correlations.R_E[{i}]") for i, (e, n) in enumerate(zip(r_e_raw, N_E))
-    )
-    parsed_corr["T_S_E"] = tuple(
-        _corr_entry(e, L, f"correlations.T_S_E[{i}]") for i, e in enumerate(ts_e_raw)
-    )
-    if kind == "double":
-        parsed_corr["R_S"] = _corr_entry(corr.get("R_S"), L, "correlations.R_S")
+    R += [_corr_entry(e, n, f"correlations.R_E[{i}]")
+          for i, (e, n) in enumerate(zip(r_e_raw, N_E))]
+    T_S += [_corr_entry(e, L, f"correlations.T_S_E[{i}]") for i, e in enumerate(ts_e_raw)]
+    R_S = _corr_entry(corr.get("R_S"), L, "correlations.R_S") if kind == "double" else None
 
     d_irs_e = _list(_require(ploss, "d_irs_e", "pathloss"), "pathloss.d_irs_e", K)
 
@@ -718,59 +734,46 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if init == "file" and not (isinstance(theta_file, str) and theta_file):
         raise ConfigError("theta.file: a file path is required when theta.init is 'file'")
 
-    config = ScenarioConfig(
-        M=M,
-        L=L,
-        N_B=N_B,
-        N_E=N_E,
-        K_eves=K,
-        model_kind=kind,
-        correlations=parsed_corr,
-        C1=_positive(_require(ploss, "C1", "pathloss"), "pathloss.C1"),
-        C2=_positive(_require(ploss, "C2", "pathloss"), "pathloss.C2"),
-        alpha1=_real(_require(ploss, "alpha1", "pathloss"), "pathloss.alpha1"),
-        alpha2=_real(_require(ploss, "alpha2", "pathloss"), "pathloss.alpha2"),
-        d_bs_irs=_positive(_require(ploss, "d_bs_irs", "pathloss"), "pathloss.d_bs_irs"),
-        d_irs_b=_positive(_require(ploss, "d_irs_b", "pathloss"), "pathloss.d_irs_b"),
-        d_irs_e=tuple(_positive(d, f"pathloss.d_irs_e[{i}]") for i, d in enumerate(d_irs_e)),
-        sigma2_dbm=_dbm(_require(noise, "sigma2_dbm", "noise"), "noise.sigma2_dbm"),
-        P_dbm=_dbm(_require(power, "P_dbm", "power"), "power.P_dbm"),
-        split_w=split_w,
-        split_v=split_v,
-        an=an,
-        theta_init=init,
-        sweep_P_dbm=tuple(_dbm(p, f"sweep.P_dbm[{i}]") for i, p in enumerate(
-            _list(sweep.get("P_dbm", list(DEFAULT_SWEEP_P_DBM)), "sweep.P_dbm"))),
-        theta_file=theta_file,
-    )
-    _path_gains(config)
-    return config
+    C1, C2 = (_positive(_require(ploss, k, "pathloss"), f"pathloss.{k}") for k in ("C1", "C2"))
+    alpha1, alpha2 = (_real(_require(ploss, k, "pathloss"), f"pathloss.{k}")
+                      for k in ("alpha1", "alpha2"))
+    d_bs_irs = _positive(_require(ploss, "d_bs_irs", "pathloss"), "pathloss.d_bs_irs")
+    distances = [("d_irs_b", _require(ploss, "d_irs_b", "pathloss"))] + [
+        (f"d_irs_e[{i}]", d) for i, d in enumerate(d_irs_e)]
+    distances = [(field, _positive(d, f"pathloss.{field}")) for field, d in distances]
+    sigma2_dbm = _dbm(_require(noise, "sigma2_dbm", "noise"), "noise.sigma2_dbm")
+    P_dbm = _dbm(_require(power, "P_dbm", "power"), "power.P_dbm")
+    sweep_P_dbm = tuple(_dbm(p, f"sweep.P_dbm[{i}]") for i, p in enumerate(
+        _list(sweep.get("P_dbm", list(DEFAULT_SWEEP_P_DBM)), "sweep.P_dbm")))
+
+    # end-to-end path gains: the BS-IRS hop gain times each receiver's IRS hop gain
+    hop1 = ("C1", "alpha1", "d_bs_irs")
+    g_bs_irs = _gain(lambda: path_loss(C1, d_bs_irs, alpha1), *hop1)
+    receivers = []
+    for n, r, ts, (field, d) in zip((N_B, *N_E), R, T_S, distances):
+        g = _gain(lambda: path_loss(C2, d, alpha2), "C2", "alpha2", field)
+        gain = _gain(lambda: g_bs_irs * g, *hop1, "C2", "alpha2", field)
+        receivers.append(ReceiverConfig(n=n, R=r, T_S=ts, gain=gain))
+
+    return ScenarioConfig(
+        M=M, L=L, model_kind=kind, receivers=tuple(receivers), T=T, R_S=R_S,
+        sigma2_dbm=sigma2_dbm, P_dbm=P_dbm, split_w=split_w, split_v=split_v, an=an,
+        theta_init=init, sweep_P_dbm=sweep_P_dbm, theta_file=theta_file)
 
 
-def _path_gains(config: ScenarioConfig) -> tuple:
-    """End-to-end path gains (g_B, [g_E1, ...]): the BS-IRS hop gain times
-    each user's IRS hop gain. A hop or end-to-end gain that is not a finite
-    positive float is a ConfigError naming the pathloss fields it uses."""
-
-    def checked(gain, *fields) -> float:
-        try:
-            g = gain()
-        except (OverflowError, ZeroDivisionError):
-            g = math.nan
-        if not 0.0 < g < math.inf:
-            kind = "hop" if len(fields) == 3 else "end-to-end"
-            raise ConfigError(f"pathloss.{', pathloss.'.join(fields)}: {kind} path gain "
-                              "is not a finite positive number")
-        return g
-
-    c, hop1 = config, ("C1", "alpha1", "d_bs_irs")
-    g_bs_irs = checked(lambda: path_loss(c.C1, c.d_bs_irs, c.alpha1), *hop1)
-    gains = []
-    for field, d in [("d_irs_b", c.d_irs_b)] + [
-            (f"d_irs_e[{i}]", d) for i, d in enumerate(c.d_irs_e)]:
-        g = checked(lambda: path_loss(c.C2, d, c.alpha2), "C2", "alpha2", field)
-        gains.append(checked(lambda: g_bs_irs * g, *hop1, "C2", "alpha2", field))
-    return gains[0], gains[1:]
+def _gain(gain: Callable[[], float], *fields) -> float:
+    """``gain()`` when it is a finite positive float; otherwise a
+    ConfigError naming the pathloss fields it uses (three for a hop gain,
+    six for an end-to-end one)."""
+    try:
+        g = gain()
+    except (OverflowError, ZeroDivisionError):
+        g = math.nan
+    if not 0.0 < g < math.inf:
+        kind = "hop" if len(fields) == 3 else "end-to-end"
+        raise ConfigError(f"pathloss.{', pathloss.'.join(fields)}: {kind} path gain "
+                          "is not a finite positive number")
+    return g
 
 
 @dataclass(frozen=True)
@@ -799,10 +802,10 @@ class Scenario:
 def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenario:
     """Assemble channel statistics from a validated configuration.
 
-    Path gains (two multiplicative distance terms) are folded into the
-    receive-side correlations. ``seed`` feeds the 'uniform' theta init only.
-    Each distinct correlation spec is built once; entries with equal specs
-    share one array, which nothing downstream writes to.
+    Each receiver's path gain multiplies its receive correlation, and every
+    receiver has the configured noise power. ``seed`` feeds the 'uniform'
+    theta init only. Each distinct correlation spec is built once; entries
+    with equal specs share one array, which nothing downstream writes to.
     """
     built = {}
 
@@ -812,15 +815,6 @@ def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenar
         if spec not in built:
             built[spec] = build_correlation_matrix(spec)
         return built[spec]
-
-    corr = config.correlations
-    g_b, g_e = _path_gains(config)
-    R_B = g_b * built_corr(corr["R_B"], config.N_B)
-    T_S_B = built_corr(corr["T_S_B"], config.L)
-    T = built_corr(corr["T"], config.M)
-    R_E = [g * built_corr(c, n) for g, c, n in zip(g_e, corr["R_E"], config.N_E)]
-    T_S_E = [built_corr(c, config.L) for c in corr["T_S_E"]]
-    R_S = built_corr(corr["R_S"], config.L) if config.model_kind == "double" else None
 
     if config.theta_init == "zeros":
         theta = np.zeros(config.L)
@@ -838,9 +832,10 @@ def build_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> Scenar
             raise ConfigError(f"theta.file: expected {config.L} finite phases, "
                               f"got shape {theta.shape}")
 
+    receivers = [(rx.gain * built_corr(rx.R, rx.n), built_corr(rx.T_S, config.L),
+                  config.sigma2_watts) for rx in config.receivers]
     stats = build_channel_statistics(
-        model_kind=config.model_kind, R_B=R_B, R_E_list=R_E, T_S_B=T_S_B,
-        T_S_E_list=T_S_E, T=T, H_T0=build_los_channel(config.M, config.L), theta=theta,
-        sigma2_B=config.sigma2_watts, sigma2_E_list=[config.sigma2_watts] * config.K_eves,
-        R_S=R_S)
+        config.model_kind, receivers, built_corr(config.T, config.M),
+        build_los_channel(config.M, config.L), theta,
+        built_corr(config.R_S, config.L) if config.model_kind == "double" else None)
     return Scenario(stats=stats, config=config)

@@ -65,23 +65,19 @@ def make_stats(
     """O(1)-scale statistics with moderate correlation and random phases."""
     rng = np.random.default_rng(seed)
     eye_ts = np.eye(L, dtype=complex)
-    stats = build_channel_statistics(
+    receivers = [(2.0 * corr(10.0, 20.0, N_B, d_r=0.3),
+                  eye_ts if identity_ts else corr(35.0, 14.0, L, d_r=0.4), sigma2_B)]
+    receivers += [(1.5 * corr(-25.0 + 7 * k, 15.0, n, d_r=0.3),
+                   eye_ts if identity_ts else corr(-50.0 + 5 * k, 11.0, L, d_r=0.4),
+                   sigma2_E + 0.15 * k) for k, n in enumerate(N_E)]
+    return build_channel_statistics(
         model_kind=kind,
-        R_B=2.0 * corr(10.0, 20.0, N_B, d_r=0.3),
-        R_E_list=[1.5 * corr(-25.0 + 7 * k, 15.0, n, d_r=0.3) for k, n in enumerate(N_E)],
-        T_S_B=eye_ts if identity_ts else corr(35.0, 14.0, L, d_r=0.4),
-        T_S_E_list=[
-            eye_ts if identity_ts else corr(-50.0 + 5 * k, 11.0, L, d_r=0.4)
-            for k in range(len(N_E))
-        ],
+        receivers=receivers,
         T=corr(5.0, 25.0, M, d_r=0.35),
         H_T0=build_los_channel(M, L),
         theta=rng.uniform(0.0, 2.0 * np.pi, L),
-        sigma2_B=sigma2_B,
-        sigma2_E_list=[sigma2_E + 0.15 * k for k in range(len(N_E))],
         R_S=corr(0.0, 30.0, L, d_r=0.3) if kind == "double" else None,
     )
-    return stats
 
 
 def experiment_stats(
@@ -98,17 +94,15 @@ def experiment_stats(
     g_b = g_bs * path_loss(REF_LOSS_2, 30.0, 3.67)
     g_e = [g_bs * path_loss(REF_LOSS_2, d, 3.67) for d in d_irs_e]
     theta = np.random.default_rng(theta_seed).uniform(0.0, 2.0 * np.pi, L)
+    receivers = [(g_b * corr(0.0, 5.0, N_B), corr(5.0, 8.0, L), NOISE_WATTS)]
+    receivers += [(g * corr(60.0 - 10 * k, 5.0, n), corr(10.0 + 5 * k, 8.0, L), NOISE_WATTS)
+                  for k, (g, n) in enumerate(zip(g_e, N_E))]
     return build_channel_statistics(
         model_kind=kind,
-        R_B=g_b * corr(0.0, 5.0, N_B),
-        R_E_list=[g * corr(60.0 - 10 * k, 5.0, n) for k, (g, n) in enumerate(zip(g_e, N_E))],
-        T_S_B=corr(5.0, 8.0, L),
-        T_S_E_list=[corr(10.0 + 5 * k, 8.0, L) for k in range(len(N_E))],
+        receivers=receivers,
         T=np.eye(M, dtype=complex),
         H_T0=build_los_channel(M, L),
         theta=theta,
-        sigma2_B=NOISE_WATTS,
-        sigma2_E_list=[NOISE_WATTS] * len(N_E),
         R_S=corr(5.0, 8.0, L) if kind == "double" else None,
     )
 

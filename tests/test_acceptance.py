@@ -382,10 +382,9 @@ class TestReductionIdentities:
         R = 2.0 * corr(10.0, 20.0, N, 0.3)
         T_S = corr(35.0, 14.0, L, 0.4)
         stats = build_channel_statistics(
-            model_kind="lbi", R_B=R, R_E_list=[R], T_S_B=T_S,
-            T_S_E_list=[T_S], T=corr(5.0, 25.0, M, 0.35),
-            H_T0=build_los_channel(M, L), theta=np.linspace(0.0, 1.0, L),
-            sigma2_B=0.9, sigma2_E_list=[0.9],
+            model_kind="lbi", receivers=[(R, T_S, 0.9), (R, T_S, 0.9)],
+            T=corr(5.0, 25.0, M, 0.35), H_T0=build_los_channel(M, L),
+            theta=np.linspace(0.0, 1.0, L),
         )
         P_W, _ = uniform_precoders(M, 2.0)
         rep = esr_wiretap(stats, P_W)

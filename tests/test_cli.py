@@ -133,6 +133,12 @@ class TestSopCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_empty_grid_is_a_config_error(self, write_config, tmp_path, capsys):
+        code = main(["sop", "--config", write_config(config_dict()),
+                     "--out", str(tmp_path / "o"), "--r-steps", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --r-steps: ")
+
 
 class TestMcValidateCommand:
     @pytest.mark.parametrize("kind", ["lbi", "double"])
@@ -409,6 +415,23 @@ _MALFORMED = [
     # a subnormal BS-IRS hop gain whose product with the IRS-B hop is 0.0
     (("pathloss", "C1"), 1e-320, "pathloss.C1, pathloss.alpha1, pathloss.d_bs_irs, "
      "pathloss.C2, pathloss.alpha2, pathloss.d_irs_b: end-to-end"),
+    (("theta",), {"init": "spiral"}, "theta.init"),
+    (("theta",), {"init": "file"}, "theta.file"),
+    (("power", "an"), "yes", "power.an"),
+    # a misspelt key would otherwise leave its default in force
+    (("correlations", "T_SB"), {"kind": "gaussian", "d_r": 1.0, "eta": 5.0, "delta": 8.0},
+     "correlations.T_SB: unknown key"),
+    (("power", "split_V"), 0.1, "power.split_V: unknown key"),
+    (("power", "Pdbm"), 30.0, "power.Pdbm: unknown key"),
+    (("thetas",), {"init": "uniform"}, "config.thetas: unknown key"),
+    (("dimensions", "K"), 1, "dimensions.K: unknown key"),
+    (("model", "type"), "lbi", "model.type: unknown key"),
+    (("pathloss", "d_irs_E"), [40.0], "pathloss.d_irs_E: unknown key"),
+    (("noise", "sigma2"), -94.0, "noise.sigma2: unknown key"),
+    (("theta", "seed"), 3, "theta.seed: unknown key"),
+    (("sweep",), {"P_dBm": [30.0]}, "sweep.P_dBm: unknown key"),
+    (("correlations", "R_B", "spread"), 5.0, "correlations.R_B.spread: unknown key"),
+    (("correlations", "T"), {"kind": "identity", "eta": 0.0}, "correlations.T.eta: unknown key"),
 ]
 
 
@@ -419,6 +442,14 @@ class TestFailureModes:
         code = main(["esr", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_top_level_non_object_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1]")
+        code = main(["esr", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {bad}: top level must be an object")
 
     def test_missing_file_is_a_config_error(self, tmp_path, capsys):
         code = main(["esr", "--config", str(tmp_path / "nope.json"),

@@ -355,10 +355,10 @@ class TestChannelMoments:
         L, M, N = 6, 4, 3
         stats = build_channel_statistics(
             model_kind="lbi",
-            R_B=np.zeros((N, N)), R_E_list=[1.5 * corr(-25.0, 15.0, N, 0.3)],
-            T_S_B=corr(35.0, 14.0, L, 0.4), T_S_E_list=[corr(-50.0, 11.0, L, 0.4)],
+            receivers=[(np.zeros((N, N)), corr(35.0, 14.0, L, 0.4), 0.8),
+                       (1.5 * corr(-25.0, 15.0, N, 0.3), corr(-50.0, 11.0, L, 0.4), 1.1)],
             T=corr(5.0, 25.0, M, 0.35), H_T0=build_los_channel(M, L),
-            theta=np.zeros(L), sigma2_B=0.8, sigma2_E_list=[1.1],
+            theta=np.zeros(L),
         )
         P_W, _ = uniform_precoders(M, 2.0, split_w=1.0, split_v=0.0)
         descs, precs, _ = secrecy_terms(stats, P_W, eves=[])

@@ -30,7 +30,15 @@ from irs_secrecy.scenario import (
 
 from irs_secrecy.secrecy import esr_wiretap, secrecy_terms
 
-from conftest import complex_gaussian, config_dict, corr, make_stats, trial_rng
+from conftest import (
+    REF_LOSS_1,
+    REF_LOSS_2,
+    complex_gaussian,
+    config_dict,
+    corr,
+    make_stats,
+    trial_rng,
+)
 
 
 class TestCorrelationMatrix:
@@ -202,15 +210,16 @@ class TestChannelStatistics:
         cfg = parse_config(config_dict(L=8, N_B=2, N_E=(3, 2)))
         stats = build_scenario(cfg).stats
         assert list(stats.receivers) == stats.users() == ["B", "E1", "E2"]
-        hop = path_loss(cfg.C1, cfg.d_bs_irs, cfg.alpha1)
+        hop = path_loss(REF_LOSS_1, 20.0, 2.2)
         expected = {  # tag: (path gain, R, T_S)
-            "B": (hop * path_loss(cfg.C2, cfg.d_irs_b, cfg.alpha2),
+            "B": (hop * path_loss(REF_LOSS_2, 30.0, 3.67),
                   corr(0.0, 5.0, 2), corr(5.0, 8.0, 8)),
-            "E1": (hop * path_loss(cfg.C2, cfg.d_irs_e[0], cfg.alpha2),
+            "E1": (hop * path_loss(REF_LOSS_2, 40.0, 3.67),
                    corr(60.0, 5.0, 3), corr(10.0, 8.0, 8)),
-            "E2": (hop * path_loss(cfg.C2, cfg.d_irs_e[1], cfg.alpha2),
+            "E2": (hop * path_loss(REF_LOSS_2, 35.0, 3.67),
                    corr(50.0, 5.0, 2), corr(15.0, 8.0, 8)),
         }
+        assert [rx.gain for rx in cfg.receivers] == [g for g, _, _ in expected.values()]
         for tag, (gain, R, T_S) in expected.items():
             rx = stats.receiver(tag)
             assert rx is stats.receivers[tag] and rx.n == R.shape[0]
@@ -260,29 +269,15 @@ class TestChannelStatistics:
 
     def test_double_requires_r_s(self):
         with pytest.raises(ConfigError):
-            build_channel_statistics(
-                model_kind="double",
-                R_B=np.eye(2, dtype=complex),
-                R_E_list=[np.eye(2, dtype=complex)],
-                T_S_B=np.eye(3, dtype=complex),
-                T_S_E_list=[np.eye(3, dtype=complex)],
-                T=np.eye(2, dtype=complex),
-                H_T0=build_los_channel(2, 3),
-                theta=np.zeros(3),
-                sigma2_B=1.0,
-                sigma2_E_list=[1.0],
-                R_S=None,
-            )
+            build_channel_statistics(**{**_small_inputs(), "R_S": None})
 
 
 def _small_inputs(model_kind: str = "double") -> dict:
     """Keyword inputs of ``build_channel_statistics`` with K = 2, identity
     correlations (L = 3, N = 2, M = 2) and unit noise powers."""
     eye = lambda n: np.eye(n, dtype=complex)
-    return dict(model_kind=model_kind, R_B=eye(2), R_E_list=[eye(2), eye(2)],
-                T_S_B=eye(3), T_S_E_list=[eye(3), eye(3)], T=eye(2),
-                H_T0=build_los_channel(2, 3), theta=np.zeros(3),
-                sigma2_B=1.0, sigma2_E_list=[1.0, 1.0], R_S=eye(3))
+    return dict(model_kind=model_kind, receivers=[[eye(2), eye(3), 1.0] for _ in range(3)],
+                T=eye(2), H_T0=build_los_channel(2, 3), theta=np.zeros(3), R_S=eye(3))
 
 
 class TestNonFiniteInputs:
@@ -298,7 +293,10 @@ class TestNonFiniteInputs:
     ])
     def test_non_finite_entry_is_named(self, name, key, index, bad):
         inputs = _small_inputs()
-        target = inputs[key] if index is None else inputs[key][index]
+        (R_B, T_S_B, _), *eves = inputs["receivers"]
+        arrays = {**inputs, "R_B": R_B, "T_S_B": T_S_B,
+                  "R_E_list": [e[0] for e in eves], "T_S_E_list": [e[1] for e in eves]}
+        target = arrays[key] if index is None else arrays[key][index]
         target.flat[0] = bad
         with pytest.raises(ModelError, match=f"^{name} has a non-finite entry"):
             build_channel_statistics(**inputs)
@@ -306,7 +304,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_noise_power_names_the_receiver(self, bad):
         inputs = _small_inputs("lbi")
-        inputs["sigma2_E_list"][1] = bad
+        inputs["receivers"][2][2] = bad
         with pytest.raises(ModelError, match="^noise powers must be positive.* for E2$"):
             build_channel_statistics(**inputs)
 
@@ -423,9 +421,7 @@ class TestBuildScenario:
     def test_pathloss_folded_into_receive_correlations(self):
         cfg = parse_config(config_dict(M=4, L=8, N_B=2))
         scenario = build_scenario(cfg)
-        g_b = path_loss(cfg.C1, cfg.d_bs_irs, cfg.alpha1) * path_loss(
-            cfg.C2, cfg.d_irs_b, cfg.alpha2
-        )
+        g_b = path_loss(REF_LOSS_1, 20.0, 2.2) * path_loss(REF_LOSS_2, 30.0, 3.67)
         expected = g_b * corr(0.0, 5.0, 2)
         assert np.allclose(scenario.stats.receiver("B").r.mat, expected, atol=1e-15)
 
@@ -446,7 +442,7 @@ class TestBuildScenario:
 
         monkeypatch.setattr(scenario_module, "build_correlation_matrix", counting)
         cfg = parse_config(config_dict(kind="double", N_E=(2, 2)))
-        assert cfg.correlations["T_S_B"] == cfg.correlations["R_S"]
+        assert cfg.receivers[0].T_S == cfg.R_S
         stats = build_scenario(cfg).stats
         assert len(specs) == len(set(specs)) == 6  # 7 entries; R_S is T_S_B's spec
         assert stats.receiver("B").ts is stats.R_S
