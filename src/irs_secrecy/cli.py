@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -89,18 +90,11 @@ def _threshold_grid(args) -> np.ndarray:
 
 def _cmd_esr(args, scenario: Scenario) -> int:
     stats = scenario.stats
-    P_W, P_V = scenario.precoders()
-    eves = {}
-    worst = None
-    for tag in stats.users()[1:]:
-        rep = esr_an(stats, P_W, P_V, eve=tag)
-        eves[tag] = {
-            "esr_nats": float(rep.esr_nats),
-            "esr_bits": float(rep.esr_bits),
-            "mean_nats": float(rep.mean_nats),
-            "variance": float(rep.variance),
-        }
-        worst = rep if worst is None or rep.esr_nats < worst.esr_nats else worst
+    model = build_multi_eve_model(stats, *scenario.precoders())
+    reports = [model.report(k) for k in range(model.n_eves)]
+    # each entry holds the report's fields: esr_nats, esr_bits, mean_nats, variance
+    eves = {tag: asdict(rep) for tag, rep in zip(stats.users()[1:], reports)}
+    worst = min(reports, key=lambda rep: rep.esr_nats)  # the first minimum
     out = {
         "an": scenario.config.an,
         "model_kind": stats.model_kind,

@@ -44,5 +44,7 @@ class DegenerateRegimeError(RuntimeError):
 
 
 class CovarianceValidityWarning(UserWarning):
-    """Emitted when a determinant-like factor leaves (0, 1]; results carry
-    a validity flag so parameter sweeps can skip the regime."""
+    """Emitted when a determinant-like factor of a covariance entry leaves
+    (0, 1], the asymptotic formula's validity region. The message names the
+    pair of terms and every factor of its entry with its value; a factor
+    <= 0 then raises InvalidCovarianceError."""

@@ -414,14 +414,16 @@ def build_channel_statistics(
     ``psd_eig``), Hermitian to ``HERMITIAN_TOL`` and, except for a receive
     correlation, of its link's dimension; every noise power finite and
     positive. A violation is a ModelError naming the matrix (``R_E2``,
-    ``T_S_B``, ...) or the receiver.
+    ``T_S_B``, ...) or the receiver, and so is a ``model_kind`` other than
+    'lbi' or 'double', a double model without ``R_S`` or a list of fewer
+    than two receivers.
     """
     if model_kind not in ("lbi", "double"):
-        raise ConfigError(f"model.kind must be 'lbi' or 'double', got {model_kind!r}")
+        raise ModelError(f"model_kind must be 'lbi' or 'double', got {model_kind!r}")
     if model_kind == "double" and R_S is None:
-        raise ConfigError("the double-scattering model requires R_S")
+        raise ModelError("the double-scattering model requires R_S")
     if len(receivers) < 2:
-        raise ConfigError("at least one eavesdropper is required")
+        raise ModelError("at least one eavesdropper is required")
 
     L, M = H_T0.shape
     if not np.allclose(np.abs(H_T0), 1.0, atol=1e-9):
@@ -713,7 +715,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     R += [_corr_entry(e, n, f"correlations.R_E[{i}]")
           for i, (e, n) in enumerate(zip(r_e_raw, N_E))]
     T_S += [_corr_entry(e, L, f"correlations.T_S_E[{i}]") for i, e in enumerate(ts_e_raw)]
-    R_S = _corr_entry(corr.get("R_S"), L, "correlations.R_S") if kind == "double" else None
+    R_S = _corr_entry(corr.get("R_S"), L, "correlations.R_S")  # validated, and unused, on lbi
 
     d_irs_e = _list(_require(ploss, "d_irs_e", "pathloss"), "pathloss.d_irs_e", K)
 
@@ -731,6 +733,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if init not in ("zeros", "uniform", "file"):
         raise ConfigError(f"theta.init: expected 'zeros', 'uniform' or 'file', got {init!r}")
     theta_file = theta.get("file")
+    if init != "file" and "file" in theta:
+        raise ConfigError(f"theta.file: read only with theta.init 'file', got init {init!r}")
     if init == "file" and not (isinstance(theta_file, str) and theta_file):
         raise ConfigError("theta.file: a file path is required when theta.init is 'file'")
 
@@ -756,7 +760,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         receivers.append(ReceiverConfig(n=n, R=r, T_S=ts, gain=gain))
 
     return ScenarioConfig(
-        M=M, L=L, model_kind=kind, receivers=tuple(receivers), T=T, R_S=R_S,
+        M=M, L=L, model_kind=kind, receivers=tuple(receivers), T=T,
+        R_S=R_S if kind == "double" else None,
         sigma2_dbm=sigma2_dbm, P_dbm=P_dbm, split_w=split_w, split_v=split_v, an=an,
         theta_init=init, sweep_P_dbm=sweep_P_dbm, theta_file=theta_file)
 

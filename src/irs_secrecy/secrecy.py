@@ -8,9 +8,10 @@ eavesdropper rate; with artificial noise the four-term combination
     [I_B(P_U) - I_B(P_V)] - [I_E(P_U) - I_E(P_V)],   P_U = P_W + P_V,
 
 is used instead. Outage probabilities follow from the Gaussian fluctuation
-approximation: P(secrecy rate < R) ~ Phi((R - mean) / sqrt(V)) with the
-variance assembled from the joint fluctuation covariance of the per-term
-mutual informations.
+approximation: P(secrecy rate < R) ~ Phi((R - mean) / sqrt(V)). One
+function, ``build_multi_eve_model``, turns a design into the means and the
+covariance of the secrecy rates against its eavesdroppers; every report reads
+its model, a single-eavesdropper ``SecrecyReport`` as one row.
 """
 
 from __future__ import annotations
@@ -112,39 +113,6 @@ def secrecy_terms(stats: ChannelStatistics, P_W: np.ndarray,
     return descriptors, {"W": P_W, "V": P_V, "U": P_W + P_V}, selectors
 
 
-def _rates_and_cov(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
-                   precoders: Dict[str, np.ndarray]):
-    """Per-term mean rates and their joint fluctuation covariance."""
-    sols = solve_all(stats, descriptors, precoders)
-    return np.array([s.rate for s in sols]), joint_cov(descriptors, sols)
-
-
-def _report(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
-            eve: Optional[str]) -> SecrecyReport:
-    descriptors, precoders, selectors = secrecy_terms(
-        stats, P_W, P_V, eves=["E1" if eve is None else eve])
-    u = selectors[0]
-    rates, cov = _rates_and_cov(stats, descriptors, precoders)
-    mean_nats = float(u @ rates)
-    variance = float(u @ cov @ u)
-    esr_nats = max(0.0, mean_nats)
-    return SecrecyReport(esr_nats=esr_nats, esr_bits=esr_nats / LN2, mean_nats=mean_nats,
-                         variance=variance)
-
-
-def esr_wiretap(stats: ChannelStatistics, P_W: np.ndarray,
-                eve: Optional[str] = None) -> SecrecyReport:
-    """Ergodic secrecy rate of the plain wiretap system (one eavesdropper)."""
-    return _report(stats, P_W, None, eve)
-
-
-def esr_an(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
-           eve: Optional[str] = None) -> SecrecyReport:
-    """Ergodic secrecy rate with artificial noise of covariance P_V; with
-    P_V None this is ``esr_wiretap``."""
-    return _report(stats, P_W, P_V, eve)
-
-
 @dataclass(frozen=True)
 class MultiEveModel:
     """Joint Gaussian description of the per-eavesdropper secrecy rates.
@@ -160,20 +128,49 @@ class MultiEveModel:
     def n_eves(self) -> int:
         return self.mu.shape[0]
 
+    def report(self, k: int) -> SecrecyReport:
+        """Row ``k`` as a single-eavesdropper report."""
+        mean_nats = float(self.mu[k])
+        esr_nats = max(0.0, mean_nats)
+        return SecrecyReport(esr_nats=esr_nats, esr_bits=esr_nats / LN2,
+                             mean_nats=mean_nats, variance=float(self.Q[k, k]))
+
 
 def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
-                          P_V: Optional[np.ndarray] = None) -> MultiEveModel:
-    """Assemble the joint normal model over all eavesdroppers' secrecy rates.
-
-    With P_V given the artificial-noise combination is used per Eve;
-    otherwise the plain wiretap difference.
+                          P_V: Optional[np.ndarray] = None,
+                          eves: Optional[Sequence[str]] = None) -> MultiEveModel:
+    """Joint normal model of the secrecy rates against ``eves`` (default:
+    every eavesdropper), row k against ``eves[k]``: one ``solve_all`` and one
+    ``joint_cov`` of the ``secrecy_terms`` (with P_V the artificial-noise
+    combination, otherwise the plain wiretap difference). Row k is, bit for
+    bit, row 0 of the model against ``eves[k]`` alone, the ``esr_an`` report.
     """
-    descriptors, precoders, selectors = secrecy_terms(stats, P_W, P_V)
-    rates, cov = _rates_and_cov(stats, descriptors, precoders)
-    mu = selectors @ rates
-    Q = selectors @ cov @ selectors.T
+    descriptors, precoders, selectors = secrecy_terms(stats, P_W, P_V, eves=eves)
+    sols = solve_all(stats, descriptors, precoders)
+    rates = np.array([s.rate for s in sols])
+    cov = joint_cov(descriptors, sols)
+    # each row sums over its own terms only, in one order whatever other rows
+    # there are; a matrix product over all rows can round a row differently
+    terms = [np.flatnonzero(u) for u in selectors]
+    mu = np.array([u[i] @ rates[i] for u, i in zip(selectors, terms)])
+    Q = np.array([[u[i] @ cov[np.ix_(i, j)] @ v[j] for v, j in zip(selectors, terms)]
+                  for u, i in zip(selectors, terms)])
     Q = 0.5 * (Q + Q.T)
     return MultiEveModel(mu=mu, Q=Q)
+
+
+def esr_wiretap(stats: ChannelStatistics, P_W: np.ndarray,
+                eve: Optional[str] = None) -> SecrecyReport:
+    """Ergodic secrecy rate of the plain wiretap system (one eavesdropper)."""
+    return build_multi_eve_model(stats, P_W, eves=["E1" if eve is None else eve]).report(0)
+
+
+def esr_an(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
+           eve: Optional[str] = None) -> SecrecyReport:
+    """Ergodic secrecy rate with artificial noise of covariance P_V; with
+    P_V None this is ``esr_wiretap``."""
+    return build_multi_eve_model(stats, P_W, P_V,
+                                 eves=["E1" if eve is None else eve]).report(0)
 
 
 _MVN_JITTER = 1e-10

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import irs_secrecy
-from irs_secrecy import mcoracle
+from irs_secrecy import fixedpoint, mcoracle, secrecy
 from irs_secrecy.cli import main
 from irs_secrecy.fixedpoint import DsSolution
+from irs_secrecy.scenario import build_scenario, load_config
+from irs_secrecy.secrecy import esr_an
 
 from conftest import config_dict
 
@@ -48,6 +50,39 @@ class TestEsrCommand:
         assert data["esr_bits"] == pytest.approx(worst / math.log(2.0), rel=1e-12)
         for entry in data["eves"].values():
             assert entry["variance"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    @pytest.mark.parametrize("split_v", [0.0, 0.1], ids=["wiretap", "an"])
+    def test_one_evaluation_solves_each_term_once(
+            self, write_config, tmp_path, monkeypatch, kind, split_v):
+        # K = 2: the legitimate receiver's terms are shared by both rows, and
+        # each row is, bit for bit, the report against its eavesdropper
+        path = write_config(config_dict(kind=kind, N_E=(2, 2), split_w=1.0 - split_v,
+                                        split_v=split_v))
+        counts = {"solve": 0, "joint_cov": 0}
+
+        def counted(module, name, key):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(fixedpoint, "solve_lbi" if kind == "lbi" else "solve_ds", "solve")
+        counted(secrecy, "joint_cov", "joint_cov")
+        out = tmp_path / "out"
+        assert main(["esr", "--config", path, "--out", str(out)]) == 0
+        # (B, E1, E2) x (W), or x (U, V) with artificial noise
+        assert counts == {"solve": 3 if split_v == 0.0 else 6, "joint_cov": 1}
+        monkeypatch.undo()
+        scenario = build_scenario(load_config(path), seed=0)
+        data = _read_json(out / "esr.json")
+        for tag in ("E1", "E2"):
+            rep = esr_an(scenario.stats, *scenario.precoders(), eve=tag)
+            assert data["eves"][tag] == {"esr_nats": rep.esr_nats, "esr_bits": rep.esr_bits,
+                                         "mean_nats": rep.mean_nats,
+                                         "variance": rep.variance}
 
     def test_noise_injection_defaults_on_with_positive_split(self, write_config, tmp_path):
         cfg = config_dict(kind="lbi", split_w=0.9, split_v=0.1)
@@ -417,6 +452,14 @@ _MALFORMED = [
      "pathloss.C2, pathloss.alpha2, pathloss.d_irs_b: end-to-end"),
     (("theta",), {"init": "spiral"}, "theta.init"),
     (("theta",), {"init": "file"}, "theta.file"),
+    # theta.file is read only with init "file": elsewhere it would be ignored
+    (("theta",), {"init": "zeros", "file": "no-such-dir/theta.json"},
+     "theta.file: read only with theta.init 'file'"),
+    (("theta",), {"init": "uniform", "file": 42}, "theta.file: read only with theta.init 'file'"),
+    # R_S is validated on the lbi model too, which does not use it
+    (("correlations", "R_S"), "garbage", "correlations.R_S: expected an object or null"),
+    (("correlations", "R_S"), {"kind": "gaussian", "d_r": -1.0, "eta": 999.0, "delta": 0.0},
+     "correlations.R_S.d_r"),
     (("power", "an"), "yes", "power.an"),
     # a misspelt key would otherwise leave its default in force
     (("correlations", "T_SB"), {"kind": "gaussian", "d_r": 1.0, "eta": 5.0, "delta": 8.0},

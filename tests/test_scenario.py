@@ -267,9 +267,21 @@ class TestChannelStatistics:
         assert not np.allclose(stats.lbi_aperture("B"), other.lbi_aperture("B"))
         assert np.allclose(stats.T, other.T)
 
+    # inputs no config file can give (``parse_config`` rejects them first)
+    # are ModelErrors like every other bad input of the builder, and name
+    # no config field
     def test_double_requires_r_s(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ModelError, match="requires R_S"):
             build_channel_statistics(**{**_small_inputs(), "R_S": None})
+
+    def test_unknown_model_kind_is_a_model_error(self):
+        with pytest.raises(ModelError, match="^model_kind must be 'lbi' or 'double'"):
+            build_channel_statistics(**_small_inputs("triple"))
+
+    def test_no_eavesdropper_is_a_model_error(self):
+        inputs = _small_inputs()
+        with pytest.raises(ModelError, match="at least one eavesdropper"):
+            build_channel_statistics(**{**inputs, "receivers": inputs["receivers"][:1]})
 
 
 def _small_inputs(model_kind: str = "double") -> dict:

@@ -222,6 +222,24 @@ class TestMultiEveModelConstruction:
             assert model.mu[k] == pytest.approx(rep.mean_nats, abs=1e-12)
             assert model.Q[k, k] == pytest.approx(rep.variance, abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["lbi", "double"])
+    @pytest.mark.parametrize("an", [False, True], ids=["wiretap", "an"])
+    def test_rows_are_the_single_eve_reports_bit_for_bit(self, kind, an):
+        # one closed-form evaluation: the model against one eavesdropper and
+        # row k of the model against all of them both give the report
+        # against that eavesdropper, to the last bit (contracted with one
+        # matrix product over all rows, row 0 of the double AN case is not)
+        stats = make_stats(kind, N_E=(3, 2))
+        P_W, P_V = uniform_precoders(stats.M, 2.0)
+        P_V = P_V if an else None
+        whole = build_multi_eve_model(stats, P_W, P_V)
+        for k, eve in enumerate(stats.users()[1:]):
+            rep = esr_an(stats, P_W, P_V, eve=eve)
+            one = build_multi_eve_model(stats, P_W, P_V, eves=[eve])
+            assert (one.mu[0], one.Q[0, 0]) == (rep.mean_nats, rep.variance)
+            assert (whole.mu[k], whole.Q[k, k]) == (rep.mean_nats, rep.variance)
+            assert whole.report(k) == rep
+
     def test_selectors_shape_tracks_descriptor_list(self):
         stats = make_stats("double", N_E=(3, 2))
         P_W, P_V = uniform_precoders(stats.M, 2.0)
