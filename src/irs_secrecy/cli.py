@@ -18,8 +18,10 @@ The artificial-noise mode (``power.an``) and the sweep powers
 (``sweep.P_dbm``) are read with the rest of the scenario by
 ``scenario.load_config`` and reach every subcommand as ``ScenarioConfig.an``
 and ``ScenarioConfig.sweep_P_dbm``. Exit codes: 0 on success, 2 for a
-malformed configuration or argument (``config error: <field>: ...``), 1 when
-the numerics fail on a valid configuration.
+malformed configuration or argument (``config error: <field>: ...``), which
+includes an ``--out`` that cannot be made or written, a ``--trials`` or
+``--r-steps`` whose arrays cannot be held and a threshold grid that overflows,
+1 when the numerics fail or memory runs out on a valid configuration.
 """
 
 from __future__ import annotations
@@ -56,15 +58,24 @@ def _fmt(x) -> str:
     return format(float(x), ".12e")
 
 
+def _open_out(path: str):
+    """``path`` in the output directory, opened for writing; a path that
+    cannot be written is a ConfigError on ``--out``."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc.strerror}") from None
+
+
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
 
 
 def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -80,12 +91,29 @@ def _threshold_grid(args) -> np.ndarray:
         raise ConfigError("--r-steps: must be >= 1")
     if args.r_max < args.r_min:
         raise ConfigError("--r-max: must be >= --r-min")
-    return np.linspace(args.r_min, args.r_max, args.r_steps)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(args.r_min, args.r_max, args.r_steps)
+    except (ValueError, MemoryError) as exc:  # numpy's refusals of the grid's size
+        raise ConfigError(f"--r-steps: {args.r_steps} points cannot be held ({exc})") from None
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"--r-max: the grid from --r-min {args.r_min} to --r-max "
+                          f"{args.r_max} overflows the float range")
+    return grid
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+
+def _run_mc(stats, descs: list, precs: dict, trials: int, seed: int, combiner=None):
+    """``run_mc``; a ``--trials`` whose samples cannot be held is a
+    ConfigError on the flag."""
+    try:
+        return run_mc(stats, descs, precs, n_trials=trials, seed=seed, combiner=combiner)
+    except MemoryError as exc:
+        raise ConfigError(f"--trials: {trials} trials cannot be held ({exc})") from None
 
 
 def _cmd_esr(args, scenario: Scenario) -> int:
@@ -134,8 +162,7 @@ def _cmd_sop(args, scenario: Scenario) -> int:
         ]
     elif args.trials > 0:
         descs, precs, selectors = secrecy_terms(stats, P_W, P_V, eves=["E1"])
-        run = run_mc(stats, descs, precs, n_trials=args.trials, seed=args.seed,
-                     combiner=selectors[0])
+        run = _run_mc(stats, descs, precs, args.trials, args.seed, combiner=selectors[0])
         empirical = run.secrecy_cdf(grid_bits * LN2)
         se = np.sqrt(empirical * (1.0 - empirical) / run.n_trials)
         header = ["R_bits", "sop_analytic", "sop_empirical", "stderr"]
@@ -155,7 +182,7 @@ def _cmd_mc_validate(args, scenario: Scenario) -> int:
     stats = scenario.stats
     descs, precs, _ = secrecy_terms(stats, *scenario.precoders())
     trials = args.trials if args.trials > 0 else DEFAULT_MC_TRIALS
-    run = run_mc(stats, descs, precs, n_trials=trials, seed=args.seed)
+    run = _run_mc(stats, descs, precs, trials, args.seed)
 
     sols = solve_all(stats, descs, precs)
     analytic_mean = np.array([s.mean for s in sols])
@@ -167,37 +194,20 @@ def _cmd_mc_validate(args, scenario: Scenario) -> int:
     diag = np.diag(run.mi_cov)
     cov_se = np.sqrt((np.outer(diag, diag).clip(min=0.0) + run.mi_cov ** 2) / n)
 
+    # (quantity, analytic, empirical, stderr, tol): the means, then the
+    # upper triangle of the covariance
+    entries = [(f"mean_{d.label}", analytic_mean[i], run.mi_mean[i], mean_se[i],
+                max(0.05, 3.0 * mean_se[i])) for i, d in enumerate(descs)]
+    entries += [(f"cov_{descs[i].label}_{descs[j].label}", analytic_cov[i, j],
+                 run.mi_cov[i, j], cov_se[i, j],
+                 max(0.10 * abs(analytic_cov[i, j]), 3.0 * cov_se[i, j]))
+                for i in range(len(descs)) for j in range(i, len(descs))]
     header = ["quantity", "analytic", "empirical", "stderr", "abs_diff", "tol", "pass"]
     rows = []
-    for i, d in enumerate(descs):
-        diff = abs(analytic_mean[i] - run.mi_mean[i])
-        tol = max(0.05, 3.0 * mean_se[i])
-        rows.append(
-            [
-                f"mean_{d.label}",
-                _fmt(analytic_mean[i]),
-                _fmt(run.mi_mean[i]),
-                _fmt(mean_se[i]),
-                _fmt(diff),
-                _fmt(tol),
-                "1" if diff <= tol else "0",
-            ]
-        )
-    for i in range(len(descs)):
-        for j in range(i, len(descs)):
-            diff = abs(analytic_cov[i, j] - run.mi_cov[i, j])
-            tol = max(0.10 * abs(analytic_cov[i, j]), 3.0 * cov_se[i, j])
-            rows.append(
-                [
-                    f"cov_{descs[i].label}_{descs[j].label}",
-                    _fmt(analytic_cov[i, j]),
-                    _fmt(run.mi_cov[i, j]),
-                    _fmt(cov_se[i, j]),
-                    _fmt(diff),
-                    _fmt(tol),
-                    "1" if diff <= tol else "0",
-                ]
-            )
+    for label, analytic, empirical, se, tol in entries:
+        diff = abs(analytic - empirical)
+        rows.append([label, _fmt(analytic), _fmt(empirical), _fmt(se), _fmt(diff), _fmt(tol),
+                     "1" if diff <= tol else "0"])
     _write_csv(os.path.join(args.out, "mc_validate.csv"), header, rows)
     return 0
 
@@ -359,11 +369,19 @@ def main(argv: Optional[list] = None) -> int:
                 raise ConfigError(f"{flag}: must be a finite number, got {value}")
         thread_budget()  # a malformed IRS_SECRECY_THREADS fails before --out is made
         scenario = build_scenario(load_config(args.config), seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot make the directory {args.out}: "
+                              f"{exc.strerror}") from None
         return _COMMANDS[args.subcommand](args, scenario)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error [{args.subcommand}, config {args.config}]: out of memory ({exc})",
+              file=sys.stderr)
+        return 1
     except (
         ModelError,
         ConvergenceError,

@@ -47,14 +47,13 @@ absolute ``TOL`` (1e-10) governs O(1)-O(1e4) scalars; the relative floor
 that 1e-10 is below its roundoff, as at very high transmit power. After
 ``MAX_ITER`` (10,000) iterations it raises ``ConvergenceError``.
 
-Each solver works on the spectra of its inputs (``scenario.Spectrum``), so
-one iteration costs O(N + L + M). A caller may pass a spectrum in place of
-a matrix: ``solve_all``, the one solver of a design's terms, passes the
-receive spectra that ``ChannelStatistics`` keeps, one decomposition of each
-input its terms share (a user's surface Gram S; on the double model a
-precoder's T^{1/2} P T^{1/2}, which no user changes) and a single-hop
-transmit spectrum from the min(M, L)-sized Gram of sqrt(M/L) A P^{1/2}
-(``transmit_spectrum``). The means D and C are sums over those eigenvalues
+Each solver takes the spectra of its inputs (``scenario.Spectrum``), so
+one iteration costs O(N + L + M). ``solve_all``, the one solver of a
+design's terms, passes the receive spectra that ``ChannelStatistics`` keeps,
+one decomposition of each input its terms share (a user's surface Gram S;
+on the double model a precoder's T^{1/2} P T^{1/2}, which no user changes)
+and a single-hop transmit spectrum from the min(M, L)-sized Gram of
+sqrt(M/L) A P^{1/2} (``transmit_spectrum``). The means D and C are sums over those eigenvalues
 (log det(a I + b X) = sum_i log(a + b lam_i)): a solution's ``mean`` is its
 D or C, and its ``rate`` that mean less the N log z noise floor. A solution
 keeps its inputs as spectra and forms no dense input matrix: it builds the
@@ -330,21 +329,13 @@ def _newton_fixed_point(step, x: list, system: str, in_domain) -> tuple:
     raise ConvergenceError(f"{system} fixed point did not converge", residual, MAX_ITER)
 
 
-def _spectrum(mat, name: str) -> Spectrum:
-    """A solver input as a Spectrum: given, or decomposed here."""
-    if isinstance(mat, Spectrum):
-        return mat
-    return Spectrum.of_matrix(np.asarray(mat, dtype=complex), name)
-
-
-def solve_lbi(R, T_eff, z: float, m_dim: int) -> LbiSolution:
+def solve_lbi(r: Spectrum, t: Spectrum, z: float, m_dim: int) -> LbiSolution:
     """Solve the single-hop system to the direct-substitution test of
-    ``_newton_fixed_point``. R and T_eff are matrices or their Spectrum.
+    ``_newton_fixed_point``, on the spectra ``r`` of R and ``t`` of T_eff.
     The start is the zero-spectrum closed form when T_eff is zero and all
     ones otherwise."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
-    r, t = _spectrum(R, "R"), _spectrum(T_eff, "T_eff")
     lam_r, lam_t = r.lam, t.lam
     m = float(m_dim)
 
@@ -373,14 +364,13 @@ def _ds_jacobian(m: float, ell: float, d: float, o: float, ob: float, nu_R: floa
             (0.0, -nu_T, 0.0))
 
 
-def solve_ds(R, S, T_eff, z: float, m_dim: int, l_dim: int, *,
+def solve_ds(r: Spectrum, s: Spectrum, t: Spectrum, z: float, m_dim: int, l_dim: int, *,
              start: Optional[Sequence[float]] = None) -> DsSolution:
     """Solve the double-hop system to the direct-substitution test of
-    ``_newton_fixed_point``. R, S and T_eff are matrices or their Spectrum;
-    ``start`` is (delta, omega, omega_bar), by default all ones."""
+    ``_newton_fixed_point``, on the spectra ``r`` of R, ``s`` of S and ``t``
+    of T_eff; ``start`` is (delta, omega, omega_bar), by default all ones."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
-    r, s, t = _spectrum(R, "R"), _spectrum(S, "S"), _spectrum(T_eff, "T_eff")
     lam_r, lam_s, lam_t = r.lam, s.lam, t.lam
     m, ell = float(m_dim), float(l_dim)
     if np.sum(lam_r) <= 0:
@@ -468,7 +458,7 @@ def solve_all(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
             if d.precoder not in transmits:
                 transmits[d.precoder] = transmit_spectrum(stats, d.user, precoders[d.precoder])
             if d.user not in grams:
-                grams[d.user] = _spectrum(stats.ds_gram(d.user), "S")
+                grams[d.user] = Spectrum.of_matrix(stats.ds_gram(d.user), "S")
             solved[d] = solve_ds(rx.r, grams[d.user], transmits[d.precoder], rx.sigma2,
                                  stats.M, stats.L, start=start)
         else:

@@ -193,7 +193,8 @@ def run_mc(
     """Monte-Carlo joint mutual-information statistics.
 
     combiner: optional weight vector u of length K; the per-trial secrecy
-    rate is sum_i u_i (mi_i - N_i log z_i) in nats.
+    rate is sum_i u_i (mi_i - N_i log z_i) in nats. A trial count whose
+    (n_trials, K) samples cannot be held is a MemoryError.
     """
     if n_trials < 1:
         raise ModelError("n_trials must be >= 1")
@@ -216,7 +217,11 @@ def run_mc(
     per_user = [(channel_assembler(stats, u),
                  [(i, stats.receiver(u).sigma2, precoders[d.precoder])
                   for i, d in enumerate(descriptors) if d.user == u]) for u in users]
-    samples = np.empty((n_trials, len(descriptors)))
+    try:
+        samples = np.empty((n_trials, len(descriptors)))
+    except ValueError:  # numpy's refusal of more bytes than an array can index
+        raise MemoryError(f"a {n_trials} x {len(descriptors)} samples array exceeds "
+                          "numpy's size limit") from None
 
     def share(w: int) -> None:
         # one generator and set of buffers per worker, so threads share nothing

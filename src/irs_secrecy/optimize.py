@@ -27,8 +27,11 @@ The three line searches (inner precoder step, phase ascent, outage descent)
 share one Armijo backtracking loop, ``_backtrack``: steps 1.0, 0.5, ... down
 to 1e-12, each with its own sufficient-change test (constant 0.3) and its
 own handling when no step is accepted. Tolerances and round caps are module
-constants read on every call; every design is made against the first
-eavesdropper, ``EVE`` ("E1").
+constants read on every call: ``INNER_REL_TOL`` and ``INNER_MAX_ITER`` of
+the inner search, ``PRECODER_REL_TOL`` and ``PRECODER_MAX_ROUNDS`` of the
+precoder alternation, ``AO_REL_TOL`` and ``AO_MAX_ROUNDS`` of the joint
+rounds, ``SOP_GRAD_TOL`` and ``SOP_MAX_ITER`` of the outage descent. Every
+design is made against the first eavesdropper, ``EVE`` ("E1").
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ INNER_MAX_ITER = 500
 PRECODER_REL_TOL = 1e-6
 PRECODER_MAX_ROUNDS = 200
 AO_REL_TOL = 1e-6
+AO_MAX_ROUNDS = 100
 SOP_GRAD_TOL = 1e-6
+SOP_MAX_ITER = 100
 
 EVE = "E1"
 
@@ -367,7 +372,6 @@ class AoState:
     t: int
     objective: Tuple[float, ...]
     trace: Tuple[TraceRow, ...]
-    stats: ChannelStatistics
 
     @property
     def esr_nats(self) -> float:
@@ -383,16 +387,15 @@ def algorithm2_ao(
     p_budget: float,
     P_W: np.ndarray,
     P_V: Optional[np.ndarray] = None,
-    budget: int = 100,
-    optimize_theta: bool = True,
 ) -> AoState:
     """Alternating maximization of the ergodic secrecy rate over the transmit
-    covariances and (optionally) the surface phases, from the design
-    (P_W, P_V).
+    covariances and the surface phases, from the design (P_W, P_V), for at
+    most ``AO_MAX_ROUNDS`` rounds.
 
     Each round linearizes the non-concave part at the current iterate, runs
     the precoder alternation, then takes one backtracking ascent step on the
     phases accepting when K(theta + g grad) >= K(theta) + c g ||grad||.
+    The final design's statistics are ``stats.with_theta(state.theta)``.
     P_V None is the plain wiretap design, as ``secrecy_terms`` reads it: the
     noise covariance is zero and stays there, and only P_W moves
     (``freeze_v``). A noise-injection search that starts from no noise
@@ -411,32 +414,26 @@ def algorithm2_ao(
     objective = [esr]
     trace = [TraceRow(0, esr, 0.0, 0.0, viol)]
 
-    for t in range(1, budget + 1):
+    for t in range(1, AO_MAX_ROUNDS + 1):
         grad_w_n, grad_v_n = sca_gradients(stats, P_W, P_V)
         P_W, P_V, _ = algorithm1(stats, P_W, P_V, grad_w_n, grad_v_n, p_budget,
                                  freeze_v=freeze_v)
         step_used = 0.0
-        grad_norm = 0.0
-        k_mean = None  # signed mean at the round's final design, once known
-        if optimize_theta:
-            g, k_cur = esr_phase_gradient(stats, P_W, P_V)
-            grad_norm = float(np.linalg.norm(g))
-            if grad_norm > 0.0:
+        g, k_cur = esr_phase_gradient(stats, P_W, P_V)
+        k_mean = k_cur  # signed mean at the round's final design
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm > 0.0:
 
-                def trial(gamma):
-                    theta_new = stats.theta + gamma * g
-                    k_new = signed_an_mean(stats.with_theta(theta_new), P_W, P_V)
-                    accept = k_new >= k_cur + ARMIJO_C * gamma * grad_norm
-                    return stats.with_theta(wrap_phase(theta_new)) if accept else None
+            def trial(gamma):
+                theta_new = stats.theta + gamma * g
+                k_new = signed_an_mean(stats.with_theta(theta_new), P_W, P_V)
+                accept = k_new >= k_cur + ARMIJO_C * gamma * grad_norm
+                return stats.with_theta(wrap_phase(theta_new)) if accept else None
 
-                found = _backtrack(trial)
-                if found is not None:
-                    step_used, stats = found
-            if step_used == 0.0:
-                k_mean = k_cur  # the design the gradient was solved at
-
-        if k_mean is None:
-            k_mean = signed_an_mean(stats, P_W, P_V)
+            found = _backtrack(trial)
+            if found is not None:
+                step_used, stats = found
+                k_mean = signed_an_mean(stats, P_W, P_V)
         esr = max(0.0, k_mean)
         objective.append(esr)
         trace.append(TraceRow(t, esr, step_used,
@@ -445,7 +442,7 @@ def algorithm2_ao(
             break
 
     return AoState(P_W=P_W, P_V=P_V, theta=stats.theta.copy(), t=trace[-1].iteration,
-                   objective=tuple(objective), trace=tuple(trace), stats=stats)
+                   objective=tuple(objective), trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -649,26 +646,21 @@ class SopResult:
     theta: np.ndarray
     prob: float
     trace: Tuple[TraceRow, ...]
-    stats: ChannelStatistics
     converged: bool
 
 
-def optimize_sop(
-    stats: ChannelStatistics,
-    P_W: np.ndarray,
-    r_bits: float,
-    budget: int = 100,
-) -> SopResult:
+def optimize_sop(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float) -> SopResult:
     """Minimize the closed-form outage probability over the surface phases by
     backtracking gradient descent from ``stats.theta`` (sufficient decrease
-    c g ||grad||^2); the trace's objective column carries the outage
-    probability."""
+    c g ||grad||^2), for at most ``SOP_MAX_ITER`` iterations; the trace's
+    objective column carries the outage probability. The final design's
+    statistics are ``stats.with_theta(result.theta)``."""
     _require_double(stats, "optimize_sop")
 
     sg = sop_phase_gradient(stats, P_W, r_bits)
     trace = [TraceRow(0, sg.prob, 0.0, float(np.linalg.norm(sg.grad)), 0.0)]
     converged = False
-    for t in range(1, budget + 1):
+    for t in range(1, SOP_MAX_ITER + 1):
         g = sg.grad
         g_norm = float(np.linalg.norm(g))
         if g_norm < SOP_GRAD_TOL:
@@ -688,4 +680,4 @@ def optimize_sop(
         gamma, (stats, sg) = found
         trace.append(TraceRow(t, sg.prob, gamma, g_norm, 0.0))
     return SopResult(theta=stats.theta.copy(), prob=sg.prob, trace=tuple(trace),
-                     stats=stats, converged=converged)
+                     converged=converged)

@@ -234,19 +234,15 @@ class Spectrum:
     lam are the eigenvalues of the k x k Gram G^H G = W diag(lam) W^H and
     vecs = G W, whose orthogonal columns have squared norms lam. X then has
     the eigenvalues lam and n - k zeros.
-
-    ``mat`` keeps X when the decomposition was made from it.
     """
 
     lam: np.ndarray
     vecs: np.ndarray
     gram: bool = False
-    mat: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def of_matrix(cls, mat: np.ndarray, name: str = "matrix") -> "Spectrum":
-        lam, u = psd_eig(mat, name)
-        return cls(lam, u, mat=mat)
+        return cls(*psd_eig(mat, name))
 
     @classmethod
     def of_factor(cls, factor: np.ndarray, name: str = "matrix") -> "Spectrum":
@@ -283,10 +279,10 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class Receiver:
-    """One receiver's side of its channel: the receive correlation R_k, with
-    the path gain folded in, as the spectrum ``r`` (``r.mat`` is R_k), the
-    surface-side correlation ``ts`` = T_{S,k}, the Hermitian square roots of
-    both, and the noise power ``sigma2``."""
+    """One receiver's side of its channel: the spectrum ``r`` of the receive
+    correlation R_k, with the path gain folded in, the surface-side
+    correlation ``ts`` = T_{S,k}, the Hermitian square roots ``r_sqrt`` of
+    R_k and ``ts_sqrt`` of T_{S,k}, and the noise power ``sigma2``."""
 
     r: Spectrum
     r_sqrt: np.ndarray = field(repr=False)
@@ -306,8 +302,9 @@ class ChannelStatistics:
 
     ``receivers`` holds one ``Receiver`` per tag in ``users()`` order: 'B',
     then 'E1', 'E2', ...; the legitimate receiver and the eavesdroppers are
-    alike. ``R_S`` is None for the ``lbi`` model (that link is
-    deterministic). Square roots of the theta-independent matrices are
+    alike. The surface-scattering correlation R_S is kept only as its
+    square root ``R_S_sqrt``, which is None for the ``lbi`` model (that link
+    is deterministic). Square roots of the theta-independent matrices are
     precomputed; everything that depends on ``theta`` is assembled on
     demand.
     """
@@ -317,7 +314,6 @@ class ChannelStatistics:
     T: np.ndarray
     H_T0: np.ndarray
     theta: np.ndarray
-    R_S: Optional[np.ndarray] = None
     T_sqrt: np.ndarray = field(default=None, repr=False)
     R_S_sqrt: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -433,17 +429,17 @@ def build_channel_statistics(
     records = {}
     for i, (R, T_S, sigma2) in enumerate(receivers):
         tag = f"E{i}" if i else "B"
-        R, r_sqrt, (lam, u) = _checked_corr(f"R_{tag}", R)
+        _, r_sqrt, (lam, u) = _checked_corr(f"R_{tag}", R)
         T_S, ts_sqrt, _ = _checked_corr(f"T_S_{tag}", T_S, L)
         if not 0.0 < sigma2 < math.inf:
             raise ModelError(f"noise powers must be positive and finite, got "
                              f"{sigma2!r} for {tag}")
-        records[tag] = Receiver(Spectrum(lam, u, mat=R), r_sqrt, T_S, ts_sqrt, float(sigma2))
+        records[tag] = Receiver(Spectrum(lam, u), r_sqrt, T_S, ts_sqrt, float(sigma2))
     T, T_sqrt, _ = _checked_corr("T", T, M)
-    R_S, R_S_sqrt, _ = _checked_corr("R_S", R_S, L) if R_S is not None else (None, None, None)
+    R_S_sqrt = _checked_corr("R_S", R_S, L)[1] if R_S is not None else None
     return ChannelStatistics(model_kind=model_kind, receivers=records, T=T,
                              H_T0=np.asarray(H_T0, dtype=complex), theta=theta,
-                             R_S=R_S, T_sqrt=T_sqrt, R_S_sqrt=R_S_sqrt)
+                             T_sqrt=T_sqrt, R_S_sqrt=R_S_sqrt)
 
 
 # ---------------------------------------------------------------------------

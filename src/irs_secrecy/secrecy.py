@@ -143,7 +143,8 @@ def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
     every eavesdropper), row k against ``eves[k]``: one ``solve_all`` and one
     ``joint_cov`` of the ``secrecy_terms`` (with P_V the artificial-noise
     combination, otherwise the plain wiretap difference). Row k is, bit for
-    bit, row 0 of the model against ``eves[k]`` alone, the ``esr_an`` report.
+    bit, row 0 of the model against ``eves[k]`` alone (for E1, the ``esr_an``
+    report).
     """
     descriptors, precoders, selectors = secrecy_terms(stats, P_W, P_V, eves=eves)
     sols = solve_all(stats, descriptors, precoders)
@@ -159,26 +160,27 @@ def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
     return MultiEveModel(mu=mu, Q=Q)
 
 
-def esr_wiretap(stats: ChannelStatistics, P_W: np.ndarray,
-                eve: Optional[str] = None) -> SecrecyReport:
-    """Ergodic secrecy rate of the plain wiretap system (one eavesdropper)."""
-    return build_multi_eve_model(stats, P_W, eves=["E1" if eve is None else eve]).report(0)
+def esr_wiretap(stats: ChannelStatistics, P_W: np.ndarray) -> SecrecyReport:
+    """Ergodic secrecy rate of the plain wiretap system against the first
+    eavesdropper, E1. The report against another is
+    ``build_multi_eve_model(stats, P_W, eves=[tag]).report(0)``."""
+    return build_multi_eve_model(stats, P_W, eves=["E1"]).report(0)
 
 
-def esr_an(stats: ChannelStatistics, P_W: np.ndarray, P_V: Optional[np.ndarray],
-           eve: Optional[str] = None) -> SecrecyReport:
-    """Ergodic secrecy rate with artificial noise of covariance P_V; with
-    P_V None this is ``esr_wiretap``."""
-    return build_multi_eve_model(stats, P_W, P_V,
-                                 eves=["E1" if eve is None else eve]).report(0)
+def esr_an(stats: ChannelStatistics, P_W: np.ndarray,
+           P_V: Optional[np.ndarray]) -> SecrecyReport:
+    """Ergodic secrecy rate with artificial noise of covariance P_V against
+    the first eavesdropper, E1; with P_V None this is ``esr_wiretap``. The
+    report against another is
+    ``build_multi_eve_model(stats, P_W, P_V, eves=[tag]).report(0)``."""
+    return build_multi_eve_model(stats, P_W, P_V, eves=["E1"]).report(0)
 
 
 _MVN_JITTER = 1e-10
 _MVN_CHUNK = 65_536
 
 
-def sop_multi_eve(models: Sequence[MultiEveModel], r_bits,
-                  n_samples: int = 10**6, seed: int = 0):
+def sop_multi_eve(models: Sequence[MultiEveModel], r_bits, n_samples: int, seed: int):
     """Probability that the worst per-Eve secrecy rate falls below the
     threshold, i.e. 1 - P(all rates > R) under N(mu, Q), for each model.
 

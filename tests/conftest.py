@@ -19,6 +19,7 @@ import pytest
 from irs_secrecy.fixedpoint import MiDescriptor, solve_all
 from irs_secrecy.scenario import (
     CorrelationSpec,
+    Spectrum,
     build_correlation_matrix,
     build_los_channel,
     build_channel_statistics,
@@ -42,11 +43,15 @@ def rand_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray
     return P * (scale * n / np.trace(P).real)
 
 
+def spectrum(mat: np.ndarray) -> Spectrum:
+    """The ``scenario.Spectrum`` of a dense PSD matrix, the form in which the
+    fixed-point solvers take their inputs."""
+    return Spectrum.of_matrix(np.asarray(mat, dtype=complex))
+
+
 def spectrum_matrix(spec) -> np.ndarray:
-    """The dense matrix X of a ``scenario.Spectrum``: ``mat`` when it was
-    kept, else rebuilt from the eigenvectors (a dense test oracle)."""
-    if spec.mat is not None:
-        return spec.mat
+    """The dense matrix X of a ``scenario.Spectrum``, rebuilt from the
+    eigenvectors (a dense test oracle)."""
     v = spec.vecs if spec.gram else spec.vecs * spec.lam
     return v @ spec.vecs.conj().T
 

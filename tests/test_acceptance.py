@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from irs_secrecy import optimize
 from irs_secrecy.cli import main as cli_main
 from irs_secrecy.cltcov import joint_cov
 from irs_secrecy.fixedpoint import solve_all, solve_ds, solve_lbi
@@ -42,6 +43,7 @@ from conftest import (
     experiment_stats,
     make_stats,
     rand_psd,
+    spectrum,
     uniform_precoders,
 )
 
@@ -61,7 +63,7 @@ class TestFixedPointSolvers:
             R = rand_psd(n, rng, scale=float(rng.uniform(0.3, 2.0)))
             T_eff = rand_psd(l, rng, scale=float(rng.uniform(0.3, 2.0)))
             z = float(rng.uniform(0.3, 3.0))
-            sol = solve_lbi(R, T_eff, z, m)
+            sol = solve_lbi(spectrum(R), spectrum(T_eff), z, m)
             most_iters = max(most_iters, sol.n_iter)
             a = np.trace(R @ np.linalg.inv(
                 z * np.eye(n) + sol.alpha_bar * R)).real / m
@@ -81,7 +83,7 @@ class TestFixedPointSolvers:
             S = rand_psd(l, rng, scale=float(rng.uniform(0.3, 2.0)))
             T_eff = rand_psd(m, rng, scale=float(rng.uniform(0.3, 2.0)))
             z = float(rng.uniform(0.3, 3.0))
-            sol = solve_ds(R, S, T_eff, z, m, l)
+            sol = solve_ds(spectrum(R), spectrum(S), spectrum(T_eff), z, m, l)
             most_iters = max(most_iters, sol.n_iter)
             kappa = m * sol.omega * sol.omega_bar / (l * sol.delta)
             d = np.trace(R @ np.linalg.inv(z * np.eye(n) + kappa * R)).real / l
@@ -101,10 +103,10 @@ class TestFixedPointSolvers:
         T_eff = rand_psd(dim, rng)
         S = rand_psd(dim, rng)
         t0 = time.perf_counter()
-        solve_lbi(R, T_eff, 1.0, dim)
+        solve_lbi(spectrum(R), spectrum(T_eff), 1.0, dim)
         t_lbi = time.perf_counter() - t0
         t0 = time.perf_counter()
-        solve_ds(R, S, T_eff, 1.0, dim, dim)
+        solve_ds(spectrum(R), spectrum(S), spectrum(T_eff), 1.0, dim, dim)
         t_ds = time.perf_counter() - t0
         assert t_lbi < 1.0
         assert t_ds < 1.0
@@ -232,7 +234,7 @@ class TestWorstCaseEavesdroppers:
         grid = np.linspace(0.0, 5.0, 11)
         (p,), (se,) = sop_multi_eve([model], grid, n_samples=200_000, seed=1)
         for eve in stats.users()[1:]:
-            single = esr_wiretap(stats, P_W, eve=eve).sop(grid)
+            single = build_multi_eve_model(stats, P_W, eves=[eve]).report(0).sop(grid)
             assert np.all(p >= single - 3.0 * se - 1e-12)
 
     def test_more_transmit_power_lowers_the_curve_pointwise(self):
@@ -282,8 +284,8 @@ class TestGradientFidelity:
         def surrogate(stats, P_W, P_V):
             out = 0.0
             for user, P in (("E1", P_W + P_V), ("B", P_V)):
-                sol = solve_lbi(stats.receiver(user).r.mat,
-                                effective_transmit_corr(stats, user, P),
+                sol = solve_lbi(stats.receiver(user).r,
+                                spectrum(effective_transmit_corr(stats, user, P)),
                                 stats.receiver(user).sigma2, stats.M)
                 out += sol.mean
             return out
@@ -328,33 +330,35 @@ class TestOptimizerBehavior:
     and iteration budget; the outage descent strictly improves at least 90%
     of 20 random phase initializations."""
 
-    def test_alternating_ascent_is_monotone(self):
+    def test_alternating_ascent_is_monotone(self, monkeypatch):
+        monkeypatch.setattr(optimize, "AO_MAX_ROUNDS", 15)
         stats = make_stats("lbi")
         P_W, P_V = uniform_precoders(stats.M, 3.0 / stats.M, 0.5, 0.5)
-        state = algorithm2_ao(stats, 3.0, P_W, P_V, budget=15)
+        state = algorithm2_ao(stats, 3.0, P_W, P_V)
         obj = np.array(state.objective)
         assert np.all(np.diff(obj) >= -1e-8 * np.maximum(1.0, np.abs(obj[:-1])))
         assert obj[-1] >= obj[0]
 
-    def test_noise_injection_never_loses_to_plain_wiretap(self):
+    def test_noise_injection_never_loses_to_plain_wiretap(self, monkeypatch):
         stats = make_stats("lbi")
-        budget_rounds = 10
+        monkeypatch.setattr(optimize, "AO_MAX_ROUNDS", 10)
         P_W, _ = uniform_precoders(stats.M, 3.0 / stats.M, 1.0, 0.0)
-        wt = algorithm2_ao(stats, 3.0, P_W, budget=budget_rounds)
+        wt = algorithm2_ao(stats, 3.0, P_W)
         # warm-start the noise-injection search at the wiretap solution, from
         # no noise; by monotonicity its final value cannot drop below the
         # wiretap one
-        an = algorithm2_ao(wt.stats, 3.0, wt.P_W, np.zeros_like(wt.P_W), budget=budget_rounds)
+        an = algorithm2_ao(stats.with_theta(wt.theta), 3.0, wt.P_W, np.zeros_like(wt.P_W))
         assert an.esr_nats >= wt.esr_nats - 1e-8
 
-    def test_outage_descent_improves_most_random_phase_starts(self):
+    def test_outage_descent_improves_most_random_phase_starts(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SOP_MAX_ITER", 30)
         stats = make_stats("double")
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         rng = np.random.default_rng(17)
         improved = 0
         for _ in range(20):
             theta0 = rng.uniform(0.0, 2.0 * math.pi, stats.L)
-            res = optimize_sop(stats.with_theta(theta0), P_W, r_bits=1.2, budget=30)
+            res = optimize_sop(stats.with_theta(theta0), P_W, r_bits=1.2)
             if res.prob < res.trace[0].objective - 1e-12:
                 improved += 1
         assert improved >= 18

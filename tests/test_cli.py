@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import irs_secrecy
-from irs_secrecy import fixedpoint, mcoracle, secrecy
+from irs_secrecy import cli, fixedpoint, mcoracle, secrecy
 from irs_secrecy.cli import main
 from irs_secrecy.fixedpoint import DsSolution
 from irs_secrecy.scenario import build_scenario, load_config
-from irs_secrecy.secrecy import esr_an
+from irs_secrecy.secrecy import build_multi_eve_model
 
 from conftest import config_dict
 
@@ -79,7 +79,8 @@ class TestEsrCommand:
         scenario = build_scenario(load_config(path), seed=0)
         data = _read_json(out / "esr.json")
         for tag in ("E1", "E2"):
-            rep = esr_an(scenario.stats, *scenario.precoders(), eve=tag)
+            rep = build_multi_eve_model(scenario.stats, *scenario.precoders(),
+                                        eves=[tag]).report(0)
             assert data["eves"][tag] == {"esr_nats": rep.esr_nats, "esr_bits": rep.esr_bits,
                                          "mean_nats": rep.mean_nats,
                                          "variance": rep.variance}
@@ -478,6 +479,18 @@ _MALFORMED = [
 ]
 
 
+# (subcommand, eavesdroppers, flags, the flag the error names): flags that
+# the parser accepts but whose grid or sample array cannot be made
+_OVERSIZED = [
+    ("sop", (2,), ["--r-min=-1.7e308", "--r-max", "1.7e308", "--r-steps", "3"], "--r-max"),
+    ("sweep", (2,), ["--r-min=-1.7e308", "--r-max", "1.7e308", "--r-steps", "3"], "--r-max"),
+    ("sop", (2,), ["--r-steps", str(2**62)], "--r-steps"),
+    ("sweep", (2, 2), ["--r-steps", str(2**62)], "--r-steps"),
+    ("sop", (2,), ["--trials", str(2**62), "--r-steps", "3"], "--trials"),
+    ("mc-validate", (2,), ["--trials", str(2**62)], "--trials"),
+]
+
+
 class TestFailureModes:
     def test_invalid_json_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -548,6 +561,49 @@ class TestFailureModes:
         assert code == 2, err
         assert err.startswith(f"config error: {flag}: "), err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand, eves, flags, flag", _OVERSIZED,
+                             ids=[f"{c}:{' '.join(f)}" for c, _, f, _ in _OVERSIZED])
+    def test_oversized_flag_is_a_config_error_naming_it(
+            self, write_config, tmp_path, capsys, subcommand, eves, flags, flag):
+        path = write_config(config_dict(N_E=eves))
+        code = main([subcommand, "--config", path, "--out", str(tmp_path / "o"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"config error: {flag}: "), err
+        assert "Traceback" not in err
+
+    def test_memory_error_names_the_flag_that_sized_it(
+            self, write_config, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        path = write_config(config_dict())
+        monkeypatch.setattr(cli, "run_mc", no_memory)
+        code = main(["mc-validate", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: --trials: 20000 trials cannot be held"), err
+        # elsewhere it is a numerical failure of the valid configuration
+        monkeypatch.setattr(cli, "build_multi_eve_model", no_memory)
+        code = main(["esr", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error [esr, config {path}]: out of memory"), err
+
+    @pytest.mark.parametrize("layout", ["file", "below_a_file", "output_is_a_directory"])
+    def test_unusable_out_is_a_config_error_naming_it(
+            self, write_config, tmp_path, capsys, layout):
+        path = write_config(config_dict())
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "esr.json").mkdir(parents=True)
+        out = {"file": tmp_path / "file", "below_a_file": tmp_path / "file" / "o",
+               "output_is_a_directory": tmp_path / "dir"}[layout]
+        code = main(["esr", "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: --out: ") and str(out) in err, err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("path, value, field", _MALFORMED,
                              ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in _MALFORMED])

@@ -85,7 +85,7 @@ class TestPairFunctionalsScalarOracle:
         s_u, s_v, s_x = sols[0], sols[1], sols[2]  # BU, BV (same user), E1U
 
         def scalars(user, desc, sol):
-            R = float(stats.receiver(user).r.mat[0, 0].real)
+            R = float(stats.receiver(user).r.lam[0])
             S = float(stats.ds_gram(user)[0, 0].real)
             T = float(stats.T[0, 0].real) * float(precs[desc.precoder][0, 0].real)
             kappa = sol.omega * sol.omega_bar / sol.delta
@@ -112,7 +112,7 @@ class TestPairFunctionalsScalarOracle:
     def test_single_hop_pair_matches_scalar_arithmetic(self):
         stats, precs, descs, sols = _an_setup("lbi", M=1, L=1, N_B=1, N_E=(1,))
         s_u, s_v = sols[0], sols[1]
-        R = float(stats.receiver("B").r.mat[0, 0].real)
+        R = float(stats.receiver("B").r.lam[0])
         # (M/L) |A|^2 P with A = T_S^{1/2} e^{j theta} H_0 T^{1/2}, |H_0| = 1
         aperture = float(stats.receiver("B").ts[0, 0].real) * float(stats.T[0, 0].real)
         T_u = aperture * float(precs["U"][0, 0].real)
@@ -241,7 +241,7 @@ class TestJointCovariance:
         cov = joint_cov(descs, sols)
         u = np.array([1.0, -1.0, -1.0, 1.0])
         manual = sum(u[i] * cov[i, j] * u[j] for i in range(4) for j in range(4))
-        variance = esr_an(stats, precs["W"], precs["V"], eve="E1").variance
+        variance = esr_an(stats, precs["W"], precs["V"]).variance
         assert variance == pytest.approx(manual, rel=1e-14)
 
     def test_solve_all_caches_repeated_descriptors(self):

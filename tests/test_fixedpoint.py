@@ -19,13 +19,13 @@ from irs_secrecy.fixedpoint import (
 from irs_secrecy.scenario import Spectrum
 from irs_secrecy.secrecy import secrecy_terms
 
-from conftest import (effective_transmit_corr, make_stats, rand_psd, solve_term,
+from conftest import (effective_transmit_corr, make_stats, rand_psd, solve_term, spectrum,
                       spectrum_matrix, uniform_precoders)
 
 
 class TestLowRankFixedPoint:
     def test_scalar_unit_case_is_golden_ratio(self):
-        sol = solve_lbi(np.eye(1), np.eye(1), z=1.0, m_dim=1)
+        sol = solve_lbi(spectrum(np.eye(1)), spectrum(np.eye(1)), z=1.0, m_dim=1)
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         assert sol.alpha == pytest.approx(golden, abs=1e-9)
         assert sol.alpha_bar == pytest.approx(golden, abs=1e-9)
@@ -36,7 +36,7 @@ class TestLowRankFixedPoint:
 
     def test_zero_receive_correlation(self):
         T_eff = np.diag([0.5, 1.5, 2.0])
-        sol = solve_lbi(np.zeros((2, 2)), T_eff, z=1.0, m_dim=4)
+        sol = solve_lbi(spectrum(np.zeros((2, 2))), spectrum(T_eff), z=1.0, m_dim=4)
         assert sol.alpha == pytest.approx(0.0, abs=1e-12)
         assert sol.alpha_bar == pytest.approx(np.trace(T_eff).real / 4.0, abs=1e-10)
 
@@ -47,7 +47,7 @@ class TestLowRankFixedPoint:
             R = rand_psd(int(n), rng, scale=1.5)
             T_eff = rand_psd(int(l), rng, scale=0.8)
             z = float(rng.uniform(0.2, 3.0))
-            sol = solve_lbi(R, T_eff, z=z, m_dim=int(m))
+            sol = solve_lbi(spectrum(R), spectrum(T_eff), z=z, m_dim=int(m))
             a = np.trace(R @ np.linalg.inv(z * np.eye(int(n)) + sol.alpha_bar * R)).real / m
             ab = np.trace(
                 T_eff @ np.linalg.inv(np.eye(int(l)) + sol.alpha * T_eff)
@@ -60,7 +60,7 @@ class TestLowRankFixedPoint:
         monkeypatch.setattr(fixedpoint, "MAX_ITER", 2)
         rng = np.random.default_rng(1)
         with pytest.raises(ConvergenceError, match="after 2 iterations") as excinfo:
-            solve_lbi(rand_psd(4, rng), rand_psd(4, rng), z=1.0, m_dim=4)
+            solve_lbi(spectrum(rand_psd(4, rng)), spectrum(rand_psd(4, rng)), z=1.0, m_dim=4)
         assert excinfo.value.n_iter == 2
         assert excinfo.value.residual > fixedpoint.TOL
 
@@ -85,14 +85,16 @@ class TestDoubleScatteringFixedPoint:
         rng = np.random.default_rng(2)
         R = rand_psd(3, rng)
         S = rand_psd(5, rng)
-        sol = solve_ds(R, S, np.zeros((4, 4)), z=2.0, m_dim=4, l_dim=5)
+        sol = solve_ds(spectrum(R), spectrum(S), spectrum(np.zeros((4, 4))), z=2.0, m_dim=4,
+                       l_dim=5)
         # the Newton row of omega_bar reads omega_bar_new = 0 exactly
         assert sol.omega_bar == 0.0
         n = 3
         assert sol.mean == pytest.approx(n * math.log(2.0), abs=1e-9)
 
     def test_scalar_case_matches_nested_bisection(self):
-        sol = solve_ds(np.eye(1), np.eye(1), np.eye(1), z=1.0, m_dim=1, l_dim=1)
+        one = spectrum(np.eye(1))
+        sol = solve_ds(one, one, one, z=1.0, m_dim=1, l_dim=1)
 
         # independent oracle: for fixed delta, the inner pair solves
         #   omega_bar = 1 / (1 + omega),  omega = delta / (1 + delta*omega_bar)
@@ -135,7 +137,7 @@ class TestDoubleScatteringFixedPoint:
             S = rand_psd(l, rng, scale=0.9)
             T_eff = rand_psd(m, rng, scale=1.1)
             z = float(rng.uniform(0.3, 2.5))
-            sol = solve_ds(R, S, T_eff, z=z, m_dim=m, l_dim=l)
+            sol = solve_ds(spectrum(R), spectrum(S), spectrum(T_eff), z=z, m_dim=m, l_dim=l)
             kappa = m * sol.omega * sol.omega_bar / (l * sol.delta)
             d = np.trace(R @ np.linalg.inv(z * np.eye(n) + kappa * R)).real / l
             G_S = np.linalg.inv(np.eye(l) / sol.delta + sol.omega_bar * S)
@@ -151,8 +153,8 @@ class TestDoubleScatteringFixedPoint:
         monkeypatch.setattr(fixedpoint, "MAX_ITER", 2)
         rng = np.random.default_rng(6)
         with pytest.raises(ConvergenceError, match="after 2 iterations") as excinfo:
-            solve_ds(rand_psd(3, rng), rand_psd(4, rng), rand_psd(5, rng),
-                     z=1.0, m_dim=5, l_dim=4)
+            solve_ds(spectrum(rand_psd(3, rng)), spectrum(rand_psd(4, rng)),
+                     spectrum(rand_psd(5, rng)), z=1.0, m_dim=5, l_dim=4)
         assert excinfo.value.n_iter == 2
 
     def test_jacobian_matches_finite_differences_of_the_step_map(self):
@@ -163,7 +165,7 @@ class TestDoubleScatteringFixedPoint:
         n, l, m = 3, 4, 5
         R, S, T_eff = rand_psd(n, rng, 1.3), rand_psd(l, rng, 0.8), rand_psd(m, rng, 1.1)
         z = 0.7
-        sol = solve_ds(R, S, T_eff, z=z, m_dim=m, l_dim=l)
+        sol = solve_ds(spectrum(R), spectrum(S), spectrum(T_eff), z=z, m_dim=m, l_dim=l)
 
         def rhs(x):
             d, o, ob = x
@@ -192,13 +194,13 @@ class TestDoubleScatteringFixedPoint:
     def test_zero_receive_correlation_raises(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ModelError, match="Tr R > 0"):
-            solve_ds(np.zeros((3, 3)), rand_psd(4, rng), rand_psd(5, rng),
-                     z=1.0, m_dim=5, l_dim=4)
+            solve_ds(spectrum(np.zeros((3, 3))), spectrum(rand_psd(4, rng)),
+                     spectrum(rand_psd(5, rng)), z=1.0, m_dim=5, l_dim=4)
 
     def test_kappa_property(self):
         rng = np.random.default_rng(4)
-        sol = solve_ds(rand_psd(3, rng), rand_psd(4, rng), rand_psd(5, rng),
-                       z=1.0, m_dim=5, l_dim=4)
+        sol = solve_ds(spectrum(rand_psd(3, rng)), spectrum(rand_psd(4, rng)),
+                       spectrum(rand_psd(5, rng)), z=1.0, m_dim=5, l_dim=4)
         assert sol.kappa == pytest.approx(
             5 * sol.omega * sol.omega_bar / (4 * sol.delta), rel=1e-12
         )
@@ -206,7 +208,7 @@ class TestDoubleScatteringFixedPoint:
 
 class TestDeterministicEquivalents:
     def test_lbi_zero_receive_correlation_is_noise_floor(self):
-        sol = solve_lbi(np.zeros((3, 3)), np.diag([1.0, 2.0]), z=1.7, m_dim=2)
+        sol = solve_lbi(spectrum(np.zeros((3, 3))), spectrum(np.diag([1.0, 2.0])), z=1.7, m_dim=2)
         assert sol.mean == pytest.approx(3 * math.log(1.7), abs=1e-10)
 
     def test_vanishing_power_approaches_noise_floor_monotonically(self):
@@ -266,7 +268,7 @@ class TestSpectralMeans:
             T_eff = (_rank_deficient_psd(l, max(1, l // 3), rng) if trial % 3 == 0
                      else rand_psd(l, rng, scale=0.7))
             z = float(rng.uniform(0.3, 2.5))
-            sol = solve_lbi(R, T_eff, z=z, m_dim=m)
+            sol = solve_lbi(spectrum(R), spectrum(T_eff), z=z, m_dim=m)
             dense = (_logdet(z * np.eye(n) + sol.alpha_bar * R)
                      + _logdet(np.eye(l) + sol.alpha * T_eff)
                      - m * sol.alpha * sol.alpha_bar)
@@ -280,7 +282,7 @@ class TestSpectralMeans:
             T_eff = (_rank_deficient_psd(m, max(1, m // 3), rng) if trial % 3 == 0
                      else rand_psd(m, rng, scale=0.8))
             z = float(rng.uniform(0.3, 2.5))
-            sol = solve_ds(R, S, T_eff, z=z, m_dim=m, l_dim=l)
+            sol = solve_ds(spectrum(R), spectrum(S), spectrum(T_eff), z=z, m_dim=m, l_dim=l)
             dense = (_logdet(z * np.eye(n) + sol.kappa * R)
                      + _logdet(np.eye(l) + sol.delta * sol.omega_bar * S)
                      + _logdet(np.eye(m) + sol.omega * T_eff)
@@ -318,8 +320,8 @@ class TestZeroTransmitSpectrum:
         rng = np.random.default_rng(25)
         R = rand_psd(3, rng, scale=1.4)
         z, m = 0.6, 5
-        for T_eff in (np.zeros((4, 4)), Spectrum(np.zeros(0), np.zeros((4, 0)), gram=True)):
-            sol = solve_lbi(R, T_eff, z=z, m_dim=m)
+        for t in (spectrum(np.zeros((4, 4))), Spectrum(np.zeros(0), np.zeros((4, 0)), gram=True)):
+            sol = solve_lbi(spectrum(R), t, z=z, m_dim=m)
             assert sol.alpha_bar == 0.0
             assert sol.alpha == pytest.approx(np.trace(R).real / (m * z), rel=1e-14)
             assert sol.mean == pytest.approx(3 * math.log(z), rel=1e-14)

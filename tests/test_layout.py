@@ -2,6 +2,7 @@
 imports only the standard library and numpy."""
 
 import ast
+import math
 import sys
 from pathlib import Path
 
@@ -146,3 +147,106 @@ def test_every_public_member_is_read_or_listed():
     assert unread == set(UNREAD_MEMBERS), (
         f"unread and unlisted: {sorted(unread - set(UNREAD_MEMBERS))}; "
         f"listed but read or gone: {sorted(set(UNREAD_MEMBERS) - unread)}")
+
+
+# defaulted parameters that no call in the package passes, each kept for a
+# reason outside it
+UNPASSED_DEFAULTS = {
+    ("cli", "main", "argv"): "the console entry point: the console script passes "
+                             "nothing, and the tests and bench/runner pass argv",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _has_default(value) -> bool:
+    """A dataclass field's value gives a default: anything but a
+    ``field(...)`` call without ``default`` or ``default_factory``."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+        return value is not None
+    return any(k.arg in ("default", "default_factory") for k in value.keywords)
+
+
+def _defaulted(fn, skip_first: bool) -> list:
+    """[(index or None, name)] of the defaulted parameters of ``fn``: a
+    positional one with its index among the positional parameters (after
+    ``self`` or ``cls`` when ``skip_first``), a keyword-only one with None."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    start = 1 if skip_first else 0
+    out = [(i - start, a.arg) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(nodes) -> dict:
+    """{called name: (keywords passed, largest positional count)} over every
+    call under ``nodes``, by the called name (``f(...)``, ``obj.f(...)``); a
+    starred argument passes every later positional parameter."""
+    calls: dict = {}
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        keywords, count = calls.get(name, (set(), 0))
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        calls[name] = (keywords | {k.arg for k in node.keywords if k.arg},
+                       max(count, math.inf if starred else len(node.args)))
+    return calls
+
+
+def _defaulted_parameters(trees: dict) -> list:
+    """[(module, qualified name, calls, defaulted parameters)] of every
+    public function, public method and public class's ``__init__``, with the
+    package's calls of it (see ``_calls``). A dataclass's ``__init__`` takes
+    its fields in order, a field with a default defaulted; a class is called
+    by its name, or as ``cls`` inside its own body."""
+    package = _calls(trees.values())
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not _private(node.name):
+                out.append((module, node.name, [package.get(node.name)],
+                            _defaulted(node, False)))
+            if not isinstance(node, ast.ClassDef) or _private(node.name):
+                continue
+            calls = [package.get(node.name), _calls([node]).get("cls")]
+            if _is_dataclass(node):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                          and isinstance(f.target, ast.Name)]
+                defaults = [(i, f.target.id) for i, f in enumerate(fields)
+                            if _has_default(f.value)]
+                out.append((module, node.name, calls, defaults))
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    out.append((module, node.name, calls, _defaulted(fn, True)))
+                elif not _private(fn.name):
+                    out.append((module, f"{node.name}.{fn.name}", [package.get(fn.name)],
+                                _defaulted(fn, not static)))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_or_listed():
+    """Every defaulted parameter of a public function, public method or
+    public class's ``__init__`` is passed, by keyword or by position, by
+    some call in the package, or is listed in ``UNPASSED_DEFAULTS`` with its
+    reason: a setting that only the tests use lives in the tests."""
+    unpassed = {(module, qualname, param)
+                for module, qualname, calls, params in _defaulted_parameters(_package_trees())
+                for index, param in params
+                if not any(param in keywords or (index is not None and index < count)
+                           for keywords, count in filter(None, calls))}
+    assert unpassed == set(UNPASSED_DEFAULTS), (
+        f"unpassed and unlisted: {sorted(unpassed - set(UNPASSED_DEFAULTS))}; "
+        f"listed but passed or gone: {sorted(set(UNPASSED_DEFAULTS) - unpassed)}")

@@ -17,7 +17,8 @@ from irs_secrecy.mcoracle import mi_exact, run_mc, thread_budget
 from irs_secrecy.scenario import build_channel_statistics, build_los_channel, channel_assembler
 from irs_secrecy.secrecy import MultiEveModel, esr_an, secrecy_terms, sop_multi_eve
 
-from conftest import corr, draw_factors, make_stats, rand_psd, uniform_precoders
+from conftest import (corr, draw_factors, make_stats, rand_psd, spectrum_matrix,
+                      uniform_precoders)
 
 
 def eigvalsh_logdet(z, H, P):
@@ -381,7 +382,7 @@ class TestChannelMoments:
         else:
             scale = (np.trace(stats.T).real / stats.M
                      * np.trace(stats.ds_gram("B")).real / stats.L)
-        expected = scale * stats.receiver("B").r.mat
+        expected = scale * spectrum_matrix(stats.receiver("B").r)
         err = np.abs(grams.mean(axis=0) - expected)
         se = grams.std(axis=0) / math.sqrt(n_draws)
         assert np.all(err <= 5.0 * se + 1e-12)
@@ -413,7 +414,7 @@ class TestSecrecyAggregation:
         descs, precs, selectors = secrecy_terms(stats, P_W, P_V, eves=["E1"])
         u = selectors[0]
         run = run_mc(stats, descs, precs, 20_000, seed=3, combiner=u)
-        analytic = esr_an(stats, P_W, P_V, eve="E1").variance
+        analytic = esr_an(stats, P_W, P_V).variance
         empirical = float(np.var(run.secrecy, ddof=1))
         assert empirical == pytest.approx(analytic, rel=0.10)
 

@@ -26,7 +26,8 @@ from irs_secrecy.optimize import (
 from irs_secrecy.scenario import dbm_to_watts
 from irs_secrecy.secrecy import esr_an, esr_wiretap
 
-from conftest import effective_transmit_corr, experiment_stats, make_stats, uniform_precoders
+from conftest import (effective_transmit_corr, experiment_stats, make_stats, spectrum,
+                      uniform_precoders)
 
 
 def _herm_direction(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -40,7 +41,7 @@ def _surrogate_n(stats, P_W, P_V) -> float:
     terms = [("E1", P_W + P_V), ("B", P_V)]
     out = 0.0
     for user, P in terms:
-        sol = solve_lbi(stats.receiver(user).r.mat, effective_transmit_corr(stats, user, P),
+        sol = solve_lbi(stats.receiver(user).r, spectrum(effective_transmit_corr(stats, user, P)),
                         stats.receiver(user).sigma2, stats.M)
         out += sol.mean
     return out
@@ -169,11 +170,11 @@ class TestSurrogateGradients:
 
 class TestInnerSurrogate:
     def _pieces(self, stats, P_W, P_V):
-        sol_b = solve_lbi(stats.receiver("B").r.mat,
-                          effective_transmit_corr(stats, "B", P_W + P_V),
+        sol_b = solve_lbi(stats.receiver("B").r,
+                          spectrum(effective_transmit_corr(stats, "B", P_W + P_V)),
                           stats.receiver("B").sigma2, stats.M)
-        sol_e = solve_lbi(stats.receiver("E1").r.mat,
-                          effective_transmit_corr(stats, "E1", P_V),
+        sol_e = solve_lbi(stats.receiver("E1").r,
+                          spectrum(effective_transmit_corr(stats, "E1", P_V)),
                           stats.receiver("E1").sigma2, stats.M)
         return sol_b.alpha, sol_e.alpha
 
@@ -336,10 +337,11 @@ class TestDesignEvaluation:
 
 
 class TestAlternatingDriver:
-    def test_objective_is_monotone_and_feasible(self):
+    def test_objective_is_monotone_and_feasible(self, monkeypatch):
+        monkeypatch.setattr(optimize, "AO_MAX_ROUNDS", 6)
         stats = make_stats("lbi")
         P_W, P_V = uniform_precoders(stats.M, 3.0 / stats.M, 0.5, 0.5)
-        state = algorithm2_ao(stats, 3.0, P_W, P_V, budget=6)
+        state = algorithm2_ao(stats, 3.0, P_W, P_V)
         obj = np.array(state.objective)
         assert np.all(np.diff(obj) >= -1e-8 * np.maximum(1.0, np.abs(obj[:-1])))
         for row in state.trace:
@@ -349,35 +351,42 @@ class TestAlternatingDriver:
         assert [row.iteration for row in state.trace] == list(range(len(obj)))
         assert [row.objective for row in state.trace] == list(obj)
 
-    def test_zero_budget_returns_the_initial_point(self):
+    def test_zero_budget_returns_the_initial_point(self, monkeypatch):
+        monkeypatch.setattr(optimize, "AO_MAX_ROUNDS", 0)
         stats = make_stats("lbi")
         P_W, P_V = uniform_precoders(stats.M, 2.0 / stats.M, 0.5, 0.5)
-        state = algorithm2_ao(stats, 2.0, P_W, P_V, budget=0)
+        state = algorithm2_ao(stats, 2.0, P_W, P_V)
         assert state.t == 0
         assert len(state.objective) == 1
         expected = (2.0 / (2 * stats.M)) * np.eye(stats.M)
         np.testing.assert_allclose(state.P_W, expected, atol=1e-15)
         np.testing.assert_allclose(state.P_V, expected, atol=1e-15)
 
-    def test_plain_wiretap_mode_pins_the_noise_covariance_at_zero(self):
+    def test_plain_wiretap_mode_pins_the_noise_covariance_at_zero(self, monkeypatch):
+        monkeypatch.setattr(optimize, "AO_MAX_ROUNDS", 4)
         stats = make_stats("lbi")
         P_W, _ = uniform_precoders(stats.M, 2.0 / stats.M, 1.0, 0.0)
-        state = algorithm2_ao(stats, 2.0, P_W, budget=4)
+        state = algorithm2_ao(stats, 2.0, P_W)
         assert np.all(state.P_V == 0.0)
-        rep = esr_wiretap(state.stats, state.P_W)
+        rep = esr_wiretap(stats.with_theta(state.theta), state.P_W)
         assert state.esr_nats == rep.esr_nats
 
     def test_infeasible_start_is_rejected(self):
         stats = make_stats("lbi")
         with pytest.raises(ModelError):
-            algorithm2_ao(stats, p_budget=1.0,
-                          P_W=np.eye(stats.M, dtype=complex) * 10.0, budget=2)
+            algorithm2_ao(stats, p_budget=1.0, P_W=np.eye(stats.M, dtype=complex) * 10.0)
 
-    def test_frozen_phases_still_improve_the_precoders(self):
+    def test_frozen_phases_still_improve_the_precoders(self, monkeypatch):
+        # the precoder-only design: a zero phase gradient never moves theta
         stats = make_stats("lbi")
+        gradient = optimize.esr_phase_gradient
+        monkeypatch.setattr(optimize, "esr_phase_gradient",
+                            lambda *args: (np.zeros(stats.L), gradient(*args)[1]))
+        monkeypatch.setattr(optimize, "AO_MAX_ROUNDS", 5)
         P_W, P_V = uniform_precoders(stats.M, 3.0 / stats.M, 0.5, 0.5)
-        state = algorithm2_ao(stats, 3.0, P_W, P_V, budget=5, optimize_theta=False)
+        state = algorithm2_ao(stats, 3.0, P_W, P_V)
         np.testing.assert_array_equal(state.theta, stats.theta)
+        assert all(row.grad_norm == 0.0 and row.step_size == 0.0 for row in state.trace)
         assert state.objective[-1] >= state.objective[0] - 1e-10
 
 
@@ -421,16 +430,17 @@ class TestSopPhaseGradient:
 
 
 class TestSopDescent:
-    def test_outage_never_increases_along_the_trace(self):
+    def test_outage_never_increases_along_the_trace(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SOP_MAX_ITER", 25)
         stats = make_stats("double")
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
-        res = optimize_sop(stats, P_W, r_bits=1.2, budget=25)
+        res = optimize_sop(stats, P_W, r_bits=1.2)
         probs = [row.objective for row in res.trace]
         assert res.prob == probs[-1]
         assert np.all(np.diff(probs) <= 1e-15)
         assert probs[-1] < probs[0]
         if res.converged:
-            final = sop_phase_gradient(res.stats, P_W, 1.2)
+            final = sop_phase_gradient(stats.with_theta(res.theta), P_W, 1.2)
             assert np.linalg.norm(final.grad) < 1e-6
 
     def test_warm_started_trials_halve_the_solver_iterations(self, monkeypatch):
@@ -441,6 +451,7 @@ class TestSopDescent:
         stats = experiment_stats("double", M=4, L=8, N_B=2, N_E=(2,))
         P_W, _ = uniform_precoders(stats.M, dbm_to_watts(40.0), split_w=1.0, split_v=0.0)
         solve_ds = fixedpoint.solve_ds
+        monkeypatch.setattr(optimize, "SOP_MAX_ITER", 20)
 
         def descent(cold: bool):
             iters = []
@@ -451,7 +462,7 @@ class TestSopDescent:
                 return sol
 
             monkeypatch.setattr(fixedpoint, "solve_ds", counted)
-            return optimize_sop(stats, P_W, r_bits=1.0, budget=20), sum(iters)
+            return optimize_sop(stats, P_W, r_bits=1.0), sum(iters)
 
         warm_res, warm = descent(cold=False)
         cold_res, cold = descent(cold=True)
@@ -459,18 +470,20 @@ class TestSopDescent:
         assert warm_res.prob == pytest.approx(cold_res.prob, rel=1e-8)
         assert warm <= 0.5 * cold
 
-    def test_initial_phases_are_honored(self):
+    def test_initial_phases_are_honored(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SOP_MAX_ITER", 3)
         stats = make_stats("double")
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
         theta0 = np.linspace(0.1, 1.9, stats.L)
-        res = optimize_sop(stats.with_theta(theta0), P_W, r_bits=1.2, budget=3)
+        res = optimize_sop(stats.with_theta(theta0), P_W, r_bits=1.2)
         expected = esr_wiretap(stats.with_theta(theta0), P_W).sop(1.2)
         assert res.trace[0].objective == pytest.approx(expected, rel=1e-10)
 
-    def test_phase_invariant_scenario_converges_immediately(self):
+    def test_phase_invariant_scenario_converges_immediately(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SOP_MAX_ITER", 10)
         stats = make_stats("double", identity_ts=True)
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
-        res = optimize_sop(stats, P_W, r_bits=1.0, budget=10)
+        res = optimize_sop(stats, P_W, r_bits=1.0)
         assert res.converged
         assert len(res.trace) == 1
         np.testing.assert_array_equal(res.theta, stats.theta)
@@ -500,22 +513,24 @@ class TestLineSearchStall:
         np.testing.assert_array_equal(w, P_W)
         np.testing.assert_array_equal(v, P_V)
 
-    def test_phase_ascent_keeps_theta_with_step_zero(self):
+    def test_phase_ascent_keeps_theta_with_step_zero(self, monkeypatch):
+        monkeypatch.setattr(optimize, "AO_MAX_ROUNDS", 2)
         stats = make_stats("lbi")
         P_W, P_V = uniform_precoders(stats.M, 2.0 / stats.M, 0.5, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            state = algorithm2_ao(stats, 2.0, P_W, P_V, budget=2)
+            state = algorithm2_ao(stats, 2.0, P_W, P_V)
         np.testing.assert_array_equal(state.theta, stats.theta)
         assert len(state.trace) > 1
         for row in state.trace[1:]:
             assert row.grad_norm > 0.0
             assert row.step_size == 0.0
 
-    def test_outage_descent_stops_unconverged_with_theta_unchanged(self):
+    def test_outage_descent_stops_unconverged_with_theta_unchanged(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SOP_MAX_ITER", 10)
         stats = make_stats("double")
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
-        res = optimize_sop(stats, P_W, r_bits=1.2, budget=10)
+        res = optimize_sop(stats, P_W, r_bits=1.2)
         assert not res.converged
         np.testing.assert_array_equal(res.theta, stats.theta)
         assert len(res.trace) == 2

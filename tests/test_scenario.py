@@ -13,6 +13,7 @@ from irs_secrecy.errors import ConfigError, ModelError
 from irs_secrecy.scenario import (
     CorrelationSpec,
     Scenario,
+    Spectrum,
     build_channel_statistics,
     build_correlation_matrix,
     build_los_channel,
@@ -28,7 +29,7 @@ from irs_secrecy.scenario import (
     trial_streams,
 )
 
-from irs_secrecy.secrecy import esr_wiretap, secrecy_terms
+from irs_secrecy.secrecy import build_multi_eve_model, secrecy_terms
 
 from conftest import (
     REF_LOSS_1,
@@ -37,6 +38,7 @@ from conftest import (
     config_dict,
     corr,
     make_stats,
+    spectrum_matrix,
     trial_rng,
 )
 
@@ -223,7 +225,8 @@ class TestChannelStatistics:
         for tag, (gain, R, T_S) in expected.items():
             rx = stats.receiver(tag)
             assert rx is stats.receivers[tag] and rx.n == R.shape[0]
-            assert np.array_equal(rx.r.mat, gain * R)
+            spec = Spectrum.of_matrix(gain * R)
+            assert np.array_equal(rx.r.lam, spec.lam) and np.array_equal(rx.r.vecs, spec.vecs)
             assert np.array_equal(rx.ts, T_S)
             assert rx.sigma2 == cfg.sigma2_watts
         # noise powers that differ stay with their receivers
@@ -234,7 +237,7 @@ class TestChannelStatistics:
         P_W = np.eye(stats.M, dtype=complex)
         for eve in ("B", "E", "E3"):
             with pytest.raises(ModelError, match=f"unknown eavesdropper tag '{eve}'"):
-                esr_wiretap(stats, P_W, eve=eve)
+                build_multi_eve_model(stats, P_W, eves=[eve])
         # without the check, 'B' as an eavesdropper would give 2 I_B quietly
         with pytest.raises(ModelError, match="unknown eavesdropper tag 'B'"):
             secrecy_terms(stats, P_W, eves=["B"])
@@ -435,7 +438,7 @@ class TestBuildScenario:
         scenario = build_scenario(cfg)
         g_b = path_loss(REF_LOSS_1, 20.0, 2.2) * path_loss(REF_LOSS_2, 30.0, 3.67)
         expected = g_b * corr(0.0, 5.0, 2)
-        assert np.allclose(scenario.stats.receiver("B").r.mat, expected, atol=1e-15)
+        assert np.allclose(spectrum_matrix(scenario.stats.receiver("B").r), expected, atol=1e-15)
 
     def test_uniform_theta_seeded(self):
         cfg = parse_config(config_dict(theta_init="uniform"))
@@ -457,7 +460,7 @@ class TestBuildScenario:
         assert cfg.receivers[0].T_S == cfg.R_S
         stats = build_scenario(cfg).stats
         assert len(specs) == len(set(specs)) == 6  # 7 entries; R_S is T_S_B's spec
-        assert stats.receiver("B").ts is stats.R_S
+        assert np.array_equal(stats.receiver("B").ts_sqrt, stats.R_S_sqrt)
 
     def test_null_correlation_is_identity(self):
         cfg = parse_config(config_dict(M=4))
