@@ -27,6 +27,7 @@ includes an ``--out`` that cannot be made or written, a ``--trials`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -316,7 +317,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later
+    call in the process."""
     parser = argparse.ArgumentParser(
         prog="irs-secrecy",
         description="Secrecy-rate and outage analysis for reflecting-surface-aided "
@@ -357,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
             if value < 0:

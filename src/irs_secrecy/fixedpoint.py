@@ -51,9 +51,10 @@ Each solver takes the spectra of its inputs (``scenario.Spectrum``), so
 one iteration costs O(N + L + M). ``solve_all``, the one solver of a
 design's terms, passes the receive spectra that ``ChannelStatistics`` keeps,
 one decomposition of each input its terms share (a user's surface Gram S;
-on the double model a precoder's T^{1/2} P T^{1/2}, which no user changes)
-and a single-hop transmit spectrum from the min(M, L)-sized Gram of
-sqrt(M/L) A P^{1/2} (``transmit_spectrum``). The means D and C are sums over those eigenvalues
+a precoder's T^{1/2} P T^{1/2} on the double model and its root P^{1/2} on
+the single-hop one, which no user changes) and a single-hop transmit
+spectrum from the min(M, L)-sized Gram of sqrt(M/L) A P^{1/2}
+(``transmit_spectra``). The means D and C are sums over those eigenvalues
 (log det(a I + b X) = sum_i log(a + b lam_i)): a solution's ``mean`` is its
 D or C, and its ``rate`` that mean less the N log z noise floor. A solution
 keeps its inputs as spectra and forms no dense input matrix: it builds the
@@ -409,14 +410,17 @@ def solve_ds(r: Spectrum, s: Spectrum, t: Spectrum, z: float, m_dim: int, l_dim:
 # solving a design's terms
 # ---------------------------------------------------------------------------
 
-def transmit_spectrum(stats: ChannelStatistics, user: str, P: np.ndarray) -> Spectrum:
-    """Spectrum of the transmit-side correlation T_eff seen by the solvers
-    once the precoder P is absorbed.
+def transmit_spectra(stats: ChannelStatistics, users: Sequence[str],
+                     P: np.ndarray) -> dict:
+    """Spectrum of the transmit-side correlation T_eff that each of ``users``
+    sees once the precoder P is absorbed, by user tag.
 
-    double: T^{1/2} P T^{1/2} (M x M), decomposed as it is.
-    lbi:    (M/L) A P A^H with A the deterministic aperture (L x L), taken
-            from its factor sqrt(M/L) A F, F = ``psd_root(P)``, through its
-            min(M, L)-sized Gram; a zero precoder gives the empty spectrum.
+    double: T^{1/2} P T^{1/2} (M x M), decomposed once and shared by every
+            user.
+    lbi:    (M/L) A P A^H with A the user's deterministic aperture (L x L),
+            taken from its factor sqrt(M/L) A F through its min(M, L)-sized
+            Gram, with one root F = ``psd_root(P)`` for every user; a zero
+            precoder gives the empty spectrum.
             The M/L factor rescales the solver's unit-variance trace
             convention to the per-column 1/L variance of the sampled
             Gaussian factor; without it the closed forms and the sampled
@@ -429,40 +433,45 @@ def transmit_spectrum(stats: ChannelStatistics, user: str, P: np.ndarray) -> Spe
         raise ModelError("precoder has a non-finite entry")
     if stats.model_kind == "double":
         out = stats.T_sqrt @ P @ stats.T_sqrt
-        return Spectrum.of_matrix(0.5 * (out + out.conj().T), "T_eff")
+        return dict.fromkeys(users, Spectrum.of_matrix(0.5 * (out + out.conj().T), "T_eff"))
     root = psd_root(P, "precoder")
     if root.shape[1] == 0:
-        return Spectrum(np.zeros(0), np.zeros((stats.L, 0), dtype=complex), gram=True)
-    factor = math.sqrt(stats.M / stats.L) * (stats.lbi_aperture(user) @ root)
-    return Spectrum.of_factor(factor, "T_eff")
+        return dict.fromkeys(users, Spectrum(np.zeros(0), np.zeros((stats.L, 0), dtype=complex),
+                                             gram=True))
+    scale = math.sqrt(stats.M / stats.L)
+    return {user: Spectrum.of_factor(scale * (stats.lbi_aperture(user) @ root), "T_eff")
+            for user in users}
 
 
 def solve_all(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
               precoders: dict, starts: Optional[Sequence] = None) -> list:
     """Fixed points of the descriptors, in order, each distinct one solved once
     under ``precoders[d.precoder]``. Inputs the terms share are decomposed once
-    per call: a user's surface Gram, and on the double model a precoder's
-    T^{1/2} P T^{1/2}. ``starts`` holds a double-hop start point (delta, omega,
-    omega_bar) or None per descriptor; a single-hop term takes none."""
+    per call: a user's surface Gram, and a precoder's T^{1/2} P T^{1/2} on the
+    double model or its root on the single-hop one (``transmit_spectra``).
+    ``starts`` holds a double-hop start point (delta, omega, omega_bar) or
+    None per descriptor; a single-hop term takes none."""
     descriptors = list(descriptors)
     starts = [None] * len(descriptors) if starts is None else list(starts)
     if len(starts) != len(descriptors):
         raise ModelError(f"{len(starts)} start points for {len(descriptors)} descriptors")
+    users = {}
+    for d in dict.fromkeys(descriptors):
+        users.setdefault(d.precoder, []).append(d.user)
+    transmits = {tag: transmit_spectra(stats, tag_users, precoders[tag])
+                 for tag, tag_users in users.items()}
     double = stats.model_kind == "double"
-    transmits, grams, solved = {}, {}, {}
+    grams, solved = {}, {}
     for d, start in zip(descriptors, starts):
         if d in solved:
             continue
-        rx = stats.receiver(d.user)
+        rx, t = stats.receiver(d.user), transmits[d.precoder][d.user]
         if double:
-            if d.precoder not in transmits:
-                transmits[d.precoder] = transmit_spectrum(stats, d.user, precoders[d.precoder])
             if d.user not in grams:
                 grams[d.user] = Spectrum.of_matrix(stats.ds_gram(d.user), "S")
-            solved[d] = solve_ds(rx.r, grams[d.user], transmits[d.precoder], rx.sigma2,
-                                 stats.M, stats.L, start=start)
+            solved[d] = solve_ds(rx.r, grams[d.user], t, rx.sigma2, stats.M, stats.L,
+                                 start=start)
         else:
-            t = transmit_spectrum(stats, d.user, precoders[d.precoder])
             if start is not None:
                 raise ValueError("the single-hop solve takes no start point")
             solved[d] = solve_lbi(rx.r, t, rx.sigma2, stats.M)

@@ -87,6 +87,9 @@ class CorrelationSpec:
 QUADRATURE_STEPS = (0.25, 0.1, 0.05, 0.02, 0.01)
 QUADRATURE_SAFETY = 1.25
 _GAUSS_BANDWIDTH = math.sqrt(2.0 * math.log(1e17))
+# Half-width of the quadrature window around eta, in units of delta: past it
+# the density is below 1e-18 of its peak.
+_WINDOW = math.sqrt(2.0 * math.log(1e18))
 # Distance from eta to the nearest end of [-180, 180], in units of delta,
 # below which the density there exceeds 1e-16 of its peak.
 _KINK_DISTANCE = math.sqrt(2.0 * math.log(1e16))
@@ -104,6 +107,11 @@ def _quadrature_terms(spec: CorrelationSpec) -> tuple:
             _GAUSS_BANDWIDTH * 180.0 / (math.pi * spec.delta))
 
 
+def _kinked(spec: CorrelationSpec) -> bool:
+    """Whether the density at +-180 degrees exceeds 1e-16 of its peak."""
+    return 180.0 - abs(spec.eta) < _KINK_DISTANCE * spec.delta
+
+
 def quadrature_step(spec: CorrelationSpec) -> Optional[float]:
     """Trapezoid step in degrees that ``build_correlation_matrix`` uses for
     ``spec``, or None when even the finest step cannot resolve it."""
@@ -111,7 +119,7 @@ def quadrature_step(spec: CorrelationSpec) -> Optional[float]:
     fits = [h for h in QUADRATURE_STEPS if 360.0 / h >= needed]
     if not fits:
         return None
-    if 180.0 - abs(spec.eta) < _KINK_DISTANCE * spec.delta:
+    if _kinked(spec):
         return QUADRATURE_STEPS[-1]
     return fits[0]
 
@@ -130,10 +138,14 @@ def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
     exceed the integrand's bandwidth, 2 pi d_r (n - 1) + sqrt(2 ln 1e17) /
     delta cycles (delta in radians), so the step is the coarsest of
     ``QUADRATURE_STEPS`` with 360 / h >= QUADRATURE_SAFETY times that.
+    The rule runs only on the grid's nodes within eta +- sqrt(2 ln 1e18)
+    delta, clipped to [-180, 180]: past that window the integrand is below
+    1e-18 of its peak, so the rule keeps its exponential accuracy
+    (Trefethen & Weideman, SIAM Rev. 56, 2014) on a fraction of the circle.
     Fallback: where the density at +-180 degrees exceeds 1e-16 of its peak,
     the periodic extension has a kink and the rule converges only as O(h^2),
-    so the finest step, 0.01 degrees, is used. A spec that even 0.01 degrees
-    cannot resolve is a ModelError.
+    so the finest step, 0.01 degrees, is used over the full circle. A spec
+    that even 0.01 degrees cannot resolve is a ModelError.
 
     The matrix depends on (m - n) only, so a single pass over the 2n-1 offsets
     fills a Hermitian Toeplitz matrix. The result is symmetrized exactly.
@@ -142,11 +154,17 @@ def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
     if step is None:
         raise ModelError(f"{spec} needs a quadrature step finer than "
                          f"{QUADRATURE_STEPS[-1]:g} degrees")
-    phi = np.arange(-180.0, 180.0 + 0.5 * step, step)
-    # trapezoid weights for a uniform grid
-    w = np.full(phi.shape, step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    last = round(360.0 / step)
+    lo, hi = 0, last
+    if not _kinked(spec):
+        half = _WINDOW * spec.delta
+        lo = max(lo, math.ceil((spec.eta - half + 180.0) / step))
+        hi = min(hi, math.floor((spec.eta + half + 180.0) / step))
+    i = np.arange(lo, hi + 1)
+    # node i of np.arange(-180, 180 + step / 2, step), built for i in the window only
+    phi = -180.0 + i * ((-180.0 + step) + 180.0)
+    # trapezoid weights: half at the ends of [-180, 180]
+    w = np.where((i == 0) | (i == last), 0.5 * step, step)
     density = np.exp(-((phi - spec.eta) ** 2) / (2.0 * spec.delta**2))
     density /= math.sqrt(2.0 * math.pi * spec.delta**2)
     weighted = density * w

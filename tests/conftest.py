@@ -129,7 +129,7 @@ def solve_term(stats, user: str, P: np.ndarray, start=None):
 
 def effective_transmit_corr(stats, user: str, P: np.ndarray) -> np.ndarray:
     """Dense transmit-side correlation T_eff of one receiver under the
-    precoder P, whose spectrum ``fixedpoint.transmit_spectrum`` takes
+    precoder P, whose spectrum ``fixedpoint.transmit_spectra`` takes
     without forming it: (M/L) A P A^H (L x L, A the aperture) on the
     single-hop model, T^{1/2} P T^{1/2} (M x M) on the double-hop one."""
     P = np.asarray(P, dtype=complex)

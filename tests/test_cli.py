@@ -491,6 +491,27 @@ _OVERSIZED = [
 ]
 
 
+class TestRepeatedCalls:
+    def test_a_second_call_gives_the_results_of_the_first(self, write_config, tmp_path,
+                                                           capsys):
+        # one parser serves every call in the process: a valid job and a
+        # malformed flag end the same way on the second call as on the first
+        path = write_config(config_dict(kind="lbi"))
+        results = []
+        for run in range(2):
+            out = tmp_path / f"run{run}"
+            code = main(["esr", "--config", path, "--out", str(out)])
+            esr = (out / "esr.json").read_bytes()
+            with pytest.raises(SystemExit) as exc:
+                main(["esr", "--config", path, "--out", str(out), "--seed", "x"])
+            results.append((code, esr, exc.value.code, capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and results[0][2] == 2
+        assert results[0][3].err.startswith("usage: irs-secrecy esr ")
+        assert results[0][3].err.endswith("argument --seed: invalid int value: 'x'\n")
+        assert cli._parser() is cli._parser()
+
+
 class TestFailureModes:
     def test_invalid_json_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

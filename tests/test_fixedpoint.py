@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from irs_secrecy import fixedpoint
+from irs_secrecy import scenario as scenario_module
 from irs_secrecy.errors import ConvergenceError, ModelError
 from irs_secrecy.fixedpoint import (
     MiDescriptor,
     solve_all,
     solve_ds,
     solve_lbi,
-    transmit_spectrum,
+    transmit_spectra,
 )
 from irs_secrecy.scenario import Spectrum
-from irs_secrecy.secrecy import secrecy_terms
+from irs_secrecy.secrecy import build_multi_eve_model, secrecy_terms
 
 from conftest import (effective_transmit_corr, make_stats, rand_psd, solve_term, spectrum,
                       spectrum_matrix, uniform_precoders)
@@ -310,7 +311,7 @@ class TestSpectralMeans:
             stats = make_stats(kind)
             P = _rank_deficient_psd(stats.M, 2, rng)
             dense = np.linalg.eigvalsh(effective_transmit_corr(stats, "E1", P))
-            lam = transmit_spectrum(stats, "E1", P).lam
+            lam = transmit_spectra(stats, ["E1"], P)["E1"].lam
             got = np.sort(np.concatenate([lam, np.zeros(dense.size - lam.size)]))
             assert np.allclose(got, dense, atol=1e-12)
 
@@ -332,7 +333,7 @@ class TestZeroTransmitSpectrum:
     def test_zero_precoder_term_has_zero_mean_rate(self):
         stats = make_stats("lbi")
         _, P_V = uniform_precoders(stats.M, 1.0, split_w=1.0, split_v=0.0)
-        assert transmit_spectrum(stats, "B", P_V).lam.size == 0
+        assert transmit_spectra(stats, ["B"], P_V)["B"].lam.size == 0
         for user in stats.users():
             sol = solve_term(stats, user, P_V)
             assert sol.alpha_bar == 0.0
@@ -403,6 +404,17 @@ class TestSolveAll:
         assert sols[0].s is not sols[2].s and sols[2].s is not sols[4].s
         assert sols[0].t is not sols[1].t
 
+    def test_single_hop_precoders_are_rooted_once_per_call(self, monkeypatch):
+        # an AN design against two eavesdroppers: terms (BU, BV, E1U, E1V,
+        # E2U, E2V) take one root per precoder and one T_eff Gram per term
+        stats = make_stats("lbi", N_E=(3, 2))
+        calls = []
+        psd_eig = scenario_module.psd_eig
+        monkeypatch.setattr(scenario_module, "psd_eig",
+                            lambda mat, name: calls.append(name) or psd_eig(mat, name))
+        build_multi_eve_model(stats, *uniform_precoders(stats.M, 2.0))
+        assert sorted(calls) == ["T_eff"] * 6 + ["precoder"] * 2
+
     def test_single_hop_transmit_spectra_are_per_term(self):
         # the aperture differs per user, so no two terms share T_eff
         stats, descs, precs = self._an_terms("lbi")
@@ -418,24 +430,24 @@ class TestSolveAll:
 
 
 class TestEffectiveTransmitCorrelation:
-    """``transmit_spectrum`` as a matrix: T_eff of the precoder."""
+    """``transmit_spectra`` as matrices: T_eff of the precoder."""
 
     def test_identity_precoder_returns_transmit_correlation(self):
         stats = make_stats("double")
-        T_eff = spectrum_matrix(transmit_spectrum(stats, "B", np.eye(stats.M, dtype=complex)))
+        T_eff = spectrum_matrix(transmit_spectra(stats, ["B"], np.eye(stats.M, dtype=complex))["B"])
         assert np.allclose(T_eff, stats.T, atol=1e-12)
 
     def test_zero_precoder_returns_zero(self):
         for kind in ("lbi", "double"):
             stats = make_stats(kind)
-            T_eff = spectrum_matrix(transmit_spectrum(stats, "E1", np.zeros((stats.M, stats.M))))
+            T_eff = spectrum_matrix(transmit_spectra(stats, ["E1"], np.zeros((stats.M, stats.M)))["E1"])
             assert np.allclose(T_eff, 0.0, atol=1e-14)
 
     def test_random_precoder_gives_psd(self):
         rng = np.random.default_rng(5)
         for kind in ("lbi", "double"):
             stats = make_stats(kind)
-            T_eff = spectrum_matrix(transmit_spectrum(stats, "B", rand_psd(stats.M, rng)))
+            T_eff = spectrum_matrix(transmit_spectra(stats, ["B"], rand_psd(stats.M, rng))["B"])
             assert np.linalg.eigvalsh(T_eff).min() > -1e-10
 
 

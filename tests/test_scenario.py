@@ -106,6 +106,82 @@ class TestCorrelationMatrix:
                         assert np.max(np.abs(c[ks, 0] - col)) <= 1e-10 * np.max(np.abs(col)), spec
         assert fast == 20
 
+    @staticmethod
+    def _full_circle(spec, ks):
+        """Entries ``ks`` of the first column under the trapezoid rule over all
+        of [-180, 180] at ``quadrature_step(spec)``, the nodes the window is
+        cut from."""
+        step = quadrature_step(spec)
+        phi = np.arange(-180.0, 180.0 + 0.5 * step, step)
+        w = np.full(phi.shape, step)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        dens = np.exp(-((phi - spec.eta) ** 2) / (2.0 * spec.delta**2))
+        dens /= math.sqrt(2.0 * math.pi * spec.delta**2)
+        rows = np.exp(1j * 2.0 * math.pi * spec.d_r * np.outer(ks, np.sin(np.pi * phi / 180.0)))
+        return rows @ (dens * w)
+
+    @staticmethod
+    def _oracle(spec, ks):
+        """The same rule in extended precision, each entry the exact (fsum) sum
+        of its terms; nodes more than 12 delta from eta, where the density is
+        below 1e-31 of its peak, are left out."""
+        ld = np.longdouble
+        pi = 4 * np.arctan(ld(1))
+        nodes = round(360.0 / quadrature_step(spec))
+        phi = ld(360) * np.arange(nodes + 1) / nodes - 180
+        w = np.full(phi.shape, ld(360) / nodes)
+        w[0] /= 2
+        w[-1] /= 2
+        keep = np.abs(phi - spec.eta) <= 12 * spec.delta
+        phi, w = phi[keep], w[keep]
+        delta = ld(spec.delta)
+        weighted = w * np.exp(-((phi - spec.eta) ** 2) / (2 * delta**2)) / np.sqrt(2 * pi * delta**2)
+        arg = 2 * pi * ld(spec.d_r) * np.outer(ks, np.sin(pi * phi / 180))
+        return np.array([complex(math.fsum((weighted * np.cos(row)).astype(float)),
+                                 math.fsum((weighted * np.sin(row)).astype(float)))
+                         for row in arg])
+
+    @pytest.mark.parametrize("d_r", [0.5, 1.0, 2.0])
+    def test_window_matches_a_compensated_sum_oracle(self, d_r):
+        """Every spec over n, delta and eta, each matrix against the oracle
+        above: no farther from it than twice the error of the full-circle rule
+        plus 1e-15 of the largest entry, and within 1e-13 relative of that
+        rule. (eta, delta) = (0, 20) has a window past both ends of [-180,
+        180] without a kink. Kink specs run the full-circle rule, which the
+        finest-grid tests check bit for bit. At n = 64 the oracle covers every
+        7th offset and the last 8."""
+        window = math.sqrt(2.0 * math.log(1e18))
+        checked = 0
+        for n in (1, 2, 8, 16, 64):
+            ks = np.arange(n) if n <= 16 else np.unique(np.r_[0:n:7, n - 8:n])
+            specs = [CorrelationSpec(d_r, eta, delta, n)
+                     for delta in (1.0, 5.0, 8.0, 30.0, 60.0)
+                     for eta in np.linspace(-170.0, 170.0, 9).tolist()]
+            specs.append(CorrelationSpec(d_r, 0.0, 20.0, n))
+            for spec in specs:
+                if 180.0 - abs(spec.eta) < math.sqrt(2.0 * math.log(1e16)) * spec.delta:
+                    assert quadrature_step(spec) == 0.01, spec
+                    continue
+                if spec.delta == 20.0:
+                    assert window * spec.delta > 180.0
+                checked += 1
+                got = build_correlation_matrix(spec)[ks, 0]
+                full, oracle = self._full_circle(spec, ks), self._oracle(spec, ks)
+                scale = np.max(np.abs(oracle))
+                bound = 2.0 * np.max(np.abs(full - oracle)) + 1e-15 * scale
+                assert np.max(np.abs(got - oracle)) <= bound, spec
+                assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full)), spec
+        assert checked == 5 * (9 + 7 + 5 + 1)
+
+    def test_kink_fallback_is_the_finest_full_circle_grid_at_n_64(self):
+        spec = CorrelationSpec(1.0, 175.0, 5.0, 64)
+        assert quadrature_step(spec) == 0.01
+        col = self._full_circle(spec, np.arange(spec.n))
+        idx = np.subtract.outer(np.arange(spec.n), np.arange(spec.n))
+        ref = np.where(idx >= 0, col[np.abs(idx)], np.conj(col[np.abs(idx)]))
+        assert np.array_equal(build_correlation_matrix(spec), 0.5 * (ref + ref.conj().T))
+
     @pytest.mark.parametrize("args, field", [
         ((1.0, 1e308, 5.0, 2), "eta"),      # was an overflow warning and a zero matrix
         ((1.0, 0.0, 1e300, 2), "delta"),    # was a bare OverflowError
