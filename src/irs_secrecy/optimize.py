@@ -17,11 +17,14 @@ Three layers:
   which is the line search's K(theta), and the round's closing mean when
   no phase step is accepted.
 * Outage minimization on the double-hop model (``optimize_sop``): gradient
-  descent on the Gaussian outage surrogate, with every phase partial obtained
-  by implicit differentiation of the three fixed-point scalars per user
-  (``sop_phase_gradient``). Its two solves are one ``solve_all`` call, so
-  T^{1/2} P_W T^{1/2} is diagonalized once per gradient for both users, and
-  each line-search trial starts them from the current design's fixed points.
+  descent on the Gaussian outage surrogate. ``sop_phase_gradient`` takes its
+  value from ``secrecy.contract_terms`` of its own ``solve_all`` solutions,
+  as ``build_multi_eve_model`` does, and keeps only the derivative chain:
+  per user, the three scalars move by c q1 with c = (I - J_F)^{-1} e_1, the
+  variance's partials are Python floats, and the gradient is one weight
+  5-vector times five (5, L) phase contractions, plus the cross pair's two
+  trace terms. Each line-search trial starts the solves from the current
+  design's fixed points.
 
 The three line searches (inner precoder step, phase ascent, outage descent)
 share one Armijo backtracking loop, ``_backtrack``: steps 1.0, 0.5, ... down
@@ -43,11 +46,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateRegimeError,
-                     InvalidCovarianceError, ModelError)
+from .errors import ConvergenceError, DegenerateRegimeError, ModelError
 from .fixedpoint import DsSolution, MiDescriptor, solve_all
 from .scenario import ChannelStatistics
-from .secrecy import norm_cdf, secrecy_terms
+from .secrecy import contract_terms, secrecy_terms
 
 LN2 = math.log(2.0)
 
@@ -449,63 +451,71 @@ def algorithm2_ao(
 # outage-probability phase gradient (double-hop model)
 # ---------------------------------------------------------------------------
 
-class _UserDerivatives:
-    """Per-user pieces of the outage gradient chain on the double-hop model."""
+class _UserChain:
+    """One user's outage gradient chain. The implicit system in (delta,
+    omega, omega_bar) has one nonzero row, q1 = (Tr[G_S dS] - omega_bar
+    Tr[S G_S^2 dS]) / M, so the scalars move by c q1. The user's variance,
+    -log Delta - log Delta_S, moves by ``a`` q1 plus ``p_S`` and ``p_SI``
+    times the explicit parts of d nu_S and d nu_SI."""
 
     def __init__(self, stats: ChannelStatistics, user: str, sol: DsSolution):
         self.sol = sol
         m, ell = float(stats.M), float(stats.L)
-        self.m, self.ell = m, ell
+        d, om, omb = sol.point
+        nu_R, nu_S, nu_SI, nu_T = sol.nu_R, sol.nu_S, sol.nu_SI, sol.nu_T
 
         # the phase derivative dS/dtheta_l = -j (u_l v_l^H - v_l u_l^H) has
         # u_l, v_l the columns of U = R_S^{1/2} and V = U Theta^H T_S Theta;
         # here they are held in S's eigenbasis W as W^H U and W^H V
         phases = np.exp(1j * stats.theta)
         conj_ts = (phases.conj()[:, None] * stats.receiver(user).ts) * phases[None, :]
-        self.W = sol.s.vecs
-        w_h = self.W.conj().T
-        self.wu = w_h @ stats.R_S_sqrt
-        self.wv = w_h @ (stats.R_S_sqrt @ conj_ts)
+        self.wu = sol.s.vecs.conj().T @ stats.R_S_sqrt
+        self.wv = self.wu @ conj_ts
 
-        self.nu_R, self.nu_S, self.nu_SI, self.nu_T = sol.nu_R, sol.nu_S, sol.nu_SI, sol.nu_T
         # S, G_S and their products share S's eigenvectors: traces are
         # eigen-sums, as are those of (T_eff G_T)^3 and (R G_R)^3
         sigma = sol.s.lam
-        g = 1.0 / (1.0 / sol.delta + sol.omega_bar * sigma)
+        g = 1.0 / (1.0 / d + omb * sigma)
         self.g, self.sg = g, sigma * g  # eigenvalues of G_S and S G_S
-        self.tr_S2G3 = float(np.sum(sigma ** 2 * g ** 3))
-        self.tr_S3G3 = float(np.sum((sigma * g) ** 3))
-        self.tr_SG3 = float(np.sum(sigma * g ** 3))
-        self.tr_T3GT3 = float(np.sum((sol.t.lam / (1.0 + sol.omega * sol.t.lam)) ** 3))
-        self.tr_R3GR3 = float(np.sum((sol.r.lam / (sol.z + sol.kappa * sol.r.lam)) ** 3))
-
-        self.Delta_S = 1.0 - self.nu_S * self.nu_T
-        d = sol.delta
-        self.Gamma = (m / (ell * d * d)) * (
-            sol.omega_bar ** 2 * self.nu_S
-            + self.nu_SI ** 2 * self.nu_T / (d * d * self.Delta_S))
-        self.Delta = 1.0 - self.nu_R * self.Gamma
-        if self.Delta_S <= 0.0 or self.Delta <= 0.0:
-            raise InvalidCovarianceError(
-                f"user {user}: fluctuation scale factors out of range "
-                f"(Delta_S={self.Delta_S:.3e}, Delta={self.Delta:.3e})")
-
+        tr_S2G3 = float(np.sum(sigma ** 2 * g ** 3))
+        tr_S3G3 = float(np.sum((sigma * g) ** 3))
+        tr_SG3 = float(np.sum(sigma * g ** 3))
+        self.g_t = 1.0 / (1.0 + om * sol.t.lam)  # eigenvalues of G_T
+        tr_T3GT3 = float(np.sum((sol.t.lam * self.g_t) ** 3))
+        tr_R3GR3 = float(np.sum((sol.r.lam / (sol.z + sol.kappa * sol.r.lam)) ** 3))
         # phase contractions of G, S G^2, S^2 G^3, G^2 and S G^3, all
         # diagonal in W
-        K = 2.0 * (np.conj(self.wv) * self.wu).imag
-        self.tG, self.tSG2, self.tS2G3, self.tG2, self.tSG3 = np.stack(
-            [g, sigma * g ** 2, sigma ** 2 * g ** 3, g ** 2, sigma * g ** 3]) @ K
+        self.t5 = np.stack([g, sigma * g ** 2, sigma ** 2 * g ** 3, g ** 2, sigma * g ** 3]) @ (
+            2.0 * (np.conj(self.wv) * self.wu).imag)
 
-        self._solve_implicit()
-        self._nu_derivatives()
+        self.c, residual = self._implicit_column()
+        self.solve_residual = residual * float(np.max(np.abs(self.t5[0] - omb * self.t5[1]))) / m
+        cd, co, cob = self.c
+        # each nu's change per unit q1, through the scalars
+        k_R = -(2.0 * m / (ell * ell * d)) * tr_R3GR3 * (co * omb + om * cob - om * omb * cd / d)
+        k_S = (2.0 / m) * (cd * tr_S2G3 / d ** 2 - cob * tr_S3G3)
+        k_SI = (2.0 / m) * (cd * tr_SG3 / d ** 2 - cob * tr_S2G3)
+        k_T = -(2.0 / m) * tr_T3GT3 * co
 
-    def trf(self, M: np.ndarray) -> np.ndarray:
-        """L-vector of Tr[X dS/dtheta_l] for the Hermitian X = W M W^H."""
-        return 2.0 * np.sum(np.conj(self.wv) * (M @ self.wu), axis=0).imag
+        # partials of the variance in (delta, omega_bar, nu_R, nu_S, nu_SI,
+        # nu_T), with Delta = 1 - nu_R (A + B), A + B = Gamma
+        Delta_S = 1.0 - nu_S * nu_T
+        A = m * omb ** 2 * nu_S / (ell * d * d)
+        B = m * nu_SI ** 2 * nu_T / (ell * d ** 4 * Delta_S)
+        inv_Delta = 1.0 / (1.0 - nu_R * (A + B))
+        r = nu_R * inv_Delta
+        p_delta = -r * (2.0 * A + 4.0 * B) / d
+        p_omega_bar = r * 2.0 * m * omb * nu_S / (ell * d * d)
+        p_R = (A + B) * inv_Delta
+        self.p_S = r * (m * omb ** 2 / (ell * d * d) + B * nu_T / Delta_S) + nu_T / Delta_S
+        self.p_SI = r * 2.0 * m * nu_SI * nu_T / (ell * d ** 4 * Delta_S)
+        p_T = r * (m * nu_SI ** 2 / (ell * d ** 4 * Delta_S) + B * nu_S / Delta_S) + nu_S / Delta_S
+        self.a = (p_delta * cd + p_omega_bar * cob + p_R * k_R + self.p_S * k_S
+                  + self.p_SI * k_SI + p_T * k_T)
 
-    def _solve_implicit(self) -> None:
-        # I - J_F of the double-hop step map, the matrix of the solver's
-        # Newton step
+    def _implicit_column(self) -> Tuple[tuple, float]:
+        """c = (I - J_F)^{-1} e_1, with I - J_F the matrix of the solver's
+        Newton step, and the residual max |(I - J_F) c - e_1|."""
         A = np.eye(3) - np.array(self.sol.jacobian)
         # |det| over the product of row norms, which bounds it (Hadamard):
         # 1 for orthogonal rows, 0 when singular. It is taken with column k
@@ -520,48 +530,22 @@ class _UserDerivatives:
             raise DegenerateRegimeError(
                 "implicit-derivative system is singular (|det(I - J)| / product of "
                 f"row norms = {measure:.3e}, below 1e-14, with column k scaled by x_k)")
-        q = np.zeros((3, self.tG.size))
-        q[1] = (self.tG - self.sol.omega_bar * self.tSG2) / self.m
-        p = np.linalg.solve(A, q)
-        self.solve_residual = float(np.max(np.abs(A @ p - q)))
-        self.d_delta, self.d_omega, self.d_omega_bar = p[0], p[1], p[2]
+        e1 = np.array([0.0, 1.0, 0.0])
+        c = np.linalg.solve(A, e1)
+        return tuple(c.tolist()), float(np.max(np.abs(A @ c - e1)))
 
-    def _nu_derivatives(self) -> None:
-        sol, m, ell = self.sol, self.m, self.ell
-        d, om, omb = sol.delta, sol.omega, sol.omega_bar
-        dd, dom, domb = self.d_delta, self.d_omega, self.d_omega_bar
-
-        d_kappa = (m / (ell * d)) * (dom * omb + om * domb) \
-            - (m * om * omb / (ell * d * d)) * dd
-        self.d_nu_R = -(2.0 / ell) * self.tr_R3GR3 * d_kappa
-        self.d_nu_T = -(2.0 / m) * self.tr_T3GT3 * dom
-        self.d_nu_S = (2.0 / m) * (self.tSG2
-                                   + (dd / d ** 2) * self.tr_S2G3
-                                   - domb * self.tr_S3G3
-                                   - omb * self.tS2G3)
-        self.d_nu_SI = (1.0 / m) * (self.tG2
-                                    + 2.0 * (dd / d ** 2) * self.tr_SG3
-                                    - 2.0 * domb * self.tr_S2G3
-                                    - 2.0 * omb * self.tSG3)
-        d_Delta_S = -(self.d_nu_S * self.nu_T + self.nu_S * self.d_nu_T)
-        self.d_Delta_S = d_Delta_S
-        self.d_Gamma = (m / ell) * (
-            (2.0 * omb * domb * self.nu_S + omb ** 2 * self.d_nu_S) / d ** 2
-            - 2.0 * dd * omb ** 2 * self.nu_S / d ** 3
-            + (2.0 * self.nu_SI * self.d_nu_SI * self.nu_T
-               + self.nu_SI ** 2 * self.d_nu_T) / (d ** 4 * self.Delta_S)
-            - 4.0 * dd * self.nu_SI ** 2 * self.nu_T / (d ** 5 * self.Delta_S)
-            - self.nu_SI ** 2 * self.nu_T * d_Delta_S / (d ** 4 * self.Delta_S ** 2))
-        self.var = -math.log(self.Delta) - math.log(self.Delta_S)
-        self.d_var = ((self.d_nu_S * self.nu_T + self.nu_S * self.d_nu_T) / self.Delta_S
-                      + (self.d_nu_R * self.Gamma + self.nu_R * self.d_Gamma) / self.Delta)
-        self.d_mean = omb * self.tG
+    def trf(self, X: np.ndarray) -> np.ndarray:
+        """L-vector of Tr[W X W^H dS/dtheta_l] for a Hermitian X."""
+        return 2.0 * np.sum(np.conj(self.wv) * (X @ self.wu), axis=0).imag
 
 
 @dataclass(frozen=True)
 class SopGradient:
-    """Phase gradient of the Gaussian outage surrogate with its chain
-    intermediates (mean and variance pieces)."""
+    """Phase gradient of the Gaussian outage surrogate and its value, the
+    ``contract_terms(...).report(0)`` of its own solves and that report's
+    ``sop(r_bits)``. ``solve_residual`` is the larger of the two users'
+    residuals of the 3 x 3 column solve, max |(I - J_F) c - e_1| scaled by
+    max |q1|."""
 
     grad: np.ndarray
     prob: float
@@ -581,61 +565,49 @@ def sop_phase_gradient(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float,
     m = float(stats.M)
 
     descriptors, precoders, sel = secrecy_terms(stats, P_W, eves=[EVE])
-    sol_b, sol_e = solve_all(stats, descriptors, precoders, starts=start)
-    ub = _UserDerivatives(stats, "B", sol_b)
-    ue = _UserDerivatives(stats, EVE, sol_e)
+    sols = solve_all(stats, descriptors, precoders, starts=start)
+    report = contract_terms(descriptors, sols, sel).report(0)
+    prob = report.sop(r_bits)
+    b, e = _UserChain(stats, "B", sols[0]), _UserChain(stats, EVE, sols[1])
 
-    # cross-user quantities (shared BS-side factor), in the two users' S
-    # eigenbases: with O = W_b^H W_e, Tr[f_b(S_b) f_e(S_e)] = f_b . |O|^2 f_e,
-    # and G_b S_e G_e (I - omega_bar_b S_b G_b) = G_b S_e G_e G_b / delta_b
-    overlap = ub.W.conj().T @ ue.W
-    o2 = np.abs(overlap) ** 2
-    nu_S_be = float(ub.sg @ o2 @ ue.sg) / m
-    c1 = (ub.sg * ub.g) @ o2 @ ue.sg
-    c2 = ub.sg ** 2 @ o2 @ ue.sg
-    c3 = ub.sg @ o2 @ (ue.sg * ue.g)
-    c4 = ub.sg @ o2 @ ue.sg ** 2
-    y_b = ub.g[:, None] * ((overlap * ue.sg) @ overlap.conj().T) * ub.g / ub.sol.delta
-    y_e = ue.g[:, None] * ((overlap.conj().T * ub.sg) @ overlap) * ue.g / ue.sol.delta
-    d_nu_S_be = (ub.trf(y_b) + ue.trf(y_e)
-                 + (ub.d_delta / ub.sol.delta ** 2) * c1
-                 - ub.d_omega_bar * c2
-                 + (ue.d_delta / ue.sol.delta ** 2) * c3
-                 - ue.d_omega_bar * c4) / m
-
-    tau = sol_b.t.lam  # the one T_eff of both users
-    g_tb = 1.0 / (1.0 + ub.sol.omega * tau)
-    g_te = 1.0 / (1.0 + ue.sol.omega * tau)
-    nu_T_be = float(np.sum(tau ** 2 * g_tb * g_te)) / m
-    d_nu_T_be = -(ub.d_omega * float(np.sum(tau ** 3 * g_tb ** 2 * g_te))
-                  + ue.d_omega * float(np.sum(tau ** 3 * g_tb * g_te ** 2))) / m
-
-    Delta_S_be = 1.0 - nu_S_be * nu_T_be
-    if Delta_S_be <= 0.0:
-        raise InvalidCovarianceError(
-            f"cross pair fluctuation factor out of range (Delta_S={Delta_S_be:.3e})")
-    w_cross = -math.log(Delta_S_be)
-    d_w_cross = (d_nu_S_be * nu_T_be + nu_S_be * d_nu_T_be) / Delta_S_be
-
-    variance = ub.var + ue.var - 2.0 * w_cross
-    if variance <= 0.0:
-        raise InvalidCovarianceError(f"variance {variance:.3e} is not positive")
-    var_grad = ub.d_var + ue.d_var - 2.0 * d_w_cross
-
-    mean_nats = float(sel[0] @ np.array([sol_b.rate, sol_e.rate]))
-    mean_grad = ub.d_mean - ue.d_mean
-
-    r_nats = float(r_bits) * LN2
-    sd = math.sqrt(variance)
-    t_std = (r_nats - mean_nats) / sd
-    t_grad = -mean_grad / sd - (r_nats - mean_nats) * var_grad / (2.0 * variance * sd)
+    # d prob = pdf (-d mean / sd - t d variance / (2 variance)), with the
+    # mean's change omega_bar Tr[G_S dS] per user, signed by the selector
+    sd = math.sqrt(report.variance)
+    t_std = (float(r_bits) * LN2 - report.mean_nats) / sd
     pdf = math.exp(-0.5 * t_std * t_std) / math.sqrt(2.0 * math.pi)
-    grad = pdf * t_grad
+    k_var = -pdf * t_std / (2.0 * report.variance)
+
+    # the variance holds -2 log Delta_S of the cross pair, Delta_S = 1 -
+    # nu_S nu_T, taken in the two users' S eigenbases: with O = W_b^H W_e,
+    # Tr[f_b(S_b) f_e(S_e)] = f_b . |O|^2 f_e, and G_b S_e G_e (I -
+    # omega_bar_b S_b G_b) = G_b S_e G_e G_b / delta_b
+    overlap = b.sol.s.vecs.conj().T @ e.sol.s.vecs
+    nu_S = float(b.sg @ np.abs(overlap) ** 2 @ e.sg) / m
+    tau = sols[0].t.lam  # the one T_eff of both users
+    nu_T = float(np.sum(tau ** 2 * b.g_t * e.g_t)) / m
+    # -2 d(-log Delta_S) = scale (nu_T M d nu_S + nu_S M d nu_T)
+    scale = -2.0 / (m * (1.0 - nu_S * nu_T))
+    grad = np.zeros(stats.L)
+    for u, other, o, sign in ((b, e, overlap, sel[0][0]), (e, b, overlap.conj().T, sel[0][1])):
+        cd, co, cob = u.c
+        o2 = np.abs(o) ** 2
+        y = u.g[:, None] * ((o * other.sg) @ o.conj().T) * u.g / u.sol.delta
+        a = u.a + scale * (
+            nu_T * (cd / u.sol.delta ** 2 * float((u.sg * u.g) @ o2 @ other.sg)
+                    - cob * float(u.sg ** 2 @ o2 @ other.sg))
+            - nu_S * co * float(np.sum(tau ** 3 * u.g_t ** 2 * other.g_t)))
+        # weights on the rows of t5 of a q1 + p_S d nu_S' + p_SI d nu_SI'
+        # (primes: the explicit parts), and of the mean's change
+        omb = u.sol.omega_bar
+        w = (k_var / m) * np.array([a, 2.0 * u.p_S - a * omb, -2.0 * omb * u.p_S,
+                                    u.p_SI, -2.0 * omb * u.p_SI])
+        w[0] -= pdf / sd * sign * omb
+        grad += w @ u.t5 + k_var * scale * nu_T * u.trf(y)
 
     return SopGradient(
-        grad=grad, prob=norm_cdf(t_std), mean_nats=mean_nats, variance=variance,
-        solve_residual=max(ub.solve_residual, ue.solve_residual),
-        points=(ub.sol.point, ue.sol.point),
+        grad=grad, prob=prob, mean_nats=report.mean_nats, variance=report.variance,
+        solve_residual=max(b.solve_residual, e.solve_residual),
+        points=(b.sol.point, e.sol.point),
     )
 
 
@@ -653,8 +625,9 @@ def optimize_sop(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float) -> So
     """Minimize the closed-form outage probability over the surface phases by
     backtracking gradient descent from ``stats.theta`` (sufficient decrease
     c g ||grad||^2), for at most ``SOP_MAX_ITER`` iterations; the trace's
-    objective column carries the outage probability. The final design's
-    statistics are ``stats.with_theta(result.theta)``."""
+    objective column carries the outage probability. When no step is
+    accepted it warns that the line search stalled and stops unconverged.
+    The final design's statistics are ``stats.with_theta(result.theta)``."""
     _require_double(stats, "optimize_sop")
 
     sg = sop_phase_gradient(stats, P_W, r_bits)
@@ -675,6 +648,8 @@ def optimize_sop(stats: ChannelStatistics, P_W: np.ndarray, r_bits: float) -> So
 
         found = _backtrack(trial)
         if found is None:
+            warnings.warn("outage line search stalled; returning the current phases",
+                          RuntimeWarning, stacklevel=2)
             trace.append(TraceRow(t, sg.prob, 0.0, g_norm, 0.0))
             break
         gamma, (stats, sg) = found

@@ -9,9 +9,9 @@ eavesdropper rate; with artificial noise the four-term combination
 
 is used instead. Outage probabilities follow from the Gaussian fluctuation
 approximation: P(secrecy rate < R) ~ Phi((R - mean) / sqrt(V)). One
-function, ``build_multi_eve_model``, turns a design into the means and the
-covariance of the secrecy rates against its eavesdroppers; every report reads
-its model, a single-eavesdropper ``SecrecyReport`` as one row.
+function, ``contract_terms``, turns a design's solved terms into the means
+and the covariance of the secrecy rates against its eavesdroppers; every
+report reads such a model, a single-eavesdropper ``SecrecyReport`` as one row.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class SecrecyReport:
         """Outage probability at threshold(s) given in bits."""
         if self.variance <= 0.0:
             raise InvalidCovarianceError(
-                f"secrecy-rate variance {self.variance:.3e} is not positive")
+                f"variance {self.variance:.3e} is not positive")
         r_nats = np.asarray(r_bits, dtype=float) * LN2
         return norm_cdf((r_nats - self.mean_nats) / math.sqrt(self.variance))
 
@@ -136,20 +136,13 @@ class MultiEveModel:
                              mean_nats=mean_nats, variance=float(self.Q[k, k]))
 
 
-def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
-                          P_V: Optional[np.ndarray] = None,
-                          eves: Optional[Sequence[str]] = None) -> MultiEveModel:
-    """Joint normal model of the secrecy rates against ``eves`` (default:
-    every eavesdropper), row k against ``eves[k]``: one ``solve_all`` and one
-    ``joint_cov`` of the ``secrecy_terms`` (with P_V the artificial-noise
-    combination, otherwise the plain wiretap difference). Row k is, bit for
-    bit, row 0 of the model against ``eves[k]`` alone (for E1, the ``esr_an``
-    report).
-    """
-    descriptors, precoders, selectors = secrecy_terms(stats, P_W, P_V, eves=eves)
-    sols = solve_all(stats, descriptors, precoders)
-    rates = np.array([s.rate for s in sols])
-    cov = joint_cov(descriptors, sols)
+def contract_terms(descriptors: Sequence[MiDescriptor], solutions: Sequence,
+                   selectors: np.ndarray) -> MultiEveModel:
+    """The model of solved ``secrecy_terms``: selector row k contracts the
+    terms' rates and their ``joint_cov`` into the mean and the covariance row
+    of the secrecy rate against the k-th eavesdropper."""
+    rates = np.array([s.rate for s in solutions])
+    cov = joint_cov(descriptors, solutions)
     # each row sums over its own terms only, in one order whatever other rows
     # there are; a matrix product over all rows can round a row differently
     terms = [np.flatnonzero(u) for u in selectors]
@@ -158,6 +151,20 @@ def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
                   for u, i in zip(selectors, terms)])
     Q = 0.5 * (Q + Q.T)
     return MultiEveModel(mu=mu, Q=Q)
+
+
+def build_multi_eve_model(stats: ChannelStatistics, P_W: np.ndarray,
+                          P_V: Optional[np.ndarray] = None,
+                          eves: Optional[Sequence[str]] = None) -> MultiEveModel:
+    """Joint normal model of the secrecy rates against ``eves`` (default:
+    every eavesdropper), row k against ``eves[k]``: one ``solve_all`` of the
+    ``secrecy_terms`` (with P_V the artificial-noise combination, otherwise
+    the plain wiretap difference) and their ``contract_terms``. Row k is, bit
+    for bit, row 0 of the model against ``eves[k]`` alone (for E1, the
+    ``esr_an`` report).
+    """
+    descriptors, precoders, selectors = secrecy_terms(stats, P_W, P_V, eves=eves)
+    return contract_terms(descriptors, solve_all(stats, descriptors, precoders), selectors)
 
 
 def esr_wiretap(stats: ChannelStatistics, P_W: np.ndarray) -> SecrecyReport:

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irs_secrecy import fixedpoint, optimize
 from irs_secrecy.errors import ConvergenceError, ModelError
@@ -24,10 +25,10 @@ from irs_secrecy.optimize import (
     wrap_phase,
 )
 from irs_secrecy.scenario import dbm_to_watts
-from irs_secrecy.secrecy import esr_an, esr_wiretap
+from irs_secrecy.secrecy import build_multi_eve_model, esr_an, esr_wiretap
 
-from conftest import (effective_transmit_corr, experiment_stats, make_stats, spectrum,
-                      uniform_precoders)
+from conftest import (effective_transmit_corr, experiment_stats, make_stats, rand_psd,
+                      spectrum, uniform_precoders)
 
 
 def _herm_direction(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -401,6 +402,18 @@ class TestSopPhaseGradient:
         assert sg.prob == pytest.approx(rep.sop(1.0), rel=1e-10)
         assert sg.solve_residual <= 1e-10
 
+    def test_value_is_the_model_report_bit_for_bit(self):
+        # the gradient contracts its own solves as build_multi_eve_model does;
+        # with no start points those solves are the model's
+        stats = make_stats("double")
+        P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
+        r_bits = 1.0
+        sg = sop_phase_gradient(stats, P_W, r_bits)
+        report = build_multi_eve_model(stats, P_W, eves=["E1"]).report(0)
+        assert sg.mean_nats == report.mean_nats
+        assert sg.variance == report.variance
+        assert sg.prob == report.sop(r_bits)
+
     def test_matches_finite_differences_through_the_full_chain(self):
         stats = make_stats("double")
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
@@ -427,6 +440,37 @@ class TestSopPhaseGradient:
         P_W, _ = uniform_precoders(stats.M, 2.0)
         with pytest.raises(ModelError):
             sop_phase_gradient(stats, P_W, r_bits=1.0)
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+class TestCommonPhaseOffset:
+    """theta -> theta + c 1 changes no statistic (Theta^H X Theta is
+    unchanged), so the partials of every objective sum to zero and the
+    outage probability stays put up to rounding."""
+
+    @_PROPERTY
+    @given(seed=st.integers(0, 40), p_scale=st.floats(0.05, 20.0),
+           r_bits=st.floats(0.0, 3.0), offset=st.floats(-7.0, 7.0))
+    def test_outage_gradient_sums_to_zero(self, seed, p_scale, r_bits, offset):
+        stats = make_stats("double", seed=seed)
+        P_W = rand_psd(stats.M, np.random.default_rng(seed), scale=p_scale)
+        sg = sop_phase_gradient(stats, P_W, r_bits)
+        assert abs(np.sum(sg.grad)) <= 1e-12 * np.sum(np.abs(sg.grad))
+        shifted = sop_phase_gradient(stats.with_theta(stats.theta + offset), P_W, r_bits)
+        assert shifted.prob == pytest.approx(sg.prob, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("an", [False, True], ids=["wiretap", "an"])
+    @_PROPERTY
+    @given(seed=st.integers(0, 40), p_scale=st.floats(0.05, 20.0))
+    def test_secrecy_mean_gradient_sums_to_zero(self, an, seed, p_scale):
+        stats = make_stats("lbi", seed=seed)
+        rng = np.random.default_rng(seed)
+        P_W = rand_psd(stats.M, rng, scale=p_scale)
+        P_V = rand_psd(stats.M, rng, scale=0.3 * p_scale) if an else np.zeros_like(P_W)
+        g, _ = esr_phase_gradient(stats, P_W, P_V)
+        assert abs(np.sum(g)) <= 1e-12 * np.sum(np.abs(g))
 
 
 class TestSopDescent:
@@ -536,6 +580,14 @@ class TestLineSearchStall:
         assert len(res.trace) == 2
         assert res.trace[-1].step_size == 0.0
         assert res.prob == res.trace[0].objective
+
+    def test_outage_descent_warns_that_it_stalled(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SOP_MAX_ITER", 10)
+        stats = make_stats("double")
+        P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
+        with pytest.warns(RuntimeWarning, match="^outage line search stalled"):
+            res = optimize_sop(stats, P_W, r_bits=1.2)
+        assert not res.converged
 
 
 def test_wrap_phase_stays_below_two_pi():
