@@ -24,28 +24,35 @@ Two coupled fixed-point systems are solved:
           + logdet(I + delta omega_bar S) + logdet(I + omega T)
           - 2 M omega omega_bar.
 
-Both systems run through one Newton iteration on x = F(x). The double-hop
-solve starts from the caller's ``start`` point when one is given (the SOP
-descent passes a nearby design's fixed points as ``solve_all``'s ``starts``),
-else from all scalars at 1. A start changes only where the iteration begins:
-the stop test and the domain check are the same, and a failed solve is not
-retried from elsewhere. The single-hop solve starts from all ones, except
-that a zero transmit spectrum starts at its closed form alpha_bar = 0,
-alpha = Tr R / (M z), mean N log z, which the first test accepts.
-Each iteration evaluates the right-hand sides F(x) together with their
-analytic Jacobian J_F(x), whose entries are eigen-sums over the same
-vectors (for example d alpha / d alpha_bar = -(1/M) sum_r lam_r^2 /
-(z + alpha_bar lam_r)^2). It takes the full Newton step
-x + (I - J_F)^{-1} (F(x) - x) when the new point stays in the domain (every
-scalar finite and >= 0, and delta > 0); otherwise it takes the damped step
-x <- (1 - DAMPING) x + DAMPING F(x) with ``DAMPING`` = 0.5.
+The single-hop system is one scalar equation: alpha_bar = f(alpha) is
+explicit, so alpha solves alpha = g(f(alpha)), where g o f is increasing and
+bounded with a unique fixed point (Hachem, Loubaton & Najim, Ann. Appl.
+Probab. 17, 2007). The solve starts at alpha = g(0) = Tr R / (M z), the top
+of the root's bracket and the exact root when T_eff is zero. It takes the
+Newton step alpha + (g(f(alpha)) - alpha) / (1 - g'f'), where
+g'f' = (1/M) sum_r q_r^2 (1/M) sum_t q_t^2 over the terms
+q_r = lam_r / (z + alpha_bar lam_r) and q_t = lam_t / (1 + alpha lam_t) of
+the two eigen-sums, or plain substitution alpha <- g(f(alpha)) when that
+point leaves [0, inf) or g'f' = 1. It stops when
+|g(f(alpha)) - alpha| < max(TOL, ROUNDOFF alpha) and
+|f(g(f(alpha))) - f(alpha)| < max(TOL, ROUNDOFF f(alpha)), and returns
+(g(f(alpha)), f(alpha)). Both scalars are tested: at high power alpha is
+about 1e-28, and a test on alpha alone accepts a wrong root.
 
-The iteration stops at the first point x whose direct-substitution residual
-passes |F_i(x) - x_i| < max(TOL, ROUNDOFF |x_i|) for every scalar. The
-absolute ``TOL`` (1e-10) governs O(1)-O(1e4) scalars; the relative floor
-``ROUNDOFF`` (64 machine epsilons) takes over only for a scalar so large
-that 1e-10 is below its roundoff, as at very high transmit power. After
-``MAX_ITER`` (10,000) iterations it raises ``ConvergenceError``.
+The double-hop solve runs Newton on x = F(x), x = (delta, omega, omega_bar),
+from the caller's ``start`` (the SOP descent passes a nearby design's fixed
+points as ``solve_all``'s ``starts``), else from all ones; a start changes
+only where the iteration begins. Each iteration evaluates F(x) with its
+analytic Jacobian J_F(x), whose entries are eigen-sums over the same
+vectors, and takes x + (I - J_F)^{-1} (F(x) - x) when that point stays in
+the domain (every scalar finite and >= 0, delta > 0), else the damped step
+x <- (1 - DAMPING) x + DAMPING F(x), ``DAMPING`` = 0.5. It stops at the
+first x with |F_i(x) - x_i| < max(TOL, ROUNDOFF |x_i|) for every scalar.
+
+``TOL`` (1e-10) is absolute; the relative floor ``ROUNDOFF`` (64 machine
+epsilons) takes over only for a scalar so large that 1e-10 is below its
+roundoff, as at very high transmit power. After ``MAX_ITER`` (10,000)
+iterations a solve raises ``ConvergenceError``.
 
 Each solver takes the spectra of its inputs (``scenario.Spectrum``), so
 one iteration costs O(N + L + M). ``solve_all``, the one solver of a
@@ -272,17 +279,9 @@ class DsSolution:
 # ---------------------------------------------------------------------------
 
 def _newton_point(x: list, diff: list, jac: tuple) -> Optional[list]:
-    """x + (I - J)^{-1} diff for 2 or 3 scalars, by the adjugate in Python
-    floats (at this size numpy's per-call overhead would be most of the
-    cost), or None when I - J is singular."""
-    if len(x) == 2:
-        (j00, j01), (j10, j11) = jac
-        a00, a01, a10, a11 = 1.0 - j00, -j01, -j10, 1.0 - j11
-        det = a00 * a11 - a01 * a10
-        if det == 0.0:
-            return None
-        r0, r1 = diff
-        return [x[0] + (a11 * r0 - a01 * r1) / det, x[1] + (a00 * r1 - a10 * r0) / det]
+    """x + (I - J)^{-1} diff for 3 scalars, by the adjugate in Python floats
+    (at this size numpy's per-call overhead would be most of the cost), or
+    None when I - J is singular."""
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
     a00, a01, a02 = 1.0 - j00, -j01, -j02
     a10, a11, a12 = -j10, 1.0 - j11, -j12
@@ -299,60 +298,33 @@ def _newton_point(x: list, diff: list, jac: tuple) -> Optional[list]:
             x[2] + (c02 * r0 + (a01 * a20 - a00 * a21) * r1 + (a00 * a11 - a01 * a10) * r2) / det]
 
 
-def _nonnegative(x: list) -> bool:
-    """Every scalar finite and >= 0 (NaN fails both comparisons)."""
-    return all(0.0 <= v < math.inf for v in x)
-
-
-def _newton_fixed_point(step, x: list, system: str, in_domain) -> tuple:
-    """Solve x = F(x) from the start x, where step(*x) returns (F(x), J_F(x)).
-
-    Takes the Newton step when ``in_domain`` accepts its point, else the
-    damped step, until the current point passes the direct-substitution test
-    |F_i(x) - x_i| < max(TOL, ROUNDOFF |x_i|) for every i. Returns
-    (x, iterations, residual): the iteration count includes the final test
-    and the residual is max_i |F_i(x) - x_i|. The constants are read on every
-    call.
-    """
-    tol, roundoff, damping = TOL, ROUNDOFF, DAMPING
-    keep = 1.0 - damping
-    residual = math.inf
-    for it in range(1, MAX_ITER + 1):
-        f, jac = step(*x)
-        diff = [fi - xi for fi, xi in zip(f, x)]
-        residual = max(map(abs, diff))
-        if all(abs(r) < max(tol, roundoff * abs(xi)) for r, xi in zip(diff, x)):
-            return x, it, residual
-        new = _newton_point(x, diff, jac)
-        if new is None or not in_domain(new):
-            new = [keep * o + damping * n for o, n in zip(x, f)]
-        x = new
-    raise ConvergenceError(f"{system} fixed point did not converge", residual, MAX_ITER)
-
-
 def solve_lbi(r: Spectrum, t: Spectrum, z: float, m_dim: int) -> LbiSolution:
-    """Solve the single-hop system to the direct-substitution test of
-    ``_newton_fixed_point``, on the spectra ``r`` of R and ``t`` of T_eff.
-    The start is the zero-spectrum closed form when T_eff is zero and all
-    ones otherwise."""
+    """Solve the single-hop system as alpha = g(f(alpha)) (module docstring)
+    on the spectra ``r`` of R and ``t`` of T_eff. ``n_iter`` counts the
+    iterations including the final test; ``residual`` is the larger of the
+    two scalars' residuals."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
     lam_r, lam_t = r.lam, t.lam
     m = float(m_dim)
-
-    def step(a: float, ab: float) -> tuple:
-        q_r = lam_r / (z + ab * lam_r)
+    a = float((lam_r / z).sum()) / m
+    residual = math.inf
+    for it in range(1, MAX_ITER + 1):
         q_t = lam_t / (1.0 + a * lam_t)
-        f = (float(q_r.sum()) / m, float(q_t.sum()) / m)
-        jac = ((0.0, -float(q_r @ q_r) / m), (-float(q_t @ q_t) / m, 0.0))
-        return f, jac
-
-    # with T_eff = 0 the alpha_bar row is 0 whatever alpha is, and alpha
-    # follows in closed form
-    start = [1.0, 1.0] if lam_t.any() else [float((lam_r / z).sum()) / m, 0.0]
-    (a, ab), it, residual = _newton_fixed_point(step, start, "single-hop", _nonnegative)
-    return LbiSolution(alpha=a, alpha_bar=ab, z=float(z), r=r, t=t, m_dim=m_dim,
-                       n_iter=it, residual=residual)
+        ab = float(q_t.sum()) / m
+        q_r = lam_r / (z + ab * lam_r)
+        a_next = float(q_r.sum()) / m
+        residual = abs(a_next - a)
+        if residual < max(TOL, ROUNDOFF * a):
+            ab_next = float((lam_t / (1.0 + a_next * lam_t)).sum()) / m
+            residual = max(residual, abs(ab_next - ab))
+            if abs(ab_next - ab) < max(TOL, ROUNDOFF * ab):
+                return LbiSolution(alpha=a_next, alpha_bar=ab, z=float(z), r=r, t=t,
+                                   m_dim=m_dim, n_iter=it, residual=residual)
+        slope = float(q_r @ q_r) * float(q_t @ q_t) / (m * m)
+        new = a + (a_next - a) / (1.0 - slope) if slope != 1.0 else a_next
+        a = new if 0.0 <= new < math.inf else a_next
+    raise ConvergenceError("single-hop fixed point did not converge", residual, MAX_ITER)
 
 
 def _ds_jacobian(m: float, ell: float, d: float, o: float, ob: float, nu_R: float,
@@ -367,9 +339,10 @@ def _ds_jacobian(m: float, ell: float, d: float, o: float, ob: float, nu_R: floa
 
 def solve_ds(r: Spectrum, s: Spectrum, t: Spectrum, z: float, m_dim: int, l_dim: int, *,
              start: Optional[Sequence[float]] = None) -> DsSolution:
-    """Solve the double-hop system to the direct-substitution test of
-    ``_newton_fixed_point``, on the spectra ``r`` of R, ``s`` of S and ``t``
-    of T_eff; ``start`` is (delta, omega, omega_bar), by default all ones."""
+    """Solve the double-hop system by Newton (module docstring) on the
+    spectra ``r`` of R, ``s`` of S and ``t`` of T_eff, from ``start`` =
+    (delta, omega, omega_bar), by default all ones. ``n_iter`` counts the
+    iterations including the final test; ``residual`` is max_i |F_i(x) - x_i|."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
     lam_r, lam_s, lam_t = r.lam, s.lam, t.lam
@@ -391,19 +364,27 @@ def solve_ds(r: Spectrum, s: Spectrum, t: Spectrum, z: float, m_dim: int, l_dim:
                float(q_t @ q_t) / m)
         return f, nus
 
-    def step(d: float, o: float, ob: float) -> tuple:
-        f, nus = moments(d, o, ob)
-        return f, _ds_jacobian(m, ell, d, o, ob, *nus)
-
-    (d, o, ob), it, residual = _newton_fixed_point(
-        step, [1.0, 1.0, 1.0] if start is None else list(start), "double-hop",
-        lambda x: x[0] > 0.0 and _nonnegative(x))
-    nu_R, nu_S, nu_SI, nu_T = moments(d, o, ob)[1]
-    return DsSolution(
-        delta=d, omega=o, omega_bar=ob, z=float(z), r=r, s=s, t=t, m_dim=m_dim,
-        l_dim=l_dim, n_iter=it, residual=residual, nu_R=nu_R, nu_S=nu_S, nu_SI=nu_SI,
-        nu_T=nu_T,
-    )
+    tol, roundoff, damping = TOL, ROUNDOFF, DAMPING
+    keep = 1.0 - damping
+    x = [1.0, 1.0, 1.0] if start is None else list(start)
+    residual = math.inf
+    for it in range(1, MAX_ITER + 1):
+        f, nus = moments(*x)
+        diff = [fi - xi for fi, xi in zip(f, x)]
+        residual = max(map(abs, diff))
+        if all(abs(di) < max(tol, roundoff * abs(xi)) for di, xi in zip(diff, x)):
+            (d, o, ob), (nu_R, nu_S, nu_SI, nu_T) = x, nus
+            return DsSolution(
+                delta=d, omega=o, omega_bar=ob, z=float(z), r=r, s=s, t=t, m_dim=m_dim,
+                l_dim=l_dim, n_iter=it, residual=residual, nu_R=nu_R, nu_S=nu_S, nu_SI=nu_SI,
+                nu_T=nu_T,
+            )
+        new = _newton_point(x, diff, _ds_jacobian(m, ell, *x, *nus))
+        # NaN fails both comparisons of the domain check
+        if new is None or not (new[0] > 0.0 and all(0.0 <= v < math.inf for v in new)):
+            new = [keep * xi + damping * fi for xi, fi in zip(x, f)]
+        x = new
+    raise ConvergenceError("double-hop fixed point did not converge", residual, MAX_ITER)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,12 @@ from conftest import (
 
 class TestFixedPointSolvers:
     """Direct-substitution residual < 1e-10 and at most 20 iterations on 50
-    random PSD scenarios per model (more would mean the damped fallback has
-    taken over from the Newton step); a single solve stays under one second
-    at dimension 64; every solve converges from -300 to 300 dBm."""
+    random PSD scenarios per model (more would mean the Newton step has lost
+    its quadratic convergence: the single-hop solve has fallen back to plain
+    substitution, the double-hop one to its damped step); a single solve
+    stays under one second at dimension 64; every single-hop term of a
+    two-eavesdropper design takes at most 20 iterations at 300 dBm; every
+    solve converges from -300 to 300 dBm."""
 
     def test_single_hop_residuals_on_random_scenarios(self):
         rng = np.random.default_rng(10)
@@ -110,6 +113,17 @@ class TestFixedPointSolvers:
         t_ds = time.perf_counter() - t0
         assert t_lbi < 1.0
         assert t_ds < 1.0
+
+    def test_single_hop_terms_converge_in_20_iterations_at_300_dbm(self):
+        # two eavesdroppers with artificial noise (split 0.9 / 0.1): the
+        # scalar Newton iteration needs no more steps at the top of the
+        # power range than on the random scenarios above
+        stats = experiment_stats("lbi", N_E=(4, 4), d_irs_e=(40.0, 35.0))
+        P_W, P_V = uniform_precoders(stats.M, dbm_to_watts(300.0), 0.9, 0.1)
+        descriptors, precoders, _ = secrecy_terms(stats, P_W, P_V)
+        iters = {d.label: sol.n_iter
+                 for d, sol in zip(descriptors, solve_all(stats, descriptors, precoders))}
+        assert max(iters.values()) <= 20, iters
 
     @pytest.mark.parametrize("kind", ["lbi", "double"])
     def test_every_solve_converges_from_minus_300_to_300_dbm(self, kind):

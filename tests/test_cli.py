@@ -109,6 +109,18 @@ class TestEsrCommand:
         assert b["eves"]["E1"]["variance"] == pytest.approx(
             a["eves"]["E1"]["variance"], abs=1e-10)
 
+    def test_narrow_transmit_correlation_at_high_power(self, write_config, tmp_path):
+        # a narrow transmit angular spread (delta = 5 degrees) at 60 dBm:
+        # every single-hop term solves and the report is finite
+        cfg = config_dict(kind="lbi", P_dbm=60.0)
+        cfg["correlations"]["T"] = {"kind": "gaussian", "d_r": 1.0, "eta": 0.0, "delta": 5.0}
+        out = tmp_path / "out"
+        assert main(["esr", "--config", write_config(cfg), "--out", str(out)]) == 0
+        data = _read_json(out / "esr.json")
+        assert math.isfinite(data["esr_nats"]) and math.isfinite(data["esr_bits"])
+        for entry in data["eves"].values():
+            assert all(math.isfinite(v) for v in entry.values())
+
     def test_rerun_is_byte_identical(self, write_config, tmp_path):
         path = write_config(config_dict(kind="double"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
