@@ -31,8 +31,9 @@ Tr[X_i Q_i X_j Q_j], Q the resolvent of X at a solution, is the cross trace
 ||H_i^H H_j||_F^2 of the two solutions' resolvent roots, H H^H = X Q
 (``H_R``, ``H_S``, ``H_T``), so no resolvent matrix is formed.
 
-Both terms of a same-user pair see one surface Gram S = ``stats.ds_gram``,
-so the paper's ordered product nu_SI(i,j) nu_SI(j,i) of the traces
+Both terms of a same-user pair see one surface Gram S = S^{-/2} S^{+/2}
+(S^{+/2} = ``stats.ds_plus_half``), so the paper's ordered product
+nu_SI(i,j) nu_SI(j,i) of the traces
 (1/M) Tr[S_i^{-/2} S_j^{+/2} G_S,j G_S,i] is the square of the real
 eigen-sum nu_SI = (1/M) sum_a sigma_a g_i,a g_j,a, with sigma_a the
 eigenvalues of S and g_a = 1 / (1/delta + omega_bar sigma_a).

@@ -45,9 +45,10 @@ points as ``solve_all``'s ``starts``), else from all ones; a start changes
 only where the iteration begins. Each iteration evaluates F(x) with its
 analytic Jacobian J_F(x), whose entries are eigen-sums over the same
 vectors, and takes x + (I - J_F)^{-1} (F(x) - x) when that point stays in
-the domain (every scalar finite and >= 0, delta > 0), else the damped step
-x <- (1 - DAMPING) x + DAMPING F(x), ``DAMPING`` = 0.5. It stops at the
-first x with |F_i(x) - x_i| < max(TOL, ROUNDOFF |x_i|) for every scalar.
+the domain (every scalar finite and >= 0, delta > 0), else plain
+substitution x <- F(x), as the single-hop solve does; F(x) is in the domain,
+its delta > 0 because Tr R > 0. It stops at the first x with
+|F_i(x) - x_i| < max(TOL, ROUNDOFF |x_i|) for every scalar.
 
 ``TOL`` (1e-10) is absolute; the relative floor ``ROUNDOFF`` (64 machine
 epsilons) takes over only for a scalar so large that 1e-10 is below its
@@ -56,20 +57,22 @@ iterations a solve raises ``ConvergenceError``.
 
 Each solver takes the spectra of its inputs (``scenario.Spectrum``), so
 one iteration costs O(N + L + M). ``solve_all``, the one solver of a
-design's terms, passes the receive spectra that ``ChannelStatistics`` keeps,
-one decomposition of each input its terms share (a user's surface Gram S;
-a precoder's T^{1/2} P T^{1/2} on the double model and its root P^{1/2} on
-the single-hop one, which no user changes) and a single-hop transmit
-spectrum from the min(M, L)-sized Gram of sqrt(M/L) A P^{1/2}
-(``transmit_spectra``). The means D and C are sums over those eigenvalues
-(log det(a I + b X) = sum_i log(a + b lam_i)): a solution's ``mean`` is its
-D or C, and its ``rate`` that mean less the N log z noise floor. A solution
-keeps its inputs as spectra and forms no dense input matrix: it builds the
-resolvent roots H (H H^H = X (a I + b X)^{-1}, one column per eigenvalue of
-X), whose cross traces give its model's covariance factors
-(``pair_factors``, assembled by ``cltcov``), and the single-hop transmit
-resolvent L_T of the precoder gradients, from the spectra when a caller
-first reads them.
+design's terms, passes the receive spectra that ``ChannelStatistics`` keeps
+and takes each other spectrum from one SVD of a factor of its matrix
+(``Spectrum.of_factor``), not from the eigenvalues of a Gram, which would
+square the factor's condition number: a user's surface Gram S from
+``ds_plus_half(user)^H``, shared by its terms, and T_eff from
+T^{1/2} P^{1/2} on the double model, shared by every user, or from
+sqrt(M/L) A P^{1/2} per user on the single-hop one, with one root P^{1/2}
+per precoder (``transmit_spectra``). The means D and C are sums over those
+eigenvalues (log det(a I + b X) = sum_i log(a + b lam_i)): a solution's
+``mean`` is its D or C, and its ``rate`` that mean less the N log z noise
+floor. A solution keeps its inputs as spectra and forms no dense input
+matrix: it builds the resolvent roots H (H H^H = X (a I + b X)^{-1}, one
+column per eigenvalue of X), whose cross traces give its model's covariance
+factors (``pair_factors``, assembled by ``cltcov``), and the single-hop
+transmit resolvent L_T of the precoder gradients, from the spectra when a
+caller first reads them.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ from .scenario import ChannelStatistics, Spectrum, psd_root
 TOL = 1e-10
 ROUNDOFF = 64 * sys.float_info.epsilon
 MAX_ITER = 10_000
-DAMPING = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +341,12 @@ def _ds_jacobian(m: float, ell: float, d: float, o: float, ob: float, nu_R: floa
 
 def solve_ds(r: Spectrum, s: Spectrum, t: Spectrum, z: float, m_dim: int, l_dim: int, *,
              start: Optional[Sequence[float]] = None) -> DsSolution:
-    """Solve the double-hop system by Newton (module docstring) on the
-    spectra ``r`` of R, ``s`` of S and ``t`` of T_eff, from ``start`` =
-    (delta, omega, omega_bar), by default all ones. ``n_iter`` counts the
-    iterations including the final test; ``residual`` is max_i |F_i(x) - x_i|."""
+    """Solve the double-hop system by Newton, with plain substitution
+    x <- F(x) where the Newton point leaves the domain (module docstring),
+    on the spectra ``r`` of R, ``s`` of S and ``t`` of T_eff, from
+    ``start`` = (delta, omega, omega_bar), by default all ones. ``n_iter``
+    counts the iterations including the final test; ``residual`` is
+    max_i |F_i(x) - x_i|."""
     if z <= 0:
         raise ModelError(f"noise power must be positive, got {z}")
     lam_r, lam_s, lam_t = r.lam, s.lam, t.lam
@@ -364,8 +368,7 @@ def solve_ds(r: Spectrum, s: Spectrum, t: Spectrum, z: float, m_dim: int, l_dim:
                float(q_t @ q_t) / m)
         return f, nus
 
-    tol, roundoff, damping = TOL, ROUNDOFF, DAMPING
-    keep = 1.0 - damping
+    tol, roundoff = TOL, ROUNDOFF
     x = [1.0, 1.0, 1.0] if start is None else list(start)
     residual = math.inf
     for it in range(1, MAX_ITER + 1):
@@ -381,9 +384,8 @@ def solve_ds(r: Spectrum, s: Spectrum, t: Spectrum, z: float, m_dim: int, l_dim:
             )
         new = _newton_point(x, diff, _ds_jacobian(m, ell, *x, *nus))
         # NaN fails both comparisons of the domain check
-        if new is None or not (new[0] > 0.0 and all(0.0 <= v < math.inf for v in new)):
-            new = [keep * xi + damping * fi for xi, fi in zip(x, f)]
-        x = new
+        in_domain = new is not None and new[0] > 0.0 and all(0.0 <= v < math.inf for v in new)
+        x = new if in_domain else list(f)
     raise ConvergenceError("double-hop fixed point did not converge", residual, MAX_ITER)
 
 
@@ -394,14 +396,14 @@ def solve_ds(r: Spectrum, s: Spectrum, t: Spectrum, z: float, m_dim: int, l_dim:
 def transmit_spectra(stats: ChannelStatistics, users: Sequence[str],
                      P: np.ndarray) -> dict:
     """Spectrum of the transmit-side correlation T_eff that each of ``users``
-    sees once the precoder P is absorbed, by user tag.
+    sees once the precoder P is absorbed, by user tag, from the SVD of a
+    factor of it (``Spectrum.of_factor``) built on one root
+    F = ``psd_root(P)``, n x 0 for a zero precoder (an empty spectrum).
 
-    double: T^{1/2} P T^{1/2} (M x M), decomposed once and shared by every
-            user.
+    double: T^{1/2} P T^{1/2} (M x M), from the factor T^{1/2} F, decomposed
+            once and shared by every user.
     lbi:    (M/L) A P A^H with A the user's deterministic aperture (L x L),
-            taken from its factor sqrt(M/L) A F through its min(M, L)-sized
-            Gram, with one root F = ``psd_root(P)`` for every user; a zero
-            precoder gives the empty spectrum.
+            from the factor sqrt(M/L) A F.
             The M/L factor rescales the solver's unit-variance trace
             convention to the per-column 1/L variance of the sampled
             Gaussian factor; without it the closed forms and the sampled
@@ -412,15 +414,11 @@ def transmit_spectra(stats: ChannelStatistics, users: Sequence[str],
         raise ModelError(f"precoder must be {stats.M}x{stats.M}, got {P.shape}")
     if not np.isfinite(P).all():
         raise ModelError("precoder has a non-finite entry")
-    if stats.model_kind == "double":
-        out = stats.T_sqrt @ P @ stats.T_sqrt
-        return dict.fromkeys(users, Spectrum.of_matrix(0.5 * (out + out.conj().T), "T_eff"))
     root = psd_root(P, "precoder")
-    if root.shape[1] == 0:
-        return dict.fromkeys(users, Spectrum(np.zeros(0), np.zeros((stats.L, 0), dtype=complex),
-                                             gram=True))
+    if stats.model_kind == "double":
+        return dict.fromkeys(users, Spectrum.of_factor(stats.T_sqrt @ root))
     scale = math.sqrt(stats.M / stats.L)
-    return {user: Spectrum.of_factor(scale * (stats.lbi_aperture(user) @ root), "T_eff")
+    return {user: Spectrum.of_factor(scale * (stats.lbi_aperture(user) @ root))
             for user in users}
 
 
@@ -428,10 +426,11 @@ def solve_all(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
               precoders: dict, starts: Optional[Sequence] = None) -> list:
     """Fixed points of the descriptors, in order, each distinct one solved once
     under ``precoders[d.precoder]``. Inputs the terms share are decomposed once
-    per call: a user's surface Gram, and a precoder's T^{1/2} P T^{1/2} on the
-    double model or its root on the single-hop one (``transmit_spectra``).
-    ``starts`` holds a double-hop start point (delta, omega, omega_bar) or
-    None per descriptor; a single-hop term takes none."""
+    per call: a user's surface Gram S, from the SVD of ``ds_plus_half(user)^H``,
+    and a precoder's root, with its T_eff on the double model
+    (``transmit_spectra``). ``starts`` holds a double-hop start point
+    (delta, omega, omega_bar) or None per descriptor; a single-hop term takes
+    none."""
     descriptors = list(descriptors)
     starts = [None] * len(descriptors) if starts is None else list(starts)
     if len(starts) != len(descriptors):
@@ -449,7 +448,7 @@ def solve_all(stats: ChannelStatistics, descriptors: Sequence[MiDescriptor],
         rx, t = stats.receiver(d.user), transmits[d.precoder][d.user]
         if double:
             if d.user not in grams:
-                grams[d.user] = Spectrum.of_matrix(stats.ds_gram(d.user), "S")
+                grams[d.user] = Spectrum.of_factor(stats.ds_plus_half(d.user).conj().T)
             solved[d] = solve_ds(rx.r, grams[d.user], t, rx.sigma2, stats.M, stats.L,
                                  start=start)
         else:

@@ -245,45 +245,34 @@ def psd_root(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen-decomposition of an n x n PSD matrix X, in one of two forms.
-
-    Full (``gram`` False): X = vecs diag(lam) vecs^H with vecs unitary.
-    Gram (``gram`` True): X = G G^H for a factor G with k < n columns;
-    lam are the eigenvalues of the k x k Gram G^H G = W diag(lam) W^H and
-    vecs = G W, whose orthogonal columns have squared norms lam. X then has
-    the eigenvalues lam and n - k zeros.
-    """
+    """Eigen-decomposition X = vecs diag(lam) vecs^H of an n x n PSD matrix:
+    ``vecs`` has r <= n orthonormal columns, and X has the eigenvalues
+    ``lam`` and n - r implicit zeros."""
 
     lam: np.ndarray
     vecs: np.ndarray
-    gram: bool = False
 
     @classmethod
-    def of_matrix(cls, mat: np.ndarray, name: str = "matrix") -> "Spectrum":
-        return cls(*psd_eig(mat, name))
-
-    @classmethod
-    def of_factor(cls, factor: np.ndarray, name: str = "matrix") -> "Spectrum":
-        """Spectrum of factor factor^H from the smaller of its two Grams."""
-        n, k = factor.shape
-        if k >= n:
-            return cls.of_matrix(factor @ factor.conj().T, name)
-        lam, w = psd_eig(factor.conj().T @ factor, name)
-        return cls(lam, factor @ w, gram=True)
+    def of_factor(cls, factor: np.ndarray) -> "Spectrum":
+        """Spectrum of factor factor^H, from one thin SVD of the n x k
+        factor: lam are its squared singular values and vecs its min(n, k)
+        left singular vectors. No Gram is formed, so the small eigenvalues
+        keep the factor's relative accuracy, not its square's."""
+        u, s, _ = np.linalg.svd(factor, full_matrices=False)
+        return cls(s * s, u)
 
     def resolvent(self, a: float, b: float) -> np.ndarray:
         """(a I + b X)^{-1}, for a > 0 and b >= 0."""
-        if not self.gram:
+        n, r = self.vecs.shape
+        if r == n:
             return (self.vecs / (a + b * self.lam)) @ self.vecs.conj().T
-        low_rank = (self.vecs * (b / (a + b * self.lam))) @ self.vecs.conj().T
-        return (np.eye(self.vecs.shape[0]) - low_rank) / a
+        low_rank = (self.vecs * (b * self.lam / (a + b * self.lam))) @ self.vecs.conj().T
+        return (np.eye(n) - low_rank) / a
 
     def resolvent_root(self, a: float, b: float) -> np.ndarray:
         """H with H H^H = X (a I + b X)^{-1}, one column per eigenvalue;
         the product is formed without the cancellation of X times the
         resolvent."""
-        if self.gram:
-            return self.vecs / np.sqrt(a + b * self.lam)
         return self.vecs * np.sqrt(self.lam / (a + b * self.lam))
 
     def logdet(self, a: float, b: float) -> float:
@@ -373,17 +362,12 @@ class ChannelStatistics:
         return self.receiver(user).ts_sqrt @ (phases[:, None] * self.H_T0) @ self.T_sqrt
 
     def ds_plus_half(self, user: str) -> np.ndarray:
-        """Half factor ``S_k^{+/2} = T_{S,k}^{1/2} Theta R_S^{1/2}`` (L x L)."""
+        """Half factor ``S_k^{+/2} = T_{S,k}^{1/2} Theta R_S^{1/2}`` (L x L)
+        of the surface Gram ``S_k = (S_k^{+/2})^H S_k^{+/2}``."""
         if self.model_kind != "double":
             raise ModelError("ds_plus_half is only defined for the double model")
         phases = np.exp(1j * self.theta)
         return self.receiver(user).ts_sqrt @ (phases[:, None] * self.R_S_sqrt)
-
-    def ds_gram(self, user: str) -> np.ndarray:
-        """Surface Gram matrix ``S_k = S_k^{-/2} S_k^{+/2}`` (L x L, PSD)."""
-        plus = self.ds_plus_half(user)
-        gram = plus.conj().T @ plus
-        return 0.5 * (gram + gram.conj().T)
 
 
 def _checked_theta(theta, L: int) -> np.ndarray:

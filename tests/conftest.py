@@ -25,6 +25,7 @@ from irs_secrecy.scenario import (
     build_channel_statistics,
     dbm_to_watts,
     path_loss,
+    psd_eig,
 )
 
 REF_LOSS_1 = 10.0 ** -2.305
@@ -46,14 +47,20 @@ def rand_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray
 def spectrum(mat: np.ndarray) -> Spectrum:
     """The ``scenario.Spectrum`` of a dense PSD matrix, the form in which the
     fixed-point solvers take their inputs."""
-    return Spectrum.of_matrix(np.asarray(mat, dtype=complex))
+    return Spectrum(*psd_eig(np.asarray(mat, dtype=complex)))
 
 
 def spectrum_matrix(spec) -> np.ndarray:
     """The dense matrix X of a ``scenario.Spectrum``, rebuilt from the
     eigenvectors (a dense test oracle)."""
-    v = spec.vecs if spec.gram else spec.vecs * spec.lam
-    return v @ spec.vecs.conj().T
+    return (spec.vecs * spec.lam) @ spec.vecs.conj().T
+
+
+def ds_gram(stats, user: str) -> np.ndarray:
+    """Dense surface Gram S = S^{-/2} S^{+/2} (L x L) of one receiver on the
+    double model, formed from ``stats.ds_plus_half`` (a dense test oracle)."""
+    plus = stats.ds_plus_half(user)
+    return plus.conj().T @ plus
 
 
 def make_stats(

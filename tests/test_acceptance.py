@@ -51,11 +51,10 @@ from conftest import (
 class TestFixedPointSolvers:
     """Direct-substitution residual < 1e-10 and at most 20 iterations on 50
     random PSD scenarios per model (more would mean the Newton step has lost
-    its quadratic convergence: the single-hop solve has fallen back to plain
-    substitution, the double-hop one to its damped step); a single solve
-    stays under one second at dimension 64; every single-hop term of a
-    two-eavesdropper design takes at most 20 iterations at 300 dBm; every
-    solve converges from -300 to 300 dBm."""
+    its quadratic convergence: either solve has fallen back to plain
+    substitution); a single solve stays under one second at dimension 64;
+    every single-hop term of a two-eavesdropper design takes at most 20
+    iterations at 300 dBm; every solve converges from -300 to 300 dBm."""
 
     def test_single_hop_residuals_on_random_scenarios(self):
         rng = np.random.default_rng(10)

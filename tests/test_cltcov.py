@@ -9,10 +9,11 @@ import pytest
 from irs_secrecy.cltcov import CovarianceValidityWarning, joint_cov
 from irs_secrecy.errors import InvalidCovarianceError
 from irs_secrecy.fixedpoint import DsSolution, LbiSolution, MiDescriptor, solve_all
-from irs_secrecy.scenario import Spectrum, build_scenario, parse_config
+from irs_secrecy.scenario import build_scenario, parse_config
 from irs_secrecy.secrecy import esr_an, secrecy_terms
 
-from conftest import config_dict, make_stats, spectrum_matrix, uniform_precoders
+from conftest import (config_dict, ds_gram, make_stats, spectrum, spectrum_matrix,
+                      uniform_precoders)
 
 
 def _an_setup(kind, **kwargs):
@@ -70,9 +71,9 @@ def _ds_solution(delta, omega, omega_bar, R, S, T, m_dim=1, l_dim=1) -> DsSoluti
     """A double-hop solution with the given scalars and inputs, unit noise;
     the Jacobian functionals are not read by ``joint_cov`` and are zero."""
     return DsSolution(delta=delta, omega=omega, omega_bar=omega_bar, z=1.0,
-                      r=Spectrum.of_matrix(R), s=Spectrum.of_matrix(S),
-                      t=Spectrum.of_matrix(T), m_dim=m_dim, l_dim=l_dim, n_iter=1,
-                      residual=0.0, nu_R=0.0, nu_S=0.0, nu_SI=0.0, nu_T=0.0)
+                      r=spectrum(R), s=spectrum(S), t=spectrum(T), m_dim=m_dim,
+                      l_dim=l_dim, n_iter=1, residual=0.0, nu_R=0.0, nu_S=0.0, nu_SI=0.0,
+                      nu_T=0.0)
 
 
 class TestPairFunctionalsScalarOracle:
@@ -86,7 +87,7 @@ class TestPairFunctionalsScalarOracle:
 
         def scalars(user, desc, sol):
             R = float(stats.receiver(user).r.lam[0])
-            S = float(stats.ds_gram(user)[0, 0].real)
+            S = float(ds_gram(stats, user)[0, 0].real)
             T = float(stats.T[0, 0].real) * float(precs[desc.precoder][0, 0].real)
             kappa = sol.omega * sol.omega_bar / sol.delta
             g_r = 1.0 / (sol.z + kappa * R)
@@ -291,7 +292,7 @@ class TestValidityGuards:
 
     def test_single_hop_out_of_range_raises(self):
         # R = T_eff = 2 I with zero scalars: L_R = L_T = I, Xi = 1 - 8 * 8
-        two = Spectrum.of_matrix(2.0 * np.eye(2))
+        two = spectrum(2.0 * np.eye(2))
         sol = LbiSolution(alpha=0.0, alpha_bar=0.0, z=1.0, r=two, t=two, m_dim=1,
                           n_iter=1, residual=0.0)
         descs = [MiDescriptor("B", "U"), MiDescriptor("B", "V")]
@@ -302,7 +303,7 @@ class TestValidityGuards:
     def test_out_of_range_pair_warns_and_flags_invalid(self):
         # the single-hop warning names the pair and its factor before the
         # entry raises
-        two = Spectrum.of_matrix(2.0 * np.eye(2))
+        two = spectrum(2.0 * np.eye(2))
         sol = LbiSolution(alpha=0.0, alpha_bar=0.0, z=1.0, r=two, t=two, m_dim=1,
                           n_iter=1, residual=0.0)
         descs = [MiDescriptor("B", "U")]

@@ -208,6 +208,29 @@ class TestDoubleScatteringFixedPoint:
         assert sol.nu_T == pytest.approx(np.trace(TG @ TG).real / m, rel=1e-12)
         assert sol.nu_R == pytest.approx(np.trace(RG @ RG).real / l, rel=1e-12)
 
+    def test_double_hop_fallback_is_plain_substitution(self, monkeypatch):
+        # with no Newton point every step falls back, and each is x <- F(x)
+        visited = []
+        monkeypatch.setattr(fixedpoint, "_newton_point",
+                            lambda x, diff, jac: visited.append(tuple(x)))
+        one = spectrum(np.eye(1))
+        sol = solve_ds(one, one, one, z=1.0, m_dim=1, l_dim=1)
+
+        def rhs(d, o, ob):  # R = S = T = 1, z = 1, M = L = 1
+            return 1.0 / (1.0 + o * ob / d), 1.0 / (1.0 / d + ob), 1.0 / (1.0 + o)
+
+        x, want = (1.0, 1.0, 1.0), []
+        for it in range(1, fixedpoint.MAX_ITER + 1):
+            f = rhs(*x)
+            if all(abs(fi - xi) < max(fixedpoint.TOL, fixedpoint.ROUNDOFF * abs(xi))
+                   for fi, xi in zip(f, x)):
+                break
+            want.append(x)
+            x = f
+        assert visited == want
+        assert sol.point == x
+        assert sol.n_iter == it
+
     def test_zero_receive_correlation_raises(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ModelError, match="Tr R > 0"):
@@ -308,11 +331,11 @@ class TestSpectralMeans:
 
     @pytest.mark.parametrize("n, rank", [(7, 3), (5, 5), (6, 0)])
     def test_gram_spectrum_matches_the_full_one(self, n, rank):
-        # a factor with fewer columns than rows is decomposed through its Gram
+        # a factor with fewer columns than rows keeps one vector per column
         rng = np.random.default_rng(23)
         factor = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
-        gram, full = Spectrum.of_factor(factor), Spectrum.of_matrix(factor @ factor.conj().T)
-        assert gram.gram == (rank < n)
+        gram, full = Spectrum.of_factor(factor), spectrum(factor @ factor.conj().T)
+        assert gram.vecs.shape == (n, min(rank, n))
         assert np.allclose(spectrum_matrix(gram), spectrum_matrix(full), atol=1e-12)
         assert np.allclose(gram.resolvent(0.7, 1.9), full.resolvent(0.7, 1.9), atol=1e-12)
         assert gram.logdet(0.7, 1.9) == pytest.approx(full.logdet(0.7, 1.9), rel=1e-12)
@@ -337,7 +360,7 @@ class TestZeroTransmitSpectrum:
         rng = np.random.default_rng(25)
         R = rand_psd(3, rng, scale=1.4)
         z, m = 0.6, 5
-        for t in (spectrum(np.zeros((4, 4))), Spectrum(np.zeros(0), np.zeros((4, 0)), gram=True)):
+        for t in (spectrum(np.zeros((4, 4))), Spectrum(np.zeros(0), np.zeros((4, 0)))):
             sol = solve_lbi(spectrum(R), t, z=z, m_dim=m)
             assert sol.alpha_bar == 0.0
             assert sol.alpha == pytest.approx(np.trace(R).real / (m * z), rel=1e-14)
@@ -408,12 +431,17 @@ class TestSolveAll:
     def test_double_hop_terms_share_their_decompositions(self, monkeypatch):
         stats, descs, precs = self._an_terms("double")
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        eigh, svd = np.linalg.eigh, np.linalg.svd
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(("eigh", a.shape)) or eigh(a))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(("svd", a.shape))
+                            or svd(a, **kw))
         sols = solve_all(stats, descs, precs)
-        # terms (BU, BV, E1U, E1V, E2U, E2V): one Gram per user, one T_eff per
-        # precoder, and no other decomposition
-        assert sorted(calls) == sorted([(stats.L, stats.L)] * 3 + [(stats.M, stats.M)] * 2)
+        # terms (BU, BV, E1U, E1V, E2U, E2V): one Gram factor's SVD per user,
+        # one root and one T_eff factor's SVD per precoder, and no other
+        # decomposition
+        assert sorted(calls) == sorted([("svd", (stats.L, stats.L))] * 3
+                                       + [("svd", (stats.M, stats.M))] * 2
+                                       + [("eigh", (stats.M, stats.M))] * 2)
         for i in (0, 2, 4):
             assert sols[i].s is sols[i + 1].s
             assert sols[i].t is sols[0].t and sols[i + 1].t is sols[1].t
@@ -422,14 +450,18 @@ class TestSolveAll:
 
     def test_single_hop_precoders_are_rooted_once_per_call(self, monkeypatch):
         # an AN design against two eavesdroppers: terms (BU, BV, E1U, E1V,
-        # E2U, E2V) take one root per precoder and one T_eff Gram per term
+        # E2U, E2V) take one root per precoder and one T_eff factor's SVD
+        # per term
         stats = make_stats("lbi", N_E=(3, 2))
         calls = []
-        psd_eig = scenario_module.psd_eig
+        psd_eig, svd = scenario_module.psd_eig, np.linalg.svd
         monkeypatch.setattr(scenario_module, "psd_eig",
                             lambda mat, name: calls.append(name) or psd_eig(mat, name))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape)
+                            or svd(a, **kw))
         build_multi_eve_model(stats, *uniform_precoders(stats.M, 2.0))
-        assert sorted(calls) == ["T_eff"] * 6 + ["precoder"] * 2
+        assert calls.count("precoder") == 2
+        assert [c for c in calls if c != "precoder"] == [(stats.L, stats.M)] * 6
 
     def test_single_hop_transmit_spectra_are_per_term(self):
         # the aperture differs per user, so no two terms share T_eff

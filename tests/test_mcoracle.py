@@ -17,7 +17,7 @@ from irs_secrecy.mcoracle import mi_exact, run_mc, thread_budget
 from irs_secrecy.scenario import build_channel_statistics, build_los_channel, channel_assembler
 from irs_secrecy.secrecy import MultiEveModel, esr_an, secrecy_terms, sop_multi_eve
 
-from conftest import (corr, draw_factors, make_stats, rand_psd, spectrum_matrix,
+from conftest import (corr, draw_factors, ds_gram, make_stats, rand_psd, spectrum_matrix,
                       uniform_precoders)
 
 
@@ -381,7 +381,7 @@ class TestChannelMoments:
             scale = np.trace(A @ A.conj().T).real / stats.L
         else:
             scale = (np.trace(stats.T).real / stats.M
-                     * np.trace(stats.ds_gram("B")).real / stats.L)
+                     * np.trace(ds_gram(stats, "B")).real / stats.L)
         expected = scale * spectrum_matrix(stats.receiver("B").r)
         err = np.abs(grams.mean(axis=0) - expected)
         se = grams.std(axis=0) / math.sqrt(n_draws)

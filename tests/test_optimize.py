@@ -574,7 +574,8 @@ class TestLineSearchStall:
         monkeypatch.setattr(optimize, "SOP_MAX_ITER", 10)
         stats = make_stats("double")
         P_W, _ = uniform_precoders(stats.M, 2.0, split_w=1.0, split_v=0.0)
-        res = optimize_sop(stats, P_W, r_bits=1.2)
+        with pytest.warns(RuntimeWarning, match="outage line search stalled"):
+            res = optimize_sop(stats, P_W, r_bits=1.2)
         assert not res.converged
         np.testing.assert_array_equal(res.theta, stats.theta)
         assert len(res.trace) == 2

@@ -13,7 +13,6 @@ from irs_secrecy.errors import ConfigError, ModelError
 from irs_secrecy.scenario import (
     CorrelationSpec,
     Scenario,
-    Spectrum,
     build_channel_statistics,
     build_correlation_matrix,
     build_los_channel,
@@ -37,7 +36,9 @@ from conftest import (
     complex_gaussian,
     config_dict,
     corr,
+    ds_gram,
     make_stats,
+    spectrum,
     spectrum_matrix,
     trial_rng,
 )
@@ -301,7 +302,7 @@ class TestChannelStatistics:
         for tag, (gain, R, T_S) in expected.items():
             rx = stats.receiver(tag)
             assert rx is stats.receivers[tag] and rx.n == R.shape[0]
-            spec = Spectrum.of_matrix(gain * R)
+            spec = spectrum(gain * R)
             assert np.array_equal(rx.r.lam, spec.lam) and np.array_equal(rx.r.vecs, spec.vecs)
             assert np.array_equal(rx.ts, T_S)
             assert rx.sigma2 == cfg.sigma2_watts
@@ -336,7 +337,7 @@ class TestChannelStatistics:
 
     def test_ds_gram_is_hermitian_psd(self):
         stats = make_stats("double")
-        S = stats.ds_gram("E1")
+        S = ds_gram(stats, "E1")
         assert np.allclose(S, S.conj().T, atol=1e-14)
         assert np.linalg.eigvalsh(S).min() > -1e-10
 
