@@ -29,7 +29,9 @@ Each solution type computes its own pairs' factors (``pair_factors``), so
 this module assembles the matrix and reads no model. Every trace
 Tr[X_i Q_i X_j Q_j], Q the resolvent of X at a solution, is the cross trace
 ||H_i^H H_j||_F^2 of the two solutions' resolvent roots, H H^H = X Q
-(``H_R``, ``H_S``, ``H_T``), so no resolvent matrix is formed.
+(``H_R``, ``H_S``, ``H_T``), so no resolvent matrix is formed. A double-hop
+term paired with itself reads nu_R, nu_S, nu_SI and nu_T from its solution,
+which evaluated those eigen-sums at its returned point.
 
 Both terms of a same-user pair see one surface Gram S = S^{-/2} S^{+/2}
 (S^{+/2} = ``stats.ds_plus_half``), so the paper's ordered product

@@ -70,7 +70,8 @@ eigenvalues (log det(a I + b X) = sum_i log(a + b lam_i)): a solution's
 floor. A solution keeps its inputs as spectra and forms no dense input
 matrix: it builds the resolvent roots H (H H^H = X (a I + b X)^{-1}, one
 column per eigenvalue of X), whose cross traces give its model's covariance
-factors (``pair_factors``, assembled by ``cltcov``), and the single-hop
+factors (``pair_factors``, assembled by ``cltcov``; a double-hop term paired
+with itself reads the nu's its solve evaluated instead), and the single-hop
 transmit resolvent L_T of the precoder gradients, from the spectra when a
 caller first reads them.
 """
@@ -243,18 +244,24 @@ class DsSolution:
 
     def pair_factors(self, other: "DsSolution", same_user: bool) -> dict:
         """{Delta_S} of this term's covariance with ``other``, and Delta for
-        a same-user pair, whose terms see one surface Gram S."""
+        a same-user pair, whose terms see one surface Gram S. A term paired
+        with itself reads the nu's the solver evaluated at its point; those
+        are the cross traces below with i = j, as eigen-sums."""
         m, ell = float(self.m_dim), float(self.l_dim)
-        nu_S = _cross_trace(self.H_S, other.H_S) / m
-        nu_T = _cross_trace(self.H_T, other.H_T) / m
+        if other is self:
+            nu_R, nu_S, nu_SI, nu_T = self.nu_R, self.nu_S, self.nu_SI, self.nu_T
+        else:
+            nu_S = _cross_trace(self.H_S, other.H_S) / m
+            nu_T = _cross_trace(self.H_T, other.H_T) / m
+            if same_user:
+                nu_R = _cross_trace(self.H_R, other.H_R) / ell
+                lam = self.s.lam
+                g_i = 1.0 / (1.0 / self.delta + self.omega_bar * lam)
+                g_j = 1.0 / (1.0 / other.delta + other.omega_bar * lam)
+                nu_SI = float((lam * g_i) @ g_j) / m
         Delta_S = 1.0 - nu_S * nu_T
         if not same_user:
             return {"Delta_S": Delta_S}
-        nu_R = _cross_trace(self.H_R, other.H_R) / ell
-        lam = self.s.lam
-        g_i = 1.0 / (1.0 / self.delta + self.omega_bar * lam)
-        g_j = 1.0 / (1.0 / other.delta + other.omega_bar * lam)
-        nu_SI = float((lam * g_i) @ g_j) / m
         d_i, d_j = self.delta, other.delta
         Delta = (1.0 - m * self.omega_bar * other.omega_bar * nu_R * nu_S / (ell * d_i * d_j)
                  - m * nu_R * nu_SI**2 * nu_T / (ell * d_i**2 * d_j**2 * Delta_S))

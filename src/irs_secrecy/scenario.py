@@ -147,6 +147,18 @@ def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
     so the finest step, 0.01 degrees, is used over the full circle. A spec
     that even 0.01 degrees cannot resolve is a ModelError.
 
+    Phase table: entry k of the first column is sum_phi w_phi exp(j k s_phi)
+    with s_phi = 2 pi d_r sin phi and w_phi the weighted density. On the
+    window each offset splits as k = b q + r with b = ceil(sqrt(n)), and
+    exp(j k s) = exp(j b q s) exp(j r s), so the column is the product of a
+    ceil(n / b) x nodes table w exp(j b q s) and the transpose of a b x nodes
+    table exp(j r s), read row by row: about 2 sqrt(n) complex exponentials
+    per node instead of n. Each argument keeps the size of the direct one,
+    |k s| <= 2 pi d_r (n - 1), so each entry moves by about eps times that
+    from the direct table. The kink fallback keeps the direct n x nodes table:
+    it is the full-circle rule at 0.01 degrees that tests reproduce bit for
+    bit, and its bits are not worth the saving on the rare kinked spec.
+
     The matrix depends on (m - n) only, so a single pass over the 2n-1 offsets
     fills a Hermitian Toeplitz matrix. The result is symmetrized exactly.
     """
@@ -156,7 +168,8 @@ def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
                          f"{QUADRATURE_STEPS[-1]:g} degrees")
     last = round(360.0 / step)
     lo, hi = 0, last
-    if not _kinked(spec):
+    kinked = _kinked(spec)
+    if not kinked:
         half = _WINDOW * spec.delta
         lo = max(lo, math.ceil((spec.eta - half + 180.0) / step))
         hi = min(hi, math.floor((spec.eta + half + 180.0) / step))
@@ -170,9 +183,16 @@ def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
     weighted = density * w
 
     offsets = np.arange(spec.n)
-    # (n, n_phi) phase table for the non-negative offsets; negatives conjugate
-    phase = np.exp(1j * 2.0 * math.pi * spec.d_r * np.outer(offsets, np.sin(np.pi * phi / 180.0)))
-    col = phase @ weighted  # entry for offset m - n = +k
+    # entry for offset m - n = +k, k < n; negative offsets conjugate
+    if kinked:
+        phase = np.exp(1j * 2.0 * math.pi * spec.d_r * np.outer(offsets, np.sin(np.pi * phi / 180.0)))
+        col = phase @ weighted
+    else:
+        s = 2.0 * math.pi * spec.d_r * np.sin(np.pi * phi / 180.0)
+        b = math.isqrt(spec.n - 1) + 1  # ceil(sqrt(n))
+        rest = np.exp(1j * np.outer(np.arange(b), s))  # exp(j r s), r < b
+        blocks = weighted * np.exp(1j * np.outer(b * np.arange(-(-spec.n // b)), s))
+        col = (blocks @ rest.T).ravel()[:spec.n]  # row q, column r: k = b q + r
 
     idx = np.subtract.outer(offsets, offsets)  # m - n
     mat = np.where(idx >= 0, col[np.abs(idx)], np.conj(col[np.abs(idx)]))
@@ -379,19 +399,17 @@ def _checked_theta(theta, L: int) -> np.ndarray:
     return theta
 
 
-def _checked_corr(name: str, mat, n: Optional[int] = None) -> tuple:
+def _checked_corr(name: str, mat) -> tuple:
     """``(mat, root, (lam, vecs))`` of a correlation matrix that is finite,
-    square and PSD (see ``psd_eig``), Hermitian to ``HERMITIAN_TOL`` and,
-    when ``n`` is given, n x n; ``mat`` as complex, ``root`` its Hermitian
-    square root. Anything else is a ModelError naming the matrix."""
+    square and PSD (see ``psd_eig``) and Hermitian to ``HERMITIAN_TOL``;
+    ``mat`` as complex, ``root`` its Hermitian square root. Anything else is
+    a ModelError naming the matrix."""
     mat = np.asarray(mat)
     if not np.all(np.isfinite(mat)):
         raise ModelError(f"{name} has a non-finite entry")
     lam, u = psd_eig(mat, name)
     if np.max(np.abs(mat - mat.conj().T)) >= HERMITIAN_TOL:
         raise ModelError(f"{name} is not Hermitian to {HERMITIAN_TOL:g}")
-    if n is not None and mat.shape != (n, n):
-        raise ModelError(f"{name} must be {n}x{n}, got {mat.shape}")
     return np.asarray(mat, dtype=complex), (u * np.sqrt(lam)) @ u.conj().T, (lam, u)
 
 
@@ -414,7 +432,10 @@ def build_channel_statistics(
     positive. A violation is a ModelError naming the matrix (``R_E2``,
     ``T_S_B``, ...) or the receiver, and so is a ``model_kind`` other than
     'lbi' or 'double', a double model without ``R_S`` or a list of fewer
-    than two receivers.
+    than two receivers. An array passed under several names (as
+    ``build_scenario`` shares one per spec) is checked and decomposed once,
+    under its first name in the order R_B, T_S_B, R_E1, T_S_E1, ..., T,
+    R_S; its dimension is checked under every name.
     """
     if model_kind not in ("lbi", "double"):
         raise ModelError(f"model_kind must be 'lbi' or 'double', got {model_kind!r}")
@@ -428,17 +449,27 @@ def build_channel_statistics(
         raise ModelError("line-of-sight matrix entries must be unit modulus")
     theta = _checked_theta(theta, L)
 
+    checked = {}  # id(input) -> (input, _checked_corr of it); the input is kept alive
+
+    def corr(name: str, mat, n: Optional[int] = None) -> tuple:
+        if id(mat) not in checked:
+            checked[id(mat)] = mat, _checked_corr(name, mat)
+        out = checked[id(mat)][1]
+        if n is not None and out[0].shape != (n, n):
+            raise ModelError(f"{name} must be {n}x{n}, got {out[0].shape}")
+        return out
+
     records = {}
     for i, (R, T_S, sigma2) in enumerate(receivers):
         tag = f"E{i}" if i else "B"
-        _, r_sqrt, (lam, u) = _checked_corr(f"R_{tag}", R)
-        T_S, ts_sqrt, _ = _checked_corr(f"T_S_{tag}", T_S, L)
+        _, r_sqrt, (lam, u) = corr(f"R_{tag}", R)
+        T_S, ts_sqrt, _ = corr(f"T_S_{tag}", T_S, L)
         if not 0.0 < sigma2 < math.inf:
             raise ModelError(f"noise powers must be positive and finite, got "
                              f"{sigma2!r} for {tag}")
         records[tag] = Receiver(Spectrum(lam, u), r_sqrt, T_S, ts_sqrt, float(sigma2))
-    T, T_sqrt, _ = _checked_corr("T", T, M)
-    R_S_sqrt = _checked_corr("R_S", R_S, L)[1] if R_S is not None else None
+    T, T_sqrt, _ = corr("T", T, M)
+    R_S_sqrt = corr("R_S", R_S, L)[1] if R_S is not None else None
     return ChannelStatistics(model_kind=model_kind, receivers=records, T=T,
                              H_T0=np.asarray(H_T0, dtype=complex), theta=theta,
                              T_sqrt=T_sqrt, R_S_sqrt=R_S_sqrt)

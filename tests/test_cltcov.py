@@ -9,7 +9,7 @@ import pytest
 from irs_secrecy.cltcov import CovarianceValidityWarning, joint_cov
 from irs_secrecy.errors import InvalidCovarianceError
 from irs_secrecy.fixedpoint import DsSolution, LbiSolution, MiDescriptor, solve_all
-from irs_secrecy.scenario import build_scenario, parse_config
+from irs_secrecy.scenario import build_scenario, dbm_to_watts, parse_config
 from irs_secrecy.secrecy import esr_an, secrecy_terms
 
 from conftest import (config_dict, ds_gram, make_stats, spectrum, spectrum_matrix,
@@ -68,12 +68,19 @@ def _dense_entry(stats, desc_i, desc_j, sol_i, sol_j) -> float:
 
 
 def _ds_solution(delta, omega, omega_bar, R, S, T, m_dim=1, l_dim=1) -> DsSolution:
-    """A double-hop solution with the given scalars and inputs, unit noise;
-    the Jacobian functionals are not read by ``joint_cov`` and are zero."""
-    return DsSolution(delta=delta, omega=omega, omega_bar=omega_bar, z=1.0,
-                      r=spectrum(R), s=spectrum(S), t=spectrum(T), m_dim=m_dim,
-                      l_dim=l_dim, n_iter=1, residual=0.0, nu_R=0.0, nu_S=0.0, nu_SI=0.0,
-                      nu_T=0.0)
+    """A double-hop solution with the given scalars and inputs, unit noise,
+    carrying the Jacobian functionals nu_* of its inputs at its point, as a
+    solve returns them: ``joint_cov`` reads them for a term paired with
+    itself."""
+    r, s, t = spectrum(R), spectrum(S), spectrum(T)
+    q_r = r.lam / (1.0 + m_dim * omega * omega_bar / (l_dim * delta) * r.lam)
+    g_s = 1.0 / (1.0 / delta + omega_bar * s.lam)
+    q_t = t.lam / (1.0 + omega * t.lam)
+    return DsSolution(delta=delta, omega=omega, omega_bar=omega_bar, z=1.0, r=r, s=s, t=t,
+                      m_dim=m_dim, l_dim=l_dim, n_iter=1, residual=0.0,
+                      nu_R=float(q_r @ q_r) / l_dim,
+                      nu_S=float((s.lam * g_s) @ (s.lam * g_s)) / m_dim,
+                      nu_SI=float((s.lam * g_s) @ g_s) / m_dim, nu_T=float(q_t @ q_t) / m_dim)
 
 
 class TestPairFunctionalsScalarOracle:
@@ -154,6 +161,35 @@ class TestPairFunctionalSymmetry:
             assert 0.0 < Delta <= 1.0 and 0.0 < Delta_S <= 1.0
             assert mat[i, i] == pytest.approx(-math.log(Delta) - math.log(Delta_S), rel=1e-12)
             assert mat[i, i] > 0.0
+
+
+class TestDiagonalPairFunctionals:
+    """A double-hop term paired with itself reads nu_R, nu_S, nu_SI and nu_T
+    from its solution, the eigen-sums its solve evaluated at the returned
+    point; they are the cross-trace forms with i = j. A Frobenius form
+    ||H^H H||^2 sums products of n columns orthonormal to about n eps, so
+    the two agree to 8 n eps relative, n the dimension of the spectrum."""
+
+    @pytest.mark.parametrize("n_e", [(3,), (3, 2)])
+    @pytest.mark.parametrize("an", [False, True])
+    def test_stored_nus_are_the_cross_traces(self, n_e, an):
+        eps = np.finfo(float).eps
+        stats = make_stats("double", N_E=n_e)
+        frob = lambda h: float(np.sum(np.abs(h.conj().T @ h) ** 2))
+        for p_dbm in (0.0, 30.0, 60.0, 90.0, 120.0):
+            P_W, P_V = uniform_precoders(stats.M, dbm_to_watts(p_dbm))
+            descs, precs, _ = secrecy_terms(stats, P_W, P_V if an else None)
+            for sol in solve_all(stats, descs, precs):
+                m, ell, lam = sol.m_dim, sol.l_dim, sol.s.lam
+                g = 1.0 / (1.0 / sol.delta + sol.omega_bar * lam)
+                cross = {"nu_R": (frob(sol.H_R) / ell, sol.r),
+                         "nu_S": (frob(sol.H_S) / m, sol.s),
+                         "nu_SI": (float((lam * g) @ g) / m, sol.s),
+                         "nu_T": (frob(sol.H_T) / m, sol.t)}
+                for name, (value, spec) in cross.items():
+                    n = spec.vecs.shape[0]
+                    assert getattr(sol, name) == pytest.approx(value, rel=8 * n * eps, abs=0.0), \
+                        (p_dbm, name)
 
 
 class TestCovarianceEntries:

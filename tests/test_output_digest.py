@@ -49,3 +49,27 @@ def test_digest_of_two_jobs_and_compare(tmp_path):
     assert differ.returncode == 1
     assert f"{JOBS[0]}: {name} differs" in differ.stdout
     assert f"{JOBS[1]}: exit code 0 -> 1" in differ.stdout
+
+
+def test_compare_names_the_largest_change_of_each_column(tmp_path):
+    out = tmp_path / "digest.json"
+    run = _tool("run", ROOT, str(out), "--job", JOBS[1])
+    assert run.returncode == 0, run.stderr
+    digest = json.loads(out.read_text())
+    columns = digest[JOBS[1]]["columns"]["sop.csv"]
+    assert sorted(columns) == ["R_bits", "sop_analytic"]
+    assert len(columns["R_bits"]) == len(columns["sop_analytic"]) > 1
+
+    changed = json.loads(out.read_text())
+    record = changed[JOBS[1]]
+    record["files"]["sop.csv"] = "0" * 64
+    sop = record["columns"]["sop.csv"]["sop_analytic"]
+    k = max(range(len(sop)), key=lambda i: abs(sop[i]))
+    sop[k] *= 1.0 + 2e-9
+    other = tmp_path / "changed.json"
+    other.write_text(json.dumps(changed))
+    differ = _tool("compare", str(out), str(other))
+    assert differ.returncode == 1
+    assert f"{JOBS[1]}: sop.csv differs (sop_analytic 2e-09)" in differ.stdout
+    assert "largest change: sop.csv sop_analytic 2e-09" in differ.stdout
+    assert "R_bits" not in differ.stdout  # a column that did not move is not listed

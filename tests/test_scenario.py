@@ -175,6 +175,47 @@ class TestCorrelationMatrix:
                 assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full)), spec
         assert checked == 5 * (9 + 7 + 5 + 1)
 
+    @pytest.mark.parametrize("d_r", [0.5, 1.0, 2.0])
+    def test_blocked_phase_table_matches_the_direct_table(self, d_r):
+        """Off the kink fallback the first column is built from the block
+        split k = b q + r of each offset; here it is the direct rule, one
+        exponential per offset and node on the same window nodes and weights.
+        Bound, fixed from the roundoff before any run: each table's argument
+        carries at most 3 roundings of |k s| <= 2 pi d_r (n - 1), the
+        exponentials and the block product about 9 eps per node, and each of
+        the two N-node sums at most N eps of sum(w), so every entry is within
+        eps sum(w) (6 * 2 pi d_r (n - 1) + 9 + 2 N). n = 256 takes the
+        arguments to about 3.2e3 rad at d_r = 2."""
+        eps = np.finfo(float).eps
+        window = math.sqrt(2.0 * math.log(1e18))
+        checked = 0
+        for n in (1, 2, 3, 5, 16, 17, 63, 64, 65, 256):
+            ks = np.arange(n)
+            for eta, delta in [(eta, delta) for delta in (1.0, 5.0)
+                               for eta in (-120.0, -30.0, 0.0, 45.0, 150.0)] + [(0.0, 20.0)]:
+                if 180.0 - abs(eta) < math.sqrt(2.0 * math.log(1e16)) * delta:
+                    continue  # kink: the direct table itself, bit for bit (below)
+                spec = CorrelationSpec(d_r, eta, delta, n)
+                step = quadrature_step(spec)
+                last = round(360.0 / step)
+                i = np.arange(max(0, math.ceil((eta - window * delta + 180.0) / step)),
+                              min(last, math.floor((eta + window * delta + 180.0) / step)) + 1)
+                phi = -180.0 + i * ((-180.0 + step) + 180.0)
+                w = np.where((i == 0) | (i == last), 0.5 * step, step)
+                density = np.exp(-((phi - eta) ** 2) / (2.0 * delta**2))
+                density /= math.sqrt(2.0 * math.pi * delta**2)
+                weighted = density * w
+                col = np.exp(1j * 2.0 * math.pi * d_r
+                             * np.outer(ks, np.sin(np.pi * phi / 180.0))) @ weighted
+                idx = np.subtract.outer(ks, ks)
+                ref = np.where(idx >= 0, col[np.abs(idx)], np.conj(col[np.abs(idx)]))
+                bound = eps * weighted.sum() * (6.0 * 2.0 * math.pi * d_r * (n - 1) + 9.0
+                                                + 2.0 * phi.size)
+                got = build_correlation_matrix(spec)
+                assert np.max(np.abs(got - 0.5 * (ref + ref.conj().T))) <= bound, spec
+                checked += 1
+        assert checked == 10 * 10
+
     def test_kink_fallback_is_the_finest_full_circle_grid_at_n_64(self):
         spec = CorrelationSpec(1.0, 175.0, 5.0, 64)
         assert quadrature_step(spec) == 0.01
@@ -538,6 +579,17 @@ class TestBuildScenario:
         stats = build_scenario(cfg).stats
         assert len(specs) == len(set(specs)) == 6  # 7 entries; R_S is T_S_B's spec
         assert np.array_equal(stats.receiver("B").ts_sqrt, stats.R_S_sqrt)
+
+    def test_each_distinct_correlation_is_decomposed_once(self, monkeypatch):
+        names = []
+        monkeypatch.setattr(scenario_module, "psd_eig",
+                            lambda mat, name: names.append(name) or psd_eig(mat, name))
+        cfg = parse_config(config_dict(kind="double"))
+        assert cfg.receivers[0].T_S == cfg.R_S
+        stats = build_scenario(cfg).stats
+        # 6 correlations, 5 arrays: R_S is T_S_B's array, checked under T_S_B
+        assert names == ["R_B", "T_S_B", "R_E1", "T_S_E1", "T"]
+        assert stats.R_S_sqrt is stats.receiver("B").ts_sqrt
 
     def test_null_correlation_is_identity(self):
         cfg = parse_config(config_dict(M=4))

@@ -5,10 +5,17 @@ only the jobs named with ``--job``) in-process through ``bench/runner.run_job``
 against the ``src/`` of a given source tree, and writes one JSON object
 
     {job key: {"rc": exit code, "files": {file name: sha256},
+               "columns": {file name: {column: [numbers]}},
                "reasons": [output-check failures from bench/check.py]}}
 
-``compare`` reads two such files and exits 1 when any job's exit code or
-output files differ, or when the two cover different jobs.
+``columns`` holds each output file's numbers as ``check.read_outputs``
+parses them: a CSV file's numeric columns, and a JSON file's numeric leaves,
+one column per key path with list positions dropped (``theta.3`` is entry 3
+of column ``theta``). ``compare`` reads two such files and exits 1 when any
+job's exit code or output files differ, or when the two cover different
+jobs. For each file that differs it prints the largest relative change
+|b - a| / max(|a|, |b|) of each column that moved, and at the end the
+largest change of each column over all jobs, by file name.
 
     python3 tools/output_digest.py run PARENT_TREE parent.json
     python3 tools/output_digest.py run . change.json
@@ -25,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -69,7 +77,13 @@ def digest(tree: str, keys=None) -> dict:
                 runner.check_results([result], reference)
                 files = {name: hashlib.sha256(data).hexdigest()
                          for name, data in runner.output_bytes(result.out_dir).items()}
-                out[job.key] = {"rc": result.rc, "files": files, "reasons": result.reasons}
+                try:
+                    parsed = check.read_outputs(job.subcommand, result.out_dir)
+                except (OSError, ValueError):  # a failed job may leave no files
+                    parsed = {}
+                out[job.key] = {"rc": result.rc, "files": files, "reasons": result.reasons,
+                                "columns": {name: numeric_columns(name, data)
+                                            for name, data in parsed.items()}}
                 shutil.rmtree(result.out_dir, ignore_errors=True)
     missing = sorted(set(keys or ()) - set(out))
     if missing:
@@ -77,9 +91,59 @@ def digest(tree: str, keys=None) -> dict:
     return out
 
 
-def differences(a: dict, b: dict) -> list:
+def numeric_columns(name: str, data) -> dict:
+    """{column: [numbers]} of the output file ``name`` as
+    ``check.read_outputs`` parsed it (module docstring)."""
+    if name.endswith(".csv"):  # {column: cells}, a label column as strings
+        return {col: cells for col, cells in data.items()
+                if all(isinstance(c, float) for c in cells)}
+    out = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, f"{path}.{k}" if path else k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v, path)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out.setdefault(path, []).append(float(node))
+
+    walk(data, "")
+    return out
+
+
+def relative_change(x: float, y: float) -> float:
+    """|y - x| / max(|x|, |y|): 0 when equal, inf when a non-finite value
+    changed."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(y - x) / max(abs(x), abs(y))
+
+
+def column_changes(ca: dict, cb: dict) -> dict:
+    """{column: largest relative change} of one file's columns, for the
+    columns that moved; a column that only one side has, or whose length
+    changed, reads inf."""
+    out = {}
+    for name in sorted(set(ca) | set(cb)):
+        xs, ys = ca.get(name), cb.get(name)
+        if xs is None or ys is None or len(xs) != len(ys):
+            out[name] = math.inf
+            continue
+        worst = max(map(relative_change, xs, ys), default=0.0)
+        if worst:
+            out[name] = worst
+    return out
+
+
+def differences(a: dict, b: dict, worst: dict) -> list:
     """One line per job whose exit code or output files differ, or that
-    only one digest covers."""
+    only one digest covers; a differing file's line names the largest
+    relative change of each column that moved. ``worst`` collects
+    {(file name, column): largest change over all jobs}."""
     lines = [f"{key}: only in the first digest" for key in a if key not in b]
     lines += [f"{key}: only in the second digest" for key in b if key not in a]
     for key in a:
@@ -88,9 +152,18 @@ def differences(a: dict, b: dict) -> list:
         if a[key]["rc"] != b[key]["rc"]:
             lines.append(f"{key}: exit code {a[key]['rc']!r} -> {b[key]['rc']!r}")
         fa, fb = a[key]["files"], b[key]["files"]
+        cols_a, cols_b = a[key].get("columns", {}), b[key].get("columns", {})
         for name in sorted(set(fa) | set(fb)):
-            if fa.get(name) != fb.get(name):
-                lines.append(f"{key}: {name} differs")
+            if fa.get(name) == fb.get(name):
+                continue
+            line = f"{key}: {name} differs"
+            if name in cols_a and name in cols_b:
+                changes = column_changes(cols_a[name], cols_b[name])
+                for col, x in changes.items():
+                    worst[name, col] = max(worst.get((name, col), 0.0), x)
+                line += " (" + (", ".join(f"{col} {x:.2g}" for col, x in changes.items())
+                                or "no column moved") + ")"
+            lines.append(line)
     return lines
 
 
@@ -121,9 +194,12 @@ def main(argv=None) -> int:
         return 0
 
     a, b = _load(args.first), _load(args.second)
-    lines = differences(a, b)
+    worst = {}
+    lines = differences(a, b, worst)
     for line in lines:
         print(line)
+    for (name, col), x in sorted(worst.items()):
+        print(f"largest change: {name} {col} {x:.2g}")
     print(f"{len(a)} and {len(b)} jobs; {len(lines)} differences")
     return 1 if lines else 0
 
